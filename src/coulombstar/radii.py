@@ -1,8 +1,7 @@
 """Radii of starlikeness and univalence of the normalized regular solutions.
 
 Every radius computed here is the smallest positive root of a "reduced"
-equation that is positive at 0+ and analytic there, so no special-function
-zero finding is needed -- just a guarded scan for the first sign change:
+equation that is positive at 0+:
 
 * power-normalized form f(z) = z S(z)^(1/(L+1)):
       H_f(r)   = (L+1)(1-beta) S(r) + r S'(r)
@@ -15,10 +14,17 @@ zero finding is needed -- just a guarded scan for the first sign change:
 The radius of starlikeness of order beta is the first positive root; the
 case beta = 0 also gives the radius of univalence for these families.
 
-For beta = 0 and eta < 0 the scan window is seeded from the Euler-Rayleigh
-sandwich (s = 4), which brackets the square of the root a priori, making the
-scan a handful of evaluations even at large order.  Above L = 20 evaluation
-switches to mpmath at a precision sized to the prefactor cancellation.
+Divided by S (or jhat), positive up to the first zero of F, each is a
+condition u(r) = r F_L'(eta, r)/F_L(eta, r) - c = 0 on the log-derivative
+of the regular Coulomb function: c = beta (L+1) for f, L + beta for g, and
+nu + 1/2 - (nu+alpha)(1-beta) for phi at order L = nu - 1/2 and eta = 0,
+where F_L(0, r) = sqrt(pi r/2) J_{L+1/2}(r).  One float kernel, Barnett's
+continued fraction CF1 (Barnett, Feng, Steed & Goldfarb, Comput. Phys.
+Commun. 8, 1974), gives r F'/F for every family and order, and a guarded
+scan finds the first sign change of u; ``RadiusResult.residual`` is
+|u(root)|.  For beta = 0 and eta < 0 the scan window is seeded from the
+Euler-Rayleigh sandwich (s = 4), which brackets the square of the root a
+priori, making the scan a handful of evaluations even at large order.
 """
 
 from __future__ import annotations
@@ -26,15 +32,13 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
-import mpmath as mp
-
-from .errors import (BoundsInvalid, GateViolation, NonMonotoneBracket,
-                     NoRootInScanRange, RegionWarning)
+from .errors import (BoundsInvalid, GateViolation, NonConvergence,
+                     NonMonotoneBracket, NoRootInScanRange, RegionWarning)
 from .rayleigh import euler_rayleigh_bounds
-from .specfun import CoulombParams, _sum_pair_float, _sum_pair_mp, _working_dps
+from .specfun import _EPS, CoulombParams
 
 __all__ = [
     "Family",
@@ -45,6 +49,8 @@ __all__ = [
     "radius_g",
     "radius_phi",
 ]
+
+_TINY = 1e-300
 
 
 class Family(str, enum.Enum):
@@ -57,7 +63,7 @@ class Family(str, enum.Enum):
 
 @dataclass(frozen=True)
 class RadiusResult:
-    """First positive root with its final bracket and residual scale."""
+    """First positive root, its final bracket and the residual |u(root)|."""
 
     value: float
     bracket: Tuple[float, float]
@@ -230,122 +236,138 @@ def smallest_positive_root(fn: Callable[[float], float],
 
 
 # ---------------------------------------------------------------------------
-# reduced-equation evaluators
+# reduced equations through the logarithmic derivative
 # ---------------------------------------------------------------------------
 
-def _coulomb_poly(params: CoulombParams, lam: float, ceiling: float):
-    """Coefficients h_n = (lam + n) a_n so that H(r) = sum h_n r^n equals
-    lam*S + r S' with lam = (L+1)(1-beta) (or (1-beta) for the shifted
-    form).  Float path only; term count sized for |r| <= ceiling."""
-    L = params.real_L()
-    eta = float(params.eta)
-    # walk the term recurrence at r = ceiling to find a safe cutoff
-    t_nm2, t_nm1 = 0.0, 1.0
-    tiny_run, n = 0, 0
-    scale = 1.0
-    for n in range(1, 100000):
-        if n == 1:
-            t = eta * ceiling / (L + 1.0)
+def _log_derivative(L: float, eta: float, r: float) -> float:
+    """r F_L'(eta, r) / F_L(eta, r) for r > 0 by Barnett's continued
+    fraction CF1 (Barnett, Feng, Steed & Goldfarb, Comput. Phys. Commun. 8,
+    1974), scaled by r and evaluated by the modified Lentz method:
+
+        r F'/F = lam + r eta/lam - a_lam / (b_lam - a_{lam+1} / (b_{lam+1} - ...))
+
+    with lam = L + 1, a_m = r^2 (1 + eta^2/m^2) and
+    b_m = (2m+1)(1 + r eta/(m(m+1))).  The eta terms are skipped at eta = 0,
+    where F_L = sqrt(pi r/2) J_{L+1/2} and any L > -3/2 is allowed.
+    """
+    lam = L + 1.0
+    f = (lam + r * eta / lam if eta else lam) or _TINY
+    C, D = f, 0.0
+    r2 = r * r
+    # CF1 converges once m passes the turning point, which lies below ~r
+    for k in range(1000 + 2 * int(r)):
+        m = lam + k
+        if eta:
+            a = -r2 * (1.0 + eta * eta / (m * m))
+            b = (2.0 * m + 1.0) * (1.0 + r * eta / (m * (m + 1.0)))
         else:
-            t = (2.0 * eta * ceiling * t_nm1 - ceiling * ceiling * t_nm2) \
-                / (n * (n + 2.0 * L + 1.0))
-        t_nm2, t_nm1 = t_nm1, t
-        scale = max(scale, abs(t))
-        if abs(t) <= 1e-19 * scale and n * (n + 2.0 * L + 1.0) \
-                > 4.0 * abs(eta) * ceiling + 2.0 * ceiling * ceiling:
-            tiny_run += 1
-            if tiny_run >= 5:
-                break
-        else:
-            tiny_run = 0
-    n_terms = n + 1
-    a = [1.0, eta / (L + 1.0)] if n_terms > 1 else [1.0]
-    for m in range(2, n_terms):
-        a.append((2.0 * eta * a[m - 1] - a[m - 2]) / (m * (m + 2.0 * L + 1.0)))
-    return [(lam + m) * am for m, am in enumerate(a)]
+            a, b = -r2, 2.0 * m + 1.0
+        D = 1.0 / (b + a * D or _TINY)
+        C = b + a / C or _TINY
+        delta = C * D
+        f *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return f
+    raise NonConvergence(
+        f"CF1 for r F'/F did not converge (L={L!r}, eta={eta!r}, r={r!r})")
 
 
-def _horner(coeffs, r: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * r + c
-    return acc
+def _reduced(L: float, eta: float, c: float):
+    """u(r) = r F_L'(eta, r)/F_L(eta, r) - c guarded for the root scan, and
+    a one-item list counting its kernel evaluations.
+
+    u has a pole at the first zero of F and is positive again past it.  So a
+    call past the furthest point reached walks there in steps that cannot
+    pass the pole, and past the first point where u <= 0 returns that value.
+    In s = ln r, Y = r F'/F - 1/2 obeys dY/ds = P(r) - Y^2 with
+    P(r) = (L + 1/2)^2 + 2 eta r - r^2; for K^2 >= -P over a step, Y stays
+    above K tan(atan(Y0/K) - K ds), finite while ds < atan2(K, -Y0)/K.  The
+    walk starts at half a lower bound on the first zero of F:
+    sqrt(eta^2 + (L+1)^2) - |eta| for L > -1, 2 sqrt(L + 3/2) at eta = 0.
+    """
+    if eta:
+        x0 = 0.5 * (math.hypot(eta, L + 1.0) - abs(eta))
+    else:
+        x0 = math.sqrt(L + 1.5)
+    evals = [0]
+
+    def u_at(r: float) -> float:
+        evals[0] += 1
+        return _log_derivative(L, eta, r) - c
+
+    def P(r: float) -> float:
+        return (L + 0.5) ** 2 + 2.0 * eta * r - r * r
+
+    reached = [x0, u_at(x0)]
+
+    def u(r: float) -> float:
+        x, ux = reached
+        if r <= x:
+            return u_at(r)
+        while ux > 0.0 and x < r:
+            # P is concave, so least at an end of the step
+            K = math.sqrt(max(-min(P(x), P(r)), 1e-300))
+            ds = math.atan2(K, 0.5 - c - ux) / K
+            nxt = min(r, x * math.exp(min(0.9 * ds, 700.0)))
+            if nxt <= x:
+                raise NonConvergence(f"guarded scan step underflows at r={x!r}")
+            x, ux = nxt, u_at(nxt)
+        reached[:] = [x, ux]
+        return ux
+
+    return u, evals
 
 
-def _reduced_fn(params: CoulombParams, lam: float, ceiling: float):
-    """Callable H(r) = lam*S(r) + r S'(r), float or mpmath automatically."""
-    L = params.real_L()
-    if L <= 20.0:
-        coeffs = _coulomb_poly(params, lam, ceiling)
-        return lambda r: _horner(coeffs, r), None
-    dps = _working_dps(params, ceiling)
-    tol = mp.mpf(10) ** (8 - dps)
-
-    def fn(r):
-        S, T, _, _, _ = _sum_pair_mp(params, mp.mpf(r), dps, tol)
-        return lam * S + T
-
-    return fn, dps
-
-
-def _scan_window(params: CoulombParams, beta: float):
+def _scan_window(L: float, eta: float, beta: float):
     """(start, step, ceiling, grow) for the scan; Euler-Rayleigh seeded when
-    the sandwich applies (beta = 0, eta < 0, L != 0)."""
-    L = params.real_L()
-    eta = float(params.eta)
+    the sandwich applies (beta = 0, eta < 0, L != 0).
+
+    Besides a ceiling past the root, the scan needs each step to stay below
+    the gap between the root and the first zero of F, where u has a pole: a
+    step over both lands where u is positive again.  :func:`_reduced` keeps
+    that invariant whatever the step chosen here."""
     if beta == 0.0 and eta < 0.0 and L != 0.0:
         try:
-            b4 = euler_rayleigh_bounds(params, 4)
+            b4 = euler_rayleigh_bounds(CoulombParams(L, eta), 4)
             # the sandwich is strict, so the root lies inside (lo, hi); a
             # hair of margin guards the sqrt roundings only
             lo = math.sqrt(b4.lower) * (1.0 - 1e-9)
             hi = math.sqrt(b4.upper) * (1.0 + 1e-9)
-            # never stride past a consecutive pair of F' zeros: their gap
-            # near the first zero scales like 1.77 L^(1/3), so cap the step
-            # well below that even when the sandwich is loose
-            gap_cap = max(0.5, 0.6 * max(L, 1.0) ** (1.0 / 3.0))
-            step = max(min((hi - lo) / 4.0, gap_cap), 0.01)
+            step = max((hi - lo) / 4.0, 0.01)
             return lo, step, hi + 1.0, False
         except (BoundsInvalid, ValueError, GateViolation):
             pass
-    return None, 0.05, 100.0, True
+    # every root sought here lies before the first zero of F, which lies
+    # within 2.4 Airy lengths past the outer turning point; that length is
+    # at most (L/2)^(1/3) at large order and (2 eta)^(1/3) at large eta
+    turn = max(eta + math.sqrt(max(eta * eta + L * (L + 1.0), 0.0)), 0.0)
+    return None, 0.05, turn + 4.0 * max(L, eta, 1.0) ** (1.0 / 3.0) + 10.0, True
 
 
-def _finish(params: CoulombParams, lam: float, raw: RadiusResult,
-            step: float, beta: float) -> RadiusResult:
-    """Recompute the residual in the un-reduced normalization
-    |r g' + (L - beta(L+1)) g| (which equals r*|H(r)|) and flag roots that
-    sit within a few scan steps of the origin when beta is close to 1."""
-    r = raw.value
-    if params.real_L() <= 20.0:
-        S, T, _, _, _ = _sum_pair_float(params, r, 1e-15)
-    else:
-        dps = _working_dps(params, r)
-        S, T, _, _, _ = _sum_pair_mp(params, r, dps, mp.mpf(10) ** (8 - dps))
-    residual = float(abs(r * (lam * S + T)))
-    if beta > 0.9 and r < 10.0 * step:
+def _first_root(L: float, eta: float, c: float, beta: float) -> RadiusResult:
+    """First positive root of u(r) = r F_L'(eta, r)/F_L(eta, r) - c; flags
+    roots within a few scan steps of the origin when beta is close to 1."""
+    start, step, ceiling, grow = _scan_window(L, eta, beta)
+    u, evals = _reduced(L, eta, c)
+    res = smallest_positive_root(
+        u, ceiling, step=step, scan_start=start,
+        grow_after=(10.0 if grow else math.inf))
+    res = replace(res, iterations=evals[0])
+    if beta > 0.9 and res.value < 10.0 * step:
         warnings.warn(
-            f"order beta = {beta} pushes the radius ({r:.3g}) below ten scan "
-            "steps; treat the bracket with care", RegionWarning, stacklevel=3)
-    return RadiusResult(value=r, bracket=raw.bracket, residual=residual,
-                        iterations=raw.iterations)
+            f"order beta = {beta} pushes the radius ({res.value:.3g}) below "
+            "ten scan steps; treat the bracket with care", RegionWarning,
+            stacklevel=3)
+    return res
 
 
-def _radius_coulomb(L, eta, beta: float, shifted: bool) -> RadiusResult:
+def _check_coulomb(L, eta, beta: float) -> None:
     if isinstance(L, complex) or isinstance(eta, complex):
         raise GateViolation("radii are defined for real L and eta")
     if not -1.0 < float(L):
         raise GateViolation(f"need L > -1, got {L}")
     if not 0.0 <= beta < 1.0:
         raise GateViolation(f"order beta must lie in [0, 1), got {beta}")
-    params = CoulombParams(float(L), float(eta))
-    lam = (1.0 - beta) if shifted else (float(L) + 1.0) * (1.0 - beta)
-    start, step, ceiling, grow = _scan_window(params, beta)
-    fn, _ = _reduced_fn(params, lam, ceiling)
-    raw = smallest_positive_root(
-        fn, ceiling, step=step, scan_start=start,
-        grow_after=(10.0 if grow else math.inf))
-    return _finish(params, lam, raw, step, beta)
 
 
 def radius_f(L, eta, beta: float = 0.0) -> RadiusResult:
@@ -355,7 +377,8 @@ def radius_f(L, eta, beta: float = 0.0) -> RadiusResult:
     first positive zero of F' and also the radius of univalence.
     Preconditions: real L > -1, real eta, 0 <= beta < 1.
     """
-    return _radius_coulomb(L, eta, beta, shifted=False)
+    _check_coulomb(L, eta, beta)
+    return _first_root(float(L), float(eta), beta * (float(L) + 1.0), beta)
 
 
 def radius_g(L, eta, beta: float = 0.0) -> RadiusResult:
@@ -363,7 +386,8 @@ def radius_g(L, eta, beta: float = 0.0) -> RadiusResult:
 
     First positive root of (1-beta) S + r S'.
     """
-    return _radius_coulomb(L, eta, beta, shifted=True)
+    _check_coulomb(L, eta, beta)
+    return _first_root(float(L), float(eta), float(L) + beta, beta)
 
 
 def radius_phi(nu, alpha, beta: float = 0.0) -> RadiusResult:
@@ -381,34 +405,6 @@ def radius_phi(nu, alpha, beta: float = 0.0) -> RadiusResult:
         raise GateViolation(f"need nu + alpha > 0, got nu+alpha = {nu + alpha}")
     if not 0.0 <= beta < 1.0:
         raise GateViolation(f"order beta must lie in [0, 1), got {beta}")
-    lam = (nu + alpha) * (1.0 - beta)
-    ceiling = 3.0 * (nu + 6.0)   # well past the first jhat' sign feature
-    # jhat(r) = sum_m c_m w^m with w = r^2; H uses (lam + 2m) c_m.  Track
-    # the term size at the ceiling incrementally so nothing overflows.
-    c = [1.0]
-    term, term_peak = 1.0, 1.0
-    m = 0
-    while m < 4000:
-        m += 1
-        ratio = -0.25 / (m * (nu + m))
-        c.append(c[-1] * ratio)
-        term = abs(term * ratio) * ceiling * ceiling
-        term_peak = max(term_peak, term)
-        if m * (nu + m) > 0.5 * ceiling * ceiling and term < 1e-19 * term_peak:
-            break
-    h = [(lam + 2.0 * m) * cm for m, cm in enumerate(c)]
-
-    def fn(r: float) -> float:
-        return _horner(h, r * r)
-
-    raw = smallest_positive_root(fn, ceiling, step=0.05,
-                                 grow_after=10.0)
-    # residual in the unreduced scale: |r jhat' + ... | = r * |H|
-    residual = abs(raw.value * fn(raw.value))
-    if beta > 0.9 and raw.value < 0.5:
-        warnings.warn(
-            f"order beta = {beta} pushes the radius ({raw.value:.3g}) near "
-            "the origin; treat the bracket with care", RegionWarning,
-            stacklevel=2)
-    return RadiusResult(value=raw.value, bracket=raw.bracket,
-                        residual=residual, iterations=raw.iterations)
+    # r jhat'/jhat = r J_nu'/J_nu - nu = r F'/F - nu - 1/2 at L = nu - 1/2
+    c = nu + 0.5 - (nu + alpha) * (1.0 - beta)
+    return _first_root(nu - 0.5, 0.0, c, beta)

@@ -231,10 +231,6 @@ def _sum_pair_float(params: CoulombParams, z: Scalar, tol: float):
         raise NonConvergence(
             f"series for S(z) did not converge within {limit} terms "
             f"(L={params.L!r}, eta={params.eta!r}, z={z!r})")
-    if streak < 3:
-        raise NonConvergence(
-            f"series for S(z) did not converge within {limit} terms "
-            f"(L={params.L!r}, eta={params.eta!r}, z={z!r})")
     est = max(last3) + 4.0 * _EPS * scale
     return S, T, n + 1, est, scale
 
@@ -294,10 +290,6 @@ def _sum_pair_mp(params: CoulombParams, z, dps: int, tol):
             else:
                 streak = 0
         else:
-            raise NonConvergence(
-                f"series for S(z) did not converge within {limit} terms "
-                f"(L={params.L!r}, eta={params.eta!r}, z={z!r}, dps={dps})")
-        if streak < 3:
             raise NonConvergence(
                 f"series for S(z) did not converge within {limit} terms "
                 f"(L={params.L!r}, eta={params.eta!r}, z={z!r}, dps={dps})")
@@ -485,10 +477,6 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
         else:
             streak = 0
     else:
-        raise NonConvergence(
-            f"Bessel series did not converge within {limit} terms "
-            f"(nu={nu}, z={z!r})")
-    if streak < 3:
         raise NonConvergence(
             f"Bessel series did not converge within {limit} terms "
             f"(nu={nu}, z={z!r})")

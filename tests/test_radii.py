@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
 from coulombstar.errors import (GateViolation, NoRootInScanRange,
                                 RegionWarning)
-from coulombstar.radii import (Family, RadiusQuery, radius_f, radius_g,
-                               radius_phi, smallest_positive_root)
-from coulombstar.specfun import eval_dini
+from coulombstar.radii import (Family, RadiusQuery, _log_derivative, radius_f,
+                               radius_g, radius_phi, smallest_positive_root)
+from coulombstar.specfun import CoulombParams, eval_dini, eval_F_with_derivative
 from coulombstar.verify import companion_order
 
 # frozen references (50-digit root solves, truncated)
@@ -24,6 +25,13 @@ RF_BIG = {25: 26.9668237166703170448807, 50: 52.5623744227758205353665,
           100: 103.321527849835745655214, 200: 204.284663166751552588212}
 ELL_C = 0.19282032302755091741097853660235     # companion of 0.2+0.1i
 RF_COMPANION = 1.8030026117637125053549356588862
+RF_100_5 = 109.590769486334766650456            # f: L=100, eta=5
+RF_20_M20 = 9.8584102160585234882965380398397   # f: L=20, eta=-20
+RF_ATTRACT = 8.4797898954018493048794108756805e-05  # f: L=-.95, eta=-20, b=.3
+# phi, alpha = 0: first positive zero of J_nu' (mpmath besseljzero)
+RPHI_BIG = {30: 32.5342235567901424086452, 100: 103.768377682542268707241,
+            200: 204.740960276771232593814}
+RPHI_NEG = 0.49082223744721337577760905720382   # phi: nu=-.75, a=1.5, b=.2
 
 
 def test_radius_f_frozen_values():
@@ -45,10 +53,51 @@ def test_radius_phi_frozen_values():
                                                             abs=1e-12)
 
 
-def test_radius_large_order_switches_to_mp():
+def test_radius_large_order_frozen_values():
     for L, ref in RF_BIG.items():
         got = radius_f(float(L), -1.0).value
         assert got == pytest.approx(ref, rel=1e-12)
+    for nu, ref in RPHI_BIG.items():
+        assert radius_phi(float(nu), 0.0).value == pytest.approx(ref, rel=1e-12)
+
+
+def test_unseeded_root_past_turning_point():
+    # the root lies beyond 100, where a fixed scan ceiling used to stop
+    assert radius_f(100.0, 5.0).value == pytest.approx(RF_100_5, rel=1e-12)
+
+
+def test_strong_attraction():
+    # at L = 20, eta = -20 the power series cancels to ~1e-8 in floats
+    assert radius_f(20.0, -20.0).value == pytest.approx(RF_20_M20, abs=1e-12)
+    # F vanishes near 0.0026, far below the first scan point 0.05: the scan
+    # must not step over the root and the pole of r F'/F at that zero
+    assert radius_f(-0.95, -20.0, 0.3).value == pytest.approx(RF_ATTRACT,
+                                                              rel=1e-10)
+
+
+def test_radius_phi_order_below_minus_half():
+    # nu = -0.75 is order L = nu - 1/2 = -1.25 of the eta = 0 kernel
+    assert radius_phi(-0.75, 1.5, 0.2).value == pytest.approx(RPHI_NEG,
+                                                              abs=1e-12)
+
+
+def test_log_derivative_kernel():
+    # CF1 against the series ratio r F'/F at small order ...
+    for L in (-0.5, 0.0, 1.5, 5.0, 20.0):
+        for eta in (-1.0, 0.0, 2.0):
+            for r in (0.5, 2.0, 6.0):
+                ev = eval_F_with_derivative(CoulombParams(L, eta), r)
+                assert _log_derivative(L, eta, r) == pytest.approx(
+                    r * ev.derivative / ev.value, rel=1e-12)
+    # ... and against mpmath's coulombf at large order
+    with mp.workdps(30):
+        for L in (100, 200):
+            for eta in (-1, 0, 2):
+                for r in (L // 2, L):
+                    F = mp.coulombf(L, eta, r)
+                    dF = mp.diff(lambda x: mp.coulombf(L, eta, x), r)
+                    assert _log_derivative(float(L), float(eta), float(r)) \
+                        == pytest.approx(float(r * dF / F), rel=1e-12)
 
 
 def test_complex_order_companion_route():
@@ -67,7 +116,7 @@ def test_result_structure():
 
 
 def test_residual_identity_scale():
-    # r H(r) equals |r g' + (L - beta(L+1)) g| at the root; both tiny
+    # the residual is |r F'/F - beta (L+1)| at the root
     res = radius_f(2.0, -1.0, 0.25)
     assert res.residual < 1e-10
 
@@ -134,7 +183,6 @@ def test_smallest_positive_root_edge_cases():
 def test_univalence_equals_starlikeness_at_beta_zero():
     # beta = 0 root is the first positive zero of F' (radius of univalence):
     # cross-check f-radius against the derivative of F vanishing
-    from coulombstar.specfun import CoulombParams, eval_F_with_derivative
     r = radius_f(2.0, -1.0).value
     d = eval_F_with_derivative(CoulombParams(2.0, -1.0), r).derivative
     assert abs(d) < 1e-12

@@ -49,11 +49,12 @@ def g_eval(L, eta, z):
     return z * s, s + z * sp  # g, g'
 
 
-def reduced_fprime(L, eta):
-    """H(r) = (L+1) S + r S' ; zeros = positive zeros of F'."""
+def reduced_fprime(L, eta, beta=0):
+    """H(r) = (L+1)(1-beta) S + r S' ; at beta = 0 its zeros are the
+    positive zeros of F'."""
     def H(r):
         s, sp = S_Sp(L, eta, r, n_max=max(200, int(3 * abs(r)) + 80))
-        return (L + 1) * s + r * sp
+        return (L + 1) * (1 - beta) * s + r * sp
     return H
 
 
@@ -135,6 +136,35 @@ for L in (25, 50, 100, 200):
     r = first_root(H, mp.mpf(L) * mp.mpf("0.85"), mp.mpf(L) * mp.mpf("1.35"), mp.mpf("0.11"))
     show(f"radius_f({L}, -1, 0)".ljust(24), r, 24)
 mp.mp.dps = 60
+
+print()
+print("# --- radii past the old scan ceiling of 100, and strong attraction ---")
+mp.mp.dps = 90
+r = first_root(reduced_fprime(mp.mpf(100), mp.mpf(5)), mp.mpf(85), mp.mpf(135), mp.mpf("0.11"))
+show("radius_f(100, 5, 0)     ", r, 24)
+r = first_root(reduced_fprime(mp.mpf(20), mp.mpf(-20)), mp.mpf("0.2"), 94, mp.mpf("0.1"))
+show("radius_f(20, -20, 0)    ", r)
+# the first zero of F sits near 0.0026, so scan with steps far below it
+r = first_root(reduced_fprime(mp.mpf("-0.95"), mp.mpf(-20), mp.mpf("0.3")),
+               mp.mpf("1e-6"), mp.mpf("1e-3"), mp.mpf("1e-6"))
+show("radius_f(-.95,-20,.3)   ", r)
+mp.mp.dps = 60
+
+print()
+print("# --- phi at large nu (first zero of J_nu') and at nu in (-1, -1/2] ---")
+for nu in (30, 100, 200):
+    show(f"radius_phi({nu}, 0, 0)".ljust(24), mp.besseljzero(nu, 1, derivative=1), 24)
+
+
+def phi_bessel(nu, alpha, beta):
+    """(nu+alpha)(1-beta) J_nu + r J_nu' - nu J_nu, which is jhat's reduced
+    equation times the positive factor (r/2)^nu / Gamma(nu+1)."""
+    return lambda r: ((nu + alpha) * (1 - beta) - nu) * mp.besselj(nu, r) \
+        + r * mp.besselj(nu, r, derivative=1)
+
+
+r = first_root(phi_bessel(mp.mpf("-0.75"), mp.mpf("1.5"), mp.mpf("0.2")), mp.mpf("0.05"), 3, mp.mpf("0.05"))
+show("radius_phi(-.75,1.5,.2) ", r)
 
 print()
 print("# --- complex-L spirallike companion (L = 0.2+0.1i, eta = 0) ---")
