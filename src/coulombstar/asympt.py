@@ -109,23 +109,8 @@ def _main_expr(E: TruncatedSeries, order: int) -> TruncatedSeries:
     return total - eta_term
 
 
-def _eps_table(N: int) -> List[EtaPolynomial]:
-    """Solve the defining identity order by order for eps_1 .. eps_N."""
-    eps: List[EtaPolynomial] = []
-    # eps_j enters the u^j coefficient linearly through 2 c zeta_0^(2) eps_j
-    # = sqrt2 eps_j, so each order is an exact division by sqrt2
-    neg_inv_lead = EtaPolynomial([Sqrt2Rational(0, Fraction(-1, 2))],
-                                 Sqrt2Rational)
-    for j in range(1, N + 1):
-        order = j + 1
-        E = TruncatedSeries(0, [_C_POLY] + eps, order,
-                            EtaPolynomial)
-        expr = _main_expr(E, order)
-        res = expr.coeff(j)      # value with eps_j set to 0; target is 0
-        eps.append(res * neg_inv_lead)
-    return eps
-
-
+#: eps_1, eps_2, ... solved so far.  Process-global and grow-only: a longer
+#: request solves only the orders it lacks.  Not safe to share across threads.
 _CACHE: List[EtaPolynomial] = []
 
 
@@ -133,15 +118,23 @@ def epsilon_coeffs(N: int) -> EpsilonTable:
     """Correction polynomials eps_1..eps_N of the large-order radius
     expansion, exact over Q(sqrt2)[eta].
 
-    Solved order by order from the defining identity; the result is cached
-    and re-substitution (see :func:`annihilation_residuals`) kills every
-    coefficient of L^0 .. L^-N exactly.
+    Solved order by order from the defining identity: eps_j enters the u^j
+    coefficient linearly through 2 c zeta_0^(2) eps_j = sqrt2 eps_j, so each
+    order is an exact division by sqrt2 of that coefficient taken with
+    eps_j = 0.  Re-substitution (see :func:`annihilation_residuals`) kills
+    every coefficient of L^0 .. L^-N exactly.  The solved orders are kept in
+    ``_CACHE``, a process-global, grow-only table that is not safe to share
+    across threads; the zeta rows it needs are built in one call first.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    global _CACHE
     if len(_CACHE) < N:
-        _CACHE = _eps_table(N)
+        zeta_coeffs(2 * N + 2, N)
+        neg_inv_lead = EtaPolynomial([Sqrt2Rational(0, Fraction(-1, 2))],
+                                     Sqrt2Rational)
+        for j in range(len(_CACHE) + 1, N + 1):
+            E = TruncatedSeries(0, [_C_POLY] + _CACHE, j + 1, EtaPolynomial)
+            _CACHE.append(_main_expr(E, j + 1).coeff(j) * neg_inv_lead)
     return EpsilonTable(c=_SQRT2, eps=list(_CACHE[:N]))
 
 

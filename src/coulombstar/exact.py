@@ -8,7 +8,7 @@ This module supplies the small algebraic toolbox the recurrences are run in:
   field Q(sqrt 2), needed because the leading coefficient of the large-order
   expansion of the starlikeness radius lives there.
 * :class:`EtaPolynomial` -- polynomials in the Sommerfeld parameter ``eta``
-  with coefficients in one of the rings above (or floats).
+  with coefficients in one of the rings above.
 * :class:`TruncatedSeries` -- truncated power/Laurent series in one symbol
   with ring coefficients, just enough arithmetic for order-by-order solves.
 * ``p_coeff`` / ``geometric_expansion`` -- the expansion
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -212,24 +213,18 @@ def format_sqrt2(x: Sqrt2Rational) -> str:
 # ---------------------------------------------------------------------------
 
 #: rings a polynomial / series may draw coefficients from, keyed by the class
-_SCALAR_RINGS = (Fraction, Sqrt2Rational, float, complex)
+_SCALAR_RINGS = (Fraction, Sqrt2Rational)
 
 
 def _coerce_scalar(x, ring):
-    """Coerce ``x`` into ``ring`` (one of Fraction, Sqrt2Rational, float,
-    complex), raising RingMismatch when that would lose exactness."""
+    """Coerce ``x`` into ``ring`` (Fraction or Sqrt2Rational), raising
+    RingMismatch when that would lose exactness."""
     if ring is Fraction:
         return _as_fraction(x)
     if ring is Sqrt2Rational:
         if isinstance(x, Sqrt2Rational):
             return x
         return Sqrt2Rational(_as_fraction(x), Fraction(0))
-    if ring is float:
-        if isinstance(x, complex):
-            raise RingMismatch("complex scalar in a float ring")
-        return float(x)
-    if ring is complex:
-        return complex(x)
     raise RingMismatch(f"unsupported coefficient ring {ring!r}")
 
 
@@ -239,10 +234,6 @@ def ring_zero(ring):
         return Sqrt2Rational.zero()
     if ring is Fraction:
         return Fraction(0)
-    if ring is float:
-        return 0.0
-    if ring is complex:
-        return 0j
     raise RingMismatch(f"unsupported coefficient ring {ring!r}")
 
 
@@ -252,10 +243,6 @@ def ring_one(ring):
         return Sqrt2Rational.one()
     if ring is Fraction:
         return Fraction(1)
-    if ring is float:
-        return 1.0
-    if ring is complex:
-        return 1 + 0j
     raise RingMismatch(f"unsupported coefficient ring {ring!r}")
 
 
@@ -399,11 +386,10 @@ class EtaPolynomial:
     def __call__(self, eta):
         """Evaluate at ``eta`` (Horner).  A float/complex argument gives a
         float/complex result; exact arguments stay exact."""
-        if isinstance(eta, (float, complex)) or self.ring in (float, complex):
+        if isinstance(eta, (float, complex)):
             acc = 0.0 if not isinstance(eta, complex) else 0j
             for c in reversed(self.coeffs):
-                cf = float(c) if not isinstance(c, complex) else c
-                acc = acc * eta + cf
+                acc = acc * eta + float(c)
             return acc
         acc = ring_zero(self.ring)
         for c in reversed(self.coeffs):
@@ -490,6 +476,8 @@ class TruncatedSeries:
                     raise RingMismatch(
                         "series ring is EtaPolynomial but got "
                         f"{type(c).__name__}")
+        elif ring not in _SCALAR_RINGS:
+            raise RingMismatch(f"unsupported coefficient ring {ring!r}")
         else:
             cs = [_coerce_scalar(c, ring) for c in cs]
         # normalize: strip leading/trailing zeros
@@ -615,8 +603,7 @@ class TruncatedSeries:
         """Numerically evaluate sum c_n x^n (lead may be negative)."""
         acc = 0.0 if not isinstance(x, complex) else 0j
         for n in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[n]
-            acc = acc * x + (float(c) if not isinstance(c, (float, complex)) else c)
+            acc = acc * x + float(self.coeffs[n])
         return acc * x ** self.lead if self.coeffs else acc
 
     def __eq__(self, other) -> bool:
@@ -638,6 +625,7 @@ class TruncatedSeries:
 # geometric expansion coefficients and potential polynomials
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=4096)
 def p_coeff(alpha, n: int) -> Fraction:
     """n-th coefficient of L/(2L + alpha + 1) as a series in 1/L:
 
@@ -663,19 +651,14 @@ def potential_polynomials(exponent: int, args: Sequence, n_max: int):
     """Coefficients A_{exponent, k} of (1 + sum_j args[j] x^(j+1))^exponent.
 
     Returns the list [A_0, ..., A_{n_max}] over the ring of ``args`` (Fraction
-    unless an argument is a float).  A_0 = 1 always; for exponent m and a
-    series with only the linear term a, A_k = C(m, k) a^k.
+    unless an argument is a Sqrt2Rational).  A_0 = 1 always; for exponent m
+    and a series with only the linear term a, A_k = C(m, k) a^k.
     """
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
     ring = Fraction
-    for a in args:
-        if isinstance(a, float):
-            ring = float
-            break
-        if isinstance(a, Sqrt2Rational):
-            ring = Sqrt2Rational
-            break
+    if any(isinstance(a, Sqrt2Rational) for a in args):
+        ring = Sqrt2Rational
     base = TruncatedSeries(0, [ring_one(ring)] + list(args),
                            max(n_max + 1, len(args) + 1), ring).truncate(n_max + 1)
     powd = base.power(exponent)

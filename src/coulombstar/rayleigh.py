@@ -207,118 +207,88 @@ def euler_rayleigh_bounds(params: CoulombParams, s: int) -> EulerRayleighBounds:
 # Laurent coefficients of Z^(k) in 1/L
 # ---------------------------------------------------------------------------
 
-#: zeta tables memo: j -> list of EtaPolynomial (index n), extended on demand
+#: zeta tables memo: j -> [zeta_0^(j), ..., zeta_n^(j)], every row the same
+#: length.  Process-global and grow-only: rows are added, or all rebuilt
+#: longer, but never dropped.  Not safe to share across threads.
 _ZETA: Dict[int, List[EtaPolynomial]] = {}
 
+_ZERO = EtaPolynomial([], Fraction)
 
-def _two_eta_convolution(alpha: int, other: List[EtaPolynomial],
-                         n: int) -> EtaPolynomial:
-    """2 eta sum_{l=0}^{n} sum_{m=0}^{l} (-1)^m p_{l-m}^(alpha) other_{n-l}."""
-    acc = EtaPolynomial([], Fraction)
-    for l in range(n + 1):
-        csum = Fraction(0)
-        for m in range(l + 1):
-            csum += (-1) ** m * p_coeff(alpha, l - m)
-        if csum:
-            acc = acc + csum * other[n - l]
-    return 2 * acc.shift_eta(1)
+
+def _weighted(w: List[Fraction], polys: List[EtaPolynomial],
+              n: int) -> EtaPolynomial:
+    """sum_{q=0}^{n} w_{n-q} polys_q."""
+    acc = _ZERO
+    for q in range(n + 1):
+        if w[n - q]:
+            acc = acc + w[n - q] * polys[q]
+    return acc
 
 
 def _zeta_row_2(n_max: int) -> List[EtaPolynomial]:
-    row = [EtaPolynomial([p_coeff(2, 0)])]
-    if n_max >= 1:
-        row.append(EtaPolynomial([p_coeff(2, 1)]))
+    p = [p_coeff(2, n) for n in range(n_max + 1)]
+    # zeta_{n+2}^(2) = p_{n+2} + eta^2 sum_{m=0}^{n} (-1)^m (m+1) p_{n-m}
+    w = [(-1) ** m * (m + 1) for m in range(n_max + 1)]
     eta2 = EtaPolynomial([0, 0, 1])
-    for n in range(0, n_max - 1):
-        acc = EtaPolynomial([p_coeff(2, n + 2)])
-        csum = Fraction(0)
-        for m in range(n + 1):
-            csum += (-1) ** m * (m + 1) * p_coeff(2, n - m)
-        acc = acc + csum * eta2
-        row.append(acc)
-    return row
+    return [EtaPolynomial([p[n]]) if n < 2 else
+            p[n] + sum(w[m] * p[n - 2 - m] for m in range(n - 1)) * eta2
+            for n in range(n_max + 1)]
 
 
-def _zeta_row_even(k: int, n_max: int,
-                   lower: Dict[int, List[EtaPolynomial]]) -> List[EtaPolynomial]:
-    """Row for superscript 2k, k >= 2."""
-    j = 2 * k
-    row: List[EtaPolynomial] = []
-    z0 = Fraction(0)
-    for l in range(k - 1):
-        z0 += (lower[2 * l + 2][0] * lower[2 * k - 2 * l - 2][0]).coeff(0)
-    row.append(EtaPolynomial([z0 * p_coeff(j, 0)]))
-    if n_max >= 1:
-        acc = EtaPolynomial([], Fraction)
-        for l in range(k - 1):
-            for q in range(2):
-                conv = EtaPolynomial([], Fraction)
-                for m in range(q + 1):
-                    conv = conv + lower[2 * l + 2][m] * lower[2 * k - 2 * l - 2][q - m]
-                acc = acc + p_coeff(j, 1 - q) * conv
-        row.append(acc)
-    for n in range(0, n_max - 1):
-        acc = EtaPolynomial([], Fraction)
-        for l in range(1, k - 1):
-            for q in range(n + 1):
-                conv = EtaPolynomial([], Fraction)
-                for m in range(q + 1):
-                    conv = conv + lower[2 * l + 1][m] * lower[2 * k - 2 * l - 1][q - m]
-                acc = acc + p_coeff(j, n - q) * conv
-        for l in range(k - 1):
-            for q in range(n + 3):
-                conv = EtaPolynomial([], Fraction)
-                for m in range(q + 1):
-                    conv = conv + lower[2 * l + 2][m] * lower[2 * k - 2 * l - 2][q - m]
-                acc = acc + p_coeff(j, n + 2 - q) * conv
-        acc = acc + _two_eta_convolution(j, lower[j - 1], n)
-        row.append(acc)
-    return row
+def _zeta_row(j: int, n_max: int,
+              lower: Dict[int, List[EtaPolynomial]]) -> List[EtaPolynomial]:
+    """Row for superscript j >= 3 from the rows below it.
 
+    S'_q and S''_q sum the Cauchy products [u^q] Zeta_a Zeta_(j-a) over
+    a = 2 .. j-2 with a even and a odd; each unordered pair is multiplied
+    once and doubled.  With the p_n^(j) expansion of 1/(2L + j + 1) and
+    T_n = 2 eta sum_l c_l zeta_{n-l}^(j-1), c_l = sum_{m<=l} (-1)^m p_{l-m},
 
-def _zeta_row_odd(k: int, n_max: int,
-                  lower: Dict[int, List[EtaPolynomial]]) -> List[EtaPolynomial]:
-    """Row for superscript 2k+1, k >= 1."""
-    j = 2 * k + 1
-    row: List[EtaPolynomial] = []
-    for n in range(n_max + 1):
-        acc = _two_eta_convolution(j, lower[j - 1], n)
-        if k >= 2:
-            for l in range(1, k):
-                for q in range(n + 1):
-                    conv = EtaPolynomial([], Fraction)
-                    for m in range(q + 1):
-                        conv = conv + lower[2 * l + 1][m] * lower[2 * k - 2 * l][q - m]
-                    acc = acc + p_coeff(j, n - q) * conv
-            for l in range(k - 1):
-                for q in range(n + 1):
-                    conv = EtaPolynomial([], Fraction)
-                    for m in range(q + 1):
-                        conv = conv + lower[2 * l + 2][m] * lower[2 * k - 2 * l - 1][q - m]
-                    acc = acc + p_coeff(j, n - q) * conv
-        row.append(acc)
-    return row
+        zeta_n^(j) = sum_q p_{n-q} (S'_q + S''_q) + T_n                (j odd),
+        zeta_n^(j) = sum_q p_{n-q} S'_q
+                     + sum_q p_{n-2-q} S''_q + T_{n-2}                (j even).
+    """
+    p = [p_coeff(j, n) for n in range(n_max + 1)]
+    S = [[_ZERO] * (n_max + 1) for _ in range(2)]        # S' and S''
+    for a in range(2, j // 2 + 1):
+        A, B, part = lower[a], lower[j - a], S[a % 2]
+        for q in range(n_max + 1):
+            conv = _ZERO
+            for m in range(q + 1):
+                conv = conv + A[m] * B[q - m]
+            part[q] = part[q] + (conv if 2 * a == j else 2 * conv)
+    c: List[Fraction] = []
+    for l in range(n_max + 1):
+        c.append(p[l] - (c[-1] if c else 0))
+    T = [2 * _weighted(c, lower[j - 1], n).shift_eta(1)
+         for n in range(n_max + 1 if j % 2 else n_max - 1)]
+    if j % 2:
+        both = [S[0][q] + S[1][q] for q in range(n_max + 1)]
+        return [_weighted(p, both, n) + T[n] for n in range(n_max + 1)]
+    return [_weighted(p, S[0], n) + (
+        _weighted(p, S[1], n - 2) + T[n - 2] if n >= 2 else _ZERO)
+        for n in range(n_max + 1)]
 
 
 def _ensure_zeta(j_max: int, n_max: int) -> None:
-    need_extend = any(
-        j not in _ZETA or len(_ZETA[j]) < n_max + 1
-        for j in range(2, j_max + 1))
-    if not need_extend:
+    """Grow the memo to hold rows 2 .. j_max through zeta_{n_max}, in one
+    pass: rows above the memo are appended at its length, and a longer
+    request rebuilds every row once, with two orders to spare."""
+    have = len(_ZETA[2]) - 1 if _ZETA else -1
+    top = max(_ZETA, default=1)
+    if n_max > have:
+        rows: Dict[int, List[EtaPolynomial]] = {}
+        have, top = n_max + 2, max(j_max, top)
+    elif j_max > top:
+        rows = dict(_ZETA)
+        top = j_max
+    else:
         return
-    # rebuild rows bottom-up; each row only needs rows below it at the same n
-    fresh: Dict[int, List[EtaPolynomial]] = {}
-    # even rows at superscript j need lower rows up to n_max + 2
-    inner_n = n_max + 2
-    fresh[2] = _zeta_row_2(inner_n)
-    for j in range(3, j_max + 1):
-        if j % 2 == 0:
-            fresh[j] = _zeta_row_even(j // 2, inner_n, fresh)
-        else:
-            fresh[j] = _zeta_row_odd((j - 1) // 2, inner_n, fresh)
-    for j, row in fresh.items():
-        if j not in _ZETA or len(_ZETA[j]) < len(row):
-            _ZETA[j] = row
+    for j in range(2, top + 1):
+        if j not in rows:
+            rows[j] = (_zeta_row_2(have) if j == 2
+                       else _zeta_row(j, have, rows))
+    _ZETA.update(rows)
 
 
 def zeta_coeffs(k: int, n_max: int) -> List[EtaPolynomial]:
@@ -329,6 +299,9 @@ def zeta_coeffs(k: int, n_max: int) -> List[EtaPolynomial]:
 
         Z^(2m)   = L^-(2m-1) sum_n zeta_n^(2m)   L^-n,
         Z^(2m+1) = L^-(2m+1) sum_n zeta_n^(2m+1) L^-n.
+
+    The rows are memoised in ``_ZETA``, a process-global, grow-only table
+    that is not safe to share across threads.
 
     Preconditions: k >= 2, n_max >= 0.
     """

@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from coulombstar import asympt, rayleigh
 from coulombstar.asympt import (annihilation_residuals, empirical_order,
                                 epsilon_coeffs, epsilon_coeffs_recurrence,
                                 radius_asymptotic)
@@ -37,9 +38,38 @@ def test_second_correction_string():
         "-sqrt2/4*eta^2 + (-7*sqrt2/8 + 1/2)*eta - 5*sqrt2/64 + 3/8"
 
 
+EPS_5 = ("eta^5 + (-17*sqrt2/128 + 1/2)*eta^4 + (921*sqrt2/128 - 5/2)*eta^3"
+         " + (9281*sqrt2/1024 - 715/32)*eta^2"
+         " + (21449*sqrt2/2048 - 949/64)*eta"
+         " + 261255*sqrt2/32768 - 2591/256")
+EPS_6 = ("31*sqrt2/128*eta^6 + (563*sqrt2/256 - 7/2)*eta^5"
+         " + (3597*sqrt2/2048 - 2)*eta^4 + (-49803*sqrt2/2048 + 21)*eta^3"
+         " + (-1910711*sqrt2/32768 + 619/8)*eta^2"
+         " + (-2681277*sqrt2/65536 + 8631/128)*eta"
+         " - 19111509*sqrt2/524288 + 23355/512")
+
+
+def test_fifth_and_sixth_correction_strings():
+    eps = epsilon_coeffs(6).eps
+    assert eps[4].to_str(descending=True) == EPS_5
+    assert eps[5].to_str(descending=True) == EPS_6
+
+
+def test_eps_memo_growth_path_is_irrelevant(cold_memos):
+    for N in (2, 4, 6):
+        grown = epsilon_coeffs(N)
+    assert len(asympt._CACHE) == 6
+    rayleigh._ZETA.clear()
+    asympt._CACHE.clear()
+    cold = epsilon_coeffs(6)
+    assert grown.eps == cold.eps
+    assert epsilon_coeffs(3).eps == cold.eps[:3]
+    assert len(asympt._CACHE) == 6
+
+
 def test_recurrence_matches_series_solve():
-    a = epsilon_coeffs(4)
-    b = epsilon_coeffs_recurrence(4)
+    a = epsilon_coeffs(6)
+    b = epsilon_coeffs_recurrence(6)
     assert a.c == b.c
     assert a.eps == b.eps
 

@@ -4,11 +4,14 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import coulombstar
 from coulombstar.cli import main
 from coulombstar.specfun import CoulombParams, eval_g
 
@@ -208,9 +211,13 @@ def test_verify_all_honest_failures_exit_nonzero(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(coulombstar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "coulombstar", "rayleigh", "--which", "Z",
          "--L", "1", "--eta", "0", "--kmax", "2", "--exact"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outputs"]["Z2"] == "1/5"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from coulombstar.exact import (EtaPolynomial, Sqrt2Rational, TruncatedSeries,
                                format_sqrt2, geometric_expansion, p_coeff,
-                               potential_polynomials)
+                               potential_polynomials, ring_one, ring_zero)
 from coulombstar.errors import RingMismatch
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=50)
@@ -90,6 +90,23 @@ def test_eta_polynomial_ring_guard():
     zero = EtaPolynomial([], Sqrt2Rational)
     assert (a + zero) == a
     assert zero == EtaPolynomial([], Fr)
+
+
+@pytest.mark.parametrize("ring", [float, complex])
+def test_inexact_rings_are_refused(ring):
+    with pytest.raises(RingMismatch):
+        EtaPolynomial([1], ring)
+    with pytest.raises(RingMismatch):
+        TruncatedSeries(0, [], 1, ring)
+    with pytest.raises(RingMismatch):
+        ring_zero(ring)
+    with pytest.raises(RingMismatch):
+        ring_one(ring)
+    with pytest.raises(RingMismatch):
+        potential_polynomials(2, [ring(1)], 2)
+    # evaluation at an inexact eta stays
+    assert EtaPolynomial([Fr(1, 2), 1])(0.25) == 0.75
+    assert EtaPolynomial([Fr(1, 2), 1])(0.25j) == 0.5 + 0.25j
 
 
 @given(st.lists(fracs, max_size=5), st.lists(fracs, max_size=5),

@@ -1,5 +1,6 @@
 """Zero power-sum recurrences, sandwich bounds, Laurent coefficients."""
 
+import hashlib
 import math
 from fractions import Fraction as Fr
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coulombstar import rayleigh
 from coulombstar.errors import GateViolation, RegionWarning
 from coulombstar.exact import EtaPolynomial
 from coulombstar.rayleigh import (euler_rayleigh_bounds, gen_coeffs_a,
@@ -139,6 +141,44 @@ def test_zeta_odd_rows_are_odd_in_eta():
         for poly in zeta_coeffs(2 * k + 1, 4):
             assert all(poly.coeff(2 * i) == 0
                        for i in range(poly.degree // 2 + 1))
+
+
+# sha256 of "\n".join(p.to_str() for p in zeta_coeffs(k, 10)), built cold
+ZETA_10_SHA256 = {
+    2: "71f4ba423c702b9537bc87032b5021e721a0148934bbaadc28542b2c997f9a5d",
+    3: "438d4e0235b45db0f770adbeb50b06ff8ef89c42a329b5e0b7db25204762a591",
+    4: "1ffe4ee0bf31dafaa28713630a926578382ffa7c82508e9de4e9b66fa941cf58",
+    5: "e1b337c4ca7bc89db3c6eff3c42441b5c7ea3c8bd34c6426023554b008338aeb",
+    6: "110475d37977f6ea361fec3084a6b29a7d2a7c8419279419c3730d8f2191e838",
+    7: "daef9dd1a68ea597475d108b5e598c948c413516ff35cddba18c610f51adacb7",
+    8: "64be56def8f4703ff8ff77a15696d49f3192e90b85fcbd5b58c2a161e9623752",
+    9: "ccce863fb9432e23d80d2a968f78cc782c9b0333fa06a9ac7b2344f26aa829fb",
+    10: "d7e68a56f5ceebe7d04cdd549e7ce9a06d10ea63d85ac380a332fcd7acea67a4",
+    11: "fe12e7807dda49d33676dfa269a2c15cd2e912942788f62f4390181e4a12525a",
+    12: "ff68c467944f660cd53e1ed010cd52324a8336de17f1c7b29af7e4d617cd497b",
+    13: "6fffd92379a5b6f37974c528f6a8d718463f1560ca7d76d698de15f746b4e71b",
+    14: "d51a34fea6599f567b5d8e9db8f8f5e974d22ec1bba0eb78d99122d3ce4141fc",
+    15: "9a5c9f94f120c897546ec0043218a9f34a26c20bf40b00c1a91e327abfc392b7",
+    16: "af0c6b202810514a5925d376a2f2749ba930469d9ccfc77627eb2ca3f8ede0cf",
+}
+
+
+def test_zeta_rows_snapshot(cold_memos):
+    # one cold build to (16, 10) holds every lower row to n = 10 as well
+    zeta_coeffs(16, 10)
+    got = {k: hashlib.sha256("\n".join(
+        p.to_str() for p in zeta_coeffs(k, 10)).encode()).hexdigest()
+        for k in range(2, 17)}
+    assert got == ZETA_10_SHA256
+
+
+def test_zeta_memo_growth_path_is_irrelevant(cold_memos):
+    for k, n in ((4, 1), (9, 4), (16, 8)):
+        zeta_coeffs(k, n)
+    grown = {k: zeta_coeffs(k, 8) for k in range(2, 17)}
+    rayleigh._ZETA.clear()
+    cold = {k: zeta_coeffs(k, 8) for k in range(16, 1, -1)}
+    assert grown == cold
 
 
 def test_laurent_eval_matches_recurrence():
