@@ -27,7 +27,7 @@ from .exact import (BigRational, EtaPolynomial, Sqrt2Rational,
                     p_coeff, potential_polynomials)
 from .specfun import (CoulombParams, SeriesEval, coulomb_series_coeffs,
                       eval_F, eval_F_with_derivative, eval_bessel_j,
-                      eval_dini, eval_f_normalized, eval_g, max_terms_limit)
+                      eval_dini, eval_f_normalized, eval_g)
 from .rayleigh import (EulerRayleighBounds, RayleighTable,
                        euler_rayleigh_bounds, gen_coeffs_a, rayleigh_Z,
                        rayleigh_Ztilde, zeta_coeffs, zeta_laurent_eval)
@@ -58,7 +58,7 @@ __all__ = [
     # special functions
     "CoulombParams", "SeriesEval", "coulomb_series_coeffs", "eval_F",
     "eval_F_with_derivative", "eval_g", "eval_f_normalized",
-    "eval_bessel_j", "eval_dini", "max_terms_limit",
+    "eval_bessel_j", "eval_dini",
     # Rayleigh sums
     "RayleighTable", "EulerRayleighBounds", "rayleigh_Z", "gen_coeffs_a",
     "rayleigh_Ztilde", "euler_rayleigh_bounds", "zeta_coeffs",

@@ -20,8 +20,8 @@ class DegenerateOrder(GateViolation):
 
 
 class NonConvergence(CoulombError):
-    """A series did not meet its truncation rule within the configured
-    maximum number of terms (see COULOMB_MAX_TERMS)."""
+    """A series did not meet its truncation rule within the fixed maximum
+    of 10000 terms."""
 
 
 class GammaOverflow(CoulombError):

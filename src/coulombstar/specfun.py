@@ -20,19 +20,21 @@ the prefactor back on in log space.
 
 Numerics: series terms are generated by the same three-term recurrence
 applied to t_n = a_n z^n directly (no separate z**n factor, so nothing
-overflows), summed with compensated (Kahan) addition.  When cancellation
-eats the working precision the evaluation transparently re-runs under
-mpmath at a precision chosen from the size of log10(C_L(eta) z^(L+1)).
+overflows).  A plain running sum drives the stopping rule; the returned sums
+are taken over the stored terms at the end, correctly rounded by
+``math.fsum`` in float.  When cancellation eats the working precision the
+same loop re-runs under mpmath at a precision chosen from the size of
+log10(C_L(eta) z^(L+1)).
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Union
+from typing import List, Optional, Union
 
 import mpmath as mp
 from scipy.special import loggamma
@@ -58,17 +60,8 @@ _EXACT_DENOM_CAP = 1 << 20
 
 _EPS = 2.220446049250313e-16
 
-
-def max_terms_limit() -> int:
-    """Series length cap, configurable via the COULOMB_MAX_TERMS env var."""
-    raw = os.environ.get("COULOMB_MAX_TERMS", "10000")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"COULOMB_MAX_TERMS must be an integer, got {raw!r}") from exc
-    if n < 8:
-        raise ValueError("COULOMB_MAX_TERMS must be at least 8")
-    return n
+#: series length cap; a longer series raises NonConvergence
+_MAX_TERMS = 10000
 
 
 def _is_exactable(x) -> bool:
@@ -142,25 +135,17 @@ def coulomb_series_coeffs(params: CoulombParams, n_max: int,
             raise ValueError(
                 "exact coefficients need rational L and eta; got "
                 f"L={params.L!r}, eta={params.eta!r}")
-        L = Fraction(params.L if not isinstance(params.L, float)
-                     else params.L)
-        eta = Fraction(params.eta if not isinstance(params.eta, float)
-                       else params.eta)
-        a: List = [Fraction(1)]
-        if n_max >= 1:
-            a.append(eta / (L + 1))
-        for n in range(2, n_max + 1):
-            a.append((2 * eta * a[n - 1] - a[n - 2])
-                     / (n * (n + 2 * L + 1)))
-        return a
-    L = complex(params.L) if params.is_complex else params.real_L()
-    eta = float(params.eta)
-    af: List = [1.0 if not params.is_complex else 1.0 + 0j]
+        L, eta, one = Fraction(params.L), Fraction(params.eta), Fraction(1)
+    else:
+        L = complex(params.L) if params.is_complex else params.real_L()
+        eta = float(params.eta)
+        one = 1.0 + 0j if params.is_complex else 1.0
+    a: List = [one]
     if n_max >= 1:
-        af.append(eta / (L + 1))
+        a.append(eta / (L + 1))
     for n in range(2, n_max + 1):
-        af.append((2.0 * eta * af[n - 1] - af[n - 2]) / (n * (n + 2 * L + 1)))
-    return af
+        a.append((2 * eta * a[n - 1] - a[n - 2]) / (n * (n + 2 * L + 1)))
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -174,65 +159,80 @@ def _safe_index(L_real: float, eta: float, z_abs: float) -> int:
     rhs = 4.0 * abs(eta) * z_abs + 2.0 * z_abs * z_abs
     b = 2.0 * L_real + 1.0
     if not math.isfinite(rhs) or rhs > 1e18:
-        return max_terms_limit()   # the sum loop reports NonConvergence
+        return _MAX_TERMS   # the sum loop reports NonConvergence
     n = 0.5 * (-b + math.sqrt(b * b + 4.0 * rhs))
     return max(2, int(n) + 1)
 
 
-def _sum_pair_float(params: CoulombParams, z: Scalar, tol: float):
-    """Sum S(z) and z S'(z) with Kahan compensation.
+def _fsum(xs: list) -> Scalar:
+    """Correctly rounded sum; real and imaginary parts apart for complex."""
+    if isinstance(xs[0], complex):
+        return complex(math.fsum([x.real for x in xs]),
+                       math.fsum([x.imag for x in xs]))
+    return math.fsum(xs)
 
-    Returns (S, zSp, terms, est_error, scale); ``zSp`` is z*S'(z) so the
-    caller never divides by a z that might be zero.
+
+def _sum_pair(params: CoulombParams, z: Scalar, tol: float,
+              dps: Optional[int] = None):
+    """Sum S(z) and z S'(z) in float, or in mpmath at ``dps`` digits.
+
+    Returns (S, zSp, terms, est_error, scale) as Python floats or complexes;
+    ``zSp`` is z*S'(z) so the caller never divides by a z that might be
+    zero.  The running sum of the terms sets ``scale`` (its peak modulus)
+    for the stopping rule.  In float the returned sums are the correctly
+    rounded sums of the stored terms (``math.fsum``); in mpmath they are
+    plain sums at ``dps`` digits.
     """
-    L = complex(params.L) if params.is_complex else params.real_L()
-    eta = float(params.eta)
-    limit = max_terms_limit()
-    zero: Scalar = 0j if (params.is_complex or isinstance(z, complex)) else 0.0
-    one = 1.0 + zero
-
-    t_nm1 = one                      # t_0
-    S, cS = one, zero                # Kahan accumulators for S
-    T, cT = zero, zero               # ... and for sum n * t_n  ( = z S' )
-    scale = 1.0
-    n_safe = _safe_index(params.real_L(), eta, abs(z))
-    streak = 0
-    last3 = [1.0, 1.0, 1.0]
-    t_nm2 = zero
-    n = 0
-    for n in range(1, limit + 1):
-        if n == 1:
-            t = eta * z / (L + 1.0)
+    cplx = params.is_complex or isinstance(z, complex)
+    with mp.workdps(dps) if dps else contextlib.nullcontext():
+        if dps:
+            L = (mp.mpc(params.L) if params.is_complex
+                 else mp.mpf(params.real_L()))
+            eta = mp.mpf(float(params.eta))
+            zz = mp.mpc(z) if cplx else mp.mpf(z)
+            one = mp.mpf(1)
         else:
-            t = (2.0 * eta * z * t_nm1 - (z * z) * t_nm2) / (n * (n + 2.0 * L + 1.0))
-        t_nm2, t_nm1 = t_nm1, t
-        # Kahan add t to S
-        y = t - cS
-        s_new = S + y
-        cS = (s_new - S) - y
-        S = s_new
-        nt = n * t
-        y = nt - cT
-        t_new = T + y
-        cT = (t_new - T) - y
-        T = t_new
-        a = abs(S)
-        if a > scale:
-            scale = a
-        at = abs(t)
-        last3[n % 3] = at
-        if at <= tol * scale and n >= n_safe:
-            streak += 1
-            if streak >= 3:
-                break
+            L = complex(params.L) if params.is_complex else params.real_L()
+            eta, zz = float(params.eta), z
+            one = 1.0 + 0j if cplx else 1.0
+        two_eta_z, z_sq, two_L = 2 * eta * zz, zz * zz, 2 * L
+        ts = [one, eta * zz / (L + 1)]
+        S = one + ts[1]                  # running sum, for the stopping rule
+        scale = max(1.0, abs(S))
+        last3 = [1.0, abs(ts[1]), 1.0]
+        n_safe = _safe_index(params.real_L(), float(params.eta), abs(z))
+        streak = 0
+        for n in range(2, _MAX_TERMS + 1):
+            t = (two_eta_z * ts[-1] - z_sq * ts[-2]) / (n * (n + two_L + 1))
+            ts.append(t)
+            S += t
+            a = abs(S)
+            if a > scale:
+                scale = a
+            at = abs(t)
+            last3[n % 3] = at
+            if at <= tol * scale and n >= n_safe:
+                streak += 1
+                if streak >= 3:
+                    break
+            else:
+                streak = 0
         else:
-            streak = 0
-    else:
-        raise NonConvergence(
-            f"series for S(z) did not converge within {limit} terms "
-            f"(L={params.L!r}, eta={params.eta!r}, z={z!r})")
-    est = max(last3) + 4.0 * _EPS * scale
-    return S, T, n + 1, est, scale
+            raise NonConvergence(
+                f"series for S(z) did not converge within {_MAX_TERMS} terms "
+                f"(L={params.L!r}, eta={params.eta!r}, z={z!r}, dps={dps})")
+        nts = [n * t for n, t in enumerate(ts)]
+        if dps:
+            S, T = (complex(S), complex(sum(nts))) if cplx \
+                else (float(S), float(sum(nts)))
+        else:
+            try:
+                S, T = _fsum(ts), _fsum(nts)
+            except (OverflowError, ValueError):  # terms or their sum overflow
+                S = T = math.nan                 # and the caller retries
+        ulp = 10.0 ** (1 - dps) if dps else _EPS
+        est = float(max(last3)) + 4.0 * ulp * float(scale)
+        return S, T, len(ts), est, float(scale)
 
 
 def _working_dps(params: CoulombParams, z_abs: float) -> int:
@@ -243,60 +243,11 @@ def _working_dps(params: CoulombParams, z_abs: float) -> int:
     term of F's series and F itself), plus a slowly growing |z| term.
     """
     L = complex(params.L) if params.is_complex else params.real_L()
-    eta = float(params.eta)
     if z_abs <= 0.0:
         z_abs = 1.0
-    lg = (L * math.log(2.0) - math.pi * eta / 2.0
-          + 0.5 * (loggamma(L + 1 + 1j * eta) + loggamma(L + 1 - 1j * eta))
-          - loggamma(2 * L + 2) + (L + 1) * math.log(z_abs))
-    lost = max(0.0, lg.real / math.log(10.0))
+    lg = (_log_prefactor(params) + (L + 1) * math.log(z_abs)).real
+    lost = max(0.0, lg / math.log(10.0))
     return 25 + int(lost) + int(0.06 * z_abs)
-
-
-def _sum_pair_mp(params: CoulombParams, z, dps: int, tol):
-    """mpmath twin of :func:`_sum_pair_float` (no Kahan needed)."""
-    limit = max_terms_limit()
-    with mp.workdps(dps):
-        Lc = params.L
-        L = mp.mpc(Lc) if params.is_complex else mp.mpf(float(Lc))
-        eta = mp.mpf(float(params.eta))
-        zz = mp.mpc(z) if isinstance(z, complex) or params.is_complex else mp.mpf(z)
-        t_nm2 = mp.mpf(0)
-        t_nm1 = mp.mpf(1)
-        S = mp.mpf(1) + t_nm2 * 0
-        T = S * 0
-        scale = mp.mpf(1)
-        n_safe = _safe_index(params.real_L(), float(params.eta), abs(z))
-        streak = 0
-        last3 = [mp.mpf(1)] * 3
-        mp_tol = mp.mpf(tol)
-        for n in range(1, limit + 1):
-            if n == 1:
-                t = eta * zz / (L + 1)
-            else:
-                t = (2 * eta * zz * t_nm1 - zz * zz * t_nm2) / (n * (n + 2 * L + 1))
-            t_nm2, t_nm1 = t_nm1, t
-            S += t
-            T += n * t
-            a = abs(S)
-            if a > scale:
-                scale = a
-            at = abs(t)
-            last3[n % 3] = at
-            if at <= mp_tol * scale and n >= n_safe:
-                streak += 1
-                if streak >= 3:
-                    break
-            else:
-                streak = 0
-        else:
-            raise NonConvergence(
-                f"series for S(z) did not converge within {limit} terms "
-                f"(L={params.L!r}, eta={params.eta!r}, z={z!r}, dps={dps})")
-        est = float(max(last3)) + 4.0 * 10.0 ** (1 - dps) * float(scale)
-        if params.is_complex or isinstance(z, complex):
-            return complex(S), complex(T), n + 1, est, float(scale)
-        return S, T, n + 1, est, float(scale)
 
 
 def _series_pair(params: CoulombParams, z: Scalar, tol: float):
@@ -306,18 +257,14 @@ def _series_pair(params: CoulombParams, z: Scalar, tol: float):
     relative to the result; otherwise the evaluation is redone at a
     precision sized to the expected digit loss.
     """
-    S, T, terms, est, scale = _sum_pair_float(params, z, tol)
+    S, T, terms, est, scale = _sum_pair(params, z, tol)
     bad = (not (abs(S) + abs(T) < math.inf)
            or est > 1e-6 * (abs(S) + abs(T) + 1e-300))
     if not bad:
         return S, T, terms, est, scale
-    dps = _working_dps(params, abs(z))
-    S, T, terms, est2, scale = _sum_pair_mp(params, z, dps, tol)
-    if isinstance(S, (mp.mpf, mp.mpc)):
-        S, T = (complex(S), complex(T)) if params.is_complex or isinstance(z, complex) \
-            else (float(S), float(T))
-    est = est2 + _EPS * (abs(S) + abs(T))
-    return S, T, terms, est, scale
+    S, T, terms, est, scale = _sum_pair(params, z, tol,
+                                        _working_dps(params, abs(z)))
+    return S, T, terms, est + _EPS * (abs(S) + abs(T)), scale
 
 
 def _demote(x: Scalar) -> Scalar:
@@ -428,15 +375,16 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
 def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     """Bessel J_nu(z) and J'_nu(z) from the ascending series.
 
-    nu must be real and > -1.  The hypergeometric-type tail converges
-    factorially, so plain Kahan summation suffices for any z used here.
+    nu must be real and > -1.  The terms are summed in float with Kahan
+    compensation and there is no precision retry, so at |z| well beyond
+    nu, where the terms peak far above |J|, cancellation can leave wrong
+    digits.
     """
     if isinstance(nu, complex):
         raise ValueError("nu must be real")
     nu = float(nu)
     if nu <= -1:
         raise DegenerateOrder(f"Bessel order nu = {nu} <= -1 not supported")
-    limit = max_terms_limit()
     if z == 0:
         if nu == 0:
             return SeriesEval(value=1.0, derivative=0.0, terms_used=1,
@@ -455,7 +403,7 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     streak = 0
     last = abs(t)
     m = 0
-    for m in range(1, limit + 1):
+    for m in range(1, _MAX_TERMS + 1):
         t = -t * w / (m * (m + nu))
         y = t - cU
         s_new = U + y
@@ -478,7 +426,7 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
             streak = 0
     else:
         raise NonConvergence(
-            f"Bessel series did not converge within {limit} terms "
+            f"Bessel series did not converge within {_MAX_TERMS} terms "
             f"(nu={nu}, z={z!r})")
     if isinstance(z, complex):
         half_pow = cmath.exp(nu * cmath.log(z / 2.0))

@@ -31,7 +31,7 @@ from scipy.integrate import solve_ivp
 from .errors import (GateViolation, PoleOnCircle, ZeroEnumerationIncomplete)
 from .radii import Family
 from .specfun import (CoulombParams, coulomb_series_coeffs,
-                      eval_F_with_derivative, _sum_pair_float)
+                      eval_F_with_derivative, _sum_pair)
 
 __all__ = [
     "DiskScanReport",
@@ -57,7 +57,7 @@ class DiskScanReport:
 
 def _coeff_count(params: CoulombParams, r: float) -> int:
     """Terms needed so the series tail at |z| = r is below float noise."""
-    _, _, terms, _, _ = _sum_pair_float(params, r, 1e-15)
+    _, _, terms, _, _ = _sum_pair(params, r, 1e-15)
     return terms + 8
 
 

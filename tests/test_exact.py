@@ -1,5 +1,6 @@
 """Exact arithmetic: Q(sqrt2), eta-polynomials, truncated series."""
 
+import doctest
 import math
 from fractions import Fraction as Fr
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coulombstar.exact
 from coulombstar.exact import (EtaPolynomial, Sqrt2Rational, TruncatedSeries,
                                format_sqrt2, geometric_expansion, p_coeff,
                                potential_polynomials, ring_one, ring_zero)
@@ -14,6 +16,12 @@ from coulombstar.errors import RingMismatch
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=50)
 sqrt2s = st.builds(Sqrt2Rational, fracs, fracs)
+
+
+def test_module_doctests():
+    # the examples in the exact module's docstrings run as written
+    failed, attempted = doctest.testmod(coulombstar.exact)
+    assert attempted > 0 and failed == 0
 
 
 # ---------------------------------------------------------------------------

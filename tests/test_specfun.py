@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from coulombstar.errors import (DegenerateOrder, GammaOverflow, GateViolation,
                                 NonConvergence)
-from coulombstar.specfun import (CoulombParams, coulomb_series_coeffs,
-                                 eval_F, eval_F_with_derivative,
-                                 eval_bessel_j, eval_dini, eval_f_normalized,
-                                 eval_g, max_terms_limit)
+from coulombstar.specfun import (CoulombParams, _sum_pair,
+                                 coulomb_series_coeffs, eval_F,
+                                 eval_F_with_derivative, eval_bessel_j,
+                                 eval_dini, eval_f_normalized, eval_g)
 
 # frozen high-precision reference values (50-digit arithmetic, truncated)
 G_1_M1 = 0.52526316152998352235828502496453
@@ -92,6 +92,31 @@ def test_exact_series_coefficients():
     assert a[2] == (2 * eta * a[1] - a[0]) / (2 * (2 * L + 3))
     assert a[3] == (2 * eta * a[2] - a[1]) / (3 * (2 * L + 4))
     assert all(isinstance(x, Fr) for x in a)
+    # the float branch runs the same recurrence
+    for L, eta in ((Fr(1), Fr(-1)), (Fr(1, 2), Fr(3, 4)),
+                   (Fr(-3, 4), Fr(5, 2))):
+        exact = coulomb_series_coeffs(CoulombParams(L, eta), 40, exact=True)
+        flt = coulomb_series_coeffs(CoulombParams(float(L), float(eta)), 40,
+                                    exact=False)
+        assert all(isinstance(x, float) for x in flt)
+        assert flt == pytest.approx([float(x) for x in exact], rel=1e-13)
+
+
+@pytest.mark.parametrize("L, eta, z", [
+    (0.0, -1.3, 2.5), (2.5, 0.8, 1.7), (0.0, 1.1, 1.5 + 0.8j),
+    (4.0, -0.6, -2.0 + 1.2j), (0.4 + 0.3j, -0.9, 1.2),
+    (1.5 - 0.2j, 1.4, 0.9 - 0.7j),
+])
+def test_float_and_mp_passes_agree(L, eta, z):
+    # one summation loop serves both precisions; at benign inner points
+    # the float pass and a 40-digit pass give the same sums
+    p = CoulombParams(L, eta)
+    S, T, terms, _, _ = _sum_pair(p, z, 1e-15)
+    S40, T40, terms40, est40, _ = _sum_pair(p, z, 1e-15, dps=40)
+    assert type(S40) is type(S) and type(T40) is type(T)
+    assert S == pytest.approx(S40, rel=1e-13)
+    assert T == pytest.approx(T40, rel=1e-13)
+    assert abs(terms - terms40) <= 1 and est40 < 1e-13 * abs(S40)
 
 
 @given(st.floats(-0.9, 4.0), st.floats(-3.0, 3.0), st.floats(0.05, 2.0))
@@ -146,19 +171,32 @@ def test_complex_L_demotion_and_eval():
     assert isinstance(v, complex) and abs(v) > 0
 
 
-def test_max_terms_env(monkeypatch):
-    monkeypatch.setenv("COULOMB_MAX_TERMS", "123")
-    assert max_terms_limit() == 123
-    monkeypatch.setenv("COULOMB_MAX_TERMS", "2")
-    with pytest.raises(ValueError):
-        max_terms_limit()                         # below the floor of 8
-    monkeypatch.setenv("COULOMB_MAX_TERMS", "not-a-number")
-    with pytest.raises(ValueError):
-        max_terms_limit()
+def test_non_convergence_at_fixed_cap():
+    # sin z at z = 720: the float terms overflow to inf and then nan, so
+    # the stopping rule never fires and the fixed cap of 10000 terms ends
+    # the loop
+    with pytest.raises(NonConvergence, match="within 10000 terms"):
+        eval_F(CoulombParams(0, 0), 720.0)
 
-    monkeypatch.setenv("COULOMB_MAX_TERMS", "12")
+
+@pytest.mark.parametrize("L, eta, z", [
+    (0.0, 0.0, 710.0), (0.0, 0.0, 709j), (2.0, 1.5, 800.0),
+    (0.3 + 0.2j, -2.0, 700 + 300j),
+])
+def test_overflowing_terms_raise_non_convergence(L, eta, z):
+    # the exact final sums must not turn overflowed terms into an
+    # OverflowError or ValueError from math.fsum
     with pytest.raises(NonConvergence):
-        eval_g(CoulombParams(0.0, 0.0), 30.0)
+        eval_g(CoulombParams(L, eta), z)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "defect A: the series stops at |t| <= tol * (peak partial sum ~1e169), "
+    "so the truncation error dwarfs sin(400); a retry at more digits keeps "
+    "the same truncation and returns the same 1.4e157"))
+def test_F_far_beyond_turning_point_is_sin():
+    assert eval_F(CoulombParams(0, 0), 400.0) == pytest.approx(
+        math.sin(400.0), rel=1e-10)
 
 
 def test_eta_zero_far_from_origin():
