@@ -19,9 +19,8 @@ The package computes:
 
 from .errors import (BoundsInvalid, CoulombError, DegenerateFit,
                      DegenerateOrder, GammaOverflow, GateViolation,
-                     NonConvergence, NonMonotoneBracket, NoRootInScanRange,
-                     PoleOnCircle, RegionWarning, RingMismatch,
-                     ZeroEnumerationIncomplete)
+                     NonConvergence, NoRootInScanRange, PoleOnCircle,
+                     RegionWarning, RingMismatch, ZeroEnumerationIncomplete)
 from .exact import (BigRational, EtaPolynomial, Sqrt2Rational,
                     TruncatedSeries, format_sqrt2, geometric_expansion,
                     p_coeff, potential_polynomials)
@@ -32,7 +31,7 @@ from .rayleigh import (EulerRayleighBounds, RayleighTable,
                        euler_rayleigh_bounds, gen_coeffs_a, rayleigh_Z,
                        rayleigh_Ztilde, zeta_coeffs, zeta_laurent_eval)
 from .radii import (Family, RadiusQuery, RadiusResult, radius_f, radius_g,
-                    radius_phi, smallest_positive_root)
+                    radius_phi)
 from .asympt import (EpsilonTable, OrderFit, annihilation_residuals,
                      empirical_order, epsilon_coeffs,
                      epsilon_coeffs_recurrence, radius_asymptotic)
@@ -48,9 +47,9 @@ __all__ = [
     "__version__",
     # errors
     "CoulombError", "GateViolation", "DegenerateOrder", "NonConvergence",
-    "GammaOverflow", "BoundsInvalid", "NoRootInScanRange",
-    "NonMonotoneBracket", "PoleOnCircle", "ZeroEnumerationIncomplete",
-    "DegenerateFit", "RingMismatch", "RegionWarning",
+    "GammaOverflow", "BoundsInvalid", "NoRootInScanRange", "PoleOnCircle",
+    "ZeroEnumerationIncomplete", "DegenerateFit", "RingMismatch",
+    "RegionWarning",
     # exact arithmetic
     "BigRational", "Sqrt2Rational", "EtaPolynomial", "TruncatedSeries",
     "format_sqrt2", "p_coeff", "geometric_expansion",
@@ -65,7 +64,7 @@ __all__ = [
     "zeta_laurent_eval",
     # radii
     "Family", "RadiusQuery", "RadiusResult", "radius_f", "radius_g",
-    "radius_phi", "smallest_positive_root",
+    "radius_phi",
     # asymptotics
     "EpsilonTable", "OrderFit", "epsilon_coeffs",
     "epsilon_coeffs_recurrence", "annihilation_residuals",

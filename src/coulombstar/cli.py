@@ -24,9 +24,8 @@ from typing import Dict, List, Optional
 from .acceptance import CRITERION_IDS, format_report, run_all
 from .asympt import (empirical_order, epsilon_coeffs, radius_asymptotic)
 from .errors import (BoundsInvalid, DegenerateFit, GammaOverflow,
-                     GateViolation, NonConvergence, NonMonotoneBracket,
-                     NoRootInScanRange, PoleOnCircle,
-                     ZeroEnumerationIncomplete)
+                     GateViolation, NonConvergence, NoRootInScanRange,
+                     PoleOnCircle, ZeroEnumerationIncomplete)
 from .exact import format_sqrt2
 from .radii import RadiusQuery, radius_f, radius_g
 from .rayleigh import rayleigh_Z, rayleigh_Ztilde, zeta_coeffs
@@ -38,8 +37,7 @@ __all__ = ["OutputRecord", "build_parser", "main"]
 
 _GATE_ERRORS = (GateViolation, BoundsInvalid, ValueError)
 _NUMERICAL_ERRORS = (NonConvergence, NoRootInScanRange, GammaOverflow,
-                     PoleOnCircle, ZeroEnumerationIncomplete,
-                     NonMonotoneBracket, DegenerateFit)
+                     PoleOnCircle, ZeroEnumerationIncomplete, DegenerateFit)
 
 
 @dataclass

@@ -38,10 +38,6 @@ class NoRootInScanRange(CoulombError):
     """No sign change found below the scan ceiling."""
 
 
-class NonMonotoneBracket(CoulombError):
-    """Internal bug trap: root refinement escaped its bracket."""
-
-
 class PoleOnCircle(CoulombError):
     """A scan hit a grid point where the denominator function vanishes to
     working precision, so the ratio there is meaningless."""

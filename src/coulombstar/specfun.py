@@ -208,6 +208,12 @@ def _sum_pair(params: CoulombParams, z: Scalar, tol: float,
             S += t
             a = abs(S)
             if a > scale:
+                if a == math.inf:        # overflowed terms never stop
+                    raise NonConvergence(
+                        f"series for S(z) did not converge within "
+                        f"{_MAX_TERMS} terms: the float sum overflowed at "
+                        f"term {n} (L={params.L!r}, eta={params.eta!r}, "
+                        f"z={z!r})")
                 scale = a
             at = abs(t)
             last3[n % 3] = at

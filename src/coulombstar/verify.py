@@ -26,7 +26,6 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
-from scipy.integrate import solve_ivp
 
 from .errors import (GateViolation, PoleOnCircle, ZeroEnumerationIncomplete)
 from .radii import Family
@@ -257,6 +256,10 @@ def _spacing_guard(zeros: np.ndarray) -> None:
 def _ode_zeros(params: CoulombParams, which: str, n_zeros: int) -> np.ndarray:
     """First n_zeros positive zeros of F (which='F') or F' (which='Fprime')
     by integrating the defining ODE outward from z0 = 0.5."""
+    # imported here: scipy.integrate adds a few tenths of a second to
+    # importing the package, and only this oracle needs it
+    from scipy.integrate import solve_ivp
+
     L = params.real_L()
     eta = float(params.eta)
     z0 = 0.5

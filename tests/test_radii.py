@@ -4,11 +4,12 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coulombstar.errors import (GateViolation, NoRootInScanRange,
-                                RegionWarning)
+from coulombstar.errors import GateViolation
 from coulombstar.radii import (Family, RadiusQuery, _log_derivative, radius_f,
-                               radius_g, radius_phi, smallest_positive_root)
+                               radius_g, radius_phi)
 from coulombstar.specfun import CoulombParams, eval_dini, eval_F_with_derivative
 from coulombstar.verify import companion_order
 
@@ -32,6 +33,8 @@ RF_ATTRACT = 8.4797898954018493048794108756805e-05  # f: L=-.95, eta=-20, b=.3
 RPHI_BIG = {30: 32.5342235567901424086452, 100: 103.768377682542268707241,
             200: 204.740960276771232593814}
 RPHI_NEG = 0.49082223744721337577760905720382   # phi: nu=-.75, a=1.5, b=.2
+RG_BETA_NEAR_1 = 0.17303198713330553805217334630856  # g: L=0, eta=0, b=.99
+RF_150_1 = 146.162981868498937943056            # f: L=150, eta=1, b=.3
 
 
 def test_radius_f_frozen_values():
@@ -69,8 +72,8 @@ def test_unseeded_root_past_turning_point():
 def test_strong_attraction():
     # at L = 20, eta = -20 the power series cancels to ~1e-8 in floats
     assert radius_f(20.0, -20.0).value == pytest.approx(RF_20_M20, abs=1e-12)
-    # F vanishes near 0.0026, far below the first scan point 0.05: the scan
-    # must not step over the root and the pole of r F'/F at that zero
+    # F vanishes near 0.0026: the walk must not step over the root and the
+    # pole of r F'/F at that zero
     assert radius_f(-0.95, -20.0, 0.3).value == pytest.approx(RF_ATTRACT,
                                                               rel=1e-10)
 
@@ -155,29 +158,47 @@ def test_gates():
         radius_phi(0.5, -0.5)          # nu + alpha = 0
 
 
-def test_beta_near_one_warns():
-    with pytest.warns(RegionWarning):
-        radius_g(0.0, 0.0, beta=0.99)
+def test_radius_beta_near_one_frozen_value():
+    # the root of r cot r = 0.99 lies below the walk's first point
+    assert radius_g(0.0, 0.0, beta=0.99).value == pytest.approx(
+        RG_BETA_NEAR_1, rel=1e-12)
 
 
-def test_smallest_positive_root_on_dini():
-    # the root scan applied directly to 2 r J0'(r) + J0(r), ceiling 3
-    def fn(r):
-        return 2.0 * eval_dini(0.0, 0.5, r).value
-
-    res = smallest_positive_root(fn, 3.0)
-    assert res.value == pytest.approx(RF_HALF, abs=1e-12)
+def test_dini_changes_sign_across_radius_f():
+    # f at L = -1/2, eta = 0 is the first zero of 2 r J0'(r) + J0(r)
+    r = radius_f(-0.5, 0.0).value
+    assert eval_dini(0.0, 0.5, r - 1e-9).value > 0.0
+    assert eval_dini(0.0, 0.5, r + 1e-9).value < 0.0
 
 
-def test_smallest_positive_root_edge_cases():
-    # tangential (double) root is still found, at reduced accuracy
-    res = smallest_positive_root(lambda x: (x - 1.0) ** 2, 3.0)
-    assert res.value == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(NoRootInScanRange):
-        smallest_positive_root(lambda x: 1.0 + x * x, 2.0)
-    # start past the first root: the walk-left loop recovers it
-    res2 = smallest_positive_root(lambda x: 1.0 - x, 5.0, scan_start=4.0)
-    assert res2.value == pytest.approx(1.0, abs=1e-12)
+def test_walk_cost_does_not_grow_with_the_root():
+    # steps double in ln r, so a root near 1e4 costs tens of evaluations
+    assert radius_f(150.0, 1.0, 0.3).value == pytest.approx(RF_150_1,
+                                                            rel=1e-12)
+    res = radius_g(0.0, 5000.0, 0.5)
+    assert res.iterations <= 150
+    assert res.residual < 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-0.9, 10.0, exclude_min=True), st.floats(-3.0, 3.0),
+       st.floats(0.0, 0.95), st.floats(0.5, 5.0))
+def test_first_sign_change_is_the_root(L, eta, beta, alpha):
+    # r F'/F from the power series, not from CF1: u stays positive up to
+    # the radius and changes sign across it, for all three families
+    nu = L + 0.5
+    cases = [(radius_f(L, eta, beta), L, eta, beta * (L + 1.0)),
+             (radius_g(L, eta, beta), L, eta, L + beta),
+             (radius_phi(nu, alpha, beta), L, 0.0,
+              nu + 0.5 - (nu + alpha) * (1.0 - beta))]
+    for res, L_, eta_, c in cases:
+        def u(r):
+            ev = eval_F_with_derivative(CoulombParams(L_, eta_), r)
+            return r * ev.derivative / ev.value - c
+
+        r = res.value
+        assert all(u(0.99 * r * k / 16) > 0.0 for k in range(1, 17))
+        assert u(r * (1.0 - 1e-6)) > 0.0 > u(r * (1.0 + 1e-6))
 
 
 def test_univalence_equals_starlikeness_at_beta_zero():

@@ -1,6 +1,7 @@
 """Series evaluation of F, g, f, Bessel J, and Dini functions."""
 
 import math
+import re
 from fractions import Fraction as Fr
 
 import pytest
@@ -172,9 +173,9 @@ def test_complex_L_demotion_and_eval():
 
 
 def test_non_convergence_at_fixed_cap():
-    # sin z at z = 720: the float terms overflow to inf and then nan, so
-    # the stopping rule never fires and the fixed cap of 10000 terms ends
-    # the loop
+    # sin z at z = 720: the float terms overflow, and the loop raises at the
+    # term where the running sum turns infinite instead of running on to
+    # the fixed cap of 10000 terms
     with pytest.raises(NonConvergence, match="within 10000 terms"):
         eval_F(CoulombParams(0, 0), 720.0)
 
@@ -185,9 +186,12 @@ def test_non_convergence_at_fixed_cap():
 ])
 def test_overflowing_terms_raise_non_convergence(L, eta, z):
     # the exact final sums must not turn overflowed terms into an
-    # OverflowError or ValueError from math.fsum
-    with pytest.raises(NonConvergence):
+    # OverflowError or ValueError from math.fsum; the error names the term
+    # where the running sum overflowed, which lies far below the cap
+    with pytest.raises(NonConvergence, match="within 10000 terms") as exc:
         eval_g(CoulombParams(L, eta), z)
+    n = int(re.search(r"overflowed at term (\d+)", str(exc.value)).group(1))
+    assert 2 <= n < 1000
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -167,6 +167,23 @@ r = first_root(phi_bessel(mp.mpf("-0.75"), mp.mpf("1.5"), mp.mpf("0.2")), mp.mpf
 show("radius_phi(-.75,1.5,.2) ", r)
 
 print()
+print("# --- beta near 1, and a root far from the start of the walk ---")
+# g at L = 0, eta = 0 is r cot r = L + beta
+r = first_root(lambda x: x * mp.cot(x) - mp.mpf("0.99"), mp.mpf("0.05"), 1, mp.mpf("0.05"))
+show("radius_g(0, 0, .99)     ", r)
+
+
+def coulomb_reduced(L, eta, c):
+    """r F'/F - c from mpmath's coulombf, differentiated numerically."""
+    F = lambda x: mp.coulombf(L, eta, x)
+    return lambda r: r * mp.diff(F, r) / F(r) - c
+
+
+L = mp.mpf(150)
+r = first_root(coulomb_reduced(L, mp.mpf(1), mp.mpf("0.3") * (L + 1)), L * mp.mpf("0.85"), L * mp.mpf("1.35"), mp.mpf("0.5"))
+show("radius_f(150, 1, .3)    ", r, 24)
+
+print()
 print("# --- complex-L spirallike companion (L = 0.2+0.1i, eta = 0) ---")
 reL2 = mp.re((mp.mpf("0.2") + mp.mpf("0.1") * 1j) * (mp.mpf("1.2") + mp.mpf("0.1") * 1j))
 l = (-1 + mp.sqrt(1 + 4 * reL2)) / 2
