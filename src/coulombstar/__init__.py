@@ -21,9 +21,9 @@ from .errors import (BoundsInvalid, CoulombError, DegenerateFit,
                      DegenerateOrder, GammaOverflow, GateViolation,
                      NonConvergence, NoRootInScanRange, PoleOnCircle,
                      RegionWarning, RingMismatch, ZeroEnumerationIncomplete)
-from .exact import (BigRational, EtaPolynomial, Sqrt2Rational,
-                    TruncatedSeries, format_sqrt2, geometric_expansion,
-                    p_coeff, potential_polynomials)
+from .exact import (EtaPolynomial, Sqrt2Rational, TruncatedSeries,
+                    format_sqrt2, geometric_expansion, p_coeff,
+                    potential_polynomials)
 from .specfun import (CoulombParams, SeriesEval, coulomb_series_coeffs,
                       eval_F, eval_F_with_derivative, eval_bessel_j,
                       eval_dini, eval_f_normalized, eval_g)
@@ -51,7 +51,7 @@ __all__ = [
     "ZeroEnumerationIncomplete", "DegenerateFit", "RingMismatch",
     "RegionWarning",
     # exact arithmetic
-    "BigRational", "Sqrt2Rational", "EtaPolynomial", "TruncatedSeries",
+    "Sqrt2Rational", "EtaPolynomial", "TruncatedSeries",
     "format_sqrt2", "p_coeff", "geometric_expansion",
     "potential_polynomials",
     # special functions

@@ -138,8 +138,7 @@ def _c6() -> Tuple[bool, str]:
 def _c7a() -> Tuple[bool, str]:
     stated = EtaPolynomial(
         [Sqrt2Rational(Fraction(-1, 2), Fraction(1, 4)),   # sqrt2/4 - 1/2
-         Sqrt2Rational(0, 1)],                             # sqrt2 * eta
-        Sqrt2Rational)
+         Sqrt2Rational(0, 1)])                             # sqrt2 * eta
     got = epsilon_coeffs(1).eps[0]
     ok = got == stated
     return ok, (f"computed eps_1 = {got.to_str(descending=True)}; stated "

@@ -31,7 +31,6 @@ honestly rather than hiding it.  See the README for the full story.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
@@ -39,7 +38,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import DegenerateFit, GateViolation
-from .exact import (EtaPolynomial, Sqrt2Rational, TruncatedSeries, p_coeff)
+from .exact import EtaPolynomial, Sqrt2Rational, TruncatedSeries
 from .rayleigh import zeta_coeffs
 from .radii import radius_f
 
@@ -54,8 +53,9 @@ __all__ = [
 ]
 
 _SQRT2 = Sqrt2Rational.sqrt2()
-_C_POLY = EtaPolynomial([_SQRT2], Sqrt2Rational)
-_ETA = EtaPolynomial([0, 1], Sqrt2Rational)
+_C_POLY = EtaPolynomial([_SQRT2])
+_ETA = EtaPolynomial.eta()
+_ZERO = EtaPolynomial([])
 
 
 @dataclass(frozen=True)
@@ -74,27 +74,23 @@ class EpsilonTable:
 
 
 def _zeta_series(j: int, order: int) -> TruncatedSeries:
-    """Zeta_j(u) = sum_n zeta_n^(j) u^n + O(u^order) over Q(sqrt2)[eta]."""
-    rows = zeta_coeffs(j, max(order - 1, 0))
-    cs = [row.lift(Sqrt2Rational) for row in rows[:order]]
-    return TruncatedSeries(0, cs, order, EtaPolynomial)
+    """Zeta_j(u) = sum_n zeta_n^(j) u^n + O(u^order) over Q[eta]."""
+    return TruncatedSeries(0, zeta_coeffs(j, max(order - 1, 0))[:order],
+                           order)
 
 
 def _alternating(order: int, power: int) -> TruncatedSeries:
     """(1+u)^-power as a truncated series (power 1 or 2)."""
-    if power == 1:
-        cs = [EtaPolynomial([(-1) ** n], Sqrt2Rational) for n in range(order)]
-    else:
-        cs = [EtaPolynomial([(-1) ** n * (n + 1)], Sqrt2Rational)
-              for n in range(order)]
-    return TruncatedSeries(0, cs, order, EtaPolynomial)
+    return TruncatedSeries(
+        0, [(-1) ** n * (1 if power == 1 else n + 1) for n in range(order)],
+        order)
 
 
 def _main_expr(E: TruncatedSeries, order: int) -> TruncatedSeries:
     """The right-hand side of the defining identity, truncated at u^order."""
     inv1 = _alternating(order, 1)
     inv2 = _alternating(order, 2)
-    total = TruncatedSeries.zero(order, EtaPolynomial)
+    total = TruncatedSeries.zero(order)
     E_pow = E  # E^1
     m = 1
     while m - 1 < order:
@@ -105,7 +101,7 @@ def _main_expr(E: TruncatedSeries, order: int) -> TruncatedSeries:
             odd = (E_pow * _zeta_series(2 * m + 1, order) * inv1).shift(m + 1)
             total = total + odd.truncate(order)
         m += 1
-    eta_term = (E.scalar_mul(_ETA) * inv2).shift(1).truncate(order)
+    eta_term = (E * _ETA * inv2).shift(1).truncate(order)
     return total - eta_term
 
 
@@ -130,10 +126,9 @@ def epsilon_coeffs(N: int) -> EpsilonTable:
         raise ValueError("N must be >= 0")
     if len(_CACHE) < N:
         zeta_coeffs(2 * N + 2, N)
-        neg_inv_lead = EtaPolynomial([Sqrt2Rational(0, Fraction(-1, 2))],
-                                     Sqrt2Rational)
+        neg_inv_lead = Sqrt2Rational(0, Fraction(-1, 2))
         for j in range(len(_CACHE) + 1, N + 1):
-            E = TruncatedSeries(0, [_C_POLY] + _CACHE, j + 1, EtaPolynomial)
+            E = TruncatedSeries(0, [_C_POLY] + _CACHE, j + 1)
             _CACHE.append(_main_expr(E, j + 1).coeff(j) * neg_inv_lead)
     return EpsilonTable(c=_SQRT2, eps=list(_CACHE[:N]))
 
@@ -144,11 +139,10 @@ def annihilation_residuals(N: int) -> List[EtaPolynomial]:
     polynomial)."""
     table = epsilon_coeffs(N)
     order = N + 1
-    E = TruncatedSeries(0, [_C_POLY] + table.eps, order, EtaPolynomial)
+    E = TruncatedSeries(0, [_C_POLY] + table.eps, order)
     expr = _main_expr(E, order)
-    one = EtaPolynomial([Sqrt2Rational.one()], Sqrt2Rational)
-    out = [expr.coeff(0) - one]
-    out.extend(expr.coeff(j) for j in range(1, order))
+    out = [_ZERO + expr.coeff(j) for j in range(order)]
+    out[0] = out[0] - 1
     return out
 
 
@@ -157,11 +151,11 @@ def annihilation_residuals(N: int) -> List[EtaPolynomial]:
 # ---------------------------------------------------------------------------
 
 def _zeta2(k: int) -> EtaPolynomial:
-    return zeta_coeffs(2, k)[k].lift(Sqrt2Rational)
+    return zeta_coeffs(2, k)[k]
 
 
 def _zeta(j: int, n: int) -> EtaPolynomial:
-    return zeta_coeffs(j, n)[n].lift(Sqrt2Rational)
+    return zeta_coeffs(j, n)[n]
 
 
 def _A(powers: List[TruncatedSeries], m_plus_1: int, k: int) -> EtaPolynomial:
@@ -202,18 +196,16 @@ def epsilon_coeffs_recurrence(N: int) -> EpsilonTable:
     if N >= 1:
         rhs = (c * _ETA
                - c * c * (_zeta2(1) - _zeta2(0))
-               - _zeta(4, 0) * EtaPolynomial([_SQRT2 * _SQRT2 * _SQRT2],
-                                             Sqrt2Rational))
-        eps.append(rhs * EtaPolynomial([Sqrt2Rational(0, Fraction(1, 2))],
-                                       Sqrt2Rational))
+               - _zeta(4, 0) * (_SQRT2 * _SQRT2 * _SQRT2))
+        eps.append(rhs * Sqrt2Rational(0, Fraction(1, 2)))
     for n in range(0, N - 1):
         # E to order u^(n+1) known; powers E^2 .. E^(n+4) for the A's
         order = n + 2
-        E = TruncatedSeries(0, [c] + eps, order, EtaPolynomial)
+        E = TruncatedSeries(0, [c] + eps, order)
         powers: List[TruncatedSeries] = [None, E]  # type: ignore[list-item]
         for _ in range(n + 3):
             powers.append(powers[-1] * E)
-        zero = EtaPolynomial([], Sqrt2Rational)
+        zero = _ZERO
         total = zero
         # [1]
         total = total + sgn(n) * (n + 2) * (c * _ETA)
@@ -257,8 +249,7 @@ def epsilon_coeffs_recurrence(N: int) -> EpsilonTable:
                     inner = inner + _zeta(2 * m + 1, j - m - k + 1) * _A(powers, m + 1, k)
             total = total + sgn(n - j) * inner
         # sqrt2 * eps_{n+2} + total = 0
-        eps.append(total * EtaPolynomial([Sqrt2Rational(0, Fraction(-1, 2))],
-                                         Sqrt2Rational))
+        eps.append(total * Sqrt2Rational(0, Fraction(-1, 2)))
     return EpsilonTable(c=_SQRT2, eps=eps)
 
 

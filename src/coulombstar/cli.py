@@ -152,9 +152,9 @@ def _cmd_rayleigh(args) -> int:
     rec.put("inputs", "kmax", args.kmax)
     if args.which == "zeta":
         rec.put("inputs", "nmax", args.nmax)
+        zeta_coeffs(args.kmax, args.nmax)    # checks k >= 2, builds all rows
         for k in range(2, args.kmax + 1):
-            row = zeta_coeffs(k, args.nmax)
-            for n, poly in enumerate(row):
+            for n, poly in enumerate(zeta_coeffs(k, args.nmax)):
                 rec.put("outputs", f"zeta{k}_{n}", poly.to_str())
         _emit(rec, args)
         return 0

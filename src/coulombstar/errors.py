@@ -53,7 +53,7 @@ class DegenerateFit(CoulombError):
 
 
 class RingMismatch(CoulombError, TypeError):
-    """Arithmetic attempted between values from different coefficient rings."""
+    """An inexact (float or complex) coefficient given to the exact layer."""
 
 
 class RegionWarning(UserWarning):

@@ -1,16 +1,21 @@
 """Exact coefficient arithmetic.
 
-This module supplies the small algebraic toolbox the recurrences are run in:
+This module supplies the small algebraic toolbox the recurrences are run in.
+Every coefficient lives in one field, Q(sqrt 2): an ``int`` or a
+:class:`fractions.Fraction` is an element with no sqrt2 part, so ints,
+Fractions and :class:`Sqrt2Rational` values mix freely.  Floats and complex
+numbers are refused with :class:`RingMismatch`, which keeps inexact input out
+of the exact tables.
 
-* ``BigRational`` -- alias of :class:`fractions.Fraction`; every exact-mode
-  recurrence in the package works over this field.
 * :class:`Sqrt2Rational` -- elements ``a + b*sqrt(2)`` of the real quadratic
   field Q(sqrt 2), needed because the leading coefficient of the large-order
-  expansion of the starlikeness radius lives there.
+  expansion of the starlikeness radius lives there.  An element with b = 0
+  equals, and hashes like, the rational ``a``.
 * :class:`EtaPolynomial` -- polynomials in the Sommerfeld parameter ``eta``
-  with coefficients in one of the rings above.
+  with coefficients in Q(sqrt 2).
 * :class:`TruncatedSeries` -- truncated power/Laurent series in one symbol
-  with ring coefficients, just enough arithmetic for order-by-order solves.
+  with exact scalar or eta-polynomial coefficients, just enough arithmetic
+  for order-by-order solves.
 * ``p_coeff`` / ``geometric_expansion`` -- the expansion
   ``1/(2L + alpha + 1) = (1/L) * sum_n p_n^(alpha) L^(-n)`` with
   ``p_n^(alpha) = ((-1)^n / 2) * ((alpha + 1)/2)^n``.
@@ -39,18 +44,13 @@ from typing import Sequence, Union
 from .errors import RingMismatch
 
 __all__ = [
-    "BigRational",
     "Sqrt2Rational",
     "EtaPolynomial",
     "TruncatedSeries",
-    "ring_zero",
-    "ring_one",
     "p_coeff",
     "geometric_expansion",
     "potential_polynomials",
 ]
-
-BigRational = Fraction
 
 _RationalLike = Union[int, Fraction]
 
@@ -68,8 +68,9 @@ class Sqrt2Rational:
     """An element ``a + b*sqrt(2)`` of the field Q(sqrt 2).
 
     ``a`` and ``b`` are stored as Fractions; ints are accepted and coerced.
-    Since sqrt(2) is irrational the representation is unique, so equality and
-    hashing are structural.  Division uses the conjugate:
+    Since sqrt(2) is irrational the representation is unique, so equality is
+    structural; an element with b = 0 equals the rational ``a`` and hashes
+    like it.  Division uses the conjugate:
     ``1/(a + b s) = (a - b s)/(a^2 - 2 b^2)`` and the norm ``a^2 - 2b^2``
     vanishes only for a = b = 0.
     """
@@ -116,6 +117,8 @@ class Sqrt2Rational:
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):       # rational: a only
+            return Sqrt2Rational(self.a + other, self.b)
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
@@ -139,6 +142,8 @@ class Sqrt2Rational:
         return Sqrt2Rational(o.a - self.a, o.b - self.b)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):       # rational: scale a, b
+            return Sqrt2Rational(self.a * other, self.b * other)
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
@@ -175,7 +180,7 @@ class Sqrt2Rational:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(2.0)
@@ -188,101 +193,76 @@ def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def format_sqrt2(x: Sqrt2Rational) -> str:
-    """Render ``a + b*sqrt2`` like ``5*sqrt2/4 - 1/4`` (sqrt2 part first)."""
+def format_sqrt2(x) -> str:
+    """Render ``a + b*sqrt2`` like ``5*sqrt2/4 - 1/4`` (sqrt2 part first); a
+    rational ``x`` renders as ``num/den``."""
+    a, b = (x.a, x.b) if isinstance(x, Sqrt2Rational) else (x, 0)
     if not x:
         return "0"
     parts = []
-    if x.b:
-        num, den = x.b.numerator, x.b.denominator
+    if b:
+        num, den = b.numerator, b.denominator
         core = "sqrt2" if abs(num) == 1 else f"{abs(num)}*sqrt2"
         if den != 1:
             core += f"/{den}"
         parts.append(("-" if num < 0 else "") + core)
-    if x.a:
-        s = _frac_str(abs(x.a))
+    if a:
+        s = _frac_str(abs(a))
         if parts:
-            parts.append(("- " if x.a < 0 else "+ ") + s)
+            parts.append(("- " if a < 0 else "+ ") + s)
         else:
-            parts.append(("-" if x.a < 0 else "") + s)
+            parts.append(("-" if a < 0 else "") + s)
     return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# ring plumbing
-# ---------------------------------------------------------------------------
-
-#: rings a polynomial / series may draw coefficients from, keyed by the class
-_SCALAR_RINGS = (Fraction, Sqrt2Rational)
-
-
-def _coerce_scalar(x, ring):
-    """Coerce ``x`` into ``ring`` (Fraction or Sqrt2Rational), raising
-    RingMismatch when that would lose exactness."""
-    if ring is Fraction:
-        return _as_fraction(x)
-    if ring is Sqrt2Rational:
-        if isinstance(x, Sqrt2Rational):
-            return x
-        return Sqrt2Rational(_as_fraction(x), Fraction(0))
-    raise RingMismatch(f"unsupported coefficient ring {ring!r}")
-
-
-def ring_zero(ring):
-    """Additive identity of the given coefficient ring."""
-    if ring is Sqrt2Rational:
-        return Sqrt2Rational.zero()
-    if ring is Fraction:
-        return Fraction(0)
-    raise RingMismatch(f"unsupported coefficient ring {ring!r}")
-
-
-def ring_one(ring):
-    """Multiplicative identity of the given coefficient ring."""
-    if ring is Sqrt2Rational:
-        return Sqrt2Rational.one()
-    if ring is Fraction:
-        return Fraction(1)
-    raise RingMismatch(f"unsupported coefficient ring {ring!r}")
 
 
 # ---------------------------------------------------------------------------
 # polynomials in eta
 # ---------------------------------------------------------------------------
 
+#: the exact scalars; ints and Fractions are the b = 0 part of Q(sqrt2)
+_EXACT = (int, Fraction, Sqrt2Rational)
+
+
+def _exact(x):
+    """Return ``x`` if it is an exact scalar, else raise RingMismatch."""
+    if isinstance(x, _EXACT):
+        return x
+    raise RingMismatch(f"inexact coefficient {x!r}")
+
+
 class EtaPolynomial:
-    """A polynomial in the symbol ``eta`` over a fixed coefficient ring.
+    """A polynomial in the symbol ``eta`` with coefficients in Q(sqrt2).
 
     coeffs[i] multiplies eta**i; trailing zeros are trimmed on construction.
-    Arithmetic between two polynomials requires the *same* ring -- use
-    :meth:`lift` to move a Fraction-ring polynomial into Q(sqrt2) explicitly.
+    Coefficients may be ints, Fractions and Sqrt2Rationals in any mix, and a
+    polynomial combines with an exact scalar directly.
 
     >>> z2 = EtaPolynomial([Fraction(9, 8), 0, Fraction(1, 2)])
     >>> str(z2)
     '9/8 + 1/2*eta^2'
     >>> z2(Fraction(2))
     Fraction(25, 8)
+    >>> z2 == EtaPolynomial([Sqrt2Rational(Fraction(9, 8), 0), 0,
+    ...                      Sqrt2Rational(Fraction(1, 2), 0)])
+    True
     """
 
-    __slots__ = ("coeffs", "ring")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence, ring=Fraction):
-        if ring not in _SCALAR_RINGS:
-            raise RingMismatch(f"unsupported coefficient ring {ring!r}")
-        cs = [_coerce_scalar(c, ring) for c in coeffs]
+    def __init__(self, coeffs: Sequence):
+        cs = [_exact(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-        self.ring = ring
 
     # -- basics ---------------------------------------------------------
     @classmethod
-    def constant(cls, value, ring=Fraction) -> "EtaPolynomial":
-        return cls([value], ring)
+    def constant(cls, value) -> "EtaPolynomial":
+        return cls([value])
 
     @classmethod
-    def eta(cls, ring=Fraction) -> "EtaPolynomial":
-        return cls([0, 1], ring)
+    def eta(cls) -> "EtaPolynomial":
+        return cls([0, 1])
 
     @property
     def degree(self) -> int:
@@ -291,73 +271,57 @@ class EtaPolynomial:
     def coeff(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return ring_zero(self.ring)
-
-    def lift(self, ring) -> "EtaPolynomial":
-        """Re-coerce into another ring (Fraction -> Sqrt2Rational etc.)."""
-        return EtaPolynomial(self.coeffs, ring)
-
-    def _check(self, other: "EtaPolynomial") -> None:
-        if self.ring is not other.ring:
-            raise RingMismatch(
-                f"eta-polynomial rings differ: {self.ring.__name__} vs "
-                f"{other.ring.__name__}")
+        return Fraction(0)
 
     @staticmethod
-    def _lift_operand(x, ring):
+    def _operand(x):
         if isinstance(x, EtaPolynomial):
             return x
-        try:
-            return EtaPolynomial([_coerce_scalar(x, ring)], ring)
-        except (RingMismatch, TypeError, ValueError):
-            return None
+        if isinstance(x, _EXACT):
+            return EtaPolynomial([x])
+        return None
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
-        o = self._lift_operand(other, self.ring)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        # the zero polynomial is ring-agnostic
-        if not self.coeffs:
-            return o
-        if not o.coeffs:
-            return self
-        self._check(o)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return EtaPolynomial(
-            [self.coeff(i) + o.coeff(i) for i in range(n)], self.ring)
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return EtaPolynomial([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EtaPolynomial([-c for c in self.coeffs], self.ring)
+        return EtaPolynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        o = self._lift_operand(other, self.ring)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._lift_operand(other, self.ring)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._lift_operand(other, self.ring)
-        if o is None:
+        if isinstance(other, _EXACT):
+            return EtaPolynomial([c * other for c in self.coeffs])
+        if not isinstance(other, EtaPolynomial):
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return EtaPolynomial([], self.ring)
-        self._check(o)
-        out = [ring_zero(self.ring)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        if not self.coeffs or not other.coeffs:
+            return EtaPolynomial([])
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             if not ci:
                 continue
-            for j, cj in enumerate(o.coeffs):
+            for j, cj in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + ci * cj
-        return EtaPolynomial(out, self.ring)
+        return EtaPolynomial(out)
 
     __rmul__ = __mul__
 
@@ -365,22 +329,22 @@ class EtaPolynomial:
         """Multiply by eta**k."""
         if not self.coeffs:
             return self
-        return EtaPolynomial(
-            [ring_zero(self.ring)] * k + list(self.coeffs), self.ring)
+        return EtaPolynomial([0] * k + list(self.coeffs))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        o = self._lift_operand(other, self.ring)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs and not o.coeffs:
-            return True
-        return self.ring is o.ring and self.coeffs == o.coeffs
+        return self.coeffs == o.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs) if self.coeffs else hash(())
+        # a constant polynomial equals its scalar, so it hashes like it
+        if len(self.coeffs) <= 1:
+            return hash(self.coeff(0))
+        return hash(self.coeffs)
 
     # -- evaluation and printing ------------------------------------------
     def __call__(self, eta):
@@ -391,34 +355,23 @@ class EtaPolynomial:
             for c in reversed(self.coeffs):
                 acc = acc * eta + float(c)
             return acc
-        acc = ring_zero(self.ring)
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * eta + c
         return acc
 
-    def _term_str(self, c, i: int) -> str:
-        if self.ring is Sqrt2Rational:
-            body = format_sqrt2(c)
-            if i > 0 and (" " in body or c == Sqrt2Rational.one()
-                          or c == -Sqrt2Rational.one()):
-                if c == Sqrt2Rational.one():
-                    body = ""
-                elif c == -Sqrt2Rational.one():
-                    body = "-"
-                else:
-                    body = f"({body})"
-        else:
-            if i > 0 and c == ring_one(self.ring):
-                body = ""
-            elif i > 0 and c == -ring_one(self.ring):
-                body = "-"
-            else:
-                body = _frac_str(c) if isinstance(c, Fraction) else repr(c)
+    @staticmethod
+    def _term_str(c, i: int) -> str:
+        body = format_sqrt2(c)
         if i == 0:
             return body
         var = "eta" if i == 1 else f"eta^{i}"
-        if body in ("", "-"):
-            return body + var
+        if c == 1:
+            return var
+        if c == -1:
+            return "-" + var
+        if " " in body:
+            body = f"({body})"
         return f"{body}*{var}"
 
     def to_str(self, descending: bool = False) -> str:
@@ -444,7 +397,7 @@ class EtaPolynomial:
         return self.to_str()
 
     def __repr__(self) -> str:
-        return f"EtaPolynomial({list(self.coeffs)!r}, ring={self.ring.__name__})"
+        return f"EtaPolynomial({list(self.coeffs)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -455,31 +408,22 @@ class TruncatedSeries:
     """A truncated (possibly Laurent) series sum_{n>=lead} c_n x^n + O(x^order).
 
     ``lead`` may be negative; ``order`` is exclusive, i.e. the coefficient of
-    x^(order) is *unknown*, not zero.  ``coeff(n)`` returns the ring zero for
-    known-zero positions and raises IndexError beyond the truncation order,
-    so silent reads of unknown coefficients cannot happen.
+    x^(order) is *unknown*, not zero.  ``coeff(n)`` returns ``Fraction(0)``
+    for known-zero positions and raises IndexError beyond the truncation
+    order, so silent reads of unknown coefficients cannot happen.
 
-    Coefficients live in one ring; the ring of a series whose coefficients
-    are themselves :class:`EtaPolynomial` objects is tagged by that class.
+    Coefficients are exact scalars or :class:`EtaPolynomial` objects, in any
+    mix.
     """
 
-    __slots__ = ("lead", "coeffs", "order", "ring")
+    __slots__ = ("lead", "coeffs", "order")
 
-    def __init__(self, lead: int, coeffs: Sequence, order: int, ring=Fraction):
+    def __init__(self, lead: int, coeffs: Sequence, order: int):
         if lead + len(coeffs) > order:
             raise ValueError(
                 f"{len(coeffs)} coefficients from x^{lead} overrun O(x^{order})")
-        cs = list(coeffs)
-        if ring is EtaPolynomial:
-            for c in cs:
-                if not isinstance(c, EtaPolynomial):
-                    raise RingMismatch(
-                        "series ring is EtaPolynomial but got "
-                        f"{type(c).__name__}")
-        elif ring not in _SCALAR_RINGS:
-            raise RingMismatch(f"unsupported coefficient ring {ring!r}")
-        else:
-            cs = [_coerce_scalar(c, ring) for c in cs]
+        cs = [c if isinstance(c, EtaPolynomial) else _exact(c)
+              for c in coeffs]
         # normalize: strip leading/trailing zeros
         while cs and not cs[0]:
             cs.pop(0)
@@ -491,18 +435,10 @@ class TruncatedSeries:
         self.lead = lead
         self.coeffs = tuple(cs)
         self.order = order
-        self.ring = ring
-
-    # -- helpers ----------------------------------------------------------
-    def _zero_coeff(self):
-        if self.ring is EtaPolynomial:
-            # all our EtaPolynomial series use the Sqrt2Rational inner ring
-            return EtaPolynomial([], Sqrt2Rational)
-        return ring_zero(self.ring)
 
     @classmethod
-    def zero(cls, order: int, ring=Fraction) -> "TruncatedSeries":
-        return cls(order, [], order, ring)
+    def zero(cls, order: int) -> "TruncatedSeries":
+        return cls(order, [], order)
 
     def coeff(self, n: int):
         if n >= self.order:
@@ -511,29 +447,22 @@ class TruncatedSeries:
                 "truncation")
         if self.lead <= n < self.lead + len(self.coeffs):
             return self.coeffs[n - self.lead]
-        return self._zero_coeff()
-
-    def _check(self, other: "TruncatedSeries") -> None:
-        if self.ring is not other.ring:
-            raise RingMismatch(
-                f"series rings differ: {self.ring.__name__} vs "
-                f"{other.ring.__name__}")
+        return Fraction(0)
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check(other)
         order = min(self.order, other.order)
         lead = min(self.lead, other.lead)
         if lead >= order:
-            return TruncatedSeries.zero(order, self.ring)
+            return TruncatedSeries.zero(order)
         cs = [self.coeff(n) + other.coeff(n) for n in range(lead, order)]
-        return TruncatedSeries(lead, cs, order, self.ring)
+        return TruncatedSeries(lead, cs, order)
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(self.lead, [-c for c in self.coeffs],
-                               self.order, self.ring)
+                               self.order)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -543,16 +472,15 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self.scalar_mul(other)
-        self._check(other)
         # x^order * (lead term of other) is the first unknown product
         order = min(self.order + other.lead, other.order + self.lead)
         lead = self.lead + other.lead
         if not self.coeffs or not other.coeffs:
-            return TruncatedSeries.zero(order, self.ring)
+            return TruncatedSeries.zero(order)
         n_out = min(order - lead, len(self.coeffs) + len(other.coeffs) - 1)
         if n_out <= 0:
-            return TruncatedSeries.zero(order, self.ring)
-        out = [self._zero_coeff() for _ in range(n_out)]
+            return TruncatedSeries.zero(order)
+        out = [Fraction(0)] * n_out
         for i, ci in enumerate(self.coeffs):
             if not ci:
                 continue
@@ -561,29 +489,25 @@ class TruncatedSeries:
                 cj = other.coeffs[j]
                 if cj:
                     out[i + j] = out[i + j] + ci * cj
-        return TruncatedSeries(lead, out, order, self.ring)
+        return TruncatedSeries(lead, out, order)
 
     __rmul__ = __mul__
 
     def scalar_mul(self, s) -> "TruncatedSeries":
-        if self.ring is EtaPolynomial and not isinstance(s, EtaPolynomial):
-            s = EtaPolynomial([s], Sqrt2Rational)
-        elif self.ring is not EtaPolynomial:
-            s = _coerce_scalar(s, self.ring)
+        """Multiply every coefficient by an exact scalar or eta-polynomial."""
         return TruncatedSeries(self.lead, [s * c for c in self.coeffs],
-                               self.order, self.ring)
+                               self.order)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by x**k (k may be negative)."""
-        return TruncatedSeries(self.lead + k, self.coeffs, self.order + k,
-                               self.ring)
+        return TruncatedSeries(self.lead + k, self.coeffs, self.order + k)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError(
                 f"cannot extend O(x^{self.order}) knowledge to O(x^{order})")
         cs = [c for n, c in enumerate(self.coeffs) if self.lead + n < order]
-        return TruncatedSeries(min(self.lead, order), cs, order, self.ring)
+        return TruncatedSeries(min(self.lead, order), cs, order)
 
     def power(self, k: int) -> "TruncatedSeries":
         if k < 0:
@@ -591,9 +515,7 @@ class TruncatedSeries:
         # x^0 with the same truncation window as self would claim too much
         # knowledge for k = 0; keep the caller honest and use self.order.
         if k == 0:
-            one = (EtaPolynomial([1], Sqrt2Rational)
-                   if self.ring is EtaPolynomial else ring_one(self.ring))
-            return TruncatedSeries(0, [one], self.order, self.ring)
+            return TruncatedSeries(0, [1], self.order)
         acc = self
         for _ in range(k - 1):
             acc = acc * self
@@ -609,11 +531,11 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (self.ring is other.ring and self.order == other.order
-                and self.lead == other.lead and self.coeffs == other.coeffs)
+        return (self.order == other.order and self.lead == other.lead
+                and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.lead, self.coeffs, self.order))
+        return hash((self.lead, self.coeffs, self.order))
 
     def __repr__(self) -> str:
         terms = ", ".join(f"x^{self.lead + n}: {c}"
@@ -644,22 +566,19 @@ def geometric_expansion(alpha, n_max: int) -> TruncatedSeries:
     (u/1) * sum_{n<=n_max} p_n u^n + O(u^{n_max+2}).
     """
     cs = [p_coeff(alpha, n) for n in range(n_max + 1)]
-    return TruncatedSeries(1, cs, n_max + 2, Fraction)
+    return TruncatedSeries(1, cs, n_max + 2)
 
 
 def potential_polynomials(exponent: int, args: Sequence, n_max: int):
     """Coefficients A_{exponent, k} of (1 + sum_j args[j] x^(j+1))^exponent.
 
-    Returns the list [A_0, ..., A_{n_max}] over the ring of ``args`` (Fraction
-    unless an argument is a Sqrt2Rational).  A_0 = 1 always; for exponent m
-    and a series with only the linear term a, A_k = C(m, k) a^k.
+    Returns the list [A_0, ..., A_{n_max}] of exact coefficients.  A_0 = 1
+    always; for exponent m and a series with only the linear term a,
+    A_k = C(m, k) a^k.
     """
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
-    ring = Fraction
-    if any(isinstance(a, Sqrt2Rational) for a in args):
-        ring = Sqrt2Rational
-    base = TruncatedSeries(0, [ring_one(ring)] + list(args),
-                           max(n_max + 1, len(args) + 1), ring).truncate(n_max + 1)
+    base = TruncatedSeries(0, [1] + list(args),
+                           max(n_max + 1, len(args) + 1)).truncate(n_max + 1)
     powd = base.power(exponent)
     return [powd.coeff(k) for k in range(n_max + 1)]

@@ -212,7 +212,7 @@ def euler_rayleigh_bounds(params: CoulombParams, s: int) -> EulerRayleighBounds:
 #: longer, but never dropped.  Not safe to share across threads.
 _ZETA: Dict[int, List[EtaPolynomial]] = {}
 
-_ZERO = EtaPolynomial([], Fraction)
+_ZERO = EtaPolynomial([])
 
 
 def _weighted(w: List[Fraction], polys: List[EtaPolynomial],

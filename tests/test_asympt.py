@@ -1,5 +1,6 @@
 """Large-order expansion of the radius of starlikeness."""
 
+import hashlib
 import math
 from fractions import Fraction as Fr
 
@@ -27,8 +28,7 @@ def test_first_correction_exact():
     # solved from the identity: eps_1 = eta + 5 sqrt2/4 - 1/4
     e1 = epsilon_coeffs(1).eps[0]
     assert e1 == EtaPolynomial(
-        [Sqrt2Rational(Fr(-1, 4), Fr(5, 4)), Sqrt2Rational(1, 0)],
-        Sqrt2Rational)
+        [Sqrt2Rational(Fr(-1, 4), Fr(5, 4)), Sqrt2Rational(1, 0)])
     assert e1.to_str(descending=True) == "eta + 5*sqrt2/4 - 1/4"
 
 
@@ -53,6 +53,28 @@ def test_fifth_and_sixth_correction_strings():
     eps = epsilon_coeffs(6).eps
     assert eps[4].to_str(descending=True) == EPS_5
     assert eps[5].to_str(descending=True) == EPS_6
+
+
+# sha256 of eps_j.to_str(descending=True), then one "a b" line per
+# coefficient, for eps_1 .. eps_7 built cold
+EPS_7_SHA256 = {
+    1: "020596168e66e00266075b1418368387dd0031585560f549301c3e0535d7a4e0",
+    2: "4e6c8f0da86c24fd789f8216da7c76182a34603e0ddb8a27d9ae55c3aa4f168e",
+    3: "83f1de97206dbcffb750579fa4e4f3bbbfbebf98bb44acc22b68752ce49ad098",
+    4: "446472b56abff4b460a8c8895bb1a968f3e06be71fd43bc8ec2b8cd91a999d8c",
+    5: "ac8d932e3508556d8631cc4686b81178fe45a7918773ed302ab5dff6897bdfa5",
+    6: "90cfc59369b56c5868163945234a1bd6a16075370a825297a00bda2fac85899b",
+    7: "a72af09f232c026f56fd0505534698fa62c3637424f27bbb8aa9aaa6e792352c",
+}
+
+
+def test_eps_snapshot(cold_memos):
+    got = {}
+    for j, e in enumerate(epsilon_coeffs(7).eps, start=1):
+        text = "\n".join([e.to_str(descending=True)]
+                         + [f"{c.a} {c.b}" for c in e.coeffs])
+        got[j] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == EPS_7_SHA256
 
 
 def test_eps_memo_growth_path_is_irrelevant(cold_memos):

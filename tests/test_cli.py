@@ -120,6 +120,13 @@ def test_rayleigh_zeta_strings(capsys):
     assert rec["outputs"]["zeta4_1"] == "-11/16"
 
 
+@pytest.mark.parametrize("which", ["zeta", "Z", "Ztilde"])
+def test_rayleigh_kmax_below_two_is_refused(capsys, which):
+    code, out, err = run(capsys, "rayleigh", "--which", which, "--L", "1",
+                         "--eta", "0", "--kmax", "1")
+    assert code == 2 and out == "" and "k" in err
+
+
 def test_asympt_polynomials_and_value(capsys):
     rec = run_json(capsys, "asympt", "--N", "1")
     assert rec["outputs"]["c"] == "sqrt2"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import coulombstar.exact
 from coulombstar.exact import (EtaPolynomial, Sqrt2Rational, TruncatedSeries,
                                format_sqrt2, geometric_expansion, p_coeff,
-                               potential_polynomials, ring_one, ring_zero)
+                               potential_polynomials)
 from coulombstar.errors import RingMismatch
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=50)
@@ -89,29 +89,50 @@ def test_eta_polynomial_basics():
     assert q.to_str() == "1/2*eta"
 
 
-def test_eta_polynomial_ring_guard():
-    a = EtaPolynomial([Fr(1)], Fr)
-    b = EtaPolynomial([Sqrt2Rational.one()], Sqrt2Rational)
-    with pytest.raises(RingMismatch):
-        a + b
-    # ... but the zero polynomial is ring-agnostic
-    zero = EtaPolynomial([], Sqrt2Rational)
-    assert (a + zero) == a
-    assert zero == EtaPolynomial([], Fr)
+def _in_sqrt2(cs):
+    return EtaPolynomial([Sqrt2Rational(c, 0) for c in cs])
 
 
-@pytest.mark.parametrize("ring", [float, complex])
-def test_inexact_rings_are_refused(ring):
+@given(st.lists(fracs, max_size=5), st.lists(fracs, max_size=5))
+def test_rationals_are_the_b0_part_of_sqrt2_field(cs1, cs2):
+    # a Fraction polynomial and its Sqrt2Rational(c, 0) spelling are one value
+    p, q = EtaPolynomial(cs1), EtaPolynomial(cs2)
+    P, Q = _in_sqrt2(cs1), _in_sqrt2(cs2)
+    assert p == P and hash(p) == hash(P) and len({p, P}) == 1
+    assert p.to_str() == P.to_str()
+    assert p.to_str(descending=True) == P.to_str(descending=True)
+    for got in (p + Q, P + q, P + Q):
+        assert got == p + q and hash(got) == hash(p + q)
+        assert got.to_str() == (p + q).to_str()
+    for got in (p * Q, P * q, P * Q):
+        assert got == p * q and hash(got) == hash(p * q)
+        assert got.to_str() == (p * q).to_str()
+    for c in cs1:
+        assert Sqrt2Rational(c, 0) == c and hash(Sqrt2Rational(c, 0)) == hash(c)
+
+
+def test_scalars_mix_freely():
+    assert {Sqrt2Rational(1, 0), Fr(1), 1} == {1}
+    p = EtaPolynomial([Sqrt2Rational(0, 1), Fr(1, 2), 1])
+    assert p.to_str() == "sqrt2 + 1/2*eta + eta^2"
+    assert Sqrt2Rational(0, 1) * EtaPolynomial([1, 1]) == \
+        EtaPolynomial([Sqrt2Rational(0, 1), Sqrt2Rational(0, 1)])
+    # a constant polynomial equals its scalar and hashes like it
+    assert EtaPolynomial([Fr(3, 4)]) == Fr(3, 4)
+    assert hash(EtaPolynomial([Fr(3, 4)])) == hash(Fr(3, 4))
+    assert hash(EtaPolynomial([])) == hash(0)
+
+
+@pytest.mark.parametrize("inexact", [float, complex])
+def test_inexact_rings_are_refused(inexact):
     with pytest.raises(RingMismatch):
-        EtaPolynomial([1], ring)
+        EtaPolynomial([inexact(1)])
+    with pytest.raises(TypeError):
+        EtaPolynomial([1]) + inexact(1)
     with pytest.raises(RingMismatch):
-        TruncatedSeries(0, [], 1, ring)
+        TruncatedSeries(0, [inexact(1)], 1)
     with pytest.raises(RingMismatch):
-        ring_zero(ring)
-    with pytest.raises(RingMismatch):
-        ring_one(ring)
-    with pytest.raises(RingMismatch):
-        potential_polynomials(2, [ring(1)], 2)
+        potential_polynomials(2, [inexact(1)], 2)
     # evaluation at an inexact eta stays
     assert EtaPolynomial([Fr(1, 2), 1])(0.25) == 0.75
     assert EtaPolynomial([Fr(1, 2), 1])(0.25j) == 0.5 + 0.25j
