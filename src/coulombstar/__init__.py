@@ -21,8 +21,7 @@ from .errors import (BoundsInvalid, CoulombError, DegenerateFit,
                      DegenerateOrder, GammaOverflow, GateViolation,
                      NonConvergence, NoRootInScanRange, PoleOnCircle,
                      RegionWarning, RingMismatch, ZeroEnumerationIncomplete)
-from .exact import (EtaPolynomial, Sqrt2Rational, TruncatedSeries,
-                    format_sqrt2, geometric_expansion, p_coeff,
+from .exact import (EtaPolynomial, Sqrt2Rational, format_sqrt2, p_coeff,
                     potential_polynomials)
 from .specfun import (CoulombParams, SeriesEval, coulomb_series_coeffs,
                       eval_F, eval_F_with_derivative, eval_bessel_j,
@@ -51,8 +50,7 @@ __all__ = [
     "ZeroEnumerationIncomplete", "DegenerateFit", "RingMismatch",
     "RegionWarning",
     # exact arithmetic
-    "Sqrt2Rational", "EtaPolynomial", "TruncatedSeries",
-    "format_sqrt2", "p_coeff", "geometric_expansion",
+    "Sqrt2Rational", "EtaPolynomial", "format_sqrt2", "p_coeff",
     "potential_polynomials",
     # special functions
     "CoulombParams", "SeriesEval", "coulomb_series_coeffs", "eval_F",

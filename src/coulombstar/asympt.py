@@ -16,7 +16,11 @@ with Zeta_j(u) = sum_n zeta_n^(j) u^n taken from
 :func:`coulombstar.rayleigh.zeta_coeffs`.  The u^0 coefficient forces
 c^2 zeta_0^(2) = 1, i.e. c = sqrt(2); each further power of u is linear in
 the next eps and is solved exactly over Q(sqrt2)[eta]
-(:func:`epsilon_coeffs`).  :func:`epsilon_coeffs_recurrence` computes the
+(:func:`epsilon_coeffs`).  The solve works on the identity multiplied by
+1 + u, whose u^j coefficient is a finite sum of entries of the power table
+of E's coefficient list times zeta entries; that table and
+:func:`annihilation_residuals` share one kernel, ``exact._powers``.
+:func:`epsilon_coeffs_recurrence` computes the
 same table from the fully expanded coefficient recurrence (a seed identity
 for eps_1 plus an order-(n+2) relation), as an independent transcription;
 the two must and do agree.
@@ -38,7 +42,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import DegenerateFit, GateViolation
-from .exact import EtaPolynomial, Sqrt2Rational, TruncatedSeries
+from .exact import EtaPolynomial, Sqrt2Rational, _powers
 from .rayleigh import zeta_coeffs
 from .radii import radius_f
 
@@ -73,36 +77,33 @@ class EpsilonTable:
         return [float(self.c)] + [e(float(eta)) for e in self.eps]
 
 
-def _zeta_series(j: int, order: int) -> TruncatedSeries:
-    """Zeta_j(u) = sum_n zeta_n^(j) u^n + O(u^order) over Q[eta]."""
-    return TruncatedSeries(0, zeta_coeffs(j, max(order - 1, 0))[:order],
-                           order)
+def _zeta2(k: int) -> EtaPolynomial:
+    return zeta_coeffs(2, k)[k]
 
 
-def _alternating(order: int, power: int) -> TruncatedSeries:
-    """(1+u)^-power as a truncated series (power 1 or 2)."""
-    return TruncatedSeries(
-        0, [(-1) ** n * (1 if power == 1 else n + 1) for n in range(order)],
-        order)
+def _zeta(j: int, n: int) -> EtaPolynomial:
+    return zeta_coeffs(j, n)[n]
 
 
-def _main_expr(E: TruncatedSeries, order: int) -> TruncatedSeries:
-    """The right-hand side of the defining identity, truncated at u^order."""
-    inv1 = _alternating(order, 1)
-    inv2 = _alternating(order, 2)
-    total = TruncatedSeries.zero(order)
-    E_pow = E  # E^1
-    m = 1
-    while m - 1 < order:
-        E_pow = (E_pow * E).truncate(order)   # E^(m+1)
-        even = (E_pow * _zeta_series(2 * m, order) * inv1).shift(m - 1)
-        total = total + even.truncate(order)
-        if m + 1 < order:
-            odd = (E_pow * _zeta_series(2 * m + 1, order) * inv1).shift(m + 1)
-            total = total + odd.truncate(order)
-        m += 1
-    eta_term = (E * _ETA * inv2).shift(1).truncate(order)
-    return total - eta_term
+def _identity_coeff(P: List[list], E: Sequence[EtaPolynomial],
+                    j: int) -> EtaPolynomial:
+    """[u^j] of G(u) - eta u E/(1+u), the defining identity times (1 + u),
+
+        G = sum_{m>=1} E^(m+1) (u^(m-1) Zeta_(2m) + u^(m+1) Zeta_(2m+1)),
+
+    from the coefficients E = [c, eps_1, ...] and their power table
+    P = _powers(E, j + 2).  Needs E and the zeta rows through order j."""
+    acc = _ZERO
+    for m in range(1, j + 2):
+        Pk = P[m + 1]
+        for q in range(j - m + 2):
+            acc = acc + Pk[q] * _zeta(2 * m, j - m + 1 - q)
+        for q in range(j - m):
+            acc = acc + Pk[q] * _zeta(2 * m + 1, j - m - 1 - q)
+    alt = _ZERO
+    for e in E[:j]:
+        alt = e - alt                 # sum_{i<j} (-1)^(j-1-i) E_i
+    return acc - alt.shift_eta(1)
 
 
 #: eps_1, eps_2, ... solved so far.  Process-global and grow-only: a longer
@@ -114,13 +115,15 @@ def epsilon_coeffs(N: int) -> EpsilonTable:
     """Correction polynomials eps_1..eps_N of the large-order radius
     expansion, exact over Q(sqrt2)[eta].
 
-    Solved order by order from the defining identity: eps_j enters the u^j
-    coefficient linearly through 2 c zeta_0^(2) eps_j = sqrt2 eps_j, so each
-    order is an exact division by sqrt2 of that coefficient taken with
-    eps_j = 0.  Re-substitution (see :func:`annihilation_residuals`) kills
-    every coefficient of L^0 .. L^-N exactly.  The solved orders are kept in
-    ``_CACHE``, a process-global, grow-only table that is not safe to share
-    across threads; the zeta rows it needs are built in one call first.
+    Solved order by order from the defining identity multiplied by 1 + u,
+    G(u) - eta u E/(1+u) = 1 + u (see :func:`_identity_coeff`): eps_j
+    enters the u^j coefficient only through zeta_0^(2) [u^j] E^2 =
+    sqrt2 eps_j, so each order is that coefficient taken with eps_j = 0,
+    less [j <= 1], times -sqrt2/2.  Re-substitution (see
+    :func:`annihilation_residuals`) kills every coefficient of L^0 .. L^-N
+    exactly.  The solved orders are kept in ``_CACHE``, a process-global,
+    grow-only table that is not safe to share across threads; the zeta rows
+    it needs are built in one call first.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -128,40 +131,33 @@ def epsilon_coeffs(N: int) -> EpsilonTable:
         zeta_coeffs(2 * N + 2, N)
         neg_inv_lead = Sqrt2Rational(0, Fraction(-1, 2))
         for j in range(len(_CACHE) + 1, N + 1):
-            E = TruncatedSeries(0, [_C_POLY] + _CACHE, j + 1)
-            _CACHE.append(_main_expr(E, j + 1).coeff(j) * neg_inv_lead)
+            E = [_C_POLY] + _CACHE + [_ZERO]
+            H = _identity_coeff(_powers(E, j + 2), E, j)
+            _CACHE.append((H - 1 if j == 1 else H) * neg_inv_lead)
     return EpsilonTable(c=_SQRT2, eps=list(_CACHE[:N]))
 
 
 def annihilation_residuals(N: int) -> List[EtaPolynomial]:
     """Re-substitute the solved table into the defining identity and return
     the exact coefficients of u^0-1, u^1, ..., u^N (all must be the zero
-    polynomial)."""
-    table = epsilon_coeffs(N)
-    order = N + 1
-    E = TruncatedSeries(0, [_C_POLY] + table.eps, order)
-    expr = _main_expr(E, order)
-    out = [_ZERO + expr.coeff(j) for j in range(order)]
-    out[0] = out[0] - 1
-    return out
+    polynomial).
+
+    The coefficients H_j of the identity times (1 + u) come from one power
+    table of the full E; dividing by 1 + u again gives R_j = H_j - R_(j-1).
+    """
+    E = [_C_POLY] + epsilon_coeffs(N).eps
+    P = _powers(E, N + 2)
+    R: List[EtaPolynomial] = []
+    for j in range(N + 1):
+        H = _identity_coeff(P, E, j)
+        R.append(H - R[-1] if R else H)
+    R[0] = R[0] - 1
+    return R
 
 
 # ---------------------------------------------------------------------------
 # independent transcription: seed + fully expanded recurrence
 # ---------------------------------------------------------------------------
-
-def _zeta2(k: int) -> EtaPolynomial:
-    return zeta_coeffs(2, k)[k]
-
-
-def _zeta(j: int, n: int) -> EtaPolynomial:
-    return zeta_coeffs(j, n)[n]
-
-
-def _A(powers: List[TruncatedSeries], m_plus_1: int, k: int) -> EtaPolynomial:
-    """A_{m+1,k} = [u^k] (c + sum eps_i u^i)^(m+1)."""
-    return powers[m_plus_1].coeff(k)
-
 
 def epsilon_coeffs_recurrence(N: int) -> EpsilonTable:
     """The same eps table computed from the expanded coefficient identities
@@ -199,12 +195,8 @@ def epsilon_coeffs_recurrence(N: int) -> EpsilonTable:
                - _zeta(4, 0) * (_SQRT2 * _SQRT2 * _SQRT2))
         eps.append(rhs * Sqrt2Rational(0, Fraction(1, 2)))
     for n in range(0, N - 1):
-        # E to order u^(n+1) known; powers E^2 .. E^(n+4) for the A's
-        order = n + 2
-        E = TruncatedSeries(0, [c] + eps, order)
-        powers: List[TruncatedSeries] = [None, E]  # type: ignore[list-item]
-        for _ in range(n + 3):
-            powers.append(powers[-1] * E)
+        # E to order u^(n+1) known; A_{m+1,k} = powers[m+1][k], m+1 <= n+4
+        powers = _powers([c] + eps, n + 4)
         zero = _ZERO
         total = zero
         # [1]
@@ -239,14 +231,14 @@ def epsilon_coeffs_recurrence(N: int) -> EpsilonTable:
             inner = zero
             for m in range(2, j + 3):
                 for k in range(j - m + 3):
-                    inner = inner + _zeta(2 * m, j - m - k + 2) * _A(powers, m + 1, k)
+                    inner = inner + _zeta(2 * m, j - m - k + 2) * powers[m + 1][k]
             total = total + sgn(n - j + 1) * inner
         # [7]
         for j in range(n + 1):
             inner = zero
             for m in range(1, j + 2):
                 for k in range(j - m + 2):
-                    inner = inner + _zeta(2 * m + 1, j - m - k + 1) * _A(powers, m + 1, k)
+                    inner = inner + _zeta(2 * m + 1, j - m - k + 1) * powers[m + 1][k]
             total = total + sgn(n - j) * inner
         # sqrt2 * eps_{n+2} + total = 0
         eps.append(total * Sqrt2Rational(0, Fraction(-1, 2)))

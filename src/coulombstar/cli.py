@@ -171,10 +171,11 @@ def _cmd_rayleigh(args) -> int:
         for k in range(2, args.kmax + 1):
             rec.put("outputs", f"{prefix}{k}", str(table[k]))
     else:
-        table = op(CoulombParams(float(L), float(eta)), args.kmax)
+        table = op(CoulombParams(float(L), float(eta)), args.kmax,
+                   exact=False)
         for k in range(2, args.kmax + 1):
             rec.put("outputs", f"{prefix}{k}", float(table[k]))
-    rec.put("diagnostics", "exact", bool(args.exact))
+    rec.put("diagnostics", "exact", table.exact)
     _emit(rec, args)
     return 0
 

@@ -13,12 +13,13 @@ of the exact tables.
   equals, and hashes like, the rational ``a``.
 * :class:`EtaPolynomial` -- polynomials in the Sommerfeld parameter ``eta``
   with coefficients in Q(sqrt 2).
-* :class:`TruncatedSeries` -- truncated power/Laurent series in one symbol
-  with exact scalar or eta-polynomial coefficients, just enough arithmetic
-  for order-by-order solves.
-* ``p_coeff`` / ``geometric_expansion`` -- the expansion
+* ``p_coeff`` -- the expansion
   ``1/(2L + alpha + 1) = (1/L) * sum_n p_n^(alpha) L^(-n)`` with
   ``p_n^(alpha) = ((-1)^n / 2) * ((alpha + 1)/2)^n``.
+* ``_powers`` -- the one power kernel: the coefficient table of B^0 .. B^k
+  for a truncated series B given as a plain coefficient list, built by
+  Cauchy products.  The large-order solve, its re-substitution check, the
+  expanded recurrence and ``potential_polynomials`` all read it.
 * ``potential_polynomials`` -- coefficients of integer powers of a
   unit-constant-term series (ordinary potential polynomials).
 
@@ -39,16 +40,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import List, Sequence, Union
 
 from .errors import RingMismatch
 
 __all__ = [
     "Sqrt2Rational",
     "EtaPolynomial",
-    "TruncatedSeries",
     "p_coeff",
-    "geometric_expansion",
     "potential_polynomials",
 ]
 
@@ -257,10 +256,6 @@ class EtaPolynomial:
 
     # -- basics ---------------------------------------------------------
     @classmethod
-    def constant(cls, value) -> "EtaPolynomial":
-        return cls([value])
-
-    @classmethod
     def eta(cls) -> "EtaPolynomial":
         return cls([0, 1])
 
@@ -401,150 +396,7 @@ class EtaPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# truncated series
-# ---------------------------------------------------------------------------
-
-class TruncatedSeries:
-    """A truncated (possibly Laurent) series sum_{n>=lead} c_n x^n + O(x^order).
-
-    ``lead`` may be negative; ``order`` is exclusive, i.e. the coefficient of
-    x^(order) is *unknown*, not zero.  ``coeff(n)`` returns ``Fraction(0)``
-    for known-zero positions and raises IndexError beyond the truncation
-    order, so silent reads of unknown coefficients cannot happen.
-
-    Coefficients are exact scalars or :class:`EtaPolynomial` objects, in any
-    mix.
-    """
-
-    __slots__ = ("lead", "coeffs", "order")
-
-    def __init__(self, lead: int, coeffs: Sequence, order: int):
-        if lead + len(coeffs) > order:
-            raise ValueError(
-                f"{len(coeffs)} coefficients from x^{lead} overrun O(x^{order})")
-        cs = [c if isinstance(c, EtaPolynomial) else _exact(c)
-              for c in coeffs]
-        # normalize: strip leading/trailing zeros
-        while cs and not cs[0]:
-            cs.pop(0)
-            lead += 1
-        while cs and not cs[-1]:
-            cs.pop()
-        if not cs:
-            lead = order
-        self.lead = lead
-        self.coeffs = tuple(cs)
-        self.order = order
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order, [], order)
-
-    def coeff(self, n: int):
-        if n >= self.order:
-            raise IndexError(
-                f"coefficient of x^{n} lies beyond the O(x^{self.order}) "
-                "truncation")
-        if self.lead <= n < self.lead + len(self.coeffs):
-            return self.coeffs[n - self.lead]
-        return Fraction(0)
-
-    # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        lead = min(self.lead, other.lead)
-        if lead >= order:
-            return TruncatedSeries.zero(order)
-        cs = [self.coeff(n) + other.coeff(n) for n in range(lead, order)]
-        return TruncatedSeries(lead, cs, order)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.lead, [-c for c in self.coeffs],
-                               self.order)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return self.scalar_mul(other)
-        # x^order * (lead term of other) is the first unknown product
-        order = min(self.order + other.lead, other.order + self.lead)
-        lead = self.lead + other.lead
-        if not self.coeffs or not other.coeffs:
-            return TruncatedSeries.zero(order)
-        n_out = min(order - lead, len(self.coeffs) + len(other.coeffs) - 1)
-        if n_out <= 0:
-            return TruncatedSeries.zero(order)
-        out = [Fraction(0)] * n_out
-        for i, ci in enumerate(self.coeffs):
-            if not ci:
-                continue
-            jmax = min(len(other.coeffs), n_out - i)
-            for j in range(jmax):
-                cj = other.coeffs[j]
-                if cj:
-                    out[i + j] = out[i + j] + ci * cj
-        return TruncatedSeries(lead, out, order)
-
-    __rmul__ = __mul__
-
-    def scalar_mul(self, s) -> "TruncatedSeries":
-        """Multiply every coefficient by an exact scalar or eta-polynomial."""
-        return TruncatedSeries(self.lead, [s * c for c in self.coeffs],
-                               self.order)
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by x**k (k may be negative)."""
-        return TruncatedSeries(self.lead + k, self.coeffs, self.order + k)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError(
-                f"cannot extend O(x^{self.order}) knowledge to O(x^{order})")
-        cs = [c for n, c in enumerate(self.coeffs) if self.lead + n < order]
-        return TruncatedSeries(min(self.lead, order), cs, order)
-
-    def power(self, k: int) -> "TruncatedSeries":
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        # x^0 with the same truncation window as self would claim too much
-        # knowledge for k = 0; keep the caller honest and use self.order.
-        if k == 0:
-            return TruncatedSeries(0, [1], self.order)
-        acc = self
-        for _ in range(k - 1):
-            acc = acc * self
-        return acc
-
-    def evaluate(self, x):
-        """Numerically evaluate sum c_n x^n (lead may be negative)."""
-        acc = 0.0 if not isinstance(x, complex) else 0j
-        for n in range(len(self.coeffs) - 1, -1, -1):
-            acc = acc * x + float(self.coeffs[n])
-        return acc * x ** self.lead if self.coeffs else acc
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.order == other.order and self.lead == other.lead
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.lead, self.coeffs, self.order))
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"x^{self.lead + n}: {c}"
-                          for n, c in enumerate(self.coeffs))
-        return f"TruncatedSeries({terms or '0'} + O(x^{self.order}))"
-
-
-# ---------------------------------------------------------------------------
-# geometric expansion coefficients and potential polynomials
+# geometric expansion coefficients and powers of a series
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4096)
@@ -559,14 +411,25 @@ def p_coeff(alpha, n: int) -> Fraction:
     return Fraction((-1) ** n, 2) * base ** n
 
 
-def geometric_expansion(alpha, n_max: int) -> TruncatedSeries:
-    """1/(2L + alpha + 1) as a TruncatedSeries in u = 1/L.
+def _powers(coeffs: Sequence, k_max: int) -> List[list]:
+    """P[k][q] = [x^q] B^k for k = 0 .. k_max and q < len(coeffs), where
+    B = sum_q coeffs[q] x^q.
 
-    Returns lead 1 with coefficients p_0 .. p_{n_max}, i.e.
-    (u/1) * sum_{n<=n_max} p_n u^n + O(u^{n_max+2}).
+    Each power is the Cauchy product of the one below with B, truncated at
+    the length of ``coeffs``; zero entries (such as a not yet solved
+    coefficient) are skipped.  Entries are exact scalars or eta-polynomials.
+
+    >>> _powers([1, 1], 3)
+    [[1, 0], [1, 1], [1, 2], [1, 3]]
     """
-    cs = [p_coeff(alpha, n) for n in range(n_max + 1)]
-    return TruncatedSeries(1, cs, n_max + 2)
+    n = len(coeffs)
+    P = [[1] + [0] * (n - 1), list(coeffs)]
+    for _ in range(k_max - 1):
+        prev = P[-1]
+        P.append([sum((prev[i] * coeffs[q - i] for i in range(q + 1)
+                       if prev[i] and coeffs[q - i]), 0)
+                  for q in range(n)])
+    return P[:k_max + 1]
 
 
 def potential_polynomials(exponent: int, args: Sequence, n_max: int):
@@ -578,7 +441,6 @@ def potential_polynomials(exponent: int, args: Sequence, n_max: int):
     """
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
-    base = TruncatedSeries(0, [1] + list(args),
-                           max(n_max + 1, len(args) + 1)).truncate(n_max + 1)
-    powd = base.power(exponent)
-    return [powd.coeff(k) for k in range(n_max + 1)]
+    args = [a if isinstance(a, EtaPolynomial) else _exact(a) for a in args]
+    base = ([1] + args + [0] * n_max)[:n_max + 1]
+    return _powers(base, exponent)[exponent]

@@ -2,16 +2,21 @@
 
 Two families of power sums over zeros are computed by exact recurrences:
 
-* ``rayleigh_Z``  -- Z^(k) = sum rho_n^(-k) over the nontrivial zeros of the
-  regular Coulomb function, via
+* ``rayleigh_Z``  -- Z^(k) = sum (-rho_n)^(-k) over the nontrivial zeros of
+  the regular Coulomb function, via
 
       Z^(2)   = (1/(2L+3)) (1 + eta^2/(L+1)^2),
       Z^(k+1) = (1/(2L+k+2)) ( (2 eta/(L+1)) Z^(k)
                                + sum_{l=1}^{k-2} Z^(l+1) Z^(k-l) ).
 
-* ``rayleigh_Ztilde`` -- the same sums over the zeros of the *derivative*,
-  built from an auxiliary coefficient sequence (``gen_coeffs_a``) of the
-  logarithmic derivative at the origin.
+  The sign convention is the recurrence's: for odd k this is
+  -sum rho_n^(-k) (at L = 2, eta = -1, Z^(3) = -5/378 while the zeros give
+  +5/378); even k are plain zero sums.  The odd zeta rows below inherit it.
+
+* ``rayleigh_Ztilde`` -- the plain power sums over the zeros of the
+  *derivative*, with the true sign for every k, built from an auxiliary
+  coefficient sequence (``gen_coeffs_a``) of the logarithmic derivative at
+  the origin.
 
 Both run over exact rationals whenever L and eta are rational (ints,
 Fractions, or floats with denominator <= 2^20) and over floats otherwise.
@@ -98,7 +103,9 @@ def _pick_mode(params: CoulombParams, exact):
 
 def rayleigh_Z(params: CoulombParams, k_max: int,
                exact: Union[bool, None] = None) -> RayleighTable:
-    """Zero sums Z^(2) .. Z^(k_max) of the regular solution.
+    """Zero sums Z^(k) = sum (-rho_n)^(-k), k = 2 .. k_max, over the
+    nontrivial zeros rho_n of the regular solution: for even k the plain
+    power sums, for odd k their negatives (the recurrence's convention).
 
     Preconditions: real L > -1, k_max in [2, 64] (exact mode caps at 40 to
     keep rationals manageable).
@@ -156,7 +163,10 @@ def rayleigh_Ztilde(params: CoulombParams, k_max: int,
                         + sum_{m=0}^{n}   Zt^(m+2) Zt^(n-m+2)
                         - 2 p Zt^(n+3).
 
-    Requires L > -1, L != 0.
+    Requires L > -1, L != 0.  The float mode is unstable when L(L+1) is
+    small against |eta|: the a_n grow like (2 eta/(L(L+1)))^n and their
+    combinations cancel, so at (L, eta) = (0.001, -3.41) the float Zt^(8)
+    and Zt^(10) come out negative.  Use exact mode there.
     """
     L, eta, is_exact = _pick_mode(params, exact)
     cap = 40 if is_exact else 64
@@ -184,15 +194,19 @@ def euler_rayleigh_bounds(params: CoulombParams, s: int) -> EulerRayleighBounds:
     """Euler-Rayleigh sandwich for the squared first positive zero of F'.
 
     lower = (Zt^(2s))^(-1/s),  upper = Zt^(2s)/Zt^(2s+2); both converge to
-    the true square monotonically as s grows.  Preconditions: L > -1,
-    L != 0, eta < 0, s >= 1.  Raises BoundsInvalid when a needed table
-    entry is nonpositive (the sandwich would be vacuous).
+    the true square monotonically as s grows.  The table is built exactly
+    from the rationals equal to L and eta, because the float recurrence is
+    unstable for small L(L+1) (see :func:`rayleigh_Ztilde`); the exact cap
+    k <= 40 bounds s.  Preconditions: L > -1, L != 0, eta < 0,
+    1 <= s <= 19.  Raises BoundsInvalid when a needed table entry is
+    nonpositive (the sandwich would be vacuous).
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    if not 1 <= s <= 19:
+        raise ValueError(f"s must be in [1, 19], got {s}")
     if params.is_complex or not float(params.eta) < 0:
         raise GateViolation("two-sided bounds are stated for real L and eta < 0")
-    table = rayleigh_Ztilde(params, 2 * s + 2)
+    rational = CoulombParams(Fraction(params.L), Fraction(params.eta))
+    table = rayleigh_Ztilde(rational, 2 * s + 2, exact=True)
     z_lo, z_hi = table[2 * s], table[2 * s + 2]
     if z_lo <= 0 or z_hi <= 0:
         raise BoundsInvalid(

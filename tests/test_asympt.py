@@ -90,15 +90,15 @@ def test_eps_memo_growth_path_is_irrelevant(cold_memos):
 
 
 def test_recurrence_matches_series_solve():
-    a = epsilon_coeffs(6)
-    b = epsilon_coeffs_recurrence(6)
+    a = epsilon_coeffs(8)
+    b = epsilon_coeffs_recurrence(8)
     assert a.c == b.c
     assert a.eps == b.eps
 
 
 def test_annihilation_residuals_vanish():
-    res = annihilation_residuals(4)
-    assert len(res) == 5
+    res = annihilation_residuals(8)
+    assert len(res) == 9
     assert all(not poly for poly in res)     # exact zero polynomials
 
 

@@ -110,6 +110,12 @@ def test_rayleigh_float_mode(capsys):
     rec = run_json(capsys, "rayleigh", "--which", "Z", "--L", "1",
                    "--eta", "0", "--kmax", "2")
     assert rec["outputs"]["Z2"] == pytest.approx(0.2, rel=1e-12)
+    # without --exact a dyadic L stays on the float path: no exact cap of 40
+    rec2 = run_json(capsys, "rayleigh", "--which", "Ztilde", "--L", "1/2",
+                    "--eta", "0", "--kmax", "50")
+    assert rec2["diagnostics"]["exact"] is False
+    assert isinstance(rec2["outputs"]["Zt50"], float)
+    assert rec2["outputs"]["Zt2"] == pytest.approx(7 / 12, rel=1e-12)
 
 
 def test_rayleigh_zeta_strings(capsys):

@@ -1,4 +1,4 @@
-"""Exact arithmetic: Q(sqrt2), eta-polynomials, truncated series."""
+"""Exact arithmetic: Q(sqrt2), eta-polynomials, powers of a series."""
 
 import doctest
 import math
@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coulombstar.exact
-from coulombstar.exact import (EtaPolynomial, Sqrt2Rational, TruncatedSeries,
-                               format_sqrt2, geometric_expansion, p_coeff,
-                               potential_polynomials)
+from coulombstar.exact import (EtaPolynomial, Sqrt2Rational, format_sqrt2,
+                               p_coeff, potential_polynomials)
 from coulombstar.errors import RingMismatch
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=50)
@@ -130,8 +129,6 @@ def test_inexact_rings_are_refused(inexact):
     with pytest.raises(TypeError):
         EtaPolynomial([1]) + inexact(1)
     with pytest.raises(RingMismatch):
-        TruncatedSeries(0, [inexact(1)], 1)
-    with pytest.raises(RingMismatch):
         potential_polynomials(2, [inexact(1)], 2)
     # evaluation at an inexact eta stays
     assert EtaPolynomial([Fr(1, 2), 1])(0.25) == 0.75
@@ -155,39 +152,6 @@ def test_eta_polynomial_shift():
 
 
 # ---------------------------------------------------------------------------
-# TruncatedSeries
-# ---------------------------------------------------------------------------
-
-def test_series_mul_and_order():
-    s = TruncatedSeries(0, [Fr(1), Fr(2), Fr(3)], 3)
-    sq = s * s
-    assert sq.lead == 0 and sq.order == 3
-    assert [sq.coeff(i) for i in range(3)] == [Fr(1), Fr(4), Fr(10)]
-    with pytest.raises(IndexError):
-        sq.coeff(3)
-    assert sq.coeff(-2) == 0  # below the lead: structurally zero
-
-
-def test_series_shift_power_evaluate():
-    s = TruncatedSeries(0, [Fr(1), Fr(1)], 4)        # 1 + u
-    cube = s.power(3)
-    assert [cube.coeff(i) for i in range(4)] == [Fr(1), Fr(3), Fr(3), Fr(1)]
-    assert s.power(0).coeff(0) == Fr(1)
-    sh = s.shift(2)
-    assert sh.lead == 2 and sh.coeff(2) == Fr(1)
-    val = cube.evaluate(0.5)
-    assert math.isclose(val, 1.5 ** 3, rel_tol=1e-14)
-
-
-def test_series_addition_alignment():
-    a = TruncatedSeries(-1, [Fr(1)], 3)              # u^-1
-    b = TruncatedSeries(0, [Fr(2), Fr(5)], 2)        # 2 + 5u
-    c = a + b
-    assert c.lead == -1 and c.order == 2
-    assert c.coeff(-1) == 1 and c.coeff(0) == 2 and c.coeff(1) == 5
-
-
-# ---------------------------------------------------------------------------
 # expansion helpers
 # ---------------------------------------------------------------------------
 
@@ -203,15 +167,10 @@ def test_p_coeff_recurrence(alpha, n):
     assert 2 * p_coeff(alpha, n) == -(alpha + 1) * p_coeff(alpha, n - 1)
 
 
-def test_geometric_expansion_is_reciprocal():
-    g = geometric_expansion(2, 8)                     # ~ 1/(2L+3), u = 1/L
-    u = 0.01                                          # L = 100
-    assert math.isclose(g.evaluate(u), 1.0 / 203.0, rel_tol=1e-12)
-
-
 def test_potential_polynomials_binomial_row():
     A = potential_polynomials(3, [Fr(1)], 6)
     assert A == [Fr(math.comb(3, k)) if k <= 3 else Fr(0) for k in range(7)]
+    assert potential_polynomials(0, [Fr(1)], 3) == [1, 0, 0, 0]
 
 
 @given(st.lists(fracs, min_size=1, max_size=3), st.integers(1, 3),
