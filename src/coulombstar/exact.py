@@ -12,7 +12,13 @@ of the exact tables.
   expansion of the starlikeness radius lives there.  An element with b = 0
   equals, and hashes like, the rational ``a``.
 * :class:`EtaPolynomial` -- polynomials in the Sommerfeld parameter ``eta``
-  with coefficients in Q(sqrt 2).
+  with coefficients in Q(sqrt 2), stored as one positive integer denominator
+  d and two integer lists A and B: coefficient i is (A_i + B_i sqrt2)/d.
+  Each result is reduced once by gcd(d, *A, *B) and trimmed of trailing
+  zeros, so equal values have equal storage and sums, products, shifts and
+  exact evaluation run on plain ints, with no Fraction per coefficient
+  product.  The Fraction / Sqrt2Rational coefficients are a view built on
+  first use.
 * ``p_coeff`` -- the expansion
   ``1/(2L + alpha + 1) = (1/L) * sum_n p_n^(alpha) L^(-n)`` with
   ``p_n^(alpha) = ((-1)^n / 2) * ((alpha + 1)/2)^n``.
@@ -229,12 +235,54 @@ def _exact(x):
     raise RingMismatch(f"inexact coefficient {x!r}")
 
 
+def _parts(x):
+    """Integers (p, r, s) with x = (p + r*sqrt2)/s and s > 0, for an exact
+    scalar ``x``; anything else raises RingMismatch."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    if isinstance(x, Sqrt2Rational):
+        a, b = x.a, x.b
+        s = math.lcm(a.denominator, b.denominator)
+        return (a.numerator * (s // a.denominator),
+                b.numerator * (s // b.denominator), s)
+    raise RingMismatch(f"inexact coefficient {x!r}")
+
+
+def _lin(x: Sequence[int], m: int, y: Sequence[int], n: int) -> List[int]:
+    """m*x + n*y for two integer lists, the shorter padded with zeros."""
+    if len(x) < len(y):
+        x, m, y, n = y, n, x, m
+    out = [m * v for v in x] if m != 1 else list(x)
+    for i, v in enumerate(y):
+        out[i] += n * v
+    return out
+
+
+def _conv(x: Sequence[int], y: Sequence[int]) -> List[int]:
+    """Cauchy product of two integer lists."""
+    if not x or not y:
+        return []
+    out = [0] * (len(x) + len(y) - 1)
+    for i, v in enumerate(x):
+        if v:
+            for j, w in enumerate(y):
+                out[i + j] += v * w
+    return out
+
+
 class EtaPolynomial:
     """A polynomial in the symbol ``eta`` with coefficients in Q(sqrt2).
 
-    coeffs[i] multiplies eta**i; trailing zeros are trimmed on construction.
-    Coefficients may be ints, Fractions and Sqrt2Rationals in any mix, and a
-    polynomial combines with an exact scalar directly.
+    Coefficients may be given as ints, Fractions and Sqrt2Rationals in any
+    mix, and a polynomial combines with an exact scalar directly.  They are
+    stored over one positive integer denominator d as two integer lists,
+    coefficient i being (A[i] + B[i]*sqrt2)/d.  Every result is reduced by
+    gcd(d, *A, *B) and each list is trimmed of trailing zeros, so equal
+    values have equal storage and all arithmetic runs on plain ints.
+
+    ``coeffs`` (coeffs[i] multiplies eta**i, no trailing zeros) is a view
+    built on first use: Sqrt2Rationals when any sqrt2 part is nonzero,
+    Fractions otherwise.
 
     >>> z2 = EtaPolynomial([Fraction(9, 8), 0, Fraction(1, 2)])
     >>> str(z2)
@@ -246,13 +294,31 @@ class EtaPolynomial:
     True
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_d", "_A", "_B", "_view")
 
     def __init__(self, coeffs: Sequence):
-        cs = [_exact(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        parts = [_parts(c) for c in coeffs]
+        d = math.lcm(*(s for _, _, s in parts))
+        self._set(d, [p * (d // s) for p, _, s in parts],
+                  [r * (d // s) for _, r, s in parts])
+
+    def _set(self, d: int, A: List[int], B: List[int]) -> None:
+        while A and not A[-1]:
+            A.pop()
+        while B and not B[-1]:
+            B.pop()
+        g = math.gcd(d, *A, *B)
+        if g != 1:
+            d //= g
+            A = [v // g for v in A]
+            B = [v // g for v in B]
+        self._d, self._A, self._B, self._view = d, tuple(A), tuple(B), None
+
+    @classmethod
+    def _new(cls, d: int, A: List[int], B: List[int]) -> "EtaPolynomial":
+        out = cls.__new__(cls)
+        out._set(d, A, B)
+        return out
 
     # -- basics ---------------------------------------------------------
     @classmethod
@@ -260,11 +326,25 @@ class EtaPolynomial:
         return cls([0, 1])
 
     @property
+    def coeffs(self) -> tuple:
+        if self._view is None:
+            d, A, B = self._d, self._A, self._B
+            if B:
+                A = A + (0,) * (len(B) - len(A))
+                B = B + (0,) * (len(A) - len(B))
+                self._view = tuple(Sqrt2Rational(Fraction(a, d),
+                                                 Fraction(b, d))
+                                   for a, b in zip(A, B))
+            else:
+                self._view = tuple(Fraction(a, d) for a in A)
+        return self._view
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return max(len(self._A), len(self._B)) - 1
 
     def coeff(self, i: int):
-        if 0 <= i < len(self.coeffs):
+        if 0 <= i <= self.degree:
             return self.coeffs[i]
         return Fraction(0)
 
@@ -273,87 +353,107 @@ class EtaPolynomial:
         if isinstance(x, EtaPolynomial):
             return x
         if isinstance(x, _EXACT):
-            return EtaPolynomial([x])
+            p, r, s = _parts(x)
+            return EtaPolynomial._new(s, [p], [r])
         return None
 
     # -- arithmetic -------------------------------------------------------
+    def _plus(self, o: "EtaPolynomial", sign: int) -> "EtaPolynomial":
+        """self + sign*o over the least common denominator."""
+        g = math.gcd(self._d, o._d)
+        m, n = o._d // g, sign * (self._d // g)
+        return EtaPolynomial._new(self._d // g * o._d,
+                                  _lin(self._A, m, o._A, n),
+                                  _lin(self._B, m, o._B, n))
+
     def __add__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return EtaPolynomial([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EtaPolynomial([-c for c in self.coeffs])
+        return EtaPolynomial._new(self._d, [-v for v in self._A],
+                                  [-v for v in self._B])
 
     def __sub__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._plus(self, -1)
 
     def __mul__(self, other):
+        A, B = self._A, self._B
         if isinstance(other, _EXACT):
-            return EtaPolynomial([c * other for c in self.coeffs])
+            # (A + B s)(p + r s)/(d q) = (pA + 2rB + (rA + pB) s)/(d q)
+            p, r, q = _parts(other)
+            return EtaPolynomial._new(self._d * q, _lin(A, p, B, 2 * r),
+                                      _lin(A, r, B, p))
         if not isinstance(other, EtaPolynomial):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return EtaPolynomial([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return EtaPolynomial(out)
+        C, D = other._A, other._B
+        return EtaPolynomial._new(self._d * other._d,
+                                  _lin(_conv(A, C), 1, _conv(B, D), 2),
+                                  _lin(_conv(A, D), 1, _conv(B, C), 1))
 
     __rmul__ = __mul__
 
     def shift_eta(self, k: int = 1) -> "EtaPolynomial":
         """Multiply by eta**k."""
-        if not self.coeffs:
+        if not self:
             return self
-        return EtaPolynomial([0] * k + list(self.coeffs))
+        pad = [0] * k
+        return EtaPolynomial._new(self._d, pad + list(self._A) if self._A
+                                  else [], pad + list(self._B) if self._B
+                                  else [])
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._A or self._B)
 
     def __eq__(self, other) -> bool:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return (self._d, self._A, self._B) == (o._d, o._A, o._B)
 
     def __hash__(self) -> int:
         # a constant polynomial equals its scalar, so it hashes like it
-        if len(self.coeffs) <= 1:
+        if self.degree <= 0:
             return hash(self.coeff(0))
-        return hash(self.coeffs)
+        return hash((self._d, self._A, self._B))
 
     # -- evaluation and printing ------------------------------------------
     def __call__(self, eta):
         """Evaluate at ``eta`` (Horner).  A float/complex argument gives a
-        float/complex result; exact arguments stay exact."""
+        float/complex result; exact arguments stay exact: a Fraction, or a
+        Sqrt2Rational when the polynomial or ``eta`` has a sqrt2 part."""
         if isinstance(eta, (float, complex)):
             acc = 0.0 if not isinstance(eta, complex) else 0j
             for c in reversed(self.coeffs):
                 acc = acc * eta + float(c)
             return acc
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * eta + c
-        return acc
+        # eta = (p + r s)/q; after k steps acc = (X + Y s)/(d q^k)
+        p, r, q = _parts(eta)
+        A, B = self._A, self._B
+        X = Y = 0
+        qk = 1
+        for i in range(self.degree, -1, -1):
+            qk *= q
+            a = A[i] if i < len(A) else 0
+            b = B[i] if i < len(B) else 0
+            X, Y = X * p + 2 * Y * r + a * qk, X * r + Y * p + b * qk
+        den = self._d * qk
+        if B or r:
+            return Sqrt2Rational(Fraction(X, den), Fraction(Y, den))
+        return Fraction(X, den)
 
     @staticmethod
     def _term_str(c, i: int) -> str:
@@ -370,7 +470,7 @@ class EtaPolynomial:
         return f"{body}*{var}"
 
     def to_str(self, descending: bool = False) -> str:
-        if not self.coeffs:
+        if not self:
             return "0"
         idx = range(len(self.coeffs))
         order = reversed(idx) if descending else idx

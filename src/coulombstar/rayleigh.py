@@ -41,7 +41,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Union
+from typing import Dict, List, Tuple, Union
 
 from .errors import BoundsInvalid, GateViolation, RegionWarning
 from .exact import EtaPolynomial, p_coeff
@@ -101,6 +101,18 @@ def _pick_mode(params: CoulombParams, exact):
     return float(params.L), float(params.eta), False
 
 
+def _pair_sum(Z: Dict[int, Number], total: int) -> Number:
+    """sum of Z[a] Z[b] over a + b = total, a, b >= 2, in either mode: each
+    unordered pair is multiplied once and doubled."""
+    acc = 0
+    for a in range(2, (total + 1) // 2):
+        acc += Z[a] * Z[total - a]
+    acc = 2 * acc
+    if total % 2 == 0:
+        acc += Z[total // 2] * Z[total // 2]
+    return acc
+
+
 def rayleigh_Z(params: CoulombParams, k_max: int,
                exact: Union[bool, None] = None) -> RayleighTable:
     """Zero sums Z^(k) = sum (-rho_n)^(-k), k = 2 .. k_max, over the
@@ -118,10 +130,8 @@ def rayleigh_Z(params: CoulombParams, k_max: int,
     one = Fraction(1) if is_exact else 1.0
     Z[2] = (one + eta * eta / ((L + 1) * (L + 1))) / (2 * L + 3)
     for k in range(2, k_max):
-        acc = (2 * eta / (L + 1)) * Z[k]
-        for l in range(1, k - 1):
-            acc += Z[l + 1] * Z[k - l]
-        Z[k + 1] = acc / (2 * L + k + 2)
+        Z[k + 1] = ((2 * eta / (L + 1)) * Z[k]
+                    + _pair_sum(Z, k + 1)) / (2 * L + k + 2)
     return RayleighTable(params=params, kind="Z", values=Z, exact=is_exact)
 
 
@@ -183,9 +193,7 @@ def rayleigh_Ztilde(params: CoulombParams, k_max: int,
         acc = -L * a[n + 3] - p * a[n + 2] - 2 * p * Zt[n + 3]
         for m in range(0, n + 2):
             acc += a[m] * Zt[3 + n - m]
-        for m in range(0, n + 1):
-            acc += Zt[m + 2] * Zt[n - m + 2]
-        Zt[n + 4] = acc / (2 * L + n + 5)
+        Zt[n + 4] = (acc + _pair_sum(Zt, n + 4)) / (2 * L + n + 5)
     return RayleighTable(params=params, kind="Ztilde", values=Zt,
                          exact=is_exact)
 
@@ -221,12 +229,18 @@ def euler_rayleigh_bounds(params: CoulombParams, s: int) -> EulerRayleighBounds:
 # Laurent coefficients of Z^(k) in 1/L
 # ---------------------------------------------------------------------------
 
-#: zeta tables memo: j -> [zeta_0^(j), ..., zeta_n^(j)], every row the same
-#: length.  Process-global and grow-only: rows are added, or all rebuilt
-#: longer, but never dropped.  Not safe to share across threads.
-_ZETA: Dict[int, List[EtaPolynomial]] = {}
+_Row = Tuple[List[EtaPolynomial], List[EtaPolynomial], List[EtaPolynomial]]
+
+#: zeta tables memo: j -> ([zeta_0^(j), ..., zeta_n^(j)], S', S''), with the
+#: pair series S' and S'' of :func:`_grow_row` (empty for j = 2) kept so that
+#: the row can grow without recomputing them.  A row grows only after every
+#: row below it is at least as long, so row lengths never increase with j.
+#: Process-global and grow-only: rows are added or lengthened in place, never
+#: dropped.  Not safe to share across threads.
+_ZETA: Dict[int, _Row] = {}
 
 _ZERO = EtaPolynomial([])
+_ETA2 = EtaPolynomial([0, 0, 1])
 
 
 def _weighted(w: List[Fraction], polys: List[EtaPolynomial],
@@ -239,19 +253,16 @@ def _weighted(w: List[Fraction], polys: List[EtaPolynomial],
     return acc
 
 
-def _zeta_row_2(n_max: int) -> List[EtaPolynomial]:
-    p = [p_coeff(2, n) for n in range(n_max + 1)]
-    # zeta_{n+2}^(2) = p_{n+2} + eta^2 sum_{m=0}^{n} (-1)^m (m+1) p_{n-m}
-    w = [(-1) ** m * (m + 1) for m in range(n_max + 1)]
-    eta2 = EtaPolynomial([0, 0, 1])
-    return [EtaPolynomial([p[n]]) if n < 2 else
-            p[n] + sum(w[m] * p[n - 2 - m] for m in range(n - 1)) * eta2
-            for n in range(n_max + 1)]
+def _zeta_2(n: int) -> EtaPolynomial:
+    """zeta_n^(2) = p_n + eta^2 sum_{m=0}^{n-2} (-1)^m (m+1) p_{n-2-m}."""
+    tail = sum((-1) ** m * (m + 1) * p_coeff(2, n - 2 - m)
+               for m in range(n - 1))
+    return p_coeff(2, n) + tail * _ETA2
 
 
-def _zeta_row(j: int, n_max: int,
-              lower: Dict[int, List[EtaPolynomial]]) -> List[EtaPolynomial]:
-    """Row for superscript j >= 3 from the rows below it.
+def _grow_row(j: int, n_max: int) -> None:
+    """Lengthen row j >= 3 of the memo through zeta_{n_max}, computing only
+    the orders it lacks; the rows below must reach n_max already.
 
     S'_q and S''_q sum the Cauchy products [u^q] Zeta_a Zeta_(j-a) over
     a = 2 .. j-2 with a even and a odd; each unordered pair is multiplied
@@ -262,47 +273,48 @@ def _zeta_row(j: int, n_max: int,
         zeta_n^(j) = sum_q p_{n-q} S'_q
                      + sum_q p_{n-2-q} S''_q + T_{n-2}                (j even).
     """
-    p = [p_coeff(j, n) for n in range(n_max + 1)]
-    S = [[_ZERO] * (n_max + 1) for _ in range(2)]        # S' and S''
-    for a in range(2, j // 2 + 1):
-        A, B, part = lower[a], lower[j - a], S[a % 2]
-        for q in range(n_max + 1):
+    row, *S = _ZETA.setdefault(j, ([], [], []))
+    have = len(row)
+    if have > n_max:
+        return
+    for q in range(len(S[0]), n_max + 1):   # S runs ahead if a growth was cut
+        part = [_ZERO, _ZERO]
+        for a in range(2, j // 2 + 1):
+            A, B = _ZETA[a][0], _ZETA[j - a][0]
             conv = _ZERO
             for m in range(q + 1):
                 conv = conv + A[m] * B[q - m]
-            part[q] = part[q] + (conv if 2 * a == j else 2 * conv)
+            part[a % 2] = part[a % 2] + (conv if 2 * a == j else 2 * conv)
+        S[0].append(part[0])
+        S[1].append(part[1])
+    p = [p_coeff(j, n) for n in range(n_max + 1)]
     c: List[Fraction] = []
     for l in range(n_max + 1):
         c.append(p[l] - (c[-1] if c else 0))
-    T = [2 * _weighted(c, lower[j - 1], n).shift_eta(1)
-         for n in range(n_max + 1 if j % 2 else n_max - 1)]
+
+    def T(n: int) -> EtaPolynomial:
+        return 2 * _weighted(c, _ZETA[j - 1][0], n).shift_eta(1)
+
     if j % 2:
         both = [S[0][q] + S[1][q] for q in range(n_max + 1)]
-        return [_weighted(p, both, n) + T[n] for n in range(n_max + 1)]
-    return [_weighted(p, S[0], n) + (
-        _weighted(p, S[1], n - 2) + T[n - 2] if n >= 2 else _ZERO)
-        for n in range(n_max + 1)]
+        row.extend(_weighted(p, both, n) + T(n)
+                   for n in range(have, n_max + 1))
+    else:
+        row.extend(_weighted(p, S[0], n) + (
+            _weighted(p, S[1], n - 2) + T(n - 2) if n >= 2 else _ZERO)
+            for n in range(have, n_max + 1))
 
 
 def _ensure_zeta(j_max: int, n_max: int) -> None:
-    """Grow the memo to hold rows 2 .. j_max through zeta_{n_max}, in one
-    pass: rows above the memo are appended at its length, and a longer
-    request rebuilds every row once, with two orders to spare."""
-    have = len(_ZETA[2]) - 1 if _ZETA else -1
-    top = max(_ZETA, default=1)
-    if n_max > have:
-        rows: Dict[int, List[EtaPolynomial]] = {}
-        have, top = n_max + 2, max(j_max, top)
-    elif j_max > top:
-        rows = dict(_ZETA)
-        top = j_max
-    else:
-        return
-    for j in range(2, top + 1):
-        if j not in rows:
-            rows[j] = (_zeta_row_2(have) if j == 2
-                       else _zeta_row(j, have, rows))
-    _ZETA.update(rows)
+    """Grow the memo to hold rows 2 .. j_max through zeta_{n_max}: each row
+    gains only the orders it lacks, and rows above j_max are left as they
+    are."""
+    if j_max in _ZETA and len(_ZETA[j_max][0]) > n_max:
+        return                          # so are the rows below it
+    row = _ZETA.setdefault(2, ([], [], []))[0]
+    row.extend(_zeta_2(n) for n in range(len(row), n_max + 1))
+    for j in range(3, j_max + 1):
+        _grow_row(j, n_max)
 
 
 def zeta_coeffs(k: int, n_max: int) -> List[EtaPolynomial]:
@@ -315,7 +327,8 @@ def zeta_coeffs(k: int, n_max: int) -> List[EtaPolynomial]:
         Z^(2m+1) = L^-(2m+1) sum_n zeta_n^(2m+1) L^-n.
 
     The rows are memoised in ``_ZETA``, a process-global, grow-only table
-    that is not safe to share across threads.
+    that is not safe to share across threads; a longer request computes
+    only the orders the memo lacks.
 
     Preconditions: k >= 2, n_max >= 0.
     """
@@ -324,7 +337,7 @@ def zeta_coeffs(k: int, n_max: int) -> List[EtaPolynomial]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _ensure_zeta(k, n_max)
-    return list(_ZETA[k][: n_max + 1])
+    return list(_ZETA[k][0][: n_max + 1])
 
 
 def zeta_laurent_eval(k: int, params: CoulombParams, n_terms: int) -> float:

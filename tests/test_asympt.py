@@ -94,6 +94,8 @@ def test_recurrence_matches_series_solve():
     b = epsilon_coeffs_recurrence(8)
     assert a.c == b.c
     assert a.eps == b.eps
+    # every eps coefficient shows as a Sqrt2Rational, rational parts too
+    assert all(type(c) is Sqrt2Rational for e in a.eps for c in e.coeffs)
 
 
 def test_annihilation_residuals_vanish():

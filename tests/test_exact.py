@@ -146,6 +146,65 @@ def test_eta_polynomial_eval_matches_float(cs1, cs2, x):
     assert math.isclose(p(x), direct, rel_tol=1e-9, abs_tol=1e-9)
 
 
+scalars = st.one_of(st.integers(-20, 20), fracs, sqrt2s)
+
+
+def _lift(c):
+    return c if isinstance(c, Sqrt2Rational) else Sqrt2Rational(c, 0)
+
+
+def _ref(cs):
+    """Coefficientwise reference: Sqrt2Rationals, trailing zeros trimmed."""
+    out = [_lift(c) for c in cs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _same(p, ref):
+    # equal coefficients, shown as Sqrt2Rationals iff a sqrt2 part is nonzero
+    ref = _ref(ref)
+    kinds = {Sqrt2Rational} if any(c.b for c in ref) else {Fr}
+    return (p.coeffs == tuple(ref) and p.degree == len(ref) - 1
+            and {type(c) for c in p.coeffs} <= kinds)
+
+
+@given(st.lists(scalars, max_size=5), st.lists(scalars, max_size=5),
+       scalars, st.integers(0, 3), fracs)
+def test_integer_storage_matches_coefficientwise_reference(cs1, cs2, s, k, x):
+    p, q = EtaPolynomial(cs1), EtaPolynomial(cs2)
+    a, b = _ref(cs1), _ref(cs2)
+    n = max(len(a), len(b))
+    a0 = a + [Sqrt2Rational.zero()] * (n - len(a))
+    b0 = b + [Sqrt2Rational.zero()] * (n - len(b))
+    assert _same(p, cs1) and _same(q, cs2)
+    assert _same(p + q, [u + v for u, v in zip(a0, b0)])
+    assert _same(p - q, [u - v for u, v in zip(a0, b0)])
+    assert _same(-p, [-u for u in a])
+    prod = [Sqrt2Rational.zero()] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            prod[i + j] = prod[i + j] + u * v
+    assert _same(p * q, prod) and _same(q * p, prod)
+    assert _same(p * s, [u * s for u in a])
+    assert _same(s * p, [s * u for u in a])
+    assert _same(p.shift_eta(k), [0] * k * bool(a) + a)
+    for at in (x, s):
+        want = Sqrt2Rational.zero()
+        for u in reversed(a):
+            want = want * at + u
+        assert p(at) == want
+    assert type(p(x)) is (Sqrt2Rational if any(u.b for u in a) else Fr)
+    # sums that cancel give the zero polynomial, stored as such
+    for zero in (p - p, p + (-p), p + EtaPolynomial([-c for c in cs1]),
+                 (p + q) - q - p):
+        assert _same(zero, []) and not zero and zero == 0
+        assert hash(zero) == hash(0) and zero.to_str() == "0"
+    top = p - EtaPolynomial(cs1[1:]).shift_eta(1)     # cancels all but eta^0
+    assert _same(top, a[:1]) and top == (a[0] if a else 0)
+    assert p + q - q == p and hash(p + q - q) == hash(p)
+
+
 def test_eta_polynomial_shift():
     p = EtaPolynomial([Fr(2), Fr(3)])
     assert p.shift_eta(2) == EtaPolynomial([0, 0, Fr(2), Fr(3)])

@@ -217,15 +217,25 @@ def test_zeta_rows_snapshot(cold_memos):
         p.to_str() for p in zeta_coeffs(k, 10)).encode()).hexdigest()
         for k in range(2, 17)}
     assert got == ZETA_10_SHA256
+    # the rows are rational: their coefficients show as ints or Fractions
+    assert all(type(c) in (int, Fr) for k in range(2, 17)
+               for p in zeta_coeffs(k, 8) for c in p.coeffs)
 
 
 def test_zeta_memo_growth_path_is_irrelevant(cold_memos):
-    for k, n in ((4, 1), (9, 4), (16, 8)):
-        zeta_coeffs(k, n)
-    grown = {k: zeta_coeffs(k, 8) for k in range(2, 17)}
-    rayleigh._ZETA.clear()
+    # rows lengthened in place equal rows built cold; the second path is the
+    # memo of an eps solve grown 4 -> 6, then one low row asked for longer
     cold = {k: zeta_coeffs(k, 8) for k in range(16, 1, -1)}
-    assert grown == cold
+    for path in (((4, 1), (9, 4), (16, 8)), ((10, 4), (14, 6), (3, 8))):
+        rayleigh._ZETA.clear()
+        for k, n in path:
+            zeta_coeffs(k, n)
+        held = {k: list(row) for k, (row, *_) in rayleigh._ZETA.items()}
+        assert len(held) == max(k for k, _ in path) - 1
+        assert all(len(held[k]) == 1 + max(n for j, n in path if j >= k)
+                   for k in held)
+        assert all(row == cold[k][:len(row)] for k, row in held.items())
+        assert {k: zeta_coeffs(k, 8) for k in range(2, 17)} == cold
 
 
 def test_laurent_eval_matches_recurrence():
