@@ -142,6 +142,7 @@ def _cmd_radius(args) -> int:
     rec.put("outputs", "bracket_hi", res.bracket[1])
     rec.put("outputs", "residual", res.residual)
     rec.put("diagnostics", "iterations", res.iterations)
+    rec.put("diagnostics", "error_bound", res.error_bound)
     _emit(rec, args)
     return 0
 

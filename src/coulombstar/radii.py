@@ -37,9 +37,36 @@ The search is one walk.  It starts at half a lower bound on j, halving
 while u <= 0, and otherwise steps outward in s with steps that double while
 a Riccati comparison bound allows: for K^2 >= -P over a step, W stays above
 K tan(atan(W0/K) - K ds), finite while ds < atan2(K, -W0)/K, so no step
-passes j.  The first point with u <= 0 closes a bracket, which the Illinois
-method refines to width 1e-14 (1 + r); ``RadiusResult.residual`` is
-|u(root)| and ``iterations`` counts kernel evaluations.
+passes j.  The first point with u <= 0 closes a bracket.
+
+The refine is Newton's method in s, and its derivative is free: the Riccati
+equation at any point where u is known gives
+
+    r u'(r) = P(r) - (u + c - 1/2)^2
+            = (L + 1 - c - u)(L + c + u) + r (2 eta - r),
+
+factored so that the squares do not cancel, with L + 1 - c passed in
+exactly.  Each step goes to the root of the cubic Hermite interpolant of
+s(u) through the last two iterates, or is a plain Newton step when the
+previous iterate has r u' >= 0; every iterate shrinks the bracket by the
+sign of u, and bisection replaces a step from a point with r u' >= 0 and a
+step that leaves the bracket or fails to halve the step before last.  Once
+a step falls below half the tolerance 1e-15 r, one evaluation half a
+tolerance past the iterate closes the bracket.  CF1 rounds u to a few eps
+of its leading term (L + 1 + r eta/(L+1)) and of c; where |u| is that
+small the bracket closes only to the band of r in which the sign of u is
+rounding, and where r u' is lost in rounding too the refine stops.
+``RadiusResult`` returns the bracket end with the smaller |u| as the
+root, that |u| as ``residual``, the kernel evaluations as ``iterations``
+and a first-order relative forward error
+
+    error_bound = (residual + e_u) / |r u'| + eps,
+    e_u = eps (|c| + |L+1| + r |eta|/(L+1)) (10 + 2 sqrt(max(r - L, 0))),
+
+where e_u is the rounding of u (the second factor covers the Lentz product
+of CF1 over its ~ r - L terms past the order) and r u' is taken at the root
+in the factored form, less the share of it that e_u could account for; it
+is infinite where that leaves nothing.
 """
 
 from __future__ import annotations
@@ -74,12 +101,14 @@ class Family(str, enum.Enum):
 
 @dataclass(frozen=True)
 class RadiusResult:
-    """First positive root, its final bracket and the residual |u(root)|."""
+    """First positive root, its final bracket, the residual |u(root)|, the
+    number of kernel evaluations and a relative forward-error estimate."""
 
     value: float
     bracket: Tuple[float, float]
     residual: float
     iterations: int
+    error_bound: float
 
 
 @dataclass(frozen=True)
@@ -121,30 +150,44 @@ def _log_derivative(L: float, eta: float, r: float) -> float:
     where F_L = sqrt(pi r/2) J_{L+1/2} and any L > -3/2 is allowed.
     """
     lam = L + 1.0
-    f = (lam + r * eta / lam if eta else lam) or _TINY
-    C, D = f, 0.0
-    r2 = r * r
+    nr2 = -r * r
+    n = 1000 + 2 * int(r)
+    # locals, and |delta - 1| <= eps as one chained comparison
+    tiny, lo, hi = _TINY, 1.0 - _EPS, 1.0 + _EPS
     # CF1 converges once m passes the turning point, which lies below ~r
-    for k in range(1000 + 2 * int(r)):
-        m = lam + k
-        if eta:
-            a = -r2 * (1.0 + eta * eta / (m * m))
-            b = (2.0 * m + 1.0) * (1.0 + r * eta / (m * (m + 1.0)))
-        else:
-            a, b = -r2, 2.0 * m + 1.0
-        D = 1.0 / (b + a * D or _TINY)
-        C = b + a / C or _TINY
-        delta = C * D
-        f *= delta
-        if abs(delta - 1.0) <= _EPS:
-            return f
+    if eta:
+        e2, re = eta * eta, r * eta
+        f = lam + re / lam or tiny
+        C, D = f, 0.0
+        for k in range(n):
+            m = lam + k
+            a = nr2 * (1.0 + e2 / (m * m))
+            b = (2.0 * m + 1.0) * (1.0 + re / (m * (m + 1.0)))
+            D = 1.0 / (b + a * D or tiny)
+            C = b + a / C or tiny
+            delta = C * D
+            f *= delta
+            if lo <= delta <= hi:
+                return f
+    else:
+        f = lam or tiny
+        C, D = f, 0.0
+        for k in range(n):
+            b = 2.0 * (lam + k) + 1.0
+            D = 1.0 / (b + nr2 * D or tiny)
+            C = b + nr2 / C or tiny
+            delta = C * D
+            f *= delta
+            if lo <= delta <= hi:
+                return f
     raise NonConvergence(
         f"CF1 for r F'/F did not converge (L={L!r}, eta={eta!r}, r={r!r})")
 
 
-def _first_root(L: float, eta: float, c: float) -> RadiusResult:
+def _first_root(L: float, eta: float, c: float, d: float) -> RadiusResult:
     """First positive root of u(r) = r F_L'(eta, r)/F_L(eta, r) - c by the
-    guarded walk of the module docstring."""
+    guarded walk of the module docstring; d = L + 1 - c, formed exactly by
+    the caller, since L + 1 - c in floats cancels as c nears L + 1."""
     evals = 0
 
     def u(r: float) -> float:
@@ -154,6 +197,10 @@ def _first_root(L: float, eta: float, c: float) -> RadiusResult:
 
     def P(r: float) -> float:
         return (L + 0.5) ** 2 + 2.0 * eta * r - r * r
+
+    def rdu(r: float, ur: float) -> float:
+        # r u'(r) = P(r) - (u + c - 1/2)^2, factored so it does not cancel
+        return (d - ur) * (2.0 * L + 1.0 - d + ur) + r * (2.0 * eta - r)
 
     # start at half a lower bound on the first zero of F:
     # sqrt(eta^2 + (L+1)^2) - |eta| for L > -1, 2 sqrt(L + 3/2) at eta = 0
@@ -197,35 +244,64 @@ def _first_root(L: float, eta: float, c: float) -> RadiusResult:
         hi, uhi = nxt, u(nxt)
         if uhi > 0.0:
             lo, ulo = hi, uhi
-    # Illinois: a secant step, halving the weight of an end that survives
-    # twice in a row, and kept half the final width inside the bracket so
-    # that a step landing on the root also closes the bracket.  Where the
-    # rounding of u leaves a run of exact zeros, bisection finds its left end
-    tol = 1e-14 * (1.0 + hi)
-    w_lo = w_hi = 1.0
-    side = 0
+    # Newton in s, safeguarded by the bracket (see the module docstring)
+    tol = 1e-15 * hi
+    # CF1 rounds u to a few eps of its leading term L + 1 + r eta/(L + 1)
+    # and of c; below that level its sign means nothing
+    scale = abs(c) + abs(L + 1.0) + (hi * abs(eta) / (L + 1.0) if eta
+                                     else 0.0)
+    noise = 3.0 * _EPS * scale
+    # r u' moves by |2L + 1 - 2d| per unit of u, so the rounding of u makes
+    # any r u' below slack, and a step or band width drawn from it, noise
+    du_u = abs(2.0 * L + 1.0 - 2.0 * d)
+    slack = du_u * noise
+    r, ur, q, uq = (lo, ulo, hi, uhi) if ulo < -uhi else (hi, uhi, lo, ulo)
+    duq = rdu(q, uq)
+    dx = dx_old = hi - lo
+    h = 0.0
     while hi - lo > tol:
-        if uhi:
-            x = lo - w_lo * ulo * (hi - lo) / (w_hi * uhi - w_lo * ulo)
-        else:
+        dur = rdu(r, ur)
+        x = math.inf
+        if dur < 0.0:
+            ds = -ur / dur
+            if duq < 0.0 and uq != ur:
+                # inverse cubic Hermite through (u, s, ds/du) at r and q
+                t = ur / (ur - uq)
+                ds = ((3.0 - 2.0 * t) * t * t * math.log(q / r)
+                      - ur * (1.0 - t) * ((1.0 - t) / dur - t / duq))
+            x = r * math.exp(ds)
+        flat = abs(ur) <= noise
+        if flat:
+            if dur >= -slack:
+                break                # u carries no more information
+            # u is zero to rounding: no narrower bracket means anything
+            tol = max(tol, -2.0 * r * noise / dur)
+        if abs(x - r) <= 0.5 * tol or flat:
+            h = max(h, 0.5 * tol)
+            x = r + h if ur > 0.0 else r - h
+            h *= 2.0
+        elif not (lo < x < hi and abs(x - r) <= 0.5 * dx_old):
             x = 0.5 * (lo + hi)
-        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
-        ux = u(x)
-        if ux > 0.0:
-            lo, ulo, w_lo = x, ux, 1.0
-            if side > 0:
-                w_hi *= 0.5
-            side = 1
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        dx_old, dx = dx, abs(x - r)
+        q, uq, duq = r, ur, dur
+        r, ur = x, u(x)
+        if ur > 0.0:
+            lo, ulo = r, ur
         else:
-            hi, uhi, w_hi = x, ux, 1.0
-            if side < 0:
-                w_lo *= 0.5
-            side = -1
-    # a last secant step on the true values resolves roots far below 1
-    root = min(max(lo - ulo * (hi - lo) / (uhi - ulo), lo), hi)
-    residual = abs(u(root))
-    return RadiusResult(value=root, bracket=(lo, hi), residual=residual,
-                        iterations=evals)
+            hi, uhi = r, ur
+    root, ur = (lo, ulo) if ulo < -uhi else (hi, uhi)
+    # first-order forward error, void where r u' is lost in rounding; the
+    # Lentz product adds the rounding of its ~ r - L terms past the order
+    # like a random walk
+    err_u = abs(ur) + _EPS * scale * (10.0
+                                      + 2.0 * math.sqrt(max(root - L, 0.0)))
+    dur = abs(rdu(root, 0.0)) - du_u * err_u
+    return RadiusResult(value=root, bracket=(lo, hi), residual=abs(ur),
+                        iterations=evals,
+                        error_bound=err_u / dur + _EPS if dur > 0.0
+                        else math.inf)
 
 
 def _check_coulomb(L, eta, beta: float) -> None:
@@ -245,7 +321,9 @@ def radius_f(L, eta, beta: float = 0.0) -> RadiusResult:
     Preconditions: real L > -1, real eta, 0 <= beta < 1.
     """
     _check_coulomb(L, eta, beta)
-    return _first_root(float(L), float(eta), beta * (float(L) + 1.0))
+    L = float(L)
+    return _first_root(L, float(eta), beta * (L + 1.0),
+                       (1.0 - beta) * (L + 1.0))
 
 
 def radius_g(L, eta, beta: float = 0.0) -> RadiusResult:
@@ -254,7 +332,7 @@ def radius_g(L, eta, beta: float = 0.0) -> RadiusResult:
     First positive root of (1-beta) S + r S'.
     """
     _check_coulomb(L, eta, beta)
-    return _first_root(float(L), float(eta), float(L) + beta)
+    return _first_root(float(L), float(eta), float(L) + beta, 1.0 - beta)
 
 
 def radius_phi(nu, alpha, beta: float = 0.0) -> RadiusResult:
@@ -273,5 +351,5 @@ def radius_phi(nu, alpha, beta: float = 0.0) -> RadiusResult:
     if not 0.0 <= beta < 1.0:
         raise GateViolation(f"order beta must lie in [0, 1), got {beta}")
     # r jhat'/jhat = r J_nu'/J_nu - nu = r F'/F - nu - 1/2 at L = nu - 1/2
-    c = nu + 0.5 - (nu + alpha) * (1.0 - beta)
-    return _first_root(nu - 0.5, 0.0, c)
+    d = (nu + alpha) * (1.0 - beta)
+    return _first_root(nu - 0.5, 0.0, nu + 0.5 - d, d)

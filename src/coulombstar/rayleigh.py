@@ -60,6 +60,13 @@ __all__ = [
 
 Number = Union[Fraction, float]
 
+#: float ``rayleigh_Ztilde`` warns when a sum is this many times smaller than
+#: its largest term.  Against the exact tables on a grid of 120 (L, eta)
+#: points up to k = 24, with the ratio taken as a running maximum over k,
+#: entries whose ratio stayed below 1e6 were off by at most 2.3e-10, and
+#: every entry off by more than 1e-10 had a ratio above 5e5.
+_ZTILDE_COND_MAX = 1e6
+
 
 @dataclass(frozen=True)
 class RayleighTable:
@@ -176,7 +183,9 @@ def rayleigh_Ztilde(params: CoulombParams, k_max: int,
     Requires L > -1, L != 0.  The float mode is unstable when L(L+1) is
     small against |eta|: the a_n grow like (2 eta/(L(L+1)))^n and their
     combinations cancel, so at (L, eta) = (0.001, -3.41) the float Zt^(8)
-    and Zt^(10) come out negative.  Use exact mode there.
+    and Zt^(10) come out negative.  At large k it loses digits elsewhere
+    too.  It emits RegionWarning when a sum is more than 1e6 times smaller
+    than its largest term; use exact mode there.
     """
     L, eta, is_exact = _pick_mode(params, exact)
     cap = 40 if is_exact else 64
@@ -186,14 +195,32 @@ def rayleigh_Ztilde(params: CoulombParams, k_max: int,
     p = (L + 2) * eta / ((L + 1) * (L + 1))
     one = Fraction(1) if is_exact else 1.0
     Zt: Dict[int, Number] = {}
-    Zt[2] = (one - L * a[1] - p * a[0] + p * p) / (2 * L + 3)
+    cond, k_cond = 0.0, 2
+
+    def put(k: int, terms: List[Number], den: Number) -> None:
+        # float mode tracks the largest |term| / |sum| over the table
+        nonlocal cond, k_cond
+        acc = sum(terms)
+        Zt[k] = acc / den
+        if not is_exact:
+            big = max(map(abs, terms))
+            if big > cond * abs(acc):
+                cond, k_cond = (big / abs(acc) if acc else math.inf), k
+
+    put(2, [one, -L * a[1], -p * a[0], p * p], 2 * L + 3)
     if k_max >= 3:
-        Zt[3] = (-L * a[2] - p * a[1] + a[0] * Zt[2] - 2 * p * Zt[2]) / (2 * L + 4)
+        put(3, [-L * a[2], -p * a[1], a[0] * Zt[2], -2 * p * Zt[2]],
+            2 * L + 4)
     for n in range(0, k_max - 3):
-        acc = -L * a[n + 3] - p * a[n + 2] - 2 * p * Zt[n + 3]
-        for m in range(0, n + 2):
-            acc += a[m] * Zt[3 + n - m]
-        Zt[n + 4] = (acc + _pair_sum(Zt, n + 4)) / (2 * L + n + 5)
+        put(n + 4, [-L * a[n + 3], -p * a[n + 2], -2 * p * Zt[n + 3]]
+            + [a[m] * Zt[3 + n - m] for m in range(0, n + 2)]
+            + [_pair_sum(Zt, n + 4)], 2 * L + n + 5)
+    if cond > _ZTILDE_COND_MAX:
+        warnings.warn(
+            f"float Ztilde table cancels: the sum for Zt^({k_cond}) is "
+            f"{cond:.3g} times smaller than its largest term, so entries "
+            "may have lost most of their digits; use exact mode "
+            "(exact=True, rational L and eta)", RegionWarning, stacklevel=2)
     return RayleighTable(params=params, kind="Ztilde", values=Zt,
                          exact=is_exact)
 

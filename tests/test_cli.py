@@ -13,6 +13,8 @@ import pytest
 
 import coulombstar
 from coulombstar.cli import main
+from coulombstar.errors import RegionWarning
+from coulombstar.radii import radius_f
 from coulombstar.specfun import CoulombParams, eval_g
 
 
@@ -39,6 +41,9 @@ def test_radius_json_matches_library(capsys):
                                                     abs=1e-10)
     assert rec["outputs"]["bracket_lo"] <= rec["outputs"]["value"] <= \
         rec["outputs"]["bracket_hi"]
+    res = radius_f(-0.5, 0.0)
+    assert rec["diagnostics"]["error_bound"] == res.error_bound
+    assert rec["diagnostics"]["iterations"] == res.iterations
 
 
 def test_radius_phi_value(capsys):
@@ -110,9 +115,11 @@ def test_rayleigh_float_mode(capsys):
     rec = run_json(capsys, "rayleigh", "--which", "Z", "--L", "1",
                    "--eta", "0", "--kmax", "2")
     assert rec["outputs"]["Z2"] == pytest.approx(0.2, rel=1e-12)
-    # without --exact a dyadic L stays on the float path: no exact cap of 40
-    rec2 = run_json(capsys, "rayleigh", "--which", "Ztilde", "--L", "1/2",
-                    "--eta", "0", "--kmax", "50")
+    # without --exact a dyadic L stays on the float path: no exact cap of 40,
+    # and past k ~ 20 the float sums cancel, which the table warns about
+    with pytest.warns(RegionWarning, match="exact mode"):
+        rec2 = run_json(capsys, "rayleigh", "--which", "Ztilde", "--L",
+                        "1/2", "--eta", "0", "--kmax", "50")
     assert rec2["diagnostics"]["exact"] is False
     assert isinstance(rec2["outputs"]["Zt50"], float)
     assert rec2["outputs"]["Zt2"] == pytest.approx(7 / 12, rel=1e-12)

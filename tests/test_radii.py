@@ -1,6 +1,8 @@
 """Radii of starlikeness/univalence as first positive roots."""
 
+import itertools
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -35,6 +37,26 @@ RPHI_BIG = {30: 32.5342235567901424086452, 100: 103.768377682542268707241,
 RPHI_NEG = 0.49082223744721337577760905720382   # phi: nu=-.75, a=1.5, b=.2
 RG_BETA_NEAR_1 = 0.17303198713330553805217334630856  # g: L=0, eta=0, b=.99
 RF_150_1 = 146.162981868498937943056            # f: L=150, eta=1, b=.3
+# 40-digit roots for the error-bound check (mpmath CF1 at 60 digits, with
+# c formed exactly from the float inputs)
+ROOTS_40 = {
+    ("g", 400.0, -30.0, 0.999): "0.01336367726294554259368025470002808412448",
+    ("g", 0.0, 0.0, 0.5): "1.165561185207211306833917977958560669135",
+    ("f", 100.0, -1.0, 0.0): "103.3215278498357456552135144225511309242",
+    ("f", -0.95, -20.0, 0.3):
+        "0.00008479789895401856733863643314733447603658",
+    ("f", -0.9999, 30.0, 0.3): "64.09300581462395272987827794044553934443",
+    ("g", 150.5, -1.3, 0.0): "16.15156368364761648142457867568027981645",
+    ("g", 160.0, 1.7, 0.7): "11.69120762026339884742924113364614990074",
+    ("phi", 135.5, 1.9, 0.35): "128.6741212120065871702326482368592150174",
+    ("g", 2.85, 17.85, 0.9998): "38.17156038450787811139897859483645403637",
+    ("f", 4.0, 17.75, 0.0): "39.52855604259406923471743863547192236172",
+    # beta within 2^-30 of 1: L + beta rounds away ~1e-3 of 1 - beta
+    ("g", 300.0, 0.0, 1 - 2 ** -30):
+        "0.0007493914280883315858315466856019754021124",
+    ("g", 1000.0, 0.0, 1 - 2 ** -30):
+        "0.00136581079105194397722946734136953454313",
+}
 
 
 def test_radius_f_frozen_values():
@@ -101,6 +123,44 @@ def test_log_derivative_kernel():
                     dF = mp.diff(lambda x: mp.coulombf(L, eta, x), r)
                     assert _log_derivative(float(L), float(eta), float(r)) \
                         == pytest.approx(float(r * dF / F), rel=1e-12)
+
+
+def _cf1_reference(L, eta, r):
+    """The CF1 loop as first written, choosing the eta branch per term."""
+    lam = L + 1.0
+    f = (lam + r * eta / lam if eta else lam) or 1e-300
+    C, D = f, 0.0
+    r2 = r * r
+    for k in range(1000 + 2 * int(r)):
+        m = lam + k
+        if eta:
+            a = -r2 * (1.0 + eta * eta / (m * m))
+            b = (2.0 * m + 1.0) * (1.0 + r * eta / (m * (m + 1.0)))
+        else:
+            a, b = -r2, 2.0 * m + 1.0
+        D = 1.0 / (b + a * D or 1e-300)
+        C = b + a / C or 1e-300
+        delta = C * D
+        f *= delta
+        if abs(delta - 1.0) <= 2.220446049250313e-16:
+            return f
+    raise AssertionError("reference CF1 did not converge")
+
+
+def test_log_derivative_bit_identical_to_reference_loop():
+    # the kernel hoists eta^2, r eta and -r^2 and picks the eta branch once;
+    # every value must stay bit for bit what the per-term loop gives
+    pts = [(L, eta, r) for L in (-0.5, 0.0, 1.5, 5.0, 20.0)
+           for eta in (-1.0, 0.0, 2.0) for r in (0.5, 2.0, 6.0)]
+    pts += [(float(L), float(eta), float(r)) for L in (100, 200)
+            for eta in (-1, 0, 2) for r in (L // 2, L)]
+    rng = random.Random(3)
+    pts += [(rng.uniform(-0.99, 300.0),
+             rng.choice([0.0, -0.0, rng.uniform(-40.0, 40.0)]),
+             math.exp(rng.uniform(-12.0, 6.5))) for _ in range(2000)]
+    pts += [(-1.25, 0.0, 1.3), (-1.0, 0.0, 0.7)]
+    for L, eta, r in pts:
+        assert _log_derivative(L, eta, r) == _cf1_reference(L, eta, r)
 
 
 def test_complex_order_companion_route():
@@ -176,8 +236,45 @@ def test_walk_cost_does_not_grow_with_the_root():
     assert radius_f(150.0, 1.0, 0.3).value == pytest.approx(RF_150_1,
                                                             rel=1e-12)
     res = radius_g(0.0, 5000.0, 0.5)
-    assert res.iterations <= 150
+    assert res.iterations <= 24       # 19 measured, plus 5
     assert res.residual < 1e-6
+
+
+def test_kernel_calls_per_radius():
+    # a fixed grid over all three families: 588 radii took 8.53 kernel
+    # calls on average and at most 16 with the Newton refine (14.74 and 36
+    # with the Illinois refine before it); the caps add 1 and 4
+    its = []
+    for L, eta, beta in itertools.product(
+            (-0.95, -0.5, 0.0, 0.7, 3.0, 12.0, 40.0, 100.0, 200.0),
+            (-20.0, -4.0, -1.0, 0.0, 0.5, 3.0, 20.0),
+            (0.0, 0.3, 0.7, 0.95)):
+        its.append(radius_f(L, eta, beta).iterations)
+        its.append(radius_g(L, eta, beta).iterations)
+    for nu, alpha, beta in itertools.product(
+            (-0.9, -0.25, 0.5, 2.0, 10.0, 50.0, 200.0), (1.0, 3.0, 10.0),
+            (0.0, 0.3, 0.7, 0.95)):
+        its.append(radius_phi(nu, alpha, beta).iterations)
+    assert sum(its) / len(its) <= 9.5
+    assert max(its) <= 20
+
+
+def test_error_bound_covers_true_error():
+    ops = {"f": radius_f, "g": radius_g, "phi": radius_phi}
+    with mp.workdps(50):
+        for (family, p1, p2, beta), ref in ROOTS_40.items():
+            res = ops[family](p1, p2, beta)
+            err = float(abs(mp.mpf(res.value) / mp.mpf(ref) - 1))
+            assert err <= res.error_bound, (family, p1, p2, beta)
+            if beta < 1 - 1e-6:
+                assert res.error_bound < 1e-8
+    # the residual of radius_g(400, -30, 0.999) is at the rounding level of
+    # u while its true error is ~1e-10: r u' = -1e-3 there, so only the
+    # bound shows it
+    res = radius_g(400.0, -30.0, 0.999)
+    assert res.residual < 1e-12 and res.error_bound > 1e-10
+    # where the rounding of c swamps r u', no finite bound is claimed
+    assert math.isinf(radius_g(1000.0, 0.0, 1 - 2 ** -30).error_bound)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from fractions import Fraction as Fr
 
 import pytest
@@ -92,6 +93,22 @@ def test_float_mode_agrees_with_exact():
     zf = rayleigh_Z(pf, 8, exact=False)
     for k in range(2, 9):
         assert zf[k] == pytest.approx(float(ze[k]), rel=1e-12)
+
+
+def test_float_Ztilde_warns_when_a_sum_cancels():
+    # L(L+1) small against |eta|: the float Zt^(8) cancels to -4.4e9
+    with pytest.warns(RegionWarning, match="exact mode"):
+        t = rayleigh_Ztilde(CoulombParams(0.001, -3.41), 10, exact=False)
+    assert t[8] < 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tf = rayleigh_Ztilde(CoulombParams(2.0, -1.0), 24, exact=False)
+        rayleigh_Ztilde(CoulombParams(0.5, 0.0), 16, exact=False)
+        rayleigh_Ztilde(CoulombParams(Fr(1, 1000), Fr(-341, 100)), 10,
+                        exact=True)
+    te = rayleigh_Ztilde(CoulombParams(Fr(2), Fr(-1)), 24, exact=True)
+    assert all(tf[k] == pytest.approx(float(te[k]), rel=1e-10)
+               for k in range(2, 25))
 
 
 def test_gen_coeffs_closed_forms():
