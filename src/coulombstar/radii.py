@@ -20,7 +20,11 @@ of the regular Coulomb function: c = beta (L+1) for f, L + beta for g, and
 nu + 1/2 - (nu+alpha)(1-beta) for phi at order L = nu - 1/2 and eta = 0,
 where F_L(0, r) = sqrt(pi r/2) J_{L+1/2}(r).  One float kernel, Barnett's
 continued fraction CF1 (Barnett, Feng, Steed & Goldfarb, Comput. Phys.
-Commun. 8, 1974), gives r F'/F for every family and order.
+Commun. 8, 1974), gives u for every family and order.  CF1 writes r F'/F
+as L + 1 + r eta/(L+1) plus a fraction; the kernel starts its Lentz
+product at d + r eta/(L+1) instead, with d = L + 1 - c formed exactly by
+each family ((1-beta)(L+1), 1-beta and (nu+alpha)(1-beta)), so u is never
+the difference of r F'/F and c, two numbers of size L for g.
 
 Why the first sign change of u is the root.  u has a pole at the first zero
 j of F.  With W = r F'/F - 1/2 and s = ln r, the Riccati equation of F gives
@@ -29,44 +33,49 @@ d^2W/ds^2 = dP/ds = 2 r (eta - r), so W has local minima only at r < eta
 and local maxima only at r > eta.  Near 0, W = L + 1/2 + eta r/(L+1) +
 O(r^2) rises only when eta > 0, and then no minimum can come before its
 first maximum.  On (0, j) u is therefore decreasing, or rising then
-falling; since u(0+) = L + 1 - c > 0 it has exactly one root there, a
-simple crossing, and u > 0 at a point before j means the root lies beyond
-it.  No probe for double roots is needed.
+falling; since u(0+) = d > 0 it has exactly one root there, a simple
+crossing, and u > 0 at a point before j means the root lies beyond it.  No
+probe for double roots is needed.
 
-The search is one walk.  It starts at half a lower bound on j, halving
-while u <= 0, and otherwise steps outward in s with steps that double while
-a Riccati comparison bound allows: for K^2 >= -P over a step, W stays above
-K tan(atan(W0/K) - K ds), finite while ds < atan2(K, -W0)/K, so no step
-passes j.  The first point with u <= 0 closes a bracket.
+The search is one walk.  It starts at the positive root of the Taylor
+polynomial of u,
+
+    d + r eta/(L+1) - Z2 r^2 = 0,    Z2 = (1 + eta^2/(L+1)^2) / (2L + 3),
+
+taken in the form without cancellation for the sign of eta, and capped at
+the lower bound (L+1)^2 / (hypot(eta, L+1) + |eta|) on j (2 sqrt(L + 3/2)
+at eta = 0).  It halves while u <= 0, and otherwise steps outward in s
+with steps that double while a Riccati comparison bound allows: for
+K^2 >= -P over a step, W stays above K tan(atan(W0/K) - K ds), finite while
+ds < atan2(K, -W0)/K, so no step passes j.  The first point with u <= 0
+closes a bracket.
 
 The refine is Newton's method in s, and its derivative is free: the Riccati
 equation at any point where u is known gives
 
     r u'(r) = P(r) - (u + c - 1/2)^2
-            = (L + 1 - c - u)(L + c + u) + r (2 eta - r),
+            = (d - u)(2L + 1 - d + u) + r (2 eta - r),
 
-factored so that the squares do not cancel, with L + 1 - c passed in
-exactly.  Each step goes to the root of the cubic Hermite interpolant of
-s(u) through the last two iterates, or is a plain Newton step when the
-previous iterate has r u' >= 0; every iterate shrinks the bracket by the
-sign of u, and bisection replaces a step from a point with r u' >= 0 and a
-step that leaves the bracket or fails to halve the step before last.  Once
-a step falls below half the tolerance 1e-15 r, one evaluation half a
-tolerance past the iterate closes the bracket.  CF1 rounds u to a few eps
-of its leading term (L + 1 + r eta/(L+1)) and of c; where |u| is that
-small the bracket closes only to the band of r in which the sign of u is
-rounding, and where r u' is lost in rounding too the refine stops.
-``RadiusResult`` returns the bracket end with the smaller |u| as the
-root, that |u| as ``residual``, the kernel evaluations as ``iterations``
-and a first-order relative forward error
+factored so that the squares do not cancel.  Each step goes to the root of
+the cubic Hermite interpolant of s(u) through the last two iterates, or is
+a plain Newton step when the previous iterate has r u' >= 0; every iterate
+shrinks the bracket by the sign of u, and bisection replaces a step from a
+point with r u' >= 0 and a step that leaves the bracket or fails to halve
+the step before last.  Once a step falls below half the tolerance 1e-15 r,
+one evaluation half a tolerance past the iterate closes the bracket.
 
-    error_bound = (residual + e_u) / |r u'| + eps,
-    e_u = eps (|c| + |L+1| + r |eta|/(L+1)) (10 + 2 sqrt(max(r - L, 0))),
+Rounding.  The kernel rounds u to a few eps of the two terms its product
+starts from, scale = d + r |eta|/(L+1); near the root the fraction is of
+that size too.  Where |u| is below 3 eps scale the bracket closes only to
+the band of r in which the sign of u is rounding, and where r u' is lost in
+rounding too the refine stops.  ``RadiusResult`` returns the bracket end
+with the smaller |u| as the root, that |u| as ``residual``, the kernel
+evaluations as ``iterations`` and a first-order relative forward error
 
-where e_u is the rounding of u (the second factor covers the Lentz product
-of CF1 over its ~ r - L terms past the order) and r u' is taken at the root
-in the factored form, less the share of it that e_u could account for; it
-is infinite where that leaves nothing.
+    error_bound = (residual + e_u) / |r u'| + eps,    e_u = 10 eps scale,
+
+where r u' is taken at the root in the factored form, less the share of it
+that e_u could account for; it is infinite where that leaves nothing.
 """
 
 from __future__ import annotations
@@ -138,16 +147,20 @@ class RadiusQuery:
 # reduced equations through the logarithmic derivative
 # ---------------------------------------------------------------------------
 
-def _log_derivative(L: float, eta: float, r: float) -> float:
-    """r F_L'(eta, r) / F_L(eta, r) for r > 0 by Barnett's continued
-    fraction CF1 (Barnett, Feng, Steed & Goldfarb, Comput. Phys. Commun. 8,
-    1974), scaled by r and evaluated by the modified Lentz method:
+def _reduced(L: float, eta: float, d: float, r: float) -> float:
+    """u(r) = r F_L'(eta, r) / F_L(eta, r) - (L + 1 - d) for r > 0 by
+    Barnett's continued fraction CF1 (Barnett, Feng, Steed & Goldfarb,
+    Comput. Phys. Commun. 8, 1974), scaled by r and evaluated by the
+    modified Lentz method:
 
-        r F'/F = lam + r eta/lam - a_lam / (b_lam - a_{lam+1} / (b_{lam+1} - ...))
+        u = d + r eta/lam - a_lam / (b_lam - a_{lam+1} / (b_{lam+1} - ...))
 
     with lam = L + 1, a_m = r^2 (1 + eta^2/m^2) and
-    b_m = (2m+1)(1 + r eta/(m(m+1))).  The eta terms are skipped at eta = 0,
-    where F_L = sqrt(pi r/2) J_{L+1/2} and any L > -3/2 is allowed.
+    b_m = (2m+1)(1 + r eta/(m(m+1))).  The offset d = L + 1 - c replaces
+    lam in the leading term, so u is summed without first forming r F'/F
+    and subtracting c; d = L + 1 gives r F'/F itself.  The eta terms are
+    skipped at eta = 0, where F_L = sqrt(pi r/2) J_{L+1/2} and any
+    L > -3/2 is allowed.
     """
     lam = L + 1.0
     nr2 = -r * r
@@ -157,7 +170,7 @@ def _log_derivative(L: float, eta: float, r: float) -> float:
     # CF1 converges once m passes the turning point, which lies below ~r
     if eta:
         e2, re = eta * eta, r * eta
-        f = lam + re / lam or tiny
+        f = d + re / lam or tiny
         C, D = f, 0.0
         for k in range(n):
             m = lam + k
@@ -170,7 +183,7 @@ def _log_derivative(L: float, eta: float, r: float) -> float:
             if lo <= delta <= hi:
                 return f
     else:
-        f = lam or tiny
+        f = d or tiny
         C, D = f, 0.0
         for k in range(n):
             b = 2.0 * (lam + k) + 1.0
@@ -184,7 +197,7 @@ def _log_derivative(L: float, eta: float, r: float) -> float:
         f"CF1 for r F'/F did not converge (L={L!r}, eta={eta!r}, r={r!r})")
 
 
-def _first_root(L: float, eta: float, c: float, d: float) -> RadiusResult:
+def _first_root(L: float, eta: float, d: float) -> RadiusResult:
     """First positive root of u(r) = r F_L'(eta, r)/F_L(eta, r) - c by the
     guarded walk of the module docstring; d = L + 1 - c, formed exactly by
     the caller, since L + 1 - c in floats cancels as c nears L + 1."""
@@ -193,24 +206,32 @@ def _first_root(L: float, eta: float, c: float, d: float) -> RadiusResult:
     def u(r: float) -> float:
         nonlocal evals
         evals += 1
-        return _log_derivative(L, eta, r) - c
+        return _reduced(L, eta, d, r)
 
     def P(r: float) -> float:
         return (L + 0.5) ** 2 + 2.0 * eta * r - r * r
 
     def rdu(r: float, ur: float) -> float:
-        # r u'(r) = P(r) - (u + c - 1/2)^2, factored so it does not cancel
+        # r u' = P(r) - (u + L + 1/2 - d)^2, factored so it does not cancel
         return (d - ur) * (2.0 * L + 1.0 - d + ur) + r * (2.0 * eta - r)
 
-    # start at half a lower bound on the first zero of F:
-    # sqrt(eta^2 + (L+1)^2) - |eta| for L > -1, 2 sqrt(L + 3/2) at eta = 0
+    # start at the root of the Taylor polynomial d + r eta/lam - Z2 r^2 of
+    # u, capped at a lower bound on the first zero of F:
+    # (L+1)^2 / (hypot(eta, L+1) + |eta|) for L > -1, 2 sqrt(L + 3/2) at
+    # eta = 0
+    lam = L + 1.0
     if eta:
-        lo = 0.5 * (math.hypot(eta, L + 1.0) - abs(eta))
+        e = eta / lam
+        lo = lam * lam / (math.hypot(eta, lam) + abs(eta))
     else:
-        lo = math.sqrt(L + 1.5)
+        e = 0.0
+        lo = 2.0 * math.sqrt(L + 1.5)
+    Z2 = (1.0 + e * e) / (2.0 * L + 3.0)
+    s = math.sqrt(e * e + 4.0 * Z2 * d)
+    lo = min(lo, (e + s) / (2.0 * Z2) if e > 0.0 else 2.0 * d / (s - e))
     ulo = u(lo)
     hi, uhi = lo, ulo
-    for _ in range(60):              # u(0+) = L + 1 - c > 0
+    for _ in range(60):              # u(0+) = d > 0
         if ulo > 0.0:
             break
         hi, uhi = lo, ulo
@@ -235,7 +256,8 @@ def _first_root(L: float, eta: float, c: float, d: float) -> RadiusResult:
             nxt = min(lo * math.exp(step), ceiling)
             # P is concave, so least at an end of the step
             K = math.sqrt(max(-min(P(lo), P(nxt)), _TINY))
-            if math.log(nxt / lo) < 0.9 * math.atan2(K, 0.5 - c - ulo) / K:
+            if math.log(nxt / lo) < 0.9 * math.atan2(
+                    K, d - L - 0.5 - ulo) / K:
                 break
             step *= 0.5
         if nxt <= lo:
@@ -246,10 +268,9 @@ def _first_root(L: float, eta: float, c: float, d: float) -> RadiusResult:
             lo, ulo = hi, uhi
     # Newton in s, safeguarded by the bracket (see the module docstring)
     tol = 1e-15 * hi
-    # CF1 rounds u to a few eps of its leading term L + 1 + r eta/(L + 1)
-    # and of c; below that level its sign means nothing
-    scale = abs(c) + abs(L + 1.0) + (hi * abs(eta) / (L + 1.0) if eta
-                                     else 0.0)
+    # CF1 rounds u to a few eps of the two terms it starts from, d and
+    # r eta/(L + 1); below that level its sign means nothing
+    scale = d + (hi * abs(eta) / lam if eta else 0.0)
     noise = 3.0 * _EPS * scale
     # r u' moves by |2L + 1 - 2d| per unit of u, so the rounding of u makes
     # any r u' below slack, and a step or band width drawn from it, noise
@@ -292,11 +313,8 @@ def _first_root(L: float, eta: float, c: float, d: float) -> RadiusResult:
         else:
             hi, uhi = r, ur
     root, ur = (lo, ulo) if ulo < -uhi else (hi, uhi)
-    # first-order forward error, void where r u' is lost in rounding; the
-    # Lentz product adds the rounding of its ~ r - L terms past the order
-    # like a random walk
-    err_u = abs(ur) + _EPS * scale * (10.0
-                                      + 2.0 * math.sqrt(max(root - L, 0.0)))
+    # first-order forward error, void where r u' is lost in rounding
+    err_u = abs(ur) + 10.0 * _EPS * scale
     dur = abs(rdu(root, 0.0)) - du_u * err_u
     return RadiusResult(value=root, bracket=(lo, hi), residual=abs(ur),
                         iterations=evals,
@@ -322,8 +340,7 @@ def radius_f(L, eta, beta: float = 0.0) -> RadiusResult:
     """
     _check_coulomb(L, eta, beta)
     L = float(L)
-    return _first_root(L, float(eta), beta * (L + 1.0),
-                       (1.0 - beta) * (L + 1.0))
+    return _first_root(L, float(eta), (1.0 - beta) * (L + 1.0))
 
 
 def radius_g(L, eta, beta: float = 0.0) -> RadiusResult:
@@ -332,7 +349,7 @@ def radius_g(L, eta, beta: float = 0.0) -> RadiusResult:
     First positive root of (1-beta) S + r S'.
     """
     _check_coulomb(L, eta, beta)
-    return _first_root(float(L), float(eta), float(L) + beta, 1.0 - beta)
+    return _first_root(float(L), float(eta), 1.0 - beta)
 
 
 def radius_phi(nu, alpha, beta: float = 0.0) -> RadiusResult:
@@ -351,5 +368,4 @@ def radius_phi(nu, alpha, beta: float = 0.0) -> RadiusResult:
     if not 0.0 <= beta < 1.0:
         raise GateViolation(f"order beta must lie in [0, 1), got {beta}")
     # r jhat'/jhat = r J_nu'/J_nu - nu = r F'/F - nu - 1/2 at L = nu - 1/2
-    d = (nu + alpha) * (1.0 - beta)
-    return _first_root(nu - 0.5, 0.0, nu + 0.5 - d, d)
+    return _first_root(nu - 0.5, 0.0, (nu + alpha) * (1.0 - beta))

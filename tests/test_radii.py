@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coulombstar.errors import GateViolation
-from coulombstar.radii import (Family, RadiusQuery, _log_derivative, radius_f,
+from coulombstar.radii import (Family, RadiusQuery, _reduced, radius_f,
                                radius_g, radius_phi)
 from coulombstar.specfun import CoulombParams, eval_dini, eval_F_with_derivative
 from coulombstar.verify import companion_order
@@ -56,6 +56,17 @@ ROOTS_40 = {
         "0.0007493914280883315858315466856019754021124",
     ("g", 1000.0, 0.0, 1 - 2 ** -30):
         "0.00136581079105194397722946734136953454313",
+    # beta one ulp below 1: c = L + beta rounds to L + 1
+    ("g", 5.0, 0.0, 1 - 2 ** -53):
+        "0.00000003799065585131037839619860961296057996669",
+    ("g", 1e5, 0.0, 0.0): "447.2158315735254133605555115931374247768",
+    # strong attraction: hypot(eta, L + 1) - |eta| cancels to 0 here
+    ("f", 0.0, -1e9, 0.5):
+        "0.0000000004237447145839860908030911481133194818026",
+    ("f", -0.9, -1e8, 0.5):
+        "0.0000000000479929851463729094766021848106711992679",
+    ("f", -0.9999999, -1000.0, 0.5):
+        "4.999999744736504418171461288439765567126e-18",
 }
 
 
@@ -112,7 +123,7 @@ def test_log_derivative_kernel():
         for eta in (-1.0, 0.0, 2.0):
             for r in (0.5, 2.0, 6.0):
                 ev = eval_F_with_derivative(CoulombParams(L, eta), r)
-                assert _log_derivative(L, eta, r) == pytest.approx(
+                assert _reduced(L, eta, L + 1.0, r) == pytest.approx(
                     r * ev.derivative / ev.value, rel=1e-12)
     # ... and against mpmath's coulombf at large order
     with mp.workdps(30):
@@ -121,7 +132,8 @@ def test_log_derivative_kernel():
                 for r in (L // 2, L):
                     F = mp.coulombf(L, eta, r)
                     dF = mp.diff(lambda x: mp.coulombf(L, eta, x), r)
-                    assert _log_derivative(float(L), float(eta), float(r)) \
+                    assert _reduced(float(L), float(eta), L + 1.0,
+                                    float(r)) \
                         == pytest.approx(float(r * dF / F), rel=1e-12)
 
 
@@ -160,7 +172,7 @@ def test_log_derivative_bit_identical_to_reference_loop():
              math.exp(rng.uniform(-12.0, 6.5))) for _ in range(2000)]
     pts += [(-1.25, 0.0, 1.3), (-1.0, 0.0, 0.7)]
     for L, eta, r in pts:
-        assert _log_derivative(L, eta, r) == _cf1_reference(L, eta, r)
+        assert _reduced(L, eta, L + 1.0, r) == _cf1_reference(L, eta, r)
 
 
 def test_complex_order_companion_route():
@@ -236,14 +248,13 @@ def test_walk_cost_does_not_grow_with_the_root():
     assert radius_f(150.0, 1.0, 0.3).value == pytest.approx(RF_150_1,
                                                             rel=1e-12)
     res = radius_g(0.0, 5000.0, 0.5)
-    assert res.iterations <= 24       # 19 measured, plus 5
+    assert res.iterations <= 24       # 24 measured
     assert res.residual < 1e-6
 
 
 def test_kernel_calls_per_radius():
-    # a fixed grid over all three families: 588 radii took 8.53 kernel
-    # calls on average and at most 16 with the Newton refine (14.74 and 36
-    # with the Illinois refine before it); the caps add 1 and 4
+    # a fixed grid over all three families: 588 radii took 7.41 kernel
+    # calls on average and at most 16; the caps add 0.5 and 2
     its = []
     for L, eta, beta in itertools.product(
             (-0.95, -0.5, 0.0, 0.7, 3.0, 12.0, 40.0, 100.0, 200.0),
@@ -255,8 +266,8 @@ def test_kernel_calls_per_radius():
             (-0.9, -0.25, 0.5, 2.0, 10.0, 50.0, 200.0), (1.0, 3.0, 10.0),
             (0.0, 0.3, 0.7, 0.95)):
         its.append(radius_phi(nu, alpha, beta).iterations)
-    assert sum(its) / len(its) <= 9.5
-    assert max(its) <= 20
+    assert sum(its) / len(its) <= 8.0
+    assert max(its) <= 18
 
 
 def test_error_bound_covers_true_error():
@@ -268,13 +279,65 @@ def test_error_bound_covers_true_error():
             assert err <= res.error_bound, (family, p1, p2, beta)
             if beta < 1 - 1e-6:
                 assert res.error_bound < 1e-8
-    # the residual of radius_g(400, -30, 0.999) is at the rounding level of
-    # u while its true error is ~1e-10: r u' = -1e-3 there, so only the
-    # bound shows it
-    res = radius_g(400.0, -30.0, 0.999)
-    assert res.residual < 1e-12 and res.error_bound > 1e-10
-    # where the rounding of c swamps r u', no finite bound is claimed
-    assert math.isinf(radius_g(1000.0, 0.0, 1 - 2 ** -30).error_bound)
+    # u is summed from d = L + 1 - c, so c near L + 1 costs no digits
+    for beta, L, eta in ((0.999, 400.0, -30.0), (1 - 2 ** -30, 1000.0, 0.0)):
+        res = radius_g(L, eta, beta)
+        ref = mp.mpf(ROOTS_40[("g", L, eta, beta)])
+        assert float(abs(mp.mpf(res.value) / ref - 1)) <= 1e-15
+        assert res.error_bound < 1e-13
+
+
+def test_extreme_attraction_and_beta_one_ulp_below_one():
+    # the bound on the first zero of F must not cancel to 0 when
+    # (L + 1)^2 << eps eta^2, and u must stay positive near 0 when
+    # L + beta rounds to L + 1
+    ops = {"f": radius_f, "g": radius_g}
+    for family, L, eta, beta in [("f", 0.0, -1e9, 0.5), ("f", -0.9, -1e8, 0.5),
+                                 ("f", -0.9999999, -1000.0, 0.5),
+                                 ("g", 5.0, 0.0, 1 - 2 ** -53)]:
+        ref = float(ROOTS_40[(family, L, eta, beta)])
+        assert ops[family](L, eta, beta).value == pytest.approx(ref, rel=1e-14)
+
+
+def _u_backward(L, eta, d, r):
+    """u = d + r eta/lam + CF1 tail by backward recurrence at the working
+    precision, doubling the depth until two depths agree."""
+    L, eta, d, r = (mp.mpf(x) for x in (L, eta, d, r))
+    lam = L + 1
+    lead = d + r * eta / lam
+
+    def tail(n):
+        t = mp.mpf(0)
+        for k in range(n, -1, -1):
+            m = lam + k
+            t = -r * r * (1 + eta * eta / (m * m)) / (
+                (2 * m + 1) * (1 + r * eta / (m * (m + 1))) + t)
+        return t
+
+    n, old = 64, tail(64)
+    while True:
+        n *= 2
+        new = tail(n)
+        if abs(new - old) <= mp.mpf(10) ** (5 - mp.mp.dps) * abs(lead):
+            return lead + new
+        old = new
+
+
+def test_reduced_kernel_rounds_u_to_its_leading_terms():
+    # near the roots of g the kernel's u is within 10 eps of d + r|eta|/lam
+    # of a 40-digit CF1, where r F'/F - c would lose L eps
+    pts = [(1e3, 0.0, 1.0, 44.743725800387445),
+           (1e5, 0.0, 1.0, 447.21583157352546),
+           (1e3, 0.0, 2.0 ** -30, 0.001365810791051944),
+           (1e5, 0.0, 2.0 ** -30, 0.013647978197917033),
+           (400.0, -30.0, 1.0 - 0.999, 0.013363677262945543),
+           (400.0, 30.0, 1.0, 71.32010821928922),
+           (0.0, 5000.0, 0.5, 10021.945212595074)]
+    with mp.workdps(40):
+        for L, eta, d, r in pts:
+            err = abs(_reduced(L, eta, d, r) - _u_backward(L, eta, d, r))
+            scale = d + r * abs(eta) / (L + 1.0)
+            assert err <= 10.0 * math.ulp(1.0) * scale, (L, eta, d, r)
 
 
 @settings(max_examples=40, deadline=None)
