@@ -81,7 +81,7 @@ def _c4() -> Tuple[bool, str]:
     for (L, eta) in ((2.0, 0.0), (2.0, -1.0), (5.0, -1.0)):
         params = CoulombParams(L, eta)
         rec = float(rayleigh_Z(params, 2)[2])
-        ora = zero_sum_oracle(params, k=2, which="F", n_zeros=200, tail=True)
+        ora = zero_sum_oracle(params, k=2, which="F", n_zeros=200)
         diff = abs(rec - ora)
         ok = ok and diff <= 1e-6
         pieces.append(f"Z2({L:g},{eta:g}): |rec-ode| = {diff:.2e}")
@@ -90,7 +90,7 @@ def _c4() -> Tuple[bool, str]:
     ok = ok and exact == Fraction(7, 12)
     pieces.append(f"Zt2(1/2,0) = {exact} (want 7/12)")
     ora = zero_sum_oracle(CoulombParams(0.5, 0.0), k=2, which="Fprime",
-                          n_zeros=200, tail=True)
+                          n_zeros=200)
     diff = abs(float(Fraction(7, 12)) - ora)
     ok = ok and diff <= 1e-6
     pieces.append(f"|7/12 - ode| = {diff:.2e}")

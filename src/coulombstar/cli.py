@@ -86,11 +86,6 @@ def _emit(rec: OutputRecord, args) -> None:
         print(text)
 
 
-def _number(s: str) -> Fraction:
-    """Parse '1/2', '0.5', '-3' and friends exactly."""
-    return Fraction(s)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -161,21 +156,18 @@ def _cmd_rayleigh(args) -> int:
         return 0
     if args.L is None:
         raise GateViolation(f"--which {args.which} requires --L")
-    L = _number(args.L)
-    eta = _number(args.eta)
-    rec.put("inputs", "L", str(L) if args.exact else float(L))
-    rec.put("inputs", "eta", str(eta) if args.exact else float(eta))
+    L = Fraction(args.L)          # '1/2', '0.5' and '-3' parse exactly
+    eta = Fraction(args.eta)
+    fmt = str if args.exact else float
+    rec.put("inputs", "L", fmt(L))
+    rec.put("inputs", "eta", fmt(eta))
     op = rayleigh_Z if args.which == "Z" else rayleigh_Ztilde
     prefix = "Z" if args.which == "Z" else "Zt"
-    if args.exact:
-        table = op(CoulombParams(L, eta), args.kmax, exact=True)
-        for k in range(2, args.kmax + 1):
-            rec.put("outputs", f"{prefix}{k}", str(table[k]))
-    else:
-        table = op(CoulombParams(float(L), float(eta)), args.kmax,
-                   exact=False)
-        for k in range(2, args.kmax + 1):
-            rec.put("outputs", f"{prefix}{k}", float(table[k]))
+    params = (CoulombParams(L, eta) if args.exact
+              else CoulombParams(float(L), float(eta)))
+    table = op(params, args.kmax, exact=args.exact)
+    for k in range(2, args.kmax + 1):
+        rec.put("outputs", f"{prefix}{k}", fmt(table[k]))
     rec.put("diagnostics", "exact", table.exact)
     _emit(rec, args)
     return 0

@@ -4,13 +4,15 @@ Nothing here reuses the radius scan or the Rayleigh recurrences being
 verified; these are the cross-checks:
 
 * ``starlike_scan`` / ``spirallike_scan`` -- evaluate the starlikeness
-  witness Re(z h'(z)/h(z)) (or its rotated, spirallike variant for complex
-  order) on a circle |z| = r and report the minimum.  A radius is confirmed
-  by a positive minimum just below it and a sign change just above it.
+  witness Re(z h'(z)/h(z)) (rotated by arg(L+1) for complex order) on a
+  circle |z| = r and report the minimum.  A radius is confirmed by a
+  positive minimum just below it and a sign change just above it.
 * ``boundary_image`` -- points of the image curve h(r e^(it)) for plotting.
+  Both write h = z B^(1/kappa), with B the Coulomb series S (f, g) or the
+  normalized Bessel series jhat (phi), built and gated in one place.
 * ``zero_sum_oracle`` -- power sums over zeros located by direct numerical
   integration of the defining ODE  u'' = (2 eta/z + L(L+1)/z^2 - 1) u,
-  with an Euler-Maclaurin tail; this never touches the series recurrences,
+  plus an Euler-Maclaurin tail; this never touches the series recurrences,
   so agreement with ``rayleigh_Z``/``rayleigh_Ztilde`` is meaningful.
 * ``dini_rayleigh_oracle`` -- the classical closed form for the squared
   reciprocal sum over Dini zeros, for the Bessel reduction cross-check.
@@ -22,7 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -83,16 +85,60 @@ def _jhat_arrays(nu: float, r: float):
     return c, c1
 
 
-def _first_zero_guard(real_vals: np.ndarray, what: str) -> None:
-    if np.any(real_vals <= 0.0):
+def _factor_on_circle(family, r, n, params, nu, alpha):
+    """The entire factor B of h = z B^(1/kappa) at z = r e^(2 pi i k/n).
+
+    Returns (z, B, z B', kappa, B on [r/64, r]); the last is None for
+    complex order.  kappa is L + 1 for f, 1 for g and nu + alpha for phi.
+    Gates: r > 0, params for f and g, nu > -1 and nu + alpha > 0 for phi.
+    """
+    fam = Family(family)
+    if r <= 0:
+        raise ValueError("r must be positive")
+    z = r * np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
+    xs = np.linspace(r / 64.0, r, 64)
+    if fam is Family.BESSEL_GEN:
+        if nu is None or alpha is None:
+            raise GateViolation("family 'phi' needs nu and alpha")
+        if nu + alpha <= 0 or nu <= -1:
+            raise GateViolation("need nu > -1 and nu + alpha > 0")
+        c, c1 = _jhat_arrays(float(nu), r)
+        w2 = z * z
+        return (z, npp.polyval(w2, c), z * (2.0 * z * npp.polyval(w2, c1)),
+                float(nu) + float(alpha), npp.polyval(xs * xs, c))
+    if params is None:
+        raise GateViolation(f"family {fam.value!r} needs params")
+    a, ap = _coulomb_arrays(params, r)
+    kappa = params.L + 1.0 if fam is Family.F_POWER else 1.0
+    return (z, npp.polyval(z, a), z * npp.polyval(z, ap), kappa,
+            None if params.is_complex else npp.polyval(xs, a))
+
+
+def _witness(family, r, n, params, nu, alpha) -> np.ndarray:
+    """1 + (z B'/B)/kappa on the circle, whose real part is Re(z h'/h).
+
+    Raises GateViolation for a zero of B on [r/64, r] and PoleOnCircle for
+    one on the circle (to working precision).
+    """
+    _, B, zdB, kappa, segment = _factor_on_circle(family, r, n, params, nu,
+                                                  alpha)
+    if segment is not None and np.any(segment <= 0.0):
         raise GateViolation(
-            f"the scan radius lies beyond the first positive zero of {what}; "
-            "the witness ratio is undefined there")
+            "the scan radius lies beyond the first positive zero of the "
+            "normalized function; the witness ratio is undefined there")
+    if np.min(np.abs(B)) < 1e-12 * max(1.0, float(np.max(np.abs(B)))):
+        raise PoleOnCircle(
+            f"the entire factor vanishes on |z| = {r} to working precision")
+    return 1.0 + (zdB / B) / kappa
 
 
-def _ratio_min(vals: np.ndarray, grid_size: int) -> Tuple[float, float]:
+def _scan_report(r: float, vals: np.ndarray,
+                 rotation: float = 0.0) -> DiskScanReport:
     k = int(np.argmin(vals))
-    return float(vals[k]), 2.0 * math.pi * k / grid_size
+    return DiskScanReport(radius_scanned=float(r), grid_size=len(vals),
+                          min_real_part=float(vals[k]),
+                          argmin_angle=2.0 * math.pi * k / len(vals),
+                          witness_rotation=rotation)
 
 
 def starlike_scan(family: Union[Family, str], r: float, *,
@@ -109,48 +155,10 @@ def starlike_scan(family: Union[Family, str], r: float, *,
     real parameters).  Raises PoleOnCircle when the denominator vanishes on
     the grid to working precision.
     """
-    fam = Family(family)
-    if r <= 0:
-        raise ValueError("r must be positive")
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
-    t = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    z = r * np.exp(1j * t)
-    if fam in (Family.F_POWER, Family.F_SHIFT):
-        if params is None:
-            raise GateViolation(f"family {fam.value!r} needs params")
-        a, ap = _coulomb_arrays(params, r)
-        if not params.is_complex:
-            xs = np.linspace(r / 64.0, r, 64)
-            _first_zero_guard(npp.polyval(xs, a), "the normalized function")
-        S = npp.polyval(z, a)
-        Sp = npp.polyval(z, ap)
-        if np.min(np.abs(S)) < 1e-12 * max(1.0, float(np.max(np.abs(S)))):
-            raise PoleOnCircle(
-                f"|S| vanishes on |z| = {r} to working precision")
-        zr = z * Sp / S
-        if fam is Family.F_POWER:
-            w = 1.0 + zr / (params.L + 1.0)
-        else:
-            w = 1.0 + zr
-    else:
-        if nu is None or alpha is None:
-            raise GateViolation("family 'phi' needs nu and alpha")
-        if nu + alpha <= 0 or nu <= -1:
-            raise GateViolation("need nu > -1 and nu + alpha > 0")
-        c, c1 = _jhat_arrays(float(nu), r)
-        xs = np.linspace(r / 64.0, r, 64)
-        _first_zero_guard(npp.polyval(xs * xs, c), "the normalized function")
-        w2 = z * z
-        J = npp.polyval(w2, c)
-        Jp = 2.0 * z * npp.polyval(w2, c1)
-        if np.min(np.abs(J)) < 1e-12 * max(1.0, float(np.max(np.abs(J)))):
-            raise PoleOnCircle(
-                f"|jhat| vanishes on |z| = {r} to working precision")
-        w = 1.0 + (z * Jp / J) / (float(nu) + float(alpha))
-    mn, ang = _ratio_min(np.real(w), grid_size)
-    return DiskScanReport(radius_scanned=float(r), grid_size=grid_size,
-                          min_real_part=mn, argmin_angle=ang)
+    w = _witness(family, r, grid_size, params, nu, alpha)
+    return _scan_report(r, np.real(w))
 
 
 def companion_order(L: complex) -> float:
@@ -167,39 +175,25 @@ def companion_order(L: complex) -> float:
 
 
 def spirallike_scan(L: complex, eta: float, r: float, *,
-                    theta: Optional[float] = None,
                     grid_size: int = 1024) -> DiskScanReport:
     """Minimum of the rotated witness Re(e^(i theta) z f'/f) on |z| = r for
-    complex order L.
+    complex order L, with theta = arg(L+1), the rotation under which f is
+    spirallike up to the companion-order radius.
 
-    theta defaults to arg(L+1), the rotation under which f is spirallike up
-    to the companion-order radius.  Gates: Re L > -1 and |arg(L+1)| < pi/4.
+    Gates: Re L > -1 and |arg(L+1)| < pi/4, then those of ``starlike_scan``
+    for f; an order with zero imaginary part is real, so r must then also
+    lie below the first positive zero of f.
     """
     Lc = complex(L)
     if Lc.real <= -1.0:
         raise GateViolation(f"need Re L > -1, got {Lc}")
-    if abs(cmath.phase(Lc + 1.0)) >= math.pi / 4.0:
-        raise GateViolation(
-            f"|arg(L+1)| = {abs(cmath.phase(Lc + 1.0)):.3f} >= pi/4")
-    if r <= 0:
-        raise ValueError("r must be positive")
+    th = cmath.phase(Lc + 1.0)
+    if abs(th) >= math.pi / 4.0:
+        raise GateViolation(f"|arg(L+1)| = {abs(th):.3f} >= pi/4")
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
-    th = cmath.phase(Lc + 1.0) if theta is None else float(theta)
-    params = CoulombParams(Lc, eta)
-    a, ap = _coulomb_arrays(params, r)
-    t = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    z = r * np.exp(1j * t)
-    S = npp.polyval(z, a)
-    Sp = npp.polyval(z, ap)
-    if np.min(np.abs(S)) < 1e-12 * max(1.0, float(np.max(np.abs(S)))):
-        raise PoleOnCircle(f"|S| vanishes on |z| = {r} to working precision")
-    zf = 1.0 + (z * Sp / S) / (Lc + 1.0)
-    vals = np.real(np.exp(1j * th) * zf)
-    mn, ang = _ratio_min(vals, grid_size)
-    return DiskScanReport(radius_scanned=float(r), grid_size=grid_size,
-                          min_real_part=mn, argmin_angle=ang,
-                          witness_rotation=th)
+    w = _witness("f", r, grid_size, CoulombParams(Lc, eta), None, None)
+    return _scan_report(r, np.real(np.exp(1j * th) * w), th)
 
 
 def boundary_image(family: Union[Family, str], r: float, n_points: int, *,
@@ -209,30 +203,17 @@ def boundary_image(family: Union[Family, str], r: float, n_points: int, *,
     """Image points h(r e^(it)) for t = 2 pi k/n_points, k = 0..n_points-1.
 
     Fractional powers take the principal branch.  The curve is closed by
-    construction (the last point neighbors the first).
+    construction (the last point neighbors the first).  Gates as for
+    ``starlike_scan``, with n_points >= 8.
     """
-    fam = Family(family)
-    if r <= 0:
-        raise ValueError("r must be positive")
     if n_points < 8:
         raise ValueError("n_points must be at least 8")
-    t = 2.0 * math.pi * np.arange(n_points) / n_points
-    z = r * np.exp(1j * t)
-    if fam in (Family.F_POWER, Family.F_SHIFT):
-        if params is None:
-            raise GateViolation(f"family {fam.value!r} needs params")
-        a, _ = _coulomb_arrays(params, r)
-        S = npp.polyval(z, a)
-        if fam is Family.F_SHIFT:
-            vals = z * S
-        else:
-            vals = z * np.exp(np.log(S) / (params.L + 1.0))
+    z, B, _, kappa, _ = _factor_on_circle(family, r, n_points, params, nu,
+                                          alpha)
+    if Family(family) is Family.F_SHIFT:
+        vals = z * B
     else:
-        if nu is None or alpha is None:
-            raise GateViolation("family 'phi' needs nu and alpha")
-        c, _ = _jhat_arrays(float(nu), r)
-        J = npp.polyval(z * z, c)
-        vals = z * np.exp(np.log(J) / (float(nu) + float(alpha)))
+        vals = z * np.exp(np.log(B) / kappa)
     return [complex(v) for v in vals]
 
 
@@ -300,7 +281,7 @@ def _ode_zeros(params: CoulombParams, which: str, n_zeros: int) -> np.ndarray:
 
 
 def zero_sum_oracle(params: CoulombParams, k: int = 2, which: str = "F",
-                    n_zeros: int = 200, tail: bool = True) -> float:
+                    n_zeros: int = 200) -> float:
     """Power sum sum_rho rho^(-k) over *all* nontrivial zeros of F or F',
     located by ODE integration (independent of every series recurrence).
 
@@ -329,12 +310,9 @@ def zero_sum_oracle(params: CoulombParams, k: int = 2, which: str = "F",
     for side in sides:
         zeros = _ode_zeros(side, which, n_zeros)
         s = float(np.sum(zeros ** (-float(k))))
-        if tail:
-            d = np.diff(zeros)
-            B = float(np.mean(d[-10:]))
-            A = float(zeros[-1])
-            s += (A + B / 2.0) ** (1 - k) / (B * (k - 1))
-        total += s
+        B = float(np.mean(np.diff(zeros)[-10:]))
+        A = float(zeros[-1])
+        total += s + (A + B / 2.0) ** (1 - k) / (B * (k - 1))
     if float(params.eta) == 0.0:
         total *= 2.0      # negative-axis zeros mirror the positive ones
     return total

@@ -111,6 +111,38 @@ def test_boundary_image_figures():
     assert pts2[5] == pytest.approx(cmath.sin(z), rel=1e-12)
 
 
+@pytest.mark.parametrize("nu, alpha", [
+    (0.5, -0.5),                            # nu + alpha = 0
+    (0.5, -1.0),                            # nu + alpha < 0
+    (-1.0, 2.0),                            # nu = -1
+    (-1.5, 3.0),                            # nu < -1
+])
+def test_boundary_image_phi_gates(nu, alpha):
+    # the same gates as starlike_scan and radius_phi
+    with pytest.raises(GateViolation):
+        boundary_image("phi", 1.0, 8, nu=nu, alpha=alpha)
+
+
+def test_spirallike_scan_at_real_order_is_the_f_scan():
+    # an order with zero imaginary part is real: no rotation, the f witness
+    eta = -0.5
+    r = 0.9 * radius_f(2.0, eta).value
+    spiral = spirallike_scan(2.0 + 0j, eta, r)
+    star = starlike_scan("f", r, params=CoulombParams(2.0, eta))
+    assert spiral.witness_rotation == 0.0
+    assert spiral.min_real_part == star.min_real_part
+    assert spiral.argmin_angle == star.argmin_angle
+
+
+def test_spirallike_scan_at_real_order_guards_the_first_zero():
+    # F(2, -0.5) has its first positive zero below 6; the real-axis guard
+    # of starlike_scan applies
+    with pytest.raises(GateViolation):
+        starlike_scan("f", 7.0, params=CoulombParams(2.0, -0.5))
+    with pytest.raises(GateViolation):
+        spirallike_scan(2.0 + 0j, -0.5, 7.0)
+
+
 def test_zero_sum_oracle_matches_exact_tables():
     got = zero_sum_oracle(CoulombParams(2.0, 0.0), k=2, n_zeros=200)
     assert got == pytest.approx(1.0 / 7.0, abs=1e-6)
