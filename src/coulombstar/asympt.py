@@ -18,8 +18,9 @@ c^2 zeta_0^(2) = 1, i.e. c = sqrt(2); each further power of u is linear in
 the next eps and is solved exactly over Q(sqrt2)[eta]
 (:func:`epsilon_coeffs`).  The solve works on the identity multiplied by
 1 + u, whose u^j coefficient is a finite sum of entries of the power table
-of E's coefficient list times zeta entries; that table and
-:func:`annihilation_residuals` share one kernel, ``exact._powers``.
+of E's coefficient list times zeta entries, summed by one
+``EtaPolynomial.dot``; that table and :func:`annihilation_residuals` share
+one kernel, ``exact._powers``.
 :func:`epsilon_coeffs_recurrence` computes the
 same table from the fully expanded coefficient recurrence (a seed identity
 for eps_1 plus an order-(n+2) relation), as an independent transcription;
@@ -59,6 +60,7 @@ __all__ = [
 _SQRT2 = Sqrt2Rational.sqrt2()
 _C_POLY = EtaPolynomial([_SQRT2])
 _ETA = EtaPolynomial.eta()
+_NEG_ETA = -_ETA
 _ZERO = EtaPolynomial([])
 
 
@@ -92,18 +94,18 @@ def _identity_coeff(P: List[list], E: Sequence[EtaPolynomial],
         G = sum_{m>=1} E^(m+1) (u^(m-1) Zeta_(2m) + u^(m+1) Zeta_(2m+1)),
 
     from the coefficients E = [c, eps_1, ...] and their power table
-    P = _powers(E, j + 2).  Needs E and the zeta rows through order j."""
-    acc = _ZERO
+    P = _powers(E, j + 2).  Needs E and the zeta rows through order j.
+    The last terms are [u^j] -eta u E/(1+u) = sum_{i<j} (-1)^(j-i) eta E_i."""
+    pairs = []
     for m in range(1, j + 2):
         Pk = P[m + 1]
-        for q in range(j - m + 2):
-            acc = acc + Pk[q] * _zeta(2 * m, j - m + 1 - q)
-        for q in range(j - m):
-            acc = acc + Pk[q] * _zeta(2 * m + 1, j - m - 1 - q)
-    alt = _ZERO
-    for e in E[:j]:
-        alt = e - alt                 # sum_{i<j} (-1)^(j-1-i) E_i
-    return acc - alt.shift_eta(1)
+        pairs += [(Pk[q], _zeta(2 * m, j - m + 1 - q))
+                  for q in range(j - m + 2)]
+        pairs += [(Pk[q], _zeta(2 * m + 1, j - m - 1 - q))
+                  for q in range(j - m)]
+    pairs += [(_ETA if (j - i) % 2 == 0 else _NEG_ETA, E[i])
+              for i in range(j)]
+    return EtaPolynomial.dot(pairs)
 
 
 #: eps_1, eps_2, ... solved so far.  Process-global and grow-only: a longer
@@ -194,54 +196,45 @@ def epsilon_coeffs_recurrence(N: int) -> EpsilonTable:
                - c * c * (_zeta2(1) - _zeta2(0))
                - _zeta(4, 0) * (_SQRT2 * _SQRT2 * _SQRT2))
         eps.append(rhs * Sqrt2Rational(0, Fraction(1, 2)))
+    dot = EtaPolynomial.dot
     for n in range(0, N - 1):
         # E to order u^(n+1) known; A_{m+1,k} = powers[m+1][k], m+1 <= n+4
         powers = _powers([c] + eps, n + 4)
-        zero = _ZERO
-        total = zero
+        # brackets [1] .. [7] of the relation above as (factor, sum) pairs
+        terms = []
         # [1]
-        total = total + sgn(n) * (n + 2) * (c * _ETA)
+        terms.append((sgn(n) * (n + 2), c * _ETA))
         # [2]
-        acc = zero
-        for k in range(n + 1):
-            acc = acc + sgn(n - k + 1) * (n - k + 1) * eps[k]
-        total = total + acc.shift_eta(1)
+        terms.append((dot([(sgn(n - k + 1) * (n - k + 1), eps[k])
+                           for k in range(n + 1)]), _ETA))
         # [3]
-        acc = zero
-        for k in range(n + 3):
-            acc = acc + sgn(n - k) * _zeta2(k)
-        total = total + c * c * acc
+        terms.append((c * c, dot([(sgn(n - k), _zeta2(k))
+                                  for k in range(n + 3)])))
         # [4]
         for j in range(n + 1):
-            zsum = zero
-            for k in range(n - j + 1):
-                zsum = zsum + sgn(n - j - k) * _zeta2(k)
-            esum = zero
-            for l in range(j + 1):
-                esum = esum + eps[l] * eps[j - l]
-            total = total + zsum * esum
+            zsum = dot([(sgn(n - j - k), _zeta2(k))
+                        for k in range(n - j + 1)])
+            esum = dot([(eps[l], eps[j - l]) for l in range(j + 1)])
+            terms.append((zsum, esum))
         # [5] without its k = n+1 term (that term is sqrt2 * eps_{n+2})
         for k in range(n + 1):
-            zsum = zero
-            for q in range(n - k + 2):
-                zsum = zsum + sgn(n - k - q + 1) * _zeta2(q)
-            total = total + 2 * c * eps[k] * zsum
+            zsum = dot([(sgn(n - k - q + 1), _zeta2(q))
+                        for q in range(n - k + 2)])
+            terms.append((2 * c * eps[k], zsum))
         # [6]
         for j in range(n + 2):
-            inner = zero
-            for m in range(2, j + 3):
-                for k in range(j - m + 3):
-                    inner = inner + _zeta(2 * m, j - m - k + 2) * powers[m + 1][k]
-            total = total + sgn(n - j + 1) * inner
+            inner = dot([(_zeta(2 * m, j - m - k + 2), powers[m + 1][k])
+                         for m in range(2, j + 3)
+                         for k in range(j - m + 3)])
+            terms.append((sgn(n - j + 1), inner))
         # [7]
         for j in range(n + 1):
-            inner = zero
-            for m in range(1, j + 2):
-                for k in range(j - m + 2):
-                    inner = inner + _zeta(2 * m + 1, j - m - k + 1) * powers[m + 1][k]
-            total = total + sgn(n - j) * inner
-        # sqrt2 * eps_{n+2} + total = 0
-        eps.append(total * Sqrt2Rational(0, Fraction(-1, 2)))
+            inner = dot([(_zeta(2 * m + 1, j - m - k + 1), powers[m + 1][k])
+                         for m in range(1, j + 2)
+                         for k in range(j - m + 2)])
+            terms.append((sgn(n - j), inner))
+        # sqrt2 * eps_{n+2} + (the sum of the terms) = 0
+        eps.append(dot(terms) * Sqrt2Rational(0, Fraction(-1, 2)))
     return EpsilonTable(c=_SQRT2, eps=eps)
 
 

@@ -19,13 +19,21 @@ of the exact tables.
   exact evaluation run on plain ints, with no Fraction per coefficient
   product.  The Fraction / Sqrt2Rational coefficients are a view built on
   first use.
+* ``EtaPolynomial.dot`` -- the one summation kernel: the sum of x*y over
+  a list of pairs, accumulated as integer convolutions over the lcm of the
+  product denominators and reduced once.  A sum or a product of two
+  polynomials is a one- or two-term dot, and every sum of products in the
+  exact layer (the power table, the zeta rows, the large-order identity
+  and its recurrence transcription) is one call.  ``_rational_dot`` is its
+  form for Fractions, one reduction per entry of the exact Rayleigh tables.
 * ``p_coeff`` -- the expansion
   ``1/(2L + alpha + 1) = (1/L) * sum_n p_n^(alpha) L^(-n)`` with
   ``p_n^(alpha) = ((-1)^n / 2) * ((alpha + 1)/2)^n``.
 * ``_powers`` -- the one power kernel: the coefficient table of B^0 .. B^k
   for a truncated series B given as a plain coefficient list, built by
-  Cauchy products.  The large-order solve, its re-substitution check, the
-  expanded recurrence and ``potential_polynomials`` all read it.
+  Cauchy products, each entry one ``dot``.  The large-order solve, its
+  re-substitution check, the expanded recurrence and
+  ``potential_polynomials`` all read it.
 * ``potential_polynomials`` -- coefficients of integer powers of a
   unit-constant-term series (ordinary potential polynomials).
 
@@ -248,26 +256,13 @@ def _parts(x):
     raise RingMismatch(f"inexact coefficient {x!r}")
 
 
-def _lin(x: Sequence[int], m: int, y: Sequence[int], n: int) -> List[int]:
-    """m*x + n*y for two integer lists, the shorter padded with zeros."""
-    if len(x) < len(y):
-        x, m, y, n = y, n, x, m
-    out = [m * v for v in x] if m != 1 else list(x)
-    for i, v in enumerate(y):
-        out[i] += n * v
-    return out
-
-
-def _conv(x: Sequence[int], y: Sequence[int]) -> List[int]:
-    """Cauchy product of two integer lists."""
-    if not x or not y:
-        return []
-    out = [0] * (len(x) + len(y) - 1)
-    for i, v in enumerate(x):
-        if v:
-            for j, w in enumerate(y):
-                out[i + j] += v * w
-    return out
+def _storage(x):
+    """(d, A, B, length) of an eta-polynomial, or of an exact scalar as a
+    constant polynomial; anything else raises RingMismatch."""
+    if isinstance(x, EtaPolynomial):
+        return x._d, x._A, x._B, x._n
+    p, r, s = _parts(x)
+    return s, (p,), (r,), 1
 
 
 class EtaPolynomial:
@@ -294,7 +289,7 @@ class EtaPolynomial:
     True
     """
 
-    __slots__ = ("_d", "_A", "_B", "_view")
+    __slots__ = ("_d", "_A", "_B", "_n", "_view")
 
     def __init__(self, coeffs: Sequence):
         parts = [_parts(c) for c in coeffs]
@@ -312,7 +307,8 @@ class EtaPolynomial:
             d //= g
             A = [v // g for v in A]
             B = [v // g for v in B]
-        self._d, self._A, self._B, self._view = d, tuple(A), tuple(B), None
+        self._d, self._A, self._B = d, tuple(A), tuple(B)
+        self._n, self._view = max(len(A), len(B)), None
 
     @classmethod
     def _new(cls, d: int, A: List[int], B: List[int]) -> "EtaPolynomial":
@@ -341,7 +337,7 @@ class EtaPolynomial:
 
     @property
     def degree(self) -> int:
-        return max(len(self._A), len(self._B)) - 1
+        return self._n - 1
 
     def coeff(self, i: int):
         if 0 <= i <= self.degree:
@@ -358,19 +354,57 @@ class EtaPolynomial:
         return None
 
     # -- arithmetic -------------------------------------------------------
-    def _plus(self, o: "EtaPolynomial", sign: int) -> "EtaPolynomial":
-        """self + sign*o over the least common denominator."""
-        g = math.gcd(self._d, o._d)
-        m, n = o._d // g, sign * (self._d // g)
-        return EtaPolynomial._new(self._d // g * o._d,
-                                  _lin(self._A, m, o._A, n),
-                                  _lin(self._B, m, o._B, n))
+    @classmethod
+    def dot(cls, pairs) -> "EtaPolynomial":
+        """The sum of x*y over ``pairs``, where each x and y is an
+        eta-polynomial or an exact scalar.
+
+        The summation kernel of the exact layer: every product is
+        accumulated as two integer convolutions over the lcm of the product
+        denominators, and the sum is reduced once, where adding the products
+        one by one would pay a reduction per partial sum.  Equal values have
+        equal storage, so the result is the term-by-term sum.  Sums,
+        differences and products of polynomials are one- and two-term dots.
+
+        >>> x = EtaPolynomial([1, Fraction(1, 2)])
+        >>> EtaPolynomial.dot([(x, x), (Fraction(-1, 4), 3)]).to_str()
+        '1/4 + eta + 1/4*eta^2'
+        >>> EtaPolynomial.dot([])
+        EtaPolynomial([])
+        """
+        terms, n = [], 0
+        for x, y in pairs:
+            dx, Ax, Bx, nx = _storage(x)
+            dy, Ay, By, ny = _storage(y)
+            if nx and ny:
+                terms.append((dx * dy, Ax, Bx, Ay, By))
+                n = max(n, nx + ny - 1)
+        d = math.lcm(*(s for s, *_ in terms))
+        A, B = [0] * n, [0] * n
+        # (Ax + Bx s)(Ay + By s) = Ax Ay + 2 Bx By + (Ax By + Bx Ay) s
+        for s, Ax, Bx, Ay, By in terms:
+            m = d // s
+            for i, v in enumerate(Ax):
+                if v:
+                    v *= m
+                    for j, w in enumerate(Ay, i):
+                        A[j] += v * w
+                    for j, w in enumerate(By, i):
+                        B[j] += v * w
+            for i, v in enumerate(Bx):
+                if v:
+                    v *= m
+                    for j, w in enumerate(Ay, i):
+                        B[j] += v * w
+                    v *= 2
+                    for j, w in enumerate(By, i):
+                        A[j] += v * w
+        return cls._new(d, A, B)
 
     def __add__(self, other):
-        o = self._operand(other)
-        if o is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return self._plus(o, 1)
+        return EtaPolynomial.dot(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -379,30 +413,19 @@ class EtaPolynomial:
                                   [-v for v in self._B])
 
     def __sub__(self, other):
-        o = self._operand(other)
-        if o is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return self._plus(o, -1)
+        return EtaPolynomial.dot(((1, self), (-1, other)))
 
     def __rsub__(self, other):
-        o = self._operand(other)
-        if o is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return o._plus(self, -1)
+        return EtaPolynomial.dot(((1, other), (-1, self)))
 
     def __mul__(self, other):
-        A, B = self._A, self._B
-        if isinstance(other, _EXACT):
-            # (A + B s)(p + r s)/(d q) = (pA + 2rB + (rA + pB) s)/(d q)
-            p, r, q = _parts(other)
-            return EtaPolynomial._new(self._d * q, _lin(A, p, B, 2 * r),
-                                      _lin(A, r, B, p))
-        if not isinstance(other, EtaPolynomial):
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        C, D = other._A, other._B
-        return EtaPolynomial._new(self._d * other._d,
-                                  _lin(_conv(A, C), 1, _conv(B, D), 2),
-                                  _lin(_conv(A, D), 1, _conv(B, C), 1))
+        return EtaPolynomial.dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -495,6 +518,24 @@ class EtaPolynomial:
         return f"EtaPolynomial({list(self.coeffs)!r})"
 
 
+#: what combines with an eta-polynomial
+_OPERANDS = _EXACT + (EtaPolynomial,)
+
+
+def _rational_dot(pairs) -> Fraction:
+    """The sum of x*y over ``pairs`` of ints and Fractions, as one Fraction:
+    the rational form of :meth:`EtaPolynomial.dot`, with one lcm of the
+    product denominators and one reduction.
+
+    >>> _rational_dot([(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 6), 2)])
+    Fraction(1, 2)
+    """
+    terms = [(x.numerator * y.numerator, x.denominator * y.denominator)
+             for x, y in pairs]
+    d = math.lcm(*(s for _, s in terms))
+    return Fraction(sum(p * (d // s) for p, s in terms), d)
+
+
 # ---------------------------------------------------------------------------
 # geometric expansion coefficients and powers of a series
 # ---------------------------------------------------------------------------
@@ -517,17 +558,24 @@ def _powers(coeffs: Sequence, k_max: int) -> List[list]:
 
     Each power is the Cauchy product of the one below with B, truncated at
     the length of ``coeffs``; zero entries (such as a not yet solved
-    coefficient) are skipped.  Entries are exact scalars or eta-polynomials.
+    coefficient) are skipped.  Entries are exact scalars or eta-polynomials;
+    with any eta-polynomial among ``coeffs`` each entry is one
+    :meth:`EtaPolynomial.dot`.
 
     >>> _powers([1, 1], 3)
     [[1, 0], [1, 1], [1, 2], [1, 3]]
     """
     n = len(coeffs)
+    if any(isinstance(c, EtaPolynomial) for c in coeffs):
+        add = EtaPolynomial.dot
+    else:                               # scalar entries stay scalars
+        def add(pairs):
+            return sum((x * y for x, y in pairs), 0)
     P = [[1] + [0] * (n - 1), list(coeffs)]
     for _ in range(k_max - 1):
         prev = P[-1]
-        P.append([sum((prev[i] * coeffs[q - i] for i in range(q + 1)
-                       if prev[i] and coeffs[q - i]), 0)
+        P.append([add([(prev[i], coeffs[q - i]) for i in range(q + 1)
+                       if prev[i] and coeffs[q - i]])
                   for q in range(n)])
     return P[:k_max + 1]
 

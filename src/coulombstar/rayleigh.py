@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple, Union
 
 from .errors import BoundsInvalid, GateViolation, RegionWarning
-from .exact import EtaPolynomial, p_coeff
+from .exact import EtaPolynomial, _rational_dot, p_coeff
 from .specfun import CoulombParams, _is_exactable
 
 __all__ = [
@@ -108,8 +108,14 @@ def _pick_mode(params: CoulombParams, exact):
     return float(params.L), float(params.eta), False
 
 
-def _pair_sum(Z: Dict[int, Number], total: int) -> Number:
-    """sum of Z[a] Z[b] over a + b = total, a, b >= 2, in either mode: each
+def _pairs(Z: Dict[int, Fraction], total: int) -> list:
+    """The pairs (Z[a], Z[b]) with a + b = total and a, b >= 2, for one
+    exact sum (:func:`~coulombstar.exact._rational_dot`)."""
+    return [(Z[a], Z[total - a]) for a in range(2, total - 1)]
+
+
+def _pair_sum(Z: Dict[int, float], total: int) -> float:
+    """sum of Z[a] Z[b] over a + b = total, a, b >= 2, in float: each
     unordered pair is multiplied once and doubled."""
     acc = 0
     for a in range(2, (total + 1) // 2):
@@ -136,9 +142,11 @@ def rayleigh_Z(params: CoulombParams, k_max: int,
     Z: Dict[int, Number] = {}
     one = Fraction(1) if is_exact else 1.0
     Z[2] = (one + eta * eta / ((L + 1) * (L + 1))) / (2 * L + 3)
+    w = 2 * eta / (L + 1)
     for k in range(2, k_max):
-        Z[k + 1] = ((2 * eta / (L + 1)) * Z[k]
-                    + _pair_sum(Z, k + 1)) / (2 * L + k + 2)
+        acc = (_rational_dot([(w, Z[k])] + _pairs(Z, k + 1)) if is_exact
+               else w * Z[k] + _pair_sum(Z, k + 1))
+        Z[k + 1] = acc / (2 * L + k + 2)
     return RayleighTable(params=params, kind="Z", values=Z, exact=is_exact)
 
 
@@ -197,24 +205,30 @@ def rayleigh_Ztilde(params: CoulombParams, k_max: int,
     Zt: Dict[int, Number] = {}
     cond, k_cond = 0.0, 2
 
-    def put(k: int, terms: List[Number], den: Number) -> None:
-        # float mode tracks the largest |term| / |sum| over the table
+    def put(k: int, pairs: list, den: Number) -> None:
+        # Zt[k] = (sum of x*y over pairs + sum Zt[a] Zt[k-a]) / den; float
+        # mode tracks the largest |term| / |sum| over the table
         nonlocal cond, k_cond
+        if is_exact:
+            Zt[k] = _rational_dot(pairs + _pairs(Zt, k)) / den
+            return
+        terms = [x * y for x, y in pairs]
+        if k >= 4:
+            terms.append(_pair_sum(Zt, k))
         acc = sum(terms)
         Zt[k] = acc / den
-        if not is_exact:
-            big = max(map(abs, terms))
-            if big > cond * abs(acc):
-                cond, k_cond = (big / abs(acc) if acc else math.inf), k
+        big = max(map(abs, terms))
+        if big > cond * abs(acc):
+            cond, k_cond = (big / abs(acc) if acc else math.inf), k
 
-    put(2, [one, -L * a[1], -p * a[0], p * p], 2 * L + 3)
+    put(2, [(one, one), (-L, a[1]), (-p, a[0]), (p, p)], 2 * L + 3)
     if k_max >= 3:
-        put(3, [-L * a[2], -p * a[1], a[0] * Zt[2], -2 * p * Zt[2]],
+        put(3, [(-L, a[2]), (-p, a[1]), (a[0], Zt[2]), (-2 * p, Zt[2])],
             2 * L + 4)
     for n in range(0, k_max - 3):
-        put(n + 4, [-L * a[n + 3], -p * a[n + 2], -2 * p * Zt[n + 3]]
-            + [a[m] * Zt[3 + n - m] for m in range(0, n + 2)]
-            + [_pair_sum(Zt, n + 4)], 2 * L + n + 5)
+        put(n + 4, [(-L, a[n + 3]), (-p, a[n + 2]), (-2 * p, Zt[n + 3])]
+            + [(a[m], Zt[3 + n - m]) for m in range(0, n + 2)],
+            2 * L + n + 5)
     if cond > _ZTILDE_COND_MAX:
         warnings.warn(
             f"float Ztilde table cancels: the sum for Zt^({k_cond}) is "
@@ -266,24 +280,13 @@ _Row = Tuple[List[EtaPolynomial], List[EtaPolynomial], List[EtaPolynomial]]
 #: dropped.  Not safe to share across threads.
 _ZETA: Dict[int, _Row] = {}
 
-_ZERO = EtaPolynomial([])
 _ETA2 = EtaPolynomial([0, 0, 1])
-
-
-def _weighted(w: List[Fraction], polys: List[EtaPolynomial],
-              n: int) -> EtaPolynomial:
-    """sum_{q=0}^{n} w_{n-q} polys_q."""
-    acc = _ZERO
-    for q in range(n + 1):
-        if w[n - q]:
-            acc = acc + w[n - q] * polys[q]
-    return acc
 
 
 def _zeta_2(n: int) -> EtaPolynomial:
     """zeta_n^(2) = p_n + eta^2 sum_{m=0}^{n-2} (-1)^m (m+1) p_{n-2-m}."""
-    tail = sum((-1) ** m * (m + 1) * p_coeff(2, n - 2 - m)
-               for m in range(n - 1))
+    tail = _rational_dot(((-1) ** m * (m + 1), p_coeff(2, n - 2 - m))
+                         for m in range(n - 1))
     return p_coeff(2, n) + tail * _ETA2
 
 
@@ -304,32 +307,40 @@ def _grow_row(j: int, n_max: int) -> None:
     have = len(row)
     if have > n_max:
         return
+    dot = EtaPolynomial.dot
+
+    def part(q: int, parity: int) -> EtaPolynomial:
+        # the doubled pairs a < j - a, then the middle pair a = j/2
+        twice = dot([(_ZETA[a][0][m], _ZETA[j - a][0][q - m])
+                     for a in range(2 + parity, (j + 1) // 2, 2)
+                     for m in range(q + 1)])
+        mid = _ZETA[j // 2][0] if j % 4 == 2 * parity else None
+        return dot([(2, twice)] + (
+            [(mid[m], mid[q - m]) for m in range(q + 1)] if mid else []))
+
     for q in range(len(S[0]), n_max + 1):   # S runs ahead if a growth was cut
-        part = [_ZERO, _ZERO]
-        for a in range(2, j // 2 + 1):
-            A, B = _ZETA[a][0], _ZETA[j - a][0]
-            conv = _ZERO
-            for m in range(q + 1):
-                conv = conv + A[m] * B[q - m]
-            part[a % 2] = part[a % 2] + (conv if 2 * a == j else 2 * conv)
-        S[0].append(part[0])
-        S[1].append(part[1])
+        even, odd = part(q, 0), part(q, 1)
+        S[0].append(even)
+        S[1].append(odd)
     p = [p_coeff(j, n) for n in range(n_max + 1)]
     c: List[Fraction] = []
     for l in range(n_max + 1):
         c.append(p[l] - (c[-1] if c else 0))
+    w = [EtaPolynomial([0, 2 * x]) for x in c]
+    prev = _ZETA[j - 1][0]
 
-    def T(n: int) -> EtaPolynomial:
-        return 2 * _weighted(c, _ZETA[j - 1][0], n).shift_eta(1)
+    def T(n: int) -> list:
+        return [(w[n - q], prev[q]) for q in range(n + 1)]
 
     if j % 2:
         both = [S[0][q] + S[1][q] for q in range(n_max + 1)]
-        row.extend(_weighted(p, both, n) + T(n)
+        row.extend(dot([(p[n - q], both[q]) for q in range(n + 1)] + T(n))
                    for n in range(have, n_max + 1))
     else:
-        row.extend(_weighted(p, S[0], n) + (
-            _weighted(p, S[1], n - 2) + T(n - 2) if n >= 2 else _ZERO)
-            for n in range(have, n_max + 1))
+        row.extend(dot([(p[n - q], S[0][q]) for q in range(n + 1)]
+                       + [(p[n - 2 - q], S[1][q]) for q in range(n - 1)]
+                       + (T(n - 2) if n >= 2 else []))
+                   for n in range(have, n_max + 1))
 
 
 def _ensure_zeta(j_max: int, n_max: int) -> None:

@@ -205,6 +205,44 @@ def test_integer_storage_matches_coefficientwise_reference(cs1, cs2, s, k, x):
     assert p + q - q == p and hash(p + q - q) == hash(p)
 
 
+# zero entries come from the integer 0 and from empty or all-zero lists
+operands = st.one_of(scalars,
+                     st.lists(scalars, max_size=4).map(EtaPolynomial))
+
+
+def _coeffwise(x):
+    """x as a list of Sqrt2Rational coefficients, without EtaPolynomial
+    arithmetic."""
+    return [_lift(c) for c in x.coeffs] if isinstance(x, EtaPolynomial) \
+        else [_lift(x)]
+
+
+@given(st.lists(st.tuples(operands, operands), max_size=6))
+def test_dot_is_the_term_by_term_sum(pairs):
+    got = EtaPolynomial.dot(pairs)
+    naive = sum((x * y for x, y in pairs), EtaPolynomial([]))
+    assert (got._d, got._A, got._B) == (naive._d, naive._A, naive._B)
+    # the same coefficients from a product of Sqrt2Rational lists
+    want = [Sqrt2Rational.zero()] * 10
+    for x, y in pairs:
+        for i, u in enumerate(_coeffwise(x)):
+            for j, v in enumerate(_coeffwise(y)):
+                want[i + j] = want[i + j] + u * v
+    assert _same(got, want)
+    # one reduced, trimmed storage
+    assert got._d > 0 and math.gcd(got._d, *got._A, *got._B) == 1
+    assert not got._A or got._A[-1]
+    assert not got._B or got._B[-1]
+
+
+@given(st.lists(st.tuples(st.one_of(fracs, st.integers(-20, 20)),
+                          st.one_of(fracs, st.integers(-20, 20))),
+                max_size=6))
+def test_rational_dot_is_the_term_by_term_sum(pairs):
+    got = coulombstar.exact._rational_dot(pairs)
+    assert type(got) is Fr and got == sum((x * y for x, y in pairs), Fr(0))
+
+
 def test_eta_polynomial_shift():
     p = EtaPolynomial([Fr(2), Fr(3)])
     assert p.shift_eta(2) == EtaPolynomial([0, 0, Fr(2), Fr(3)])

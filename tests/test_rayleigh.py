@@ -82,6 +82,48 @@ def test_Ztilde_tables_exact():
         5: Fr(33941, 5786802), 6: Fr(4417013, 2005126893)}
 
 
+def _plain_Z(L, eta, k_max):
+    """The Z recurrence of the rayleigh docstring, one Fraction operation
+    at a time."""
+    Z = {2: (1 + eta * eta / ((L + 1) * (L + 1))) / (2 * L + 3)}
+    for k in range(2, k_max):
+        acc = 2 * eta / (L + 1) * Z[k]
+        for l in range(1, k - 1):
+            acc += Z[l + 1] * Z[k - l]
+        Z[k + 1] = acc / (2 * L + k + 2)
+    return Z
+
+
+def _plain_Ztilde(L, eta, k_max):
+    """The Ztilde recurrence and its a_n, likewise."""
+    d = L * (L + 1)
+    a = [2 * eta / d]
+    a.append(-(2 + 2 * eta * a[0]) / d)
+    while len(a) < k_max:
+        a.append(-(2 * eta * a[-1] - a[-2]) / d)
+    p = (L + 2) * eta / ((L + 1) * (L + 1))
+    Zt = {2: (1 - L * a[1] - p * a[0] + p * p) / (2 * L + 3)}
+    Zt[3] = (-L * a[2] - p * a[1] + (a[0] - 2 * p) * Zt[2]) / (2 * L + 4)
+    for n in range(k_max - 3):
+        acc = -L * a[n + 3] - p * a[n + 2] - 2 * p * Zt[n + 3]
+        for m in range(n + 2):
+            acc += a[m] * Zt[3 + n - m]
+        for m in range(n + 1):
+            acc += Zt[m + 2] * Zt[n - m + 2]
+        Zt[n + 4] = acc / (2 * L + n + 5)
+    return Zt
+
+
+@pytest.mark.parametrize("L, eta", [(Fr(1, 3), Fr(-2, 5)),
+                                    (Fr(17, 7), Fr(3, 2)),
+                                    (Fr(-5, 6), Fr(7, 4)), (Fr(40, 9), Fr(0))])
+def test_exact_tables_match_plain_fraction_recurrences(L, eta):
+    params = CoulombParams(L, eta)
+    assert rayleigh_Z(params, 40, exact=True).values == _plain_Z(L, eta, 40)
+    assert rayleigh_Ztilde(params, 40, exact=True).values == \
+        _plain_Ztilde(L, eta, 40)
+
+
 def test_float_mode_agrees_with_exact():
     pe = CoulombParams(Fr(2), Fr(-1))
     pf = CoulombParams(2.0, -1.0)
