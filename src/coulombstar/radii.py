@@ -37,38 +37,41 @@ falling; since u(0+) = d > 0 it has exactly one root there, a simple
 crossing, and u > 0 at a point before j means the root lies beyond it.  No
 probe for double roots is needed.
 
-The search is one walk.  It starts at the positive root of the Taylor
-polynomial of u,
+The search is one guarded Newton loop in s, and its derivative is free:
+the Riccati equation at any point where u is known gives
+
+    r u'(r) = P(r) - (u + c - 1/2)^2
+            = (d - u)(2L + 1 - d + u) + r (2 eta - r),
+
+factored so that the squares do not cancel.  It starts at the positive
+root of the Taylor polynomial of u,
 
     d + r eta/(L+1) - Z2 r^2 = 0,    Z2 = (1 + eta^2/(L+1)^2) / (2L + 3),
 
 taken in the form without cancellation for the sign of eta, and capped at
 the lower bound (L+1)^2 / (hypot(eta, L+1) + |eta|) on j (2 sqrt(L + 3/2)
-at eta = 0).  It halves while u <= 0, and otherwise steps outward in s
-with steps that double while a Riccati comparison bound allows: for
-K^2 >= -P over a step, W stays above K tan(atan(W0/K) - K ds), finite while
-ds < atan2(K, -W0)/K, so no step passes j.  The first point with u <= 0
-closes a bracket.
-
-The refine is Newton's method in s, and its derivative is free: the Riccati
-equation at any point where u is known gives
-
-    r u'(r) = P(r) - (u + c - 1/2)^2
-            = (d - u)(2L + 1 - d + u) + r (2 eta - r),
-
-factored so that the squares do not cancel.  Each step goes to the root of
-the cubic Hermite interpolant of s(u) through the last two iterates, or is
-a plain Newton step when the previous iterate has r u' >= 0; every iterate
-shrinks the bracket by the sign of u, and bisection replaces a step from a
-point with r u' >= 0 and a step that leaves the bracket or fails to halve
-the step before last.  Once a step falls below half the tolerance 1e-15 r,
-one evaluation half a tolerance past the iterate closes the bracket.
+at eta = 0).  Since u(0+) = d > 0, u <= 0 there brackets the root in
+(0, start); otherwise the start is the lower end and there is no bracket
+yet.  Before a bracket each step, from the lower end, is a plain Newton
+step, or where r u' >= 0 a step in s that doubles the last one, and it
+halves until a Riccati comparison bound clears it: for K^2 >= -P over a
+step, W stays above K tan(atan(W0/K) - K ds), finite while
+ds < atan2(K, -W0)/K, so no step passes j; nor does one pass a ceiling
+past the turning point.  After a bracket each step starts from whichever
+of the last two iterates has the smaller |u| and goes to the root of the
+cubic Hermite interpolant of s(u) through both, or is a plain Newton step
+when the other has r u' >= 0; every iterate shrinks the bracket by the
+sign of u, and bisection replaces a step from a point with r u' >= 0 and
+a step that leaves the bracket or fails to halve the step before last.
+Once a step falls below half the tolerance 1e-15 hi (1e-15 r before a
+bracket), one evaluation half a tolerance past the iterate closes the
+bracket.
 
 Rounding.  The kernel rounds u to a few eps of the two terms its product
 starts from, scale = d + r |eta|/(L+1); near the root the fraction is of
 that size too.  Where |u| is below 3 eps scale the bracket closes only to
 the band of r in which the sign of u is rounding, and where r u' is lost in
-rounding too the refine stops.  ``RadiusResult`` returns the bracket end
+rounding too the search stops.  ``RadiusResult`` returns the bracket end
 with the smaller |u| as the root, that |u| as ``residual``, the kernel
 evaluations as ``iterations`` and a first-order relative forward error
 
@@ -199,8 +202,9 @@ def _reduced(L: float, eta: float, d: float, r: float) -> float:
 
 def _first_root(L: float, eta: float, d: float) -> RadiusResult:
     """First positive root of u(r) = r F_L'(eta, r)/F_L(eta, r) - c by the
-    guarded walk of the module docstring; d = L + 1 - c, formed exactly by
-    the caller, since L + 1 - c in floats cancels as c nears L + 1."""
+    guarded Newton loop of the module docstring; d = L + 1 - c, formed
+    exactly by the caller, since L + 1 - c in floats cancels as c nears
+    L + 1."""
     evals = 0
 
     def u(r: float) -> float:
@@ -222,89 +226,84 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
     lam = L + 1.0
     if eta:
         e = eta / lam
-        lo = lam * lam / (math.hypot(eta, lam) + abs(eta))
+        r = lam * lam / (math.hypot(eta, lam) + abs(eta))
     else:
         e = 0.0
-        lo = 2.0 * math.sqrt(L + 1.5)
+        r = 2.0 * math.sqrt(L + 1.5)
     Z2 = (1.0 + e * e) / (2.0 * L + 3.0)
     s = math.sqrt(e * e + 4.0 * Z2 * d)
-    lo = min(lo, (e + s) / (2.0 * Z2) if e > 0.0 else 2.0 * d / (s - e))
-    ulo = u(lo)
-    hi, uhi = lo, ulo
-    for _ in range(60):              # u(0+) = d > 0
-        if ulo > 0.0:
-            break
-        hi, uhi = lo, ulo
-        lo /= 2.0
-        ulo = u(lo)
-    else:
-        raise NonConvergence(
-            f"r F'/F - c is not positive near 0 (L={L!r}, eta={eta!r})")
+    r = min(r, (e + s) / (2.0 * Z2) if e > 0.0 else 2.0 * d / (s - e))
     # every root sought here lies before the first zero of F, which lies
     # within 2.4 Airy lengths past the outer turning point; that length is
     # at most (L/2)^(1/3) at large order and (2 eta)^(1/3) at large eta
     turn = max(eta + math.sqrt(max(eta * eta + L * (L + 1.0), 0.0)), 0.0)
     ceiling = turn + 4.0 * max(L, eta, 1.0) ** (1.0 / 3.0) + 10.0
-    step = 0.5                       # in s = ln r
-    while uhi > 0.0:
+    # r u' moves by |2L + 1 - 2d| per unit of u, so the rounding of u makes
+    # any r u' below du_u * noise, and a step or band width drawn from it,
+    # noise
+    du_u = abs(2.0 * L + 1.0 - 2.0 * d)
+    ae = abs(eta) / lam
+    ur = u(r)
+    # u(0+) = d > 0, so u(start) <= 0 brackets the root in (0, start);
+    # otherwise hi stays infinite until a step finds u <= 0
+    lo, ulo, hi, uhi = ((r, ur, math.inf, -math.inf) if ur > 0.0
+                        else (0.0, d, r, ur))
+    q, uq, duq = r, ur, 0.0
+    dx = dx_old = hi - lo
+    step, h, band = 0.5, 0.0, 0.0    # step: the doubling step in s = ln r
+    while True:
+        bracketed = hi < math.inf
+        tol = max(1e-15 * (hi if bracketed else r), band)
+        if hi - lo <= tol:
+            break
         if lo >= ceiling:
             raise NoRootInScanRange(
                 f"no sign change of the reduced equation found on "
                 f"(0, {ceiling}]")
-        # halve the step until the Riccati bound clears it, double it after
-        while True:
-            nxt = min(lo * math.exp(step), ceiling)
-            # P is concave, so least at an end of the step
-            K = math.sqrt(max(-min(P(lo), P(nxt)), _TINY))
-            if math.log(nxt / lo) < 0.9 * math.atan2(
-                    K, d - L - 0.5 - ulo) / K:
-                break
-            step *= 0.5
-        if nxt <= lo:
-            raise NonConvergence(f"guarded walk underflows at r={lo!r}")
-        step *= 2.0
-        hi, uhi = nxt, u(nxt)
-        if uhi > 0.0:
-            lo, ulo = hi, uhi
-    # Newton in s, safeguarded by the bracket (see the module docstring)
-    tol = 1e-15 * hi
-    # CF1 rounds u to a few eps of the two terms it starts from, d and
-    # r eta/(L + 1); below that level its sign means nothing
-    scale = d + (hi * abs(eta) / lam if eta else 0.0)
-    noise = 3.0 * _EPS * scale
-    # r u' moves by |2L + 1 - 2d| per unit of u, so the rounding of u makes
-    # any r u' below slack, and a step or band width drawn from it, noise
-    du_u = abs(2.0 * L + 1.0 - 2.0 * d)
-    slack = du_u * noise
-    r, ur, q, uq = (lo, ulo, hi, uhi) if ulo < -uhi else (hi, uhi, lo, ulo)
-    duq = rdu(q, uq)
-    dx = dx_old = hi - lo
-    h = 0.0
-    while hi - lo > tol:
         dur = rdu(r, ur)
-        x = math.inf
+        if bracketed and abs(uq) < abs(ur):
+            # step from the better iterate
+            r, ur, dur, q, uq, duq = q, uq, duq, r, ur, dur
+        ds = math.inf if bracketed else step
         if dur < 0.0:
             ds = -ur / dur
-            if duq < 0.0 and uq != ur:
+            if bracketed and duq < 0.0 and uq != ur:
                 # inverse cubic Hermite through (u, s, ds/du) at r and q
                 t = ur / (ur - uq)
                 ds = ((3.0 - 2.0 * t) * t * t * math.log(q / r)
                       - ur * (1.0 - t) * ((1.0 - t) / dur - t / duq))
-            x = r * math.exp(ds)
+        # before a bracket, halve the step until the Riccati bound clears it
+        cap = math.log(ceiling / r)
+        while True:
+            x = r * math.exp(ds) if ds < cap else ceiling
+            if bracketed:
+                break
+            # P is concave, so least at an end of the step
+            K = math.sqrt(max(-min(P(r), P(x)), _TINY))
+            if min(ds, cap) < 0.9 * math.atan2(K, d - L - 0.5 - ur) / K:
+                break
+            ds *= 0.5
+        step = 2.0 * ds
+        # CF1 rounds u to a few eps of the two terms it starts from, d and
+        # r eta/(L + 1); below that level its sign means nothing
+        noise = 3.0 * _EPS * (d + r * ae)
         flat = abs(ur) <= noise
         if flat:
-            if dur >= -slack:
+            if dur >= -du_u * noise:
                 break                # u carries no more information
             # u is zero to rounding: no narrower bracket means anything
-            tol = max(tol, -2.0 * r * noise / dur)
+            band = max(band, -2.0 * r * noise / dur)
+            tol = max(tol, band)
         if abs(x - r) <= 0.5 * tol or flat:
             h = max(h, 0.5 * tol)
             x = r + h if ur > 0.0 else r - h
             h *= 2.0
-        elif not (lo < x < hi and abs(x - r) <= 0.5 * dx_old):
+        elif bracketed and not (lo < x < hi and abs(x - r) <= 0.5 * dx_old):
             x = 0.5 * (lo + hi)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                raise NonConvergence(f"root search underflows at r={r!r}")
         dx_old, dx = dx, abs(x - r)
         q, uq, duq = r, ur, dur
         r, ur = x, u(x)
@@ -314,7 +313,7 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
             hi, uhi = r, ur
     root, ur = (lo, ulo) if ulo < -uhi else (hi, uhi)
     # first-order forward error, void where r u' is lost in rounding
-    err_u = abs(ur) + 10.0 * _EPS * scale
+    err_u = abs(ur) + 10.0 * _EPS * (d + root * ae)
     dur = abs(rdu(root, 0.0)) - du_u * err_u
     return RadiusResult(value=root, bracket=(lo, hi), residual=abs(ur),
                         iterations=evals,

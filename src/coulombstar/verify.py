@@ -29,10 +29,11 @@ from typing import List, Optional, Union
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .errors import (GateViolation, PoleOnCircle, ZeroEnumerationIncomplete)
+from .errors import (GateViolation, NonConvergence, PoleOnCircle,
+                     ZeroEnumerationIncomplete)
 from .radii import Family
 from .specfun import (CoulombParams, coulomb_series_coeffs,
-                      eval_F_with_derivative, _sum_pair)
+                      eval_F_with_derivative, _EPS, _sum_pair)
 
 __all__ = [
     "DiskScanReport",
@@ -71,25 +72,33 @@ def _coulomb_arrays(params: CoulombParams, r: float):
 
 
 def _jhat_arrays(nu: float, r: float):
-    c = [1.0]
+    """Coefficients b_m = c_m r^(2m) of jhat(z) = sum b_m t^m, t = (z/r)^2,
+    up to the first term past the peak below 1e-18, and those of
+    z jhat'(z) / (2t).  Scaling by r keeps every coefficient that matters
+    inside the float range where c_m alone would underflow; raises
+    NonConvergence when a term overflows before the series turns."""
+    b = [1.0]
     m = 0
-    while True:
+    while not (m * (nu + m) > r * r and abs(b[-1]) < 1e-18):
         m += 1
-        c.append(c[-1] * (-0.25) / (m * (nu + m)))
-        if m * (nu + m) > r * r and abs(c[-1]) * (r + 1.0) ** (2 * m) < 1e-18:
-            break
-        if m > 2000:
-            break
-    c = np.asarray(c)
-    c1 = c[1:] * np.arange(1, len(c))       # jhat' = 2 z sum m c_m (z^2)^(m-1)
-    return c, c1
+        b.append(b[-1] * (-0.25 * r * r) / (m * (nu + m)))
+        if abs(b[-1]) == math.inf:
+            raise NonConvergence(
+                f"the jhat series overflows at |z| = {r} (nu = {nu})")
+    b = np.asarray(b)
+    b1 = b[1:] * np.arange(1, len(b))       # z jhat' = 2 t sum m b_m t^(m-1)
+    return b, b1
 
 
 def _factor_on_circle(family, r, n, params, nu, alpha):
     """The entire factor B of h = z B^(1/kappa) at z = r e^(2 pi i k/n).
 
-    Returns (z, B, z B', kappa, B on [r/64, r]); the last is None for
-    complex order.  kappa is L + 1 for f, 1 for g and nu + alpha for phi.
+    Returns (z, B, z B', kappa, segment); segment is None for complex
+    order and otherwise holds B on [r/64, r] and the a priori bound
+    2 n eps sum |b_k| x^k on the rounding of Horner's rule for those values
+    (Higham, Accuracy and Stability of Numerical Algorithms, 5.1), with n
+    the number of coefficients.  kappa is L + 1 for f, 1 for g and
+    nu + alpha for phi.
     Gates: r > 0, params for f and g, nu > -1 and nu + alpha > 0 for phi.
     """
     fam = Family(family)
@@ -102,30 +111,44 @@ def _factor_on_circle(family, r, n, params, nu, alpha):
             raise GateViolation("family 'phi' needs nu and alpha")
         if nu + alpha <= 0 or nu <= -1:
             raise GateViolation("need nu > -1 and nu + alpha > 0")
-        c, c1 = _jhat_arrays(float(nu), r)
-        w2 = z * z
-        return (z, npp.polyval(w2, c), z * (2.0 * z * npp.polyval(w2, c1)),
-                float(nu) + float(alpha), npp.polyval(xs * xs, c))
+        b, b1 = _jhat_arrays(float(nu), r)
+        t = (z / r) ** 2
+        return (z, npp.polyval(t, b), 2.0 * t * npp.polyval(t, b1),
+                float(nu) + float(alpha), _horner((xs / r) ** 2, b))
     if params is None:
         raise GateViolation(f"family {fam.value!r} needs params")
     a, ap = _coulomb_arrays(params, r)
     kappa = params.L + 1.0 if fam is Family.F_POWER else 1.0
     return (z, npp.polyval(z, a), z * npp.polyval(z, ap), kappa,
-            None if params.is_complex else npp.polyval(xs, a))
+            None if params.is_complex else _horner(xs, a))
+
+
+def _horner(x: np.ndarray, b: np.ndarray):
+    """Values of sum b_k x^k at x >= 0 and a bound on their rounding."""
+    return (npp.polyval(x, b),
+            2.0 * len(b) * _EPS * npp.polyval(x, np.abs(b)))
 
 
 def _witness(family, r, n, params, nu, alpha) -> np.ndarray:
     """1 + (z B'/B)/kappa on the circle, whose real part is Re(z h'/h).
 
-    Raises GateViolation for a zero of B on [r/64, r] and PoleOnCircle for
-    one on the circle (to working precision).
+    Raises GateViolation where B on [r/64, r] is negative beyond its
+    rounding bound (a zero of B lies inside), PoleOnCircle where it is
+    within that bound of 0, so that its sign is unknown, and PoleOnCircle
+    where B vanishes on the circle (to working precision).
     """
     _, B, zdB, kappa, segment = _factor_on_circle(family, r, n, params, nu,
                                                   alpha)
-    if segment is not None and np.any(segment <= 0.0):
-        raise GateViolation(
-            "the scan radius lies beyond the first positive zero of the "
-            "normalized function; the witness ratio is undefined there")
+    if segment is not None:
+        vals, bound = segment
+        if np.any(vals < -bound):
+            raise GateViolation(
+                "the scan radius lies beyond the first positive zero of the "
+                "normalized function; the witness ratio is undefined there")
+        if np.any(vals <= bound):
+            raise PoleOnCircle(
+                f"the entire factor lies below its rounding bound on "
+                f"[{r / 64.0}, {r}], so its sign there is unknown")
     if np.min(np.abs(B)) < 1e-12 * max(1.0, float(np.max(np.abs(B)))):
         raise PoleOnCircle(
             f"the entire factor vanishes on |z| = {r} to working precision")
@@ -153,7 +176,8 @@ def starlike_scan(family: Union[Family, str], r: float, *,
     beta).  Preconditions: r > 0, grid_size >= 16, r at most the first
     positive zero of the normalized function (checked on the real axis for
     real parameters).  Raises PoleOnCircle when the denominator vanishes on
-    the grid to working precision.
+    the grid to working precision, or when its float sum on the real axis
+    is within its rounding bound of 0, so that the check cannot be made.
     """
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")

@@ -3,11 +3,12 @@
 import math
 from fractions import Fraction as Fr
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coulombstar.errors import GateViolation, PoleOnCircle
+from coulombstar.errors import GateViolation, NonConvergence, PoleOnCircle
 from coulombstar.radii import radius_f, radius_g, radius_phi
 from coulombstar.rayleigh import rayleigh_Z, rayleigh_Ztilde
 from coulombstar.specfun import CoulombParams
@@ -60,6 +61,34 @@ def test_scan_guards():
         starlike_scan("f", 1.0)             # params missing
     with pytest.raises(GateViolation):
         starlike_scan("phi", 1.0, nu=0.5)   # alpha missing
+
+
+@pytest.mark.parametrize("nu", [100.0, 200.0])
+def test_phi_scan_at_large_order(nu):
+    # jhat is summed in (z/r)^2 with coefficients c_m r^(2m), the term sizes
+    # on |z| = r, so its stop test does not overflow and no coefficient
+    # that matters underflows.  Well inside the radius the scan matches
+    # 1 - r J_{nu+1}/J_nu / (nu + alpha) on the real axis, to the ~7 digits
+    # the float sum keeps at nu = 200; near the radius the sum is below its
+    # rounding bound, a numerical error
+    r = radius_phi(nu, 1.0).value
+    rep = starlike_scan("phi", 0.5 * r, nu=nu, alpha=1.0)
+    x = 0.5 * r
+    ref = 1 - x * mp.besselj(nu + 1, x) / mp.besselj(nu, x) / (nu + 1.0)
+    assert rep.min_real_part == pytest.approx(float(ref), rel=1e-5)
+    with pytest.raises(PoleOnCircle):
+        starlike_scan("phi", 0.99 * r, nu=nu, alpha=1.0)
+    with pytest.raises(NonConvergence):          # terms leave the float range
+        starlike_scan("phi", 2000.0, nu=nu, alpha=1.0)
+
+
+def test_segment_below_rounding_is_a_numerical_error():
+    # S > 0 up to the radius, but at L = 100 its float sum near 0.99 of it
+    # cancels below the rounding bound: a numerical error, not the caller's
+    # scan radius lying beyond the first zero
+    r = 0.99 * radius_f(100.0, -1.0).value
+    with pytest.raises(PoleOnCircle):
+        starlike_scan("f", r, params=CoulombParams(100.0, -1.0))
 
 
 def test_companion_order_values_and_gate():
