@@ -27,8 +27,8 @@ from .specfun import (CoulombParams, SeriesEval, coulomb_series_coeffs,
                       eval_F, eval_F_with_derivative, eval_bessel_j,
                       eval_dini, eval_f_normalized, eval_g)
 from .rayleigh import (EulerRayleighBounds, RayleighTable,
-                       euler_rayleigh_bounds, gen_coeffs_a, rayleigh_Z,
-                       rayleigh_Ztilde, zeta_coeffs, zeta_laurent_eval)
+                       euler_rayleigh_bounds, rayleigh_Z, rayleigh_Ztilde,
+                       zeta_coeffs, zeta_laurent_eval)
 from .radii import (Family, RadiusQuery, RadiusResult, radius_f, radius_g,
                     radius_phi)
 from .asympt import (EpsilonTable, OrderFit, annihilation_residuals,
@@ -57,9 +57,8 @@ __all__ = [
     "eval_F_with_derivative", "eval_g", "eval_f_normalized",
     "eval_bessel_j", "eval_dini",
     # Rayleigh sums
-    "RayleighTable", "EulerRayleighBounds", "rayleigh_Z", "gen_coeffs_a",
-    "rayleigh_Ztilde", "euler_rayleigh_bounds", "zeta_coeffs",
-    "zeta_laurent_eval",
+    "RayleighTable", "EulerRayleighBounds", "rayleigh_Z", "rayleigh_Ztilde",
+    "euler_rayleigh_bounds", "zeta_coeffs", "zeta_laurent_eval",
     # radii
     "Family", "RadiusQuery", "RadiusResult", "radius_f", "radius_g",
     "radius_phi",

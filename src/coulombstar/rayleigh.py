@@ -1,6 +1,6 @@
 """Rayleigh-type zero sums and their large-order Laurent coefficients.
 
-Two families of power sums over zeros are computed by exact recurrences:
+Two families of power sums over zeros, each entry one dot product:
 
 * ``rayleigh_Z``  -- Z^(k) = sum (-rho_n)^(-k) over the nontrivial zeros of
   the regular Coulomb function, via
@@ -13,13 +13,22 @@ Two families of power sums over zeros are computed by exact recurrences:
   -sum rho_n^(-k) (at L = 2, eta = -1, Z^(3) = -5/378 while the zeros give
   +5/378); even k are plain zero sums.  The odd zeta rows below inherit it.
 
-* ``rayleigh_Ztilde`` -- the plain power sums over the zeros of the
-  *derivative*, with the true sign for every k, built from an auxiliary
-  coefficient sequence (``gen_coeffs_a``) of the logarithmic derivative at
-  the origin.
+* ``rayleigh_Ztilde`` -- Zt^(k) = sum rho~_n^(-k) over the zeros of the
+  *derivative* F' other than 0, with the true sign for every k, read off
+  the Z table.  Write F = C z^(L+1) S(z) with S(0) = 1.  Apart from z = 0,
+  F' vanishes where h = S + z S'/(L+1) = S (1 + q), q = z S'/((L+1) S).
+  Hadamard's product gives z S'/S = a_1 z - sum_{k>=2} s_k z^k, with
+  a_1 = eta/(L+1) and s_k = sum rho_n^(-k) = (-1)^k Z^(k) (the sign flip
+  from Z's convention), and likewise Zt^(k) = -k [z^k] log h.  Taking
+  -k [z^k] of log h = log S + log(1 + q), and m_k = k [z^k] log(1 + q)
+  from (1 + q) sum_k m_k z^k = z q',
 
-Both run over exact rationals whenever L and eta are rational (ints,
-Fractions, or floats with denominator <= 2^20) and over floats otherwise.
+      Zt^(k) = s_k - m_k,        m_1 = eta/(L+1)^2,
+      (L+1) m_k = -k s_k - (eta/(L+1)) m_{k-1} + sum_{j=1}^{k-2} m_j s_{k-j}.
+
+Both tables run over exact rationals whenever L and eta are rational (ints,
+Fractions, or floats with denominator <= 2^20) and over floats otherwise,
+through the same loops: only the dot product differs.
 
 ``zeta_coeffs`` holds the coefficients zeta_n^(k) of the large-order Laurent
 expansions of Z^(k),
@@ -37,7 +46,6 @@ positive zero of F':
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +59,6 @@ __all__ = [
     "RayleighTable",
     "EulerRayleighBounds",
     "rayleigh_Z",
-    "gen_coeffs_a",
     "rayleigh_Ztilde",
     "euler_rayleigh_bounds",
     "zeta_coeffs",
@@ -60,12 +67,8 @@ __all__ = [
 
 Number = Union[Fraction, float]
 
-#: float ``rayleigh_Ztilde`` warns when a sum is this many times smaller than
-#: its largest term.  Against the exact tables on a grid of 120 (L, eta)
-#: points up to k = 24, with the ratio taken as a running maximum over k,
-#: entries whose ratio stayed below 1e6 were off by at most 2.3e-10, and
-#: every entry off by more than 1e-10 had a ratio above 5e5.
-_ZTILDE_COND_MAX = 1e6
+#: the largest k a table holds, in either arithmetic
+_K_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -94,9 +97,18 @@ class EulerRayleighBounds:
         return self.upper - self.lower
 
 
-def _pick_mode(params: CoulombParams, exact):
+def _float_dot(pairs) -> float:
+    """The sum of x*y over ``pairs`` in float, in the order given."""
+    return sum(x * y for x, y in pairs)
+
+
+def _pick_mode(params: CoulombParams, k_max: int, exact):
+    """(L, eta, dot) for a table through k_max: Fractions and
+    :func:`~coulombstar.exact._rational_dot`, or floats and a plain sum."""
     if params.is_complex:
         raise GateViolation("zero power sums need real L")
+    if not 2 <= k_max <= _K_MAX:
+        raise ValueError(f"k_max must be in [2, {_K_MAX}], got {k_max}")
     want = (_is_exactable(params.L) and _is_exactable(params.eta)
             if exact is None else bool(exact))
     if want and not (_is_exactable(params.L) and _is_exactable(params.eta)):
@@ -104,26 +116,22 @@ def _pick_mode(params: CoulombParams, exact):
             f"exact mode needs rational L and eta, got L={params.L!r}, "
             f"eta={params.eta!r}")
     if want:
-        return Fraction(params.L), Fraction(params.eta), True
-    return float(params.L), float(params.eta), False
+        return Fraction(params.L), Fraction(params.eta), _rational_dot
+    return float(params.L), float(params.eta), _float_dot
 
 
-def _pairs(Z: Dict[int, Fraction], total: int) -> list:
-    """The pairs (Z[a], Z[b]) with a + b = total and a, b >= 2, for one
-    exact sum (:func:`~coulombstar.exact._rational_dot`)."""
+def _pairs(Z: Dict[int, Number], total: int) -> list:
+    """The pairs (Z[a], Z[b]) with a + b = total and a, b >= 2, in order."""
     return [(Z[a], Z[total - a]) for a in range(2, total - 1)]
 
 
-def _pair_sum(Z: Dict[int, float], total: int) -> float:
-    """sum of Z[a] Z[b] over a + b = total, a, b >= 2, in float: each
-    unordered pair is multiplied once and doubled."""
-    acc = 0
-    for a in range(2, (total + 1) // 2):
-        acc += Z[a] * Z[total - a]
-    acc = 2 * acc
-    if total % 2 == 0:
-        acc += Z[total // 2] * Z[total // 2]
-    return acc
+def _z_sums(L: Number, eta: Number, dot, k_max: int) -> Dict[int, Number]:
+    """Z^(2) .. Z^(k_max) by the recurrence of the module docstring."""
+    Z = {2: (1 + eta * eta / ((L + 1) * (L + 1))) / (2 * L + 3)}
+    w = 2 * eta / (L + 1)
+    for k in range(2, k_max):
+        Z[k + 1] = dot([(w, Z[k])] + _pairs(Z, k + 1)) / (2 * L + k + 2)
+    return Z
 
 
 def rayleigh_Z(params: CoulombParams, k_max: int,
@@ -132,111 +140,40 @@ def rayleigh_Z(params: CoulombParams, k_max: int,
     nontrivial zeros rho_n of the regular solution: for even k the plain
     power sums, for odd k their negatives (the recurrence's convention).
 
-    Preconditions: real L > -1, k_max in [2, 64] (exact mode caps at 40 to
-    keep rationals manageable).
+    Preconditions: real L > -1, k_max in [2, 64].
     """
-    L, eta, is_exact = _pick_mode(params, exact)
-    cap = 40 if is_exact else 64
-    if not 2 <= k_max <= cap:
-        raise ValueError(f"k_max must be in [2, {cap}], got {k_max}")
-    Z: Dict[int, Number] = {}
-    one = Fraction(1) if is_exact else 1.0
-    Z[2] = (one + eta * eta / ((L + 1) * (L + 1))) / (2 * L + 3)
-    w = 2 * eta / (L + 1)
-    for k in range(2, k_max):
-        acc = (_rational_dot([(w, Z[k])] + _pairs(Z, k + 1)) if is_exact
-               else w * Z[k] + _pair_sum(Z, k + 1))
-        Z[k + 1] = acc / (2 * L + k + 2)
-    return RayleighTable(params=params, kind="Z", values=Z, exact=is_exact)
-
-
-def gen_coeffs_a(params: CoulombParams, n_max: int,
-                 exact: Union[bool, None] = None) -> List[Number]:
-    """Taylor coefficients of the origin expansion driving the F'-zero sums.
-
-    a_0 = 2 eta / (L (L+1)),
-    a_1 = -(2 + 2 eta a_0) / (L (L+1)),
-    a_n = -(2 eta a_{n-1} - a_{n-2}) / (L (L+1))      (n >= 2).
-
-    Requires L > -1 and L != 0 (the normalization divides by L).
-    """
-    L, eta, _ = _pick_mode(params, exact)
-    if L == 0:
-        raise GateViolation("the auxiliary sequence is undefined at L = 0")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    d = L * (L + 1)
-    a: List[Number] = [2 * eta / d]
-    if n_max >= 1:
-        a.append(-(2 + 2 * eta * a[0]) / d)
-    for _ in range(2, n_max + 1):
-        a.append(-(2 * eta * a[-1] - a[-2]) / d)
-    return a
+    L, eta, dot = _pick_mode(params, k_max, exact)
+    return RayleighTable(params=params, kind="Z",
+                         values=_z_sums(L, eta, dot, k_max),
+                         exact=dot is _rational_dot)
 
 
 def rayleigh_Ztilde(params: CoulombParams, k_max: int,
                     exact: Union[bool, None] = None) -> RayleighTable:
-    """Power sums over the zeros of F' (the derivative of the regular
-    solution), k = 2 .. k_max.
+    """Power sums Zt^(k) = sum rho~_n^(-k) over the zeros rho~_n != 0 of F'
+    (the derivative of the regular solution), k = 2 .. k_max.
 
-    (2L+3) Zt^(2) = 1 - L a_1 - p a_0 + p^2            with p = (L+2) eta/(L+1)^2,
-    (2L+4) Zt^(3) = -L a_2 - p a_1 + (a_0 - 2 p) Zt^(2),
-    and for n >= 0
+    From the zero sums s_k = (-1)^k Z^(k) of F, with the true sign restored
+    for odd k, and the coefficients m_k of z (log(1 + q))', where
+    1 + q = h/S and h = S + z S'/(L+1) (module docstring):
 
-    (2L+n+5) Zt^(n+4) = -L a_{n+3} - p a_{n+2}
-                        + sum_{m=0}^{n+1} a_m Zt^(3+n-m)
-                        + sum_{m=0}^{n}   Zt^(m+2) Zt^(n-m+2)
-                        - 2 p Zt^(n+3).
+        Zt^(k) = s_k - m_k,        m_1 = eta/(L+1)^2,
+        (L+1) m_k = -k s_k - (eta/(L+1)) m_{k-1}
+                    + sum_{j=1}^{k-2} m_j s_{k-j}.
 
-    Requires L > -1, L != 0.  The float mode is unstable when L(L+1) is
-    small against |eta|: the a_n grow like (2 eta/(L(L+1)))^n and their
-    combinations cancel, so at (L, eta) = (0.001, -3.41) the float Zt^(8)
-    and Zt^(10) come out negative.  At large k it loses digits elsewhere
-    too.  It emits RegionWarning when a sum is more than 1e6 times smaller
-    than its largest term; use exact mode there.
+    Preconditions: real L > -1, k_max in [2, 64].
     """
-    L, eta, is_exact = _pick_mode(params, exact)
-    cap = 40 if is_exact else 64
-    if not 2 <= k_max <= cap:
-        raise ValueError(f"k_max must be in [2, {cap}], got {k_max}")
-    a = gen_coeffs_a(params, k_max - 1, exact)
-    p = (L + 2) * eta / ((L + 1) * (L + 1))
-    one = Fraction(1) if is_exact else 1.0
-    Zt: Dict[int, Number] = {}
-    cond, k_cond = 0.0, 2
-
-    def put(k: int, pairs: list, den: Number) -> None:
-        # Zt[k] = (sum of x*y over pairs + sum Zt[a] Zt[k-a]) / den; float
-        # mode tracks the largest |term| / |sum| over the table
-        nonlocal cond, k_cond
-        if is_exact:
-            Zt[k] = _rational_dot(pairs + _pairs(Zt, k)) / den
-            return
-        terms = [x * y for x, y in pairs]
-        if k >= 4:
-            terms.append(_pair_sum(Zt, k))
-        acc = sum(terms)
-        Zt[k] = acc / den
-        big = max(map(abs, terms))
-        if big > cond * abs(acc):
-            cond, k_cond = (big / abs(acc) if acc else math.inf), k
-
-    put(2, [(one, one), (-L, a[1]), (-p, a[0]), (p, p)], 2 * L + 3)
-    if k_max >= 3:
-        put(3, [(-L, a[2]), (-p, a[1]), (a[0], Zt[2]), (-2 * p, Zt[2])],
-            2 * L + 4)
-    for n in range(0, k_max - 3):
-        put(n + 4, [(-L, a[n + 3]), (-p, a[n + 2]), (-2 * p, Zt[n + 3])]
-            + [(a[m], Zt[3 + n - m]) for m in range(0, n + 2)],
-            2 * L + n + 5)
-    if cond > _ZTILDE_COND_MAX:
-        warnings.warn(
-            f"float Ztilde table cancels: the sum for Zt^({k_cond}) is "
-            f"{cond:.3g} times smaller than its largest term, so entries "
-            "may have lost most of their digits; use exact mode "
-            "(exact=True, rational L and eta)", RegionWarning, stacklevel=2)
-    return RayleighTable(params=params, kind="Ztilde", values=Zt,
-                         exact=is_exact)
+    L, eta, dot = _pick_mode(params, k_max, exact)
+    Z = _z_sums(L, eta, dot, k_max)
+    s = {k: -z if k % 2 else z for k, z in Z.items()}
+    a1 = eta / (L + 1)
+    m = {1: a1 / (L + 1)}
+    for k in range(2, k_max + 1):
+        m[k] = dot([(-k, s[k]), (-a1, m[k - 1])]
+                   + [(m[j], s[k - j]) for j in range(1, k - 1)]) / (L + 1)
+    return RayleighTable(params=params, kind="Ztilde",
+                         values={k: s[k] - m[k] for k in s},
+                         exact=dot is _rational_dot)
 
 
 def euler_rayleigh_bounds(params: CoulombParams, s: int) -> EulerRayleighBounds:
@@ -244,11 +181,11 @@ def euler_rayleigh_bounds(params: CoulombParams, s: int) -> EulerRayleighBounds:
 
     lower = (Zt^(2s))^(-1/s),  upper = Zt^(2s)/Zt^(2s+2); both converge to
     the true square monotonically as s grows.  The table is built exactly
-    from the rationals equal to L and eta, because the float recurrence is
-    unstable for small L(L+1) (see :func:`rayleigh_Ztilde`); the exact cap
-    k <= 40 bounds s.  Preconditions: L > -1, L != 0, eta < 0,
-    1 <= s <= 19.  Raises BoundsInvalid when a needed table entry is
-    nonpositive (the sandwich would be vacuous).
+    from the rationals equal to L and eta, so the check that both entries
+    are positive is a sign test on exact values, not on rounded ones.
+    Preconditions: real L > -1, eta < 0, 1 <= s <= 19.  Raises
+    BoundsInvalid when a needed table entry is nonpositive (the sandwich
+    would be vacuous).
     """
     if not 1 <= s <= 19:
         raise ValueError(f"s must be in [1, 19], got {s}")

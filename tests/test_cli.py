@@ -7,13 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import coulombstar
 from coulombstar.cli import main
-from coulombstar.errors import RegionWarning
 from coulombstar.radii import radius_f
 from coulombstar.specfun import CoulombParams, eval_g
 
@@ -115,14 +116,20 @@ def test_rayleigh_float_mode(capsys):
     rec = run_json(capsys, "rayleigh", "--which", "Z", "--L", "1",
                    "--eta", "0", "--kmax", "2")
     assert rec["outputs"]["Z2"] == pytest.approx(0.2, rel=1e-12)
-    # without --exact a dyadic L stays on the float path: no exact cap of 40,
-    # and past k ~ 20 the float sums cancel, which the table warns about
-    with pytest.warns(RegionWarning, match="exact mode"):
-        rec2 = run_json(capsys, "rayleigh", "--which", "Ztilde", "--L",
-                        "1/2", "--eta", "0", "--kmax", "50")
+    # without --exact a dyadic L stays on the float path, and to k = 50 it
+    # agrees with the exact table without a warning
+    args = ("rayleigh", "--which", "Ztilde", "--L", "1/2", "--eta", "0",
+            "--kmax", "50")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec2 = run_json(capsys, *args)
+    exact = run_json(capsys, *args, "--exact")["outputs"]
     assert rec2["diagnostics"]["exact"] is False
     assert isinstance(rec2["outputs"]["Zt50"], float)
     assert rec2["outputs"]["Zt2"] == pytest.approx(7 / 12, rel=1e-12)
+    for key, value in rec2["outputs"].items():
+        want = float(Fraction(exact[key]))
+        assert abs(value - want) <= 1e-13 * abs(want), key
 
 
 def test_rayleigh_zeta_strings(capsys):

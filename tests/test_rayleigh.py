@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from coulombstar import rayleigh
 from coulombstar.errors import GateViolation, RegionWarning
 from coulombstar.exact import EtaPolynomial
-from coulombstar.rayleigh import (euler_rayleigh_bounds, gen_coeffs_a,
-                                  rayleigh_Z, rayleigh_Ztilde, zeta_coeffs,
+from coulombstar.rayleigh import (euler_rayleigh_bounds, rayleigh_Z,
+                                  rayleigh_Ztilde, zeta_coeffs,
                                   zeta_laurent_eval)
 from coulombstar.radii import radius_f
 from coulombstar.specfun import CoulombParams, coulomb_series_coeffs
@@ -137,28 +137,42 @@ def test_float_mode_agrees_with_exact():
         assert zf[k] == pytest.approx(float(ze[k]), rel=1e-12)
 
 
-def test_float_Ztilde_warns_when_a_sum_cancels():
-    # L(L+1) small against |eta|: the float Zt^(8) cancels to -4.4e9
-    with pytest.warns(RegionWarning, match="exact mode"):
-        t = rayleigh_Ztilde(CoulombParams(0.001, -3.41), 10, exact=False)
-    assert t[8] < 0.0
+@pytest.mark.parametrize("L, eta", [(0.001, -3.41), (0.1, 0.3), (0.5, 0.0),
+                                    (0.01, 5.0), (2.7, -1.3)])
+def test_float_Ztilde_agrees_with_exact_to_k40(L, eta):
+    # small L(L+1) against |eta| and large k: the float table keeps its
+    # digits, and nothing warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tf = rayleigh_Ztilde(CoulombParams(2.0, -1.0), 24, exact=False)
-        rayleigh_Ztilde(CoulombParams(0.5, 0.0), 16, exact=False)
-        rayleigh_Ztilde(CoulombParams(Fr(1, 1000), Fr(-341, 100)), 10,
-                        exact=True)
-    te = rayleigh_Ztilde(CoulombParams(Fr(2), Fr(-1)), 24, exact=True)
-    assert all(tf[k] == pytest.approx(float(te[k]), rel=1e-10)
-               for k in range(2, 25))
+        tf = rayleigh_Ztilde(CoulombParams(L, eta), 40, exact=False)
+    te = rayleigh_Ztilde(CoulombParams(Fr(L), Fr(eta)), 40, exact=True)
+    assert all(abs(tf[k] - float(te[k])) <= 1e-13 * abs(float(te[k]))
+               for k in range(2, 41))
 
 
-def test_gen_coeffs_closed_forms():
-    L, eta = Fr(2), Fr(-1)
-    a = gen_coeffs_a(CoulombParams(L, eta), 2, exact=True)
-    assert a[0] == 2 * eta / (L * (L + 1))
-    assert a[1] == -(2 + 2 * eta * a[0]) / (L * (L + 1))
-    assert a[2] == -(2 * eta * a[1] - a[0]) / (L * (L + 1))
+def test_Ztilde_at_L_zero_closed_forms():
+    # at (L, eta) = (0, 0), F' = cos z with zeros +-(n + 1/2) pi
+    t = rayleigh_Ztilde(CoulombParams(Fr(0), Fr(0)), 6, exact=True)
+    assert t.values == {2: 1, 3: 0, 4: Fr(1, 3), 5: 0, 6: Fr(2, 15)}
+
+
+def test_euler_rayleigh_bounds_at_L_zero():
+    r2 = radius_f(0, -1).value ** 2
+    for s in range(1, 5):
+        b = euler_rayleigh_bounds(CoulombParams(0, -1), s)
+        assert b.lower < r2 < b.upper
+
+
+def test_one_k_max_cap_for_both_arithmetics():
+    # a dyadic float takes the exact path, and still reaches k = 64
+    t = rayleigh_Z(CoulombParams(2.0, 0.0), 41)
+    assert t.exact and t[41] == _plain_Z(Fr(2), Fr(0), 41)[41]
+    for exact in (True, False):
+        for op in (rayleigh_Z, rayleigh_Ztilde):
+            params = CoulombParams(Fr(1, 3), Fr(-2, 5))
+            assert len(op(params, 64, exact=exact).values) == 63
+            with pytest.raises(ValueError):
+                op(params, 65, exact=exact)
 
 
 def test_euler_rayleigh_bounds_frozen():
@@ -192,8 +206,7 @@ def test_euler_rayleigh_limit_example():
 
 
 def test_euler_rayleigh_bounds_small_L_large_eta():
-    # L(L+1) small against |eta|: the float Ztilde recurrence cancels to
-    # negative Zt^(8), Zt^(10) here; the exact table gives a valid sandwich
+    # L(L+1) small against |eta|: the sandwich is still valid
     L, eta = 0.001, -3.41
     b = euler_rayleigh_bounds(CoulombParams(L, eta), 4)
     r2 = radius_f(L, eta, 0.0).value ** 2
@@ -207,8 +220,6 @@ def test_euler_rayleigh_bounds_small_L_large_eta():
 def test_rayleigh_gates():
     with pytest.raises(GateViolation):
         rayleigh_Z(CoulombParams(0.2 + 0.1j, 0.0), 2)
-    with pytest.raises(GateViolation):
-        gen_coeffs_a(CoulombParams(Fr(0), Fr(-1)), 2)     # L = 0 degenerate
     with pytest.raises(GateViolation):
         euler_rayleigh_bounds(CoulombParams(1.0, 0.0), 1)  # needs eta < 0
     with pytest.raises(ValueError):
