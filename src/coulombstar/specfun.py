@@ -23,20 +23,26 @@ applied to t_n = a_n z^n directly (no separate z**n factor, so nothing
 overflows).  A plain running sum drives the stopping rule; the returned sums
 are taken over the stored terms at the end, correctly rounded by
 ``math.fsum`` in float.  When cancellation eats the working precision the
-same loop re-runs under mpmath at a precision chosen from the size of
-log10(C_L(eta) z^(L+1)).
+recurrence re-runs, with the same stopping rule, in fixed point on Python
+integers (``_sum_pair_fixed``), at a precision chosen from the size of
+log10(C_L(eta) z^(L+1)); its sums are exact in the integers and rounded to
+float once.  ``SeriesEval.retry_bits`` says which pass produced a value.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import List, Union
 
-import mpmath as mp
+# Nothing here calls mpmath, but the package must keep importing it at
+# load: the traced benchmark times ``cli.import_mpmath_ms`` from the modules
+# a fresh ``python -m coulombstar`` imports, and stops with "no samples"
+# when none imports mpmath (CHANGES.md FOUND #29).  Drop this import with
+# that benchmark change.
+import mpmath  # noqa: F401
 from scipy.special import loggamma
 
 from .errors import DegenerateOrder, GammaOverflow, NonConvergence
@@ -62,6 +68,9 @@ _EPS = 2.220446049250313e-16
 
 #: series length cap; a longer series raises NonConvergence
 _MAX_TERMS = 10000
+
+#: bits carried by the fixed-point retry beyond its decimal digits
+_GUARD_BITS = 20
 
 
 def _is_exactable(x) -> bool:
@@ -110,12 +119,18 @@ class CoulombParams:
 
 @dataclass(frozen=True)
 class SeriesEval:
-    """Value/derivative pair with truncation diagnostics."""
+    """Value/derivative pair with truncation diagnostics.
+
+    ``retry_bits`` names the path that produced the value: 0 when the float
+    pass was kept, otherwise the working precision in bits of the
+    fixed-point retry.
+    """
 
     value: Scalar
     derivative: Scalar
     terms_used: int
     est_error: float
+    retry_bits: int = 0
 
 
 def coulomb_series_coeffs(params: CoulombParams, n_max: int,
@@ -172,73 +187,146 @@ def _fsum(xs: list) -> Scalar:
     return math.fsum(xs)
 
 
-def _sum_pair(params: CoulombParams, z: Scalar, tol: float,
-              dps: Optional[int] = None):
-    """Sum S(z) and z S'(z) in float, or in mpmath at ``dps`` digits.
+def _sum_pair(params: CoulombParams, z: Scalar, tol: float):
+    """Sum S(z) and z S'(z) in float.
 
-    Returns (S, zSp, terms, est_error, scale) as Python floats or complexes;
-    ``zSp`` is z*S'(z) so the caller never divides by a z that might be
-    zero.  The running sum of the terms sets ``scale`` (its peak modulus)
-    for the stopping rule.  In float the returned sums are the correctly
-    rounded sums of the stored terms (``math.fsum``); in mpmath they are
-    plain sums at ``dps`` digits.
+    Returns (S, zSp, terms, est_error, retry_bits) with S and zSp Python
+    floats or complexes; ``zSp`` is z*S'(z) so the caller never divides by
+    a z that might be zero, and retry_bits is 0 for this float pass (see
+    ``_sum_pair_fixed``).  The peak modulus of the running sum sets
+    ``scale`` for the stopping rule: three terms in a row at most
+    ``tol * scale``, from the index ``_safe_index`` on.  The returned sums
+    are the correctly rounded sums of the stored terms (``math.fsum``), or
+    NaN when those overflow.
     """
     cplx = params.is_complex or isinstance(z, complex)
-    with mp.workdps(dps) if dps else contextlib.nullcontext():
-        if dps:
-            L = (mp.mpc(params.L) if params.is_complex
-                 else mp.mpf(params.real_L()))
-            eta = mp.mpf(float(params.eta))
-            zz = mp.mpc(z) if cplx else mp.mpf(z)
-            one = mp.mpf(1)
+    L = complex(params.L) if params.is_complex else params.real_L()
+    eta = float(params.eta)
+    one = 1.0 + 0j if cplx else 1.0
+    two_eta_z, z_sq, two_L = 2 * eta * z, z * z, 2 * L
+    ts = [one, eta * z / (L + 1)]
+    S = one + ts[1]                      # running sum, for the stopping rule
+    scale = max(1.0, abs(S))
+    last3 = [1.0, abs(ts[1]), 1.0]
+    n_safe = _safe_index(params.real_L(), eta, abs(z))
+    streak = 0
+    for n in range(2, _MAX_TERMS + 1):
+        t = (two_eta_z * ts[-1] - z_sq * ts[-2]) / (n * (n + two_L + 1))
+        ts.append(t)
+        S += t
+        a = abs(S)
+        if a > scale:
+            if a == math.inf:            # overflowed terms never stop
+                raise NonConvergence(
+                    f"series for S(z) did not converge within "
+                    f"{_MAX_TERMS} terms: the float sum overflowed at "
+                    f"term {n} (L={params.L!r}, eta={params.eta!r}, "
+                    f"z={z!r})")
+            scale = a
+        at = abs(t)
+        last3[n % 3] = at
+        if at <= tol * scale and n >= n_safe:
+            streak += 1
+            if streak >= 3:
+                break
         else:
-            L = complex(params.L) if params.is_complex else params.real_L()
-            eta, zz = float(params.eta), z
-            one = 1.0 + 0j if cplx else 1.0
-        two_eta_z, z_sq, two_L = 2 * eta * zz, zz * zz, 2 * L
-        ts = [one, eta * zz / (L + 1)]
-        S = one + ts[1]                  # running sum, for the stopping rule
-        scale = max(1.0, abs(S))
-        last3 = [1.0, abs(ts[1]), 1.0]
-        n_safe = _safe_index(params.real_L(), float(params.eta), abs(z))
-        streak = 0
-        for n in range(2, _MAX_TERMS + 1):
-            t = (two_eta_z * ts[-1] - z_sq * ts[-2]) / (n * (n + two_L + 1))
-            ts.append(t)
-            S += t
-            a = abs(S)
-            if a > scale:
-                if a == math.inf:        # overflowed terms never stop
-                    raise NonConvergence(
-                        f"series for S(z) did not converge within "
-                        f"{_MAX_TERMS} terms: the float sum overflowed at "
-                        f"term {n} (L={params.L!r}, eta={params.eta!r}, "
-                        f"z={z!r})")
-                scale = a
-            at = abs(t)
-            last3[n % 3] = at
-            if at <= tol * scale and n >= n_safe:
-                streak += 1
-                if streak >= 3:
-                    break
-            else:
-                streak = 0
+            streak = 0
+    else:
+        raise NonConvergence(
+            f"series for S(z) did not converge within {_MAX_TERMS} terms "
+            f"(L={params.L!r}, eta={params.eta!r}, z={z!r})")
+    try:
+        S, T = _fsum(ts), _fsum([n * t for n, t in enumerate(ts)])
+    except (OverflowError, ValueError):  # terms or their sum overflow
+        S = T = math.nan                 # and the caller retries
+    return S, T, len(ts), max(last3) + 4.0 * _EPS * scale, 0
+
+
+def _dyadic(*xs: float):
+    """(k, [x * 2^k as int ...]) for floats xs, with the least such k."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    k = max(d for _, d in ratios).bit_length() - 1
+    return k, [m << (k - d.bit_length() + 1) for m, d in ratios]
+
+
+def _sum_pair_fixed(params: CoulombParams, z: Scalar, tol: float,
+                    dps: int):
+    """``_sum_pair`` at ``dps`` digits, on fixed-point Python integers.
+
+    Each term t_n is held as a pair of integers (re, im) scaled by 2^p,
+    p = ceil(dps log2 10) + ``_GUARD_BITS``.  L, eta and z are floats, so
+    they are exact dyadic rationals: with all of them scaled by one power
+    of two 2^k to integers, t_n = (A t_{n-1} - B t_{n-2}) / (2^k C_n) with
+    A = 2 eta z 4^k, B = z^2 4^k and C_n = 2^k n(n + 2L + 1) all exact
+    integers, so each term carries one floor division and no other
+    rounding.  Each division errs by less than 2^-p absolute, which at
+    scale >= 1 is less than a ``dps``-digit float pass commits on the
+    largest term.  The sums S and sum n t_n are exact in the integers and
+    rounded to float once.
+
+    The stopping rule and ``est_error`` (at a unit roundoff of 10^(1 - dps))
+    are those of the float pass; the moduli it compares are kept squared,
+    so the test |t| <= tol * scale is exact.  Returns the float pass's
+    tuple with retry_bits = p.  Raises NonConvergence when a sum or its
+    peak leaves the float range.
+    """
+    p = math.ceil(dps * math.log2(10.0)) + _GUARD_BITS
+    L = complex(params.L)
+    eta = float(params.eta)
+    zc = complex(z)
+    k, (lr, li, e, xr, xi) = _dyadic(L.real, L.imag, eta, zc.real, zc.imag)
+    ar, ai = 2 * e * xr, 2 * e * xi
+    br, bi = xr * xr - xi * xi, 2 * xr * xi
+    tm, td = float(tol).as_integer_ratio()
+    tm2, sh = tm * tm, 2 * (td.bit_length() - 1)   # tol^2 = tm2 / 2^sh
+    one = 1 << p
+    scale2 = one * one                   # peak |running sum|^2, >= 1
+    thr = (tm2 * scale2) >> sh           # |t|^2 <= thr  <=>  |t| <= tol scale
+    tr, ti, qr, qi = one, 0, 0, 0        # t_{n-1}, t_{n-2}; t_{-1} = 0
+    Sr, Si, Tr, Ti = one, 0, 0, 0        # sum t_n, sum n t_n
+    last3 = [scale2] * 3
+    n_safe = _safe_index(params.real_L(), eta, abs(z))
+    streak = 0
+    for n in range(1, _MAX_TERMS + 1):
+        nr = ar * tr - ai * ti - br * qr + bi * qi
+        ni = ar * ti + ai * tr - br * qi - bi * qr
+        cr = (n * (n + 1) << k) + 2 * n * lr
+        ci = 2 * n * li
+        d = (cr * cr + ci * ci) << k
+        qr, qi = tr, ti
+        tr, ti = (nr * cr + ni * ci) // d, (ni * cr - nr * ci) // d
+        Sr += tr
+        Si += ti
+        Tr += n * tr
+        Ti += n * ti
+        a2 = Sr * Sr + Si * Si
+        if a2 > scale2:
+            scale2 = a2
+            thr = (tm2 * scale2) >> sh
+        at2 = tr * tr + ti * ti
+        last3[n % 3] = at2
+        if at2 <= thr and n >= n_safe:
+            streak += 1
+            if streak >= 3:
+                break
         else:
-            raise NonConvergence(
-                f"series for S(z) did not converge within {_MAX_TERMS} terms "
-                f"(L={params.L!r}, eta={params.eta!r}, z={z!r}, dps={dps})")
-        nts = [n * t for n, t in enumerate(ts)]
-        if dps:
-            S, T = (complex(S), complex(sum(nts))) if cplx \
-                else (float(S), float(sum(nts)))
-        else:
-            try:
-                S, T = _fsum(ts), _fsum(nts)
-            except (OverflowError, ValueError):  # terms or their sum overflow
-                S = T = math.nan                 # and the caller retries
-        ulp = 10.0 ** (1 - dps) if dps else _EPS
-        est = float(max(last3)) + 4.0 * ulp * float(scale)
-        return S, T, len(ts), est, float(scale)
+            streak = 0
+    else:
+        raise NonConvergence(
+            f"series for S(z) did not converge within {_MAX_TERMS} terms "
+            f"(L={params.L!r}, eta={params.eta!r}, z={z!r}, dps={dps})")
+    try:
+        S, T = complex(Sr / one, Si / one), complex(Tr / one, Ti / one)
+        est = (math.isqrt(max(last3)) / one
+               + 4.0 * 10.0 ** (1 - dps) * (math.isqrt(scale2) / one))
+    except OverflowError:
+        raise NonConvergence(
+            f"series for S(z) at {dps} digits: the sum of {n + 1} terms "
+            f"or its peak leaves the float range (L={params.L!r}, "
+            f"eta={params.eta!r}, z={z!r})") from None
+    if not (params.is_complex or isinstance(z, complex)):
+        S, T = S.real, T.real
+    return S, T, n + 1, est, p
 
 
 def _working_dps(params: CoulombParams, z_abs: float) -> int:
@@ -257,20 +345,23 @@ def _working_dps(params: CoulombParams, z_abs: float) -> int:
 
 
 def _series_pair(params: CoulombParams, z: Scalar, tol: float):
-    """S(z) and z S'(z), retrying under mpmath when cancellation is fatal.
+    """(S, z S', terms, est_error, retry_bits), retrying in fixed point
+    when cancellation is fatal.
 
     The float pass is kept whenever its own error estimate is small
-    relative to the result; otherwise the evaluation is redone at a
-    precision sized to the expected digit loss.
+    relative to the result (retry_bits 0); otherwise the evaluation is
+    redone by ``_sum_pair_fixed`` at a precision sized to the expected
+    digit loss, and retry_bits is that pass's precision in bits.
     """
-    S, T, terms, est, scale = _sum_pair(params, z, tol)
+    res = _sum_pair(params, z, tol)
+    S, T, _, est, _ = res
     bad = (not (abs(S) + abs(T) < math.inf)
            or est > 1e-6 * (abs(S) + abs(T) + 1e-300))
     if not bad:
-        return S, T, terms, est, scale
-    S, T, terms, est, scale = _sum_pair(params, z, tol,
-                                        _working_dps(params, abs(z)))
-    return S, T, terms, est + _EPS * (abs(S) + abs(T)), scale
+        return res
+    S, T, terms, est, bits = _sum_pair_fixed(params, z, tol,
+                                             _working_dps(params, abs(z)))
+    return S, T, terms, est + _EPS * (abs(S) + abs(T)), bits
 
 
 def _demote(x: Scalar) -> Scalar:
@@ -292,10 +383,11 @@ def eval_g(params: CoulombParams, z: Scalar, tol: float = 1e-12) -> SeriesEval:
         one = 1.0 + 0j if params.is_complex else 1.0
         return SeriesEval(value=0.0 * one, derivative=one, terms_used=1,
                           est_error=0.0)
-    S, T, terms, est, _ = _series_pair(params, z, tol)
+    S, T, terms, est, bits = _series_pair(params, z, tol)
     # g = z*S ; g' = S + z S' = S + T
     return SeriesEval(value=_demote(z * S), derivative=_demote(S + T),
-                      terms_used=terms, est_error=est * abs(z))
+                      terms_used=terms, est_error=est * abs(z),
+                      retry_bits=bits)
 
 
 def _log_prefactor(params: CoulombParams):
@@ -338,7 +430,7 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
         raise GammaOverflow(
             f"combined prefactor exponent {log_total.real:.1f} overflows "
             "double precision")
-    S, T, terms, est, _ = _series_pair(params, z, tol)
+    S, T, terms, est, bits = _series_pair(params, z, tol)
     pref = cmath.exp(log_total)          # C z^(L+1)
     value = pref * S
     deriv = pref / z * ((L + 1) * S + T)
@@ -346,7 +438,8 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
     if real_inputs and isinstance(z, (int, float)) and z > 0:
         value, deriv = value.real, deriv.real
     return SeriesEval(value=_demote(value), derivative=_demote(deriv),
-                      terms_used=terms, est_error=est * abs(pref))
+                      terms_used=terms, est_error=est * abs(pref),
+                      retry_bits=bits)
 
 
 def eval_F(params: CoulombParams, z: Scalar, tol: float = 1e-14) -> Scalar:
@@ -365,13 +458,14 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
     if z == 0:
         return SeriesEval(value=0.0, derivative=1.0, terms_used=1,
                           est_error=0.0)
-    S, T, terms, est, _ = _series_pair(params, z, tol)
+    S, T, terms, est, bits = _series_pair(params, z, tol)
     L = complex(params.L) if params.is_complex else params.real_L()
     root = cmath.exp(cmath.log(S) / (L + 1))
     value = z * root
     deriv = root * (1 + T / (S * (L + 1)))
     return SeriesEval(value=_demote(value), derivative=_demote(deriv),
-                      terms_used=terms, est_error=est * abs(z))
+                      terms_used=terms, est_error=est * abs(z),
+                      retry_bits=bits)
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +475,12 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
 def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     """Bessel J_nu(z) and J'_nu(z) from the ascending series.
 
-    nu must be real and > -1.  The terms are summed in float with Kahan
-    compensation and there is no precision retry, so at |z| well beyond
-    nu, where the terms peak far above |J|, cancellation can leave wrong
-    digits.
+    nu must be real and > -1.  The series of J_nu(z) Gamma(nu + 1) / (z/2)^nu
+    starts at 1; the factor (z/2)^nu / Gamma(nu + 1) is applied in log
+    space, so large orders neither overflow nor lose the result before it
+    underflows.  The terms are summed in float with Kahan compensation and
+    there is no precision retry, so at |z| well beyond nu, where the terms
+    peak far above |J|, cancellation can leave wrong digits.
     """
     if isinstance(nu, complex):
         raise ValueError("nu must be real")
@@ -402,12 +498,12 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
         return SeriesEval(value=0.0, derivative=deriv, terms_used=1,
                           est_error=0.0)
     w = z * z / 4.0
-    t: Scalar = 1.0 / math.gamma(nu + 1.0)
-    U, cU = t, 0.0 * t            # sum t_m
-    V, cV = nu * t, 0.0 * t       # sum (2m + nu) t_m
-    scale = abs(t)
+    t: Scalar = 1.0
+    U, cU = 1.0, 0.0              # sum t_m
+    V, cV = nu, 0.0               # sum (2m + nu) t_m
+    scale = 1.0
     streak = 0
-    last = abs(t)
+    last = 1.0
     m = 0
     for m in range(1, _MAX_TERMS + 1):
         t = -t * w / (m * (m + nu))
@@ -434,17 +530,16 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
         raise NonConvergence(
             f"Bessel series did not converge within {_MAX_TERMS} terms "
             f"(nu={nu}, z={z!r})")
-    if isinstance(z, complex):
-        half_pow = cmath.exp(nu * cmath.log(z / 2.0))
-        half_pow_m1 = cmath.exp((nu - 1.0) * cmath.log(z / 2.0))
-    else:
-        if z < 0 and nu != int(nu):
-            half_pow = cmath.exp(nu * cmath.log(complex(z) / 2.0))
-            half_pow_m1 = cmath.exp((nu - 1.0) * cmath.log(complex(z) / 2.0))
-        else:
-            half_pow = math.copysign(abs(z / 2.0) ** nu, 1.0) \
-                if z > 0 else (z / 2.0) ** nu
-            half_pow_m1 = (z / 2.0) ** (nu - 1.0)
+    # half_pow = (z/2)^nu / Gamma(nu + 1), half_pow_m1 = (z/2)^(nu-1) / ...
+    lg = math.lgamma(nu + 1.0)
+    if isinstance(z, complex) or (z < 0 and nu != int(nu)):
+        lz = cmath.log(complex(z) / 2.0)
+        half_pow = cmath.exp(nu * lz - lg)
+        half_pow_m1 = cmath.exp((nu - 1.0) * lz - lg)
+    else:                         # z > 0, or z < 0 at an integer order
+        lz, sz = math.log(abs(z) / 2.0), math.copysign(1.0, z)
+        half_pow = sz ** nu * math.exp(nu * lz - lg)
+        half_pow_m1 = sz ** (nu - 1.0) * math.exp((nu - 1.0) * lz - lg)
     value = half_pow * U
     deriv = 0.5 * half_pow_m1 * V
     est = (last + 4.0 * _EPS * scale) * abs(half_pow)

@@ -16,7 +16,8 @@ import pytest
 import coulombstar
 from coulombstar.cli import main
 from coulombstar.radii import radius_f
-from coulombstar.specfun import CoulombParams, eval_g
+from coulombstar.specfun import (CoulombParams, eval_F_with_derivative,
+                                 eval_g)
 
 
 def run(capsys, *argv):
@@ -60,6 +61,15 @@ def test_eval_bit_identical_to_library(capsys):
     assert rec["outputs"]["value"] == res.value            # bit-for-bit
     assert rec["outputs"]["derivative"] == res.derivative
     assert rec["diagnostics"]["terms_used"] == res.terms_used
+    assert rec["diagnostics"]["retry_bits"] == res.retry_bits == 0
+
+
+def test_eval_reports_the_fixed_point_retry(capsys):
+    rec = run_json(capsys, "eval", "--family", "F", "--L", "3",
+                   "--eta", "1.5", "--z-re", "34")
+    res = eval_F_with_derivative(CoulombParams(3.0, 1.5), 34.0)
+    assert rec["outputs"]["value"] == res.value
+    assert rec["diagnostics"]["retry_bits"] == res.retry_bits > 0
 
 
 def test_eval_spec_examples(capsys):

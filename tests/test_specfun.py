@@ -4,13 +4,15 @@ import math
 import re
 from fractions import Fraction as Fr
 
+import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coulombstar.errors import (DegenerateOrder, GammaOverflow, GateViolation,
                                 NonConvergence)
-from coulombstar.specfun import (CoulombParams, _sum_pair,
+from coulombstar.specfun import (CoulombParams, _series_pair, _sum_pair,
+                                 _sum_pair_fixed, _working_dps,
                                  coulomb_series_coeffs, eval_F,
                                  eval_F_with_derivative, eval_bessel_j,
                                  eval_dini, eval_f_normalized, eval_g)
@@ -66,6 +68,19 @@ def test_bessel_oracles():
     assert eval_bessel_j(2.0, 0.0).value == 0.0
 
 
+@pytest.mark.parametrize("nu", [171.5, 180.0, 200.0])
+def test_bessel_large_order(nu):
+    # 1/Gamma(nu + 1) overflows above nu ~ 170; the prefactor lives in log
+    # space, so J and J' keep their digits until they underflow
+    for z in (0.5, 20.0, 35.0, -20.0, 30.0 + 5.0j, -12.0 + 20.0j, 3.0 - 34.0j):
+        res = eval_bessel_j(nu, z)
+        for got, ref in ((res.value, mp.besselj(nu, z)),
+                         (res.derivative, mp.besselj(nu, z, derivative=1))):
+            ref = complex(ref)
+            assert abs(got - ref) <= 1e-12 * abs(ref), (z, got, ref)
+    assert eval_bessel_j(nu, 0.5).value == 0.0        # J ~ 1e-400 underflows
+
+
 def test_dini_zeros_match_radius_captions():
     # nu=0, H=1/2: d(r) = (2 r J0'(r) + J0(r))/2 vanishes at the first
     # caption value; nu=1/2, H=1/2: d(r) ~ cos(r) vanishes at pi/2
@@ -109,15 +124,66 @@ def test_exact_series_coefficients():
     (1.5 - 0.2j, 1.4, 0.9 - 0.7j),
 ])
 def test_float_and_mp_passes_agree(L, eta, z):
-    # one summation loop serves both precisions; at benign inner points
-    # the float pass and a 40-digit pass give the same sums
+    # at benign inner points the float pass and the fixed-point pass at 40
+    # digits give the same sums
     p = CoulombParams(L, eta)
     S, T, terms, _, _ = _sum_pair(p, z, 1e-15)
-    S40, T40, terms40, est40, _ = _sum_pair(p, z, 1e-15, dps=40)
+    S40, T40, terms40, est40, _ = _sum_pair_fixed(p, z, 1e-15, 40)
     assert type(S40) is type(S) and type(T40) is type(T)
     assert S == pytest.approx(S40, rel=1e-13)
     assert T == pytest.approx(T40, rel=1e-13)
     assert abs(terms - terms40) <= 1 and est40 < 1e-13 * abs(S40)
+
+
+def _series_60(L, eta, z, terms):
+    """S and z S' over the first ``terms`` terms, in 60-digit mpmath, from
+    the recurrence of the coefficients a_n rather than of the terms."""
+    with mp.workdps(60):
+        L, eta, z = mp.mpc(L), mp.mpf(eta), mp.mpc(z)
+        a = [mp.mpf(1), eta / (L + 1)]
+        for n in range(2, terms):
+            a.append((2 * eta * a[-1] - a[-2]) / (n * (n + 2 * L + 1)))
+        t = [c * z ** n for n, c in enumerate(a)]
+        return (complex(mp.fsum(t)),
+                complex(mp.fsum(n * tn for n, tn in enumerate(t))))
+
+
+# outer points whose float pass is rejected, with the term counts of the
+# 27-32 digit mpmath pass that the fixed-point retry replaced (tol 1e-14)
+RETRY_POINTS = [
+    (0.0, -1.5, 28.0, 83), (3.0, 1.5, 34.0, 90), (5.0, -1.5, 25.0, 73),
+    (0.3, 1.7, 30.0, 85), (10.0, 0.0, 30.0, 78),
+    (0.0, -1.5, 25.995 + 0.52j, 79), (3.0, 1.5, -32.862 - 3.018j, 88),
+    (0.0, 1.5, 32.835 + 3.295j, 91),
+    (0.4 + 0.3j, -1.5, 28.0, 82), (0.4 + 0.3j, 1.5, 34.0, 93),
+    (2 - 0.7j, -1.5, 32.959 - 1.649j, 90),
+    (1 + 1.5j, 1.5, -25.891 - 2.378j, 78),
+]
+
+
+@pytest.mark.parametrize("L, eta, z, terms", RETRY_POINTS)
+def test_fixed_point_retry(L, eta, z, terms):
+    # the reference sums the same number of terms: where the series stops
+    # is the stopping rule's business, and this checks the arithmetic
+    p = CoulombParams(L, eta)
+    S, T, used, _, bits = _series_pair(p, z, 1e-14)
+    assert bits > 0 and used == terms
+    S60, T60 = _series_60(L, eta, z, used)
+    assert abs(S - S60) <= 1e-13 * abs(S60)
+    assert abs(T - T60) <= 1e-13 * abs(T60)
+    real = isinstance(L, float) and isinstance(z, float)
+    assert type(S) is type(T) is (float if real else complex)
+    assert eval_g(p, z, tol=1e-14).retry_bits == bits
+
+
+@pytest.mark.parametrize("L, eta, z", [
+    (2.0, 1.5, 800.0), (0.3 + 0.2j, -2.0, 700 + 300j),
+])
+def test_fixed_point_sum_out_of_float_range(L, eta, z):
+    # exact integer sums beyond 1.8e308 must not surface as OverflowError
+    p = CoulombParams(L, eta)
+    with pytest.raises(NonConvergence, match="leaves the float range"):
+        _sum_pair_fixed(p, z, 1e-14, _working_dps(p, abs(z)))
 
 
 @given(st.floats(-0.9, 4.0), st.floats(-3.0, 3.0), st.floats(0.05, 2.0))
