@@ -242,7 +242,7 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
     # any r u' below du_u * noise, and a step or band width drawn from it,
     # noise
     du_u = abs(2.0 * L + 1.0 - 2.0 * d)
-    ae = abs(eta) / lam
+    ae = abs(eta) / lam if eta else 0.0
     ur = u(r)
     # u(0+) = d > 0, so u(start) <= 0 brackets the root in (0, start);
     # otherwise hi stays infinite until a step finds u <= 0
@@ -324,6 +324,8 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
 def _check_coulomb(L, eta, beta: float) -> None:
     if isinstance(L, complex) or isinstance(eta, complex):
         raise GateViolation("radii are defined for real L and eta")
+    if not (math.isfinite(L) and math.isfinite(eta)):
+        raise GateViolation(f"need finite L and eta, got L={L}, eta={eta}")
     if not -1.0 < float(L):
         raise GateViolation(f"need L > -1, got {L}")
     if not 0.0 <= beta < 1.0:
@@ -360,6 +362,9 @@ def radius_phi(nu, alpha, beta: float = 0.0) -> RadiusResult:
     """
     nu = float(nu)
     alpha = float(alpha)
+    if not (math.isfinite(nu) and math.isfinite(alpha)):
+        raise GateViolation(f"need finite nu and alpha, got nu={nu}, "
+                            f"alpha={alpha}")
     if nu <= -1.0:
         raise GateViolation(f"need nu > -1, got {nu}")
     if nu + alpha <= 0.0:

@@ -53,7 +53,7 @@ from typing import Dict, List, Tuple, Union
 
 from .errors import BoundsInvalid, GateViolation, RegionWarning
 from .exact import EtaPolynomial, _rational_dot, p_coeff
-from .specfun import CoulombParams, _is_exactable
+from .specfun import CoulombParams, _exact_mode
 
 __all__ = [
     "RayleighTable",
@@ -109,13 +109,7 @@ def _pick_mode(params: CoulombParams, k_max: int, exact):
         raise GateViolation("zero power sums need real L")
     if not 2 <= k_max <= _K_MAX:
         raise ValueError(f"k_max must be in [2, {_K_MAX}], got {k_max}")
-    want = (_is_exactable(params.L) and _is_exactable(params.eta)
-            if exact is None else bool(exact))
-    if want and not (_is_exactable(params.L) and _is_exactable(params.eta)):
-        raise ValueError(
-            f"exact mode needs rational L and eta, got L={params.L!r}, "
-            f"eta={params.eta!r}")
-    if want:
+    if _exact_mode(params, exact):
         return Fraction(params.L), Fraction(params.eta), _rational_dot
     return float(params.L), float(params.eta), _float_dot
 

@@ -117,6 +117,18 @@ class CoulombParams:
         return self.L.real if isinstance(self.L, complex) else float(self.L)
 
 
+def _exact_mode(params: CoulombParams, exact: Union[bool, None]) -> bool:
+    """Whether to work in exact rationals: ``exact`` when given, else
+    whether L and eta are both exactly representable.  Raises ValueError
+    when exact mode is demanded of an L or eta that is not."""
+    exactable = _is_exactable(params.L) and _is_exactable(params.eta)
+    if exact and not exactable:
+        raise ValueError(
+            f"exact mode needs rational L and eta, got L={params.L!r}, "
+            f"eta={params.eta!r}")
+    return exactable if exact is None else bool(exact)
+
+
 @dataclass(frozen=True)
 class SeriesEval:
     """Value/derivative pair with truncation diagnostics.
@@ -143,13 +155,7 @@ def coulomb_series_coeffs(params: CoulombParams, n_max: int,
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    want_exact = (_is_exactable(params.L) and _is_exactable(params.eta)
-                  if exact is None else exact)
-    if want_exact:
-        if not (_is_exactable(params.L) and _is_exactable(params.eta)):
-            raise ValueError(
-                "exact coefficients need rational L and eta; got "
-                f"L={params.L!r}, eta={params.eta!r}")
+    if _exact_mode(params, exact):
         L, eta, one = Fraction(params.L), Fraction(params.eta), Fraction(1)
     else:
         L = complex(params.L) if params.is_complex else params.real_L()
@@ -187,28 +193,24 @@ def _fsum(xs: list) -> Scalar:
     return math.fsum(xs)
 
 
-def _sum_pair(params: CoulombParams, z: Scalar, tol: float):
-    """Sum S(z) and z S'(z) in float.
+def _terms(L: Scalar, eta: float, z: Scalar, tol: float):
+    """The terms t_n = a_n z^n of S(z) in float, with their stopping data.
 
-    Returns (S, zSp, terms, est_error, retry_bits) with S and zSp Python
-    floats or complexes; ``zSp`` is z*S'(z) so the caller never divides by
-    a z that might be zero, and retry_bits is 0 for this float pass (see
-    ``_sum_pair_fixed``).  The peak modulus of the running sum sets
-    ``scale`` for the stopping rule: three terms in a row at most
-    ``tol * scale``, from the index ``_safe_index`` on.  The returned sums
-    are the correctly rounded sums of the stored terms (``math.fsum``), or
-    NaN when those overflow.
+    L is a float or complex, eta a float; L = -1 is allowed at eta = 0,
+    where t_1 = 0 and S(z) = cos z.  Returns (ts, scale, last3): the stored
+    terms, the peak modulus of the running sum, which sets ``scale`` for the
+    stopping rule (three terms in a row at most ``tol * scale``, from the
+    index ``_safe_index`` on), and the moduli of the last three terms.
+    Raises NonConvergence when the running sum overflows or the cap
+    ``_MAX_TERMS`` is reached.
     """
-    cplx = params.is_complex or isinstance(z, complex)
-    L = complex(params.L) if params.is_complex else params.real_L()
-    eta = float(params.eta)
-    one = 1.0 + 0j if cplx else 1.0
+    one = 1.0 + 0j if isinstance(L, complex) or isinstance(z, complex) else 1.0
     two_eta_z, z_sq, two_L = 2 * eta * z, z * z, 2 * L
-    ts = [one, eta * z / (L + 1)]
+    ts = [one, eta * z / (L + 1) if eta else 0.0 * z]
     S = one + ts[1]                      # running sum, for the stopping rule
     scale = max(1.0, abs(S))
     last3 = [1.0, abs(ts[1]), 1.0]
-    n_safe = _safe_index(params.real_L(), eta, abs(z))
+    n_safe = _safe_index(L.real, eta, abs(z))
     streak = 0
     for n in range(2, _MAX_TERMS + 1):
         t = (two_eta_z * ts[-1] - z_sq * ts[-2]) / (n * (n + two_L + 1))
@@ -220,21 +222,32 @@ def _sum_pair(params: CoulombParams, z: Scalar, tol: float):
                 raise NonConvergence(
                     f"series for S(z) did not converge within "
                     f"{_MAX_TERMS} terms: the float sum overflowed at "
-                    f"term {n} (L={params.L!r}, eta={params.eta!r}, "
-                    f"z={z!r})")
+                    f"term {n} (L={L!r}, eta={eta!r}, z={z!r})")
             scale = a
         at = abs(t)
         last3[n % 3] = at
         if at <= tol * scale and n >= n_safe:
             streak += 1
             if streak >= 3:
-                break
+                return ts, scale, last3
         else:
             streak = 0
-    else:
-        raise NonConvergence(
-            f"series for S(z) did not converge within {_MAX_TERMS} terms "
-            f"(L={params.L!r}, eta={params.eta!r}, z={z!r})")
+    raise NonConvergence(
+        f"series for S(z) did not converge within {_MAX_TERMS} terms "
+        f"(L={L!r}, eta={eta!r}, z={z!r})")
+
+
+def _sum_pair(params: CoulombParams, z: Scalar, tol: float):
+    """Sum S(z) and z S'(z) in float.
+
+    Returns (S, zSp, terms, est_error, retry_bits) with S and zSp Python
+    floats or complexes; ``zSp`` is z*S'(z) so the caller never divides by
+    a z that might be zero, and retry_bits is 0 for this float pass (see
+    ``_sum_pair_fixed``).  The sums are the correctly rounded sums of the
+    terms of ``_terms`` (``math.fsum``), or NaN when those overflow.
+    """
+    L = complex(params.L) if params.is_complex else params.real_L()
+    ts, scale, last3 = _terms(L, float(params.eta), z, tol)
     try:
         S, T = _fsum(ts), _fsum([n * t for n, t in enumerate(ts)])
     except (OverflowError, ValueError):  # terms or their sum overflow

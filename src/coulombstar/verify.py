@@ -8,8 +8,10 @@ verified; these are the cross-checks:
   circle |z| = r and report the minimum.  A radius is confirmed by a
   positive minimum just below it and a sign change just above it.
 * ``boundary_image`` -- points of the image curve h(r e^(it)) for plotting.
-  Both write h = z B^(1/kappa), with B the Coulomb series S (f, g) or the
-  normalized Bessel series jhat (phi), built and gated in one place.
+  Both write h = z B^(1/kappa), with B the Coulomb entire factor S, taken
+  at L = nu - 1/2 and eta = 0 for phi (where S is jhat), summed from the
+  float series terms of ``specfun`` and gated in one place.  The root
+  search's continued fraction plays no part.
 * ``zero_sum_oracle`` -- power sums over zeros located by direct numerical
   integration of the defining ODE  u'' = (2 eta/z + L(L+1)/z^2 - 1) u,
   plus an Euler-Maclaurin tail; this never touches the series recurrences,
@@ -29,11 +31,9 @@ from typing import List, Optional, Union
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .errors import (GateViolation, NonConvergence, PoleOnCircle,
-                     ZeroEnumerationIncomplete)
+from .errors import GateViolation, PoleOnCircle, ZeroEnumerationIncomplete
 from .radii import Family
-from .specfun import (CoulombParams, coulomb_series_coeffs,
-                      eval_F_with_derivative, _EPS, _sum_pair)
+from .specfun import CoulombParams, eval_F_with_derivative, _EPS, _terms
 
 __all__ = [
     "DiskScanReport",
@@ -57,70 +57,42 @@ class DiskScanReport:
     witness_rotation: float = 0.0
 
 
-def _coeff_count(params: CoulombParams, r: float) -> int:
-    """Terms needed so the series tail at |z| = r is below float noise."""
-    _, _, terms, _, _ = _sum_pair(params, r, 1e-15)
-    return terms + 8
-
-
-def _coulomb_arrays(params: CoulombParams, r: float):
-    n = _coeff_count(params, r)
-    a = np.asarray(coulomb_series_coeffs(params, n, exact=False),
-                   dtype=complex if params.is_complex else float)
-    ap = a[1:] * np.arange(1, n + 1)
-    return a, ap
-
-
-def _jhat_arrays(nu: float, r: float):
-    """Coefficients b_m = c_m r^(2m) of jhat(z) = sum b_m t^m, t = (z/r)^2,
-    up to the first term past the peak below 1e-18, and those of
-    z jhat'(z) / (2t).  Scaling by r keeps every coefficient that matters
-    inside the float range where c_m alone would underflow; raises
-    NonConvergence when a term overflows before the series turns."""
-    b = [1.0]
-    m = 0
-    while not (m * (nu + m) > r * r and abs(b[-1]) < 1e-18):
-        m += 1
-        b.append(b[-1] * (-0.25 * r * r) / (m * (nu + m)))
-        if abs(b[-1]) == math.inf:
-            raise NonConvergence(
-                f"the jhat series overflows at |z| = {r} (nu = {nu})")
-    b = np.asarray(b)
-    b1 = b[1:] * np.arange(1, len(b))       # z jhat' = 2 t sum m b_m t^(m-1)
-    return b, b1
-
-
 def _factor_on_circle(family, r, n, params, nu, alpha):
     """The entire factor B of h = z B^(1/kappa) at z = r e^(2 pi i k/n).
 
-    Returns (z, B, z B', kappa, segment); segment is None for complex
-    order and otherwise holds B on [r/64, r] and the a priori bound
-    2 n eps sum |b_k| x^k on the rounding of Horner's rule for those values
-    (Higham, Accuracy and Stability of Numerical Algorithms, 5.1), with n
-    the number of coefficients.  kappa is L + 1 for f, 1 for g and
+    B is the Coulomb factor S, at (L, eta) for f and g and at L = nu - 1/2,
+    eta = 0 for phi, where S is jhat.  Its terms b_k = a_k r^k at z = r,
+    from the float series of ``specfun``, are the coefficients of B in
+    w = z/r: they are the term sizes on |z| = r, so none that matters
+    underflows.  Returns (z, B, z B', kappa, segment); segment is None for
+    complex order and otherwise holds B on [r/64, r] and the a priori bound
+    2 n eps sum |b_k| (x/r)^k on the rounding of Horner's rule for those
+    values (Higham, Accuracy and Stability of Numerical Algorithms, 5.1),
+    with n the number of terms.  kappa is L + 1 for f, 1 for g and
     nu + alpha for phi.
     Gates: r > 0, params for f and g, nu > -1 and nu + alpha > 0 for phi.
+    Raises NonConvergence when the terms at z = r leave the float range.
     """
     fam = Family(family)
     if r <= 0:
         raise ValueError("r must be positive")
-    z = r * np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
-    xs = np.linspace(r / 64.0, r, 64)
     if fam is Family.BESSEL_GEN:
         if nu is None or alpha is None:
             raise GateViolation("family 'phi' needs nu and alpha")
         if nu + alpha <= 0 or nu <= -1:
             raise GateViolation("need nu > -1 and nu + alpha > 0")
-        b, b1 = _jhat_arrays(float(nu), r)
-        t = (z / r) ** 2
-        return (z, npp.polyval(t, b), 2.0 * t * npp.polyval(t, b1),
-                float(nu) + float(alpha), _horner((xs / r) ** 2, b))
-    if params is None:
-        raise GateViolation(f"family {fam.value!r} needs params")
-    a, ap = _coulomb_arrays(params, r)
-    kappa = params.L + 1.0 if fam is Family.F_POWER else 1.0
-    return (z, npp.polyval(z, a), z * npp.polyval(z, ap), kappa,
-            None if params.is_complex else _horner(xs, a))
+        L, eta, kappa = float(nu) - 0.5, 0.0, float(nu) + float(alpha)
+    else:
+        if params is None:
+            raise GateViolation(f"family {fam.value!r} needs params")
+        L = complex(params.L) if params.is_complex else params.real_L()
+        eta = float(params.eta)
+        kappa = params.L + 1.0 if fam is Family.F_POWER else 1.0
+    b = np.asarray(_terms(L, eta, r, 1e-15)[0])
+    w = np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
+    return (r * w, npp.polyval(w, b), npp.polyval(w, b * np.arange(len(b))),
+            kappa, None if isinstance(L, complex)
+            else _horner(np.linspace(1.0 / 64.0, 1.0, 64), b))
 
 
 def _horner(x: np.ndarray, b: np.ndarray):

@@ -15,7 +15,8 @@ import pytest
 
 import coulombstar
 from coulombstar.cli import main
-from coulombstar.radii import radius_f
+from coulombstar import radii
+from coulombstar.radii import radius_f, radius_phi
 from coulombstar.specfun import (CoulombParams, eval_F_with_derivative,
                                  eval_g)
 
@@ -52,6 +53,24 @@ def test_radius_phi_value(capsys):
     rec = run_json(capsys, "radius", "--family", "phi", "--nu", "1",
                    "--alpha", "0")
     assert rec["outputs"]["value"] == pytest.approx(1.8411837813, abs=1e-9)
+
+
+def test_radius_phi_at_order_minus_half(capsys):
+    # nu = -1/2 is order L = -1 of the kernel: a root, not a traceback
+    rec = run_json(capsys, "radius", "--family", "phi", "--nu", "-0.5",
+                   "--alpha", "1")
+    assert rec["outputs"]["value"] == radius_phi(-0.5, 1.0).value
+
+
+def test_radius_non_finite_input_exits_2(capsys, monkeypatch):
+    # alpha = inf used to hang the root search; the gate must stop it first
+    def no_search(*_):
+        raise AssertionError("the root search ran")
+
+    monkeypatch.setattr(radii, "_first_root", no_search)
+    code, out, err = run(capsys, "radius", "--family", "phi", "--nu", "1",
+                         "--alpha", "inf")
+    assert code == 2 and out == "" and "finite" in err
 
 
 def test_eval_bit_identical_to_library(capsys):

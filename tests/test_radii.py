@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coulombstar import radii
 from coulombstar.errors import GateViolation
 from coulombstar.radii import (Family, RadiusQuery, _reduced, radius_f,
                                radius_g, radius_phi)
@@ -228,6 +229,37 @@ def test_gates():
         radius_phi(-1.5, 0.0)
     with pytest.raises(GateViolation):
         radius_phi(0.5, -0.5)          # nu + alpha = 0
+
+
+@pytest.mark.parametrize("op, args", [
+    (radius_phi, (1.0, math.inf)),      # the Riccati step bound is NaN
+    (radius_phi, (math.nan, 1.0)),
+    (radius_phi, (-math.inf, 2.0)),
+    (radius_f, (1.0, math.nan)),
+    (radius_f, (math.inf, 0.0)),
+    (radius_g, (0.0, -math.inf)),
+])
+def test_non_finite_inputs_are_gated(op, args, monkeypatch):
+    # the gate must raise before the root search starts, which at
+    # alpha = inf would never return
+    def no_search(*_):
+        raise AssertionError("the root search ran")
+
+    monkeypatch.setattr(radii, "_first_root", no_search)
+    with pytest.raises(GateViolation, match="finite"):
+        op(*args)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.7, 0.3), (3.0, 0.5)])
+def test_radius_phi_at_order_minus_half(alpha, beta):
+    # jhat = cos z at nu = -1/2, the order L = -1 of the eta = 0 kernel: the
+    # radius solves (alpha - 1/2)(1 - beta) cos r = r sin r
+    c = (alpha - 0.5) * (1.0 - beta)
+    with mp.workdps(40):
+        ref = mp.findroot(lambda x: c * mp.cos(x) - x * mp.sin(x), 0.5)
+    res = radius_phi(-0.5, alpha, beta)
+    assert res.value == pytest.approx(float(ref), rel=4e-16)
+    assert res.iterations <= 8
 
 
 def test_radius_beta_near_one_frozen_value():

@@ -227,8 +227,13 @@ def test_rayleigh_gates():
 
 
 def test_exact_flag_refuses_unrepresentable():
-    with pytest.raises(ValueError):
-        rayleigh_Z(CoulombParams(0.1234567890123, -1.0), 2, exact=True)
+    # one gate decides the exact mode for the series and the tables
+    p = CoulombParams(0.1234567890123, -1.0)
+    for call in (lambda: rayleigh_Z(p, 2, exact=True),
+                 lambda: rayleigh_Ztilde(p, 2, exact=True),
+                 lambda: coulomb_series_coeffs(p, 3, exact=True)):
+        with pytest.raises(ValueError, match="exact mode needs rational"):
+            call()
 
 
 def test_zeta_base_row():

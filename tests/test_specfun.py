@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from coulombstar.errors import (DegenerateOrder, GammaOverflow, GateViolation,
                                 NonConvergence)
 from coulombstar.specfun import (CoulombParams, _series_pair, _sum_pair,
-                                 _sum_pair_fixed, _working_dps,
+                                 _sum_pair_fixed, _terms, _working_dps,
                                  coulomb_series_coeffs, eval_F,
                                  eval_F_with_derivative, eval_bessel_j,
                                  eval_dini, eval_f_normalized, eval_g)
@@ -236,6 +236,14 @@ def test_complex_L_demotion_and_eval():
     assert pc.is_complex
     v = eval_g(pc, 0.5).value
     assert isinstance(v, complex) and abs(v) > 0
+
+
+def test_terms_at_order_minus_one():
+    # L = -1 is allowed at eta = 0, where t_1 = 0 and S(z) = cos z
+    ts, scale, last3 = _terms(-1.0, 0.0, 2.0, 1e-15)
+    assert ts[1] == 0.0 and scale == 1.0
+    assert math.fsum(ts) == pytest.approx(math.cos(2.0), rel=1e-15)
+    assert max(last3) <= 1e-15
 
 
 def test_non_convergence_at_fixed_cap():

@@ -44,11 +44,14 @@ def test_starlike_scan_beta_families():
     p = CoulombParams(1.0, -0.5)
     assert starlike_scan("g", 0.99 * rg, params=p).min_real_part > 0
     assert starlike_scan("g", 1.01 * rg, params=p).min_real_part < 0
-    rphi = radius_phi(0.3, 0.2, 0.5).value
-    assert starlike_scan("phi", 0.99 * rphi, nu=0.3,
-                         alpha=0.2).min_real_part > 0.5
-    assert starlike_scan("phi", 1.01 * rphi, nu=0.3,
-                         alpha=0.2).min_real_part < 0.5
+    # nu = -0.7 is order L = -1.2 of the Coulomb factor, below the L > -1
+    # that CoulombParams accepts
+    for nu, alpha in [(0.3, 0.2), (-0.7, 1.0)]:
+        rphi = radius_phi(nu, alpha, 0.5).value
+        assert starlike_scan("phi", 0.99 * rphi, nu=nu,
+                             alpha=alpha).min_real_part > 0.5
+        assert starlike_scan("phi", 1.01 * rphi, nu=nu,
+                             alpha=alpha).min_real_part < 0.5
 
 
 def test_scan_guards():
@@ -65,9 +68,9 @@ def test_scan_guards():
 
 @pytest.mark.parametrize("nu", [100.0, 200.0])
 def test_phi_scan_at_large_order(nu):
-    # jhat is summed in (z/r)^2 with coefficients c_m r^(2m), the term sizes
-    # on |z| = r, so its stop test does not overflow and no coefficient
-    # that matters underflows.  Well inside the radius the scan matches
+    # jhat is S at L = nu - 1/2, eta = 0, summed in z/r with coefficients
+    # a_n r^n, the term sizes on |z| = r, so no coefficient that matters
+    # underflows.  Well inside the radius the scan matches
     # 1 - r J_{nu+1}/J_nu / (nu + alpha) on the real axis, to the ~7 digits
     # the float sum keeps at nu = 200; near the radius the sum is below its
     # rounding bound, a numerical error
@@ -80,6 +83,34 @@ def test_phi_scan_at_large_order(nu):
         starlike_scan("phi", 0.99 * r, nu=nu, alpha=1.0)
     with pytest.raises(NonConvergence):          # terms leave the float range
         starlike_scan("phi", 2000.0, nu=nu, alpha=1.0)
+
+
+@pytest.mark.parametrize("nu, x, alpha", [
+    (-0.5, 0.3, 1.0), (-0.5, 1.0, 2.5), (-0.5, 0.05, 0.6), (-0.7, 0.2, 1.0)])
+def test_phi_scan_at_small_order(nu, x, alpha):
+    # the order L = nu - 1/2 of the Coulomb factor is -1 or below, which
+    # CoulombParams refuses; at nu = -1/2, jhat = cos z and the minimum on
+    # the real axis is 1 - x tan x/(nu + alpha)
+    ref = 1 - x * mp.besselj(nu + 1, x) / mp.besselj(nu, x) / (nu + alpha)
+    rep = starlike_scan("phi", x, nu=nu, alpha=alpha)
+    assert rep.min_real_part == pytest.approx(float(ref), rel=1e-14)
+
+
+def test_f_scan_at_large_order():
+    # at L = 200 most unscaled coefficients a_n underflow at 0.9 r; the
+    # scaled terms a_n r^n keep them, so the scan is not told that 0.9 r
+    # lies past the first zero of F.  There the factor cancels below its
+    # rounding bound, a numerical error; at 0.5 r it matches r F'/F/(L+1)
+    p = CoulombParams(200.0, 0.0)
+    r = radius_f(200.0, 0.0).value
+    with pytest.raises(PoleOnCircle):
+        starlike_scan("f", 0.9 * r, params=p)
+    x = mp.mpf(0.5 * r)
+    with mp.workdps(40):     # F_200(0, x) = sqrt(pi x/2) J_200.5(x)
+        ref = (0.5 + x * mp.besselj(200.5, x, derivative=1)
+               / mp.besselj(200.5, x)) / 201
+    rep = starlike_scan("f", 0.5 * r, params=p)
+    assert rep.min_real_part == pytest.approx(float(ref), rel=1e-5)
 
 
 def test_segment_below_rounding_is_a_numerical_error():
