@@ -12,15 +12,17 @@ in u = 1/L
                      + u^(m+1) E^(m+1) Zeta_(2m+1)(u) ] / (1 + u)
         - eta E u / (1 + u)^2,                      E = c + sum eps_k u^k,
 
-with Zeta_j(u) = sum_n zeta_n^(j) u^n taken from
-:func:`coulombstar.rayleigh.zeta_coeffs`.  The u^0 coefficient forces
+with Zeta_j(u) = sum_n zeta_n^(j) u^n read from the zeta memo of
+:mod:`coulombstar.rayleigh`.  The u^0 coefficient forces
 c^2 zeta_0^(2) = 1, i.e. c = sqrt(2); each further power of u is linear in
 the next eps and is solved exactly over Q(sqrt2)[eta]
 (:func:`epsilon_coeffs`).  The solve works on the identity multiplied by
 1 + u, whose u^j coefficient is a finite sum of entries of the power table
 of E's coefficient list times zeta entries, summed by one
-``EtaPolynomial.dot``; that table and :func:`annihilation_residuals` share
-one kernel, ``exact._powers``.
+``EtaPolynomial.dot``.  It builds only what it reads: the zeta rows along a
+staircase, row k through order N + 1 - ceil(k/2), and one power table,
+grown in place by ``exact._powers`` by a column and a diagonal per order
+and shared with :func:`annihilation_residuals`.
 :func:`epsilon_coeffs_recurrence` computes the
 same table from the fully expanded coefficient recurrence (a seed identity
 for eps_1 plus an order-(n+2) relation), as an independent transcription;
@@ -36,15 +38,14 @@ honestly rather than hiding it.  See the README for the full story.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
 
-import numpy as np
-
 from .errors import DegenerateFit, GateViolation
 from .exact import EtaPolynomial, Sqrt2Rational, _powers
-from .rayleigh import zeta_coeffs
+from .rayleigh import _ZETA, _ensure_zeta
 from .radii import radius_f
 
 __all__ = [
@@ -79,12 +80,10 @@ class EpsilonTable:
         return [float(self.c)] + [e(float(eta)) for e in self.eps]
 
 
-def _zeta2(k: int) -> EtaPolynomial:
-    return zeta_coeffs(2, k)[k]
-
-
 def _zeta(j: int, n: int) -> EtaPolynomial:
-    return zeta_coeffs(j, n)[n]
+    """zeta_n^(j), read from the memo, which grows on a miss."""
+    _ensure_zeta(j, n)
+    return _ZETA[j][0][n]
 
 
 def _identity_coeff(P: List[list], E: Sequence[EtaPolynomial],
@@ -112,6 +111,13 @@ def _identity_coeff(P: List[list], E: Sequence[EtaPolynomial],
 #: request solves only the orders it lacks.  Not safe to share across threads.
 _CACHE: List[EtaPolynomial] = []
 
+#: the power table of [c, eps_1, ...] that the solve and
+#: :func:`annihilation_residuals` read, grown in place by ``_powers`` (the
+#: solve's last column is the zero placeholder of the order it solves).
+#: Process-global and grow-only, like ``_CACHE``; not safe to share across
+#: threads.
+_POWERS: List[list] = []
+
 
 def epsilon_coeffs(N: int) -> EpsilonTable:
     """Correction polynomials eps_1..eps_N of the large-order radius
@@ -123,18 +129,20 @@ def epsilon_coeffs(N: int) -> EpsilonTable:
     sqrt2 eps_j, so each order is that coefficient taken with eps_j = 0,
     less [j <= 1], times -sqrt2/2.  Re-substitution (see
     :func:`annihilation_residuals`) kills every coefficient of L^0 .. L^-N
-    exactly.  The solved orders are kept in ``_CACHE``, a process-global,
-    grow-only table that is not safe to share across threads; the zeta rows
-    it needs are built in one call first.
+    exactly.  The solved orders are kept in ``_CACHE`` and their power
+    table in ``_POWERS``, process-global, grow-only tables that are not safe
+    to share across threads.  The zeta rows are built first, each only as
+    far as order N reads it: row k through zeta_{N + 1 - ceil(k/2)}.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     if len(_CACHE) < N:
-        zeta_coeffs(2 * N + 2, N)
+        for k in range(2, 2 * N + 3):
+            _ensure_zeta(k, N + 1 - (k + 1) // 2)
         neg_inv_lead = Sqrt2Rational(0, Fraction(-1, 2))
         for j in range(len(_CACHE) + 1, N + 1):
             E = [_C_POLY] + _CACHE + [_ZERO]
-            H = _identity_coeff(_powers(E, j + 2), E, j)
+            H = _identity_coeff(_powers(E, j + 2, _POWERS), E, j)
             _CACHE.append((H - 1 if j == 1 else H) * neg_inv_lead)
     return EpsilonTable(c=_SQRT2, eps=list(_CACHE[:N]))
 
@@ -144,11 +152,13 @@ def annihilation_residuals(N: int) -> List[EtaPolynomial]:
     the exact coefficients of u^0-1, u^1, ..., u^N (all must be the zero
     polynomial).
 
-    The coefficients H_j of the identity times (1 + u) come from one power
-    table of the full E; dividing by 1 + u again gives R_j = H_j - R_(j-1).
+    The coefficients H_j of the identity times (1 + u) come from the power
+    table of the solve, grown to every solved order (so that it only
+    grows); dividing by 1 + u again gives R_j = H_j - R_(j-1).
     """
-    E = [_C_POLY] + epsilon_coeffs(N).eps
-    P = _powers(E, N + 2)
+    epsilon_coeffs(N)
+    E = [_C_POLY] + _CACHE
+    P = _powers(E, len(E) + 1, _POWERS)
     R: List[EtaPolynomial] = []
     for j in range(N + 1):
         H = _identity_coeff(P, E, j)
@@ -190,16 +200,18 @@ def epsilon_coeffs_recurrence(N: int) -> EpsilonTable:
         return 1 if k % 2 == 0 else -1
 
     eps: List[EtaPolynomial] = []
+    powers: List[list] = []
     c = _C_POLY
     if N >= 1:
         rhs = (c * _ETA
-               - c * c * (_zeta2(1) - _zeta2(0))
+               - c * c * (_zeta(2, 1) - _zeta(2, 0))
                - _zeta(4, 0) * (_SQRT2 * _SQRT2 * _SQRT2))
         eps.append(rhs * Sqrt2Rational(0, Fraction(1, 2)))
     dot = EtaPolynomial.dot
     for n in range(0, N - 1):
-        # E to order u^(n+1) known; A_{m+1,k} = powers[m+1][k], m+1 <= n+4
-        powers = _powers([c] + eps, n + 4)
+        # E to order u^(n+1) known; A_{m+1,k} = powers[m+1][k], m+1 <= n+4,
+        # from a table of this function's own, grown in place each step
+        _powers([c] + eps, n + 4, powers)
         # brackets [1] .. [7] of the relation above as (factor, sum) pairs
         terms = []
         # [1]
@@ -208,17 +220,17 @@ def epsilon_coeffs_recurrence(N: int) -> EpsilonTable:
         terms.append((dot([(sgn(n - k + 1) * (n - k + 1), eps[k])
                            for k in range(n + 1)]), _ETA))
         # [3]
-        terms.append((c * c, dot([(sgn(n - k), _zeta2(k))
+        terms.append((c * c, dot([(sgn(n - k), _zeta(2, k))
                                   for k in range(n + 3)])))
         # [4]
         for j in range(n + 1):
-            zsum = dot([(sgn(n - j - k), _zeta2(k))
+            zsum = dot([(sgn(n - j - k), _zeta(2, k))
                         for k in range(n - j + 1)])
             esum = dot([(eps[l], eps[j - l]) for l in range(j + 1)])
             terms.append((zsum, esum))
         # [5] without its k = n+1 term (that term is sqrt2 * eps_{n+2})
         for k in range(n + 1):
-            zsum = dot([(sgn(n - k - q + 1), _zeta2(q))
+            zsum = dot([(sgn(n - k - q + 1), _zeta(2, q))
                         for q in range(n - k + 2)])
             terms.append((2 * c * eps[k], zsum))
         # [6]
@@ -242,13 +254,22 @@ def epsilon_coeffs_recurrence(N: int) -> EpsilonTable:
 # numeric evaluation and empirical order measurement
 # ---------------------------------------------------------------------------
 
+def _check_expansion_args(Ls: Sequence[float], eta: float) -> None:
+    """Raise GateViolation unless every L is real, finite and > 0 and eta
+    is finite."""
+    if any(isinstance(L, complex) or not 0 < L < math.inf for L in Ls):
+        raise GateViolation("the expansion needs finite real L > 0")
+    if not math.isfinite(eta):
+        raise GateViolation(f"the expansion needs finite eta, got {eta!r}")
+
+
 def radius_asymptotic(L: float, eta: float, N: int) -> float:
     """Evaluate the truncated expansion L (c + sum_{k<=N} eps_k(eta)/L^k).
 
-    Preconditions: real L > 0 (the expansion variable is 1/L), N >= 0.
+    Preconditions: finite real L > 0 (the expansion variable is 1/L),
+    finite real eta, N >= 0.
     """
-    if isinstance(L, complex) or not L > 0:
-        raise GateViolation("the expansion needs real L > 0")
+    _check_expansion_args([L], eta)
     table = epsilon_coeffs(N)
     u = 1.0 / float(L)
     acc = 0.0
@@ -273,14 +294,14 @@ def empirical_order(L_values: Sequence[float], eta: float, N: int) -> OrderFit:
     """Measure d log(err)/d log(L) for err(L) = |r*(L) - expansion_N(L)|/L.
 
     If the expansion captured the radius to order N, the slope would sit
-    near -(N+1).  Raises DegenerateFit when an error underflows the
-    resolvable range (nothing left to fit).
+    near -(N+1).  The line is the least-squares fit of log(err) against
+    log(L).  Raises DegenerateFit when an error underflows the resolvable
+    range (nothing left to fit).
     """
     Ls = [float(x) for x in L_values]
     if len(Ls) < 2:
         raise ValueError("need at least two L values")
-    if any(x <= 0 for x in Ls):
-        raise GateViolation("the expansion needs real L > 0")
+    _check_expansion_args(Ls, eta)
     errs: List[float] = []
     for L in Ls:
         direct = radius_f(L, eta, 0.0).value
@@ -291,8 +312,11 @@ def empirical_order(L_values: Sequence[float], eta: float, N: int) -> OrderFit:
                 f"scaled error {err:.3e} at L = {L} is below the resolvable "
                 "floor; the fit would be meaningless")
         errs.append(err)
-    x = np.log(np.asarray(Ls))
-    y = np.log(np.asarray(errs))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((slope * x + intercept - y) ** 2)))
-    return OrderFit(slope=float(slope), fit_residual=resid, errors=errs)
+    x = [math.log(L) for L in Ls]
+    y = [math.log(e) for e in errs]
+    x_bar, y_bar = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    slope = (math.fsum((a - x_bar) * (b - y_bar) for a, b in zip(x, y))
+             / math.fsum((a - x_bar) ** 2 for a in x))
+    resid = math.sqrt(math.fsum((slope * (a - x_bar) + y_bar - b) ** 2
+                                for a, b in zip(x, y)) / len(x))
+    return OrderFit(slope=slope, fit_residual=resid, errors=errs)

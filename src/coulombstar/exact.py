@@ -31,9 +31,12 @@ of the exact tables.
   ``p_n^(alpha) = ((-1)^n / 2) * ((alpha + 1)/2)^n``.
 * ``_powers`` -- the one power kernel: the coefficient table of B^0 .. B^k
   for a truncated series B given as a plain coefficient list, built by
-  Cauchy products, each entry one ``dot``.  The large-order solve, its
-  re-substitution check, the expanded recurrence and
-  ``potential_polynomials`` all read it.
+  Cauchy products, each entry one ``dot``.  It holds only the triangle
+  [x^q] B^k with k + q <= k_max, the entries its readers use, and grows a
+  table it is given in place: columns whose coefficients are unchanged are
+  kept, and only the missing entries are computed.  The large-order solve
+  and its re-substitution check share one such table, the expanded
+  recurrence grows its own, and ``potential_polynomials`` reads one row.
 * ``potential_polynomials`` -- coefficients of integer powers of a
   unit-constant-term series (ordinary potential polynomials).
 
@@ -54,7 +57,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import List, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from .errors import RingMismatch
 
@@ -552,32 +555,50 @@ def p_coeff(alpha, n: int) -> Fraction:
     return Fraction((-1) ** n, 2) * base ** n
 
 
-def _powers(coeffs: Sequence, k_max: int) -> List[list]:
-    """P[k][q] = [x^q] B^k for k = 0 .. k_max and q < len(coeffs), where
-    B = sum_q coeffs[q] x^q.
+def _powers(coeffs: Sequence, k_max: int,
+            P: Optional[List[list]] = None) -> List[list]:
+    """P[k][q] = [x^q] B^k for k = 0 .. k_max, q < len(coeffs) and
+    k + q <= k_max, where B = sum_q coeffs[q] x^q.
 
-    Each power is the Cauchy product of the one below with B, truncated at
-    the length of ``coeffs``; zero entries (such as a not yet solved
-    coefficient) are skipped.  Entries are exact scalars or eta-polynomials;
-    with any eta-polynomial among ``coeffs`` each entry is one
-    :meth:`EtaPolynomial.dot`.
+    Each power is the Cauchy product of the one below with B; zero entries
+    (such as a not yet solved coefficient) are skipped.  Entries are exact
+    scalars or eta-polynomials; with any eta-polynomial among ``coeffs``
+    each entry is one :meth:`EtaPolynomial.dot`.
+
+    A table ``P`` from an earlier call is grown in place and returned.
+    Column q depends on coeffs[:q + 1] only, so the columns from the first
+    index where ``P[1]`` and ``coeffs`` differ (by ``==``) are dropped, the
+    rest are kept, and only the missing entries are computed: the result
+    equals a fresh build.
 
     >>> _powers([1, 1], 3)
-    [[1, 0], [1, 1], [1, 2], [1, 3]]
+    [[1, 0], [1, 1], [1, 2], [1]]
     """
     n = len(coeffs)
+    P = [] if P is None else P
+    old = P[1] if len(P) > 1 else []
+    keep = 0
+    while keep < min(n, len(old)) and old[keep] == coeffs[keep]:
+        keep += 1
+    del P[k_max + 1:]
+    for k, row in enumerate(P):
+        del row[min(keep, n, k_max - k + 1):]
+    P.extend([] for _ in range(len(P), k_max + 1))
     if any(isinstance(c, EtaPolynomial) for c in coeffs):
         add = EtaPolynomial.dot
     else:                               # scalar entries stay scalars
         def add(pairs):
             return sum((x * y for x, y in pairs), 0)
-    P = [[1] + [0] * (n - 1), list(coeffs)]
-    for _ in range(k_max - 1):
-        prev = P[-1]
-        P.append([add([(prev[i], coeffs[q - i]) for i in range(q + 1)
-                       if prev[i] and coeffs[q - i]])
-                  for q in range(n)])
-    return P[:k_max + 1]
+    for k, row in enumerate(P):
+        for q in range(len(row), min(n, k_max - k + 1)):
+            if k < 2:
+                row.append(coeffs[q] if k else int(q == 0))
+            else:
+                below = P[k - 1]
+                row.append(add([(below[i], coeffs[q - i])
+                                for i in range(q + 1)
+                                if below[i] and coeffs[q - i]]))
+    return P
 
 
 def potential_polynomials(exponent: int, args: Sequence, n_max: int):
@@ -591,4 +612,4 @@ def potential_polynomials(exponent: int, args: Sequence, n_max: int):
         raise ValueError("exponent must be >= 0")
     args = [a if isinstance(a, EtaPolynomial) else _exact(a) for a in args]
     base = ([1] + args + [0] * n_max)[:n_max + 1]
-    return _powers(base, exponent)[exponent]
+    return _powers(base, exponent + n_max)[exponent]

@@ -264,8 +264,8 @@ def _grow_row(j: int, n_max: int) -> None:
         return [(w[n - q], prev[q]) for q in range(n + 1)]
 
     if j % 2:
-        both = [S[0][q] + S[1][q] for q in range(n_max + 1)]
-        row.extend(dot([(p[n - q], both[q]) for q in range(n + 1)] + T(n))
+        row.extend(dot([(p[n - q], S[0][q]) for q in range(n + 1)]
+                       + [(p[n - q], S[1][q]) for q in range(n + 1)] + T(n))
                    for n in range(have, n_max + 1))
     else:
         row.extend(dot([(p[n - q], S[0][q]) for q in range(n + 1)]

@@ -45,7 +45,8 @@ from typing import List, Union
 import mpmath  # noqa: F401
 from scipy.special import loggamma
 
-from .errors import DegenerateOrder, GammaOverflow, NonConvergence
+from .errors import (DegenerateOrder, GammaOverflow, GateViolation,
+                     NonConvergence)
 
 __all__ = [
     "CoulombParams",
@@ -88,8 +89,8 @@ class CoulombParams:
     """Order L and Sommerfeld parameter eta.
 
     L may be real (float/int/Fraction, must be > -1) or genuinely complex;
-    eta must be real.  A complex L with zero imaginary part is demoted to
-    the real value it is.
+    eta must be real.  Both must be finite.  A complex L with zero imaginary
+    part is demoted to the real value it is.
     """
 
     L: Union[float, complex, Fraction]
@@ -105,6 +106,8 @@ class CoulombParams:
         if isinstance(L, complex) and L.imag == 0:
             L = L.real
             object.__setattr__(self, "L", L)
+        _check_finite("L", L)
+        _check_finite("eta", eta)
         if not isinstance(L, complex) and L <= -1:
             raise DegenerateOrder(
                 f"order L = {L} <= -1 makes the series recurrence degenerate")
@@ -115,6 +118,13 @@ class CoulombParams:
 
     def real_L(self) -> float:
         return self.L.real if isinstance(self.L, complex) else float(self.L)
+
+
+def _check_finite(name: str, x) -> None:
+    """Raise GateViolation if the float or complex argument ``x`` is
+    infinite or NaN; ints and Fractions are finite."""
+    if isinstance(x, (float, complex)) and not cmath.isfinite(x):
+        raise GateViolation(f"{name} must be finite, got {x!r}")
 
 
 def _exact_mode(params: CoulombParams, exact: Union[bool, None]) -> bool:
@@ -392,6 +402,7 @@ def eval_g(params: CoulombParams, z: Scalar, tol: float = 1e-12) -> SeriesEval:
     """
     if not (1e-16 <= tol <= 1e-6):
         raise ValueError(f"tol must lie in [1e-16, 1e-6], got {tol!r}")
+    _check_finite("z", z)
     if z == 0:
         one = 1.0 + 0j if params.is_complex else 1.0
         return SeriesEval(value=0.0 * one, derivative=one, terms_used=1,
@@ -424,6 +435,7 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
     """
     if not (1e-16 <= tol <= 1e-6):
         raise ValueError(f"tol must lie in [1e-16, 1e-6], got {tol!r}")
+    _check_finite("z", z)
     lc = _log_prefactor(params)
     L = complex(params.L) if params.is_complex else params.real_L()
     if z == 0:
@@ -468,6 +480,7 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
     """
     if not (1e-16 <= tol <= 1e-6):
         raise ValueError(f"tol must lie in [1e-16, 1e-6], got {tol!r}")
+    _check_finite("z", z)
     if z == 0:
         return SeriesEval(value=0.0, derivative=1.0, terms_used=1,
                           est_error=0.0)
@@ -498,6 +511,8 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     if isinstance(nu, complex):
         raise ValueError("nu must be real")
     nu = float(nu)
+    _check_finite("nu", nu)
+    _check_finite("z", z)
     if nu <= -1:
         raise DegenerateOrder(f"Bessel order nu = {nu} <= -1 not supported")
     if z == 0:
@@ -564,8 +579,10 @@ def eval_dini(nu: float, H: float, r: Scalar, tol: float = 1e-15) -> SeriesEval:
     """The Dini function d(r) = r J'_nu(r) + H J_nu(r) and its derivative.
 
     d'(r) follows from the Bessel equation:
-    d' = H J'_nu + (nu^2/r - r) J_nu  (r != 0).
+    d' = H J'_nu + (nu^2/r - r) J_nu  (r != 0).  nu, H and r must be
+    finite.
     """
+    _check_finite("H", H)
     je = eval_bessel_j(nu, r, tol)
     value = r * je.derivative + H * je.value
     if r == 0:

@@ -33,7 +33,8 @@ from numpy.polynomial import polynomial as npp
 
 from .errors import GateViolation, PoleOnCircle, ZeroEnumerationIncomplete
 from .radii import Family
-from .specfun import CoulombParams, eval_F_with_derivative, _EPS, _terms
+from .specfun import (CoulombParams, eval_F_with_derivative, _EPS,
+                      _check_finite, _terms)
 
 __all__ = [
     "DiskScanReport",
@@ -70,15 +71,19 @@ def _factor_on_circle(family, r, n, params, nu, alpha):
     values (Higham, Accuracy and Stability of Numerical Algorithms, 5.1),
     with n the number of terms.  kappa is L + 1 for f, 1 for g and
     nu + alpha for phi.
-    Gates: r > 0, params for f and g, nu > -1 and nu + alpha > 0 for phi.
+    Gates: finite r > 0, params for f and g, finite nu > -1 and finite
+    alpha with nu + alpha > 0 for phi.
     Raises NonConvergence when the terms at z = r leave the float range.
     """
     fam = Family(family)
+    _check_finite("r", r)
     if r <= 0:
         raise ValueError("r must be positive")
     if fam is Family.BESSEL_GEN:
         if nu is None or alpha is None:
             raise GateViolation("family 'phi' needs nu and alpha")
+        _check_finite("nu", nu)
+        _check_finite("alpha", alpha)
         if nu + alpha <= 0 or nu <= -1:
             raise GateViolation("need nu > -1 and nu + alpha > 0")
         L, eta, kappa = float(nu) - 0.5, 0.0, float(nu) + float(alpha)

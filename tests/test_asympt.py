@@ -4,6 +4,7 @@ import hashlib
 import math
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 from coulombstar import asympt, rayleigh
@@ -11,7 +12,8 @@ from coulombstar.asympt import (annihilation_residuals, empirical_order,
                                 epsilon_coeffs, epsilon_coeffs_recurrence,
                                 radius_asymptotic)
 from coulombstar.errors import GateViolation
-from coulombstar.exact import EtaPolynomial, Sqrt2Rational, format_sqrt2
+from coulombstar.exact import (EtaPolynomial, Sqrt2Rational, _powers,
+                               format_sqrt2)
 from coulombstar.radii import radius_f
 
 SQRT2 = math.sqrt(2.0)
@@ -83,10 +85,63 @@ def test_eps_memo_growth_path_is_irrelevant(cold_memos):
     assert len(asympt._CACHE) == 6
     rayleigh._ZETA.clear()
     asympt._CACHE.clear()
+    asympt._POWERS.clear()
     cold = epsilon_coeffs(6)
     assert grown.eps == cold.eps
     assert epsilon_coeffs(3).eps == cold.eps[:3]
     assert len(asympt._CACHE) == 6
+
+
+@pytest.mark.parametrize("N", [1, 3, 6])
+def test_eps_builds_only_the_zeta_staircase(N, cold_memos):
+    # order j reads zeta_n^(k) only for n <= j + 1 - ceil(k/2), so a cold
+    # solve to N holds row k through that order at j = N, and no row above
+    # 2N + 2 (at N = 6: 7 entries in row 2, 6 in rows 3 and 4, ..., 1 in
+    # rows 13 and 14: 49 entries, where rows 2 .. 14 through order 6 are 91)
+    epsilon_coeffs(N)
+    held = {k: len(row) for k, (row, *_) in rayleigh._ZETA.items()}
+    assert held == {k: N + 2 - (k + 1) // 2 for k in range(2, 2 * N + 3)}
+
+
+def test_shared_power_table_is_a_fresh_build(cold_memos):
+    # the solve grows one table order by order and the re-substitution
+    # check grows it to every solved order, even when it checks fewer
+    epsilon_coeffs(4)                   # last solved with eps_4 = 0
+    E = [asympt._C_POLY] + asympt._CACHE[:3] + [asympt._ZERO]
+    assert asympt._POWERS == _powers(E, 6)
+    assert all(not r for r in annihilation_residuals(2))
+    E = [asympt._C_POLY] + asympt._CACHE
+    assert asympt._POWERS == _powers(E, 6)
+    assert epsilon_coeffs(6).eps == epsilon_coeffs_recurrence(6).eps
+    assert all(not r for r in annihilation_residuals(6))
+    assert asympt._POWERS == _powers([asympt._C_POLY] + asympt._CACHE, 8)
+
+
+def test_dot_budget_of_the_large_order_layer(cold_memos, monkeypatch):
+    # EtaPolynomial.dot calls, in the order of a bench session: a cold
+    # eps_1..eps_6 (zeta rows included), the re-substitution check, then
+    # the recurrence.  Measured 270, 15 and 175; the caps allow 10 % more
+    dot = EtaPolynomial.dot
+    calls = []
+
+    def counted(cls, pairs):
+        calls.append(1)
+        return dot(pairs)
+
+    monkeypatch.setattr(EtaPolynomial, "dot", classmethod(counted))
+    for f, cap in ((lambda: epsilon_coeffs(6), 297),
+                   (lambda: annihilation_residuals(6), 17),
+                   (lambda: epsilon_coeffs_recurrence(6), 193)):
+        calls.clear()
+        f()
+        assert len(calls) <= cap
+
+
+def test_recurrence_reads_neither_the_cache_nor_the_table(monkeypatch):
+    want = epsilon_coeffs(5).eps
+    monkeypatch.setattr(asympt, "_CACHE", [asympt._ZERO] * 5)
+    monkeypatch.setattr(asympt, "_POWERS", [[None] * 9 for _ in range(9)])
+    assert epsilon_coeffs_recurrence(5).eps == want
 
 
 def test_recurrence_matches_series_solve():
@@ -124,6 +179,31 @@ def test_gates():
         empirical_order([100.0], -1.0, 1)            # needs >= 2 points
     with pytest.raises(GateViolation):
         empirical_order([10.0, -5.0], -1.0, 1)
+
+
+@pytest.mark.parametrize("op, args", [
+    (radius_asymptotic, (50.0, math.nan, 2)),
+    (radius_asymptotic, (50.0, math.inf, 2)),
+    (radius_asymptotic, (math.inf, 0.0, 2)),
+    (radius_asymptotic, (math.nan, 0.0, 2)),
+    (empirical_order, ([25.0, 50.0], math.nan, 1)),
+    (empirical_order, ([25.0, math.inf], -1.0, 1)),
+])
+def test_non_finite_inputs_are_gated(op, args):
+    with pytest.raises(GateViolation, match="finite"):
+        op(*args)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2])
+def test_order_fit_is_the_least_squares_line(N):
+    # the criterion-8 inputs: slope and residual as numpy's polyfit gives
+    Ls = [25.0, 50.0, 100.0, 200.0]
+    fit = empirical_order(Ls, -1.0, N)
+    x, y = np.log(Ls), np.log(fit.errors)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = np.sqrt(np.mean((slope * x + intercept - y) ** 2))
+    assert fit.slope == pytest.approx(slope, rel=1e-12)
+    assert fit.fit_residual == pytest.approx(resid, rel=1e-12)
 
 
 def test_eps_floats_match_polynomials():

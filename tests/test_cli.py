@@ -73,6 +73,22 @@ def test_radius_non_finite_input_exits_2(capsys, monkeypatch):
     assert code == 2 and out == "" and "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "g", "--L", "1", "--eta", "nan", "--z-re", "1"),
+    ("eval", "--family", "g", "--L", "1", "--eta", "0", "--z-re", "nan"),
+    ("eval", "--family", "F", "--L", "1", "--eta", "inf", "--z-re", "1"),
+    ("eval", "--family", "besselJ", "--L", "1", "--z-re", "inf"),
+    ("eval", "--family", "f", "--L", "nan", "--eta", "0", "--z-re", "1"),
+    ("asympt", "--N", "2", "--eta", "nan", "--L", "50"),
+    ("asympt", "--N", "2", "--eta", "0", "--L", "inf"),
+])
+def test_non_finite_input_exits_2(capsys, argv):
+    # these ran the series to its 10000-term cap and exited 4, failed on a
+    # NaN-to-int conversion, or printed NaN or Infinity, which is not JSON
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "finite" in err
+
+
 def test_eval_bit_identical_to_library(capsys):
     rec = run_json(capsys, "eval", "--family", "g", "--L", "1",
                    "--eta", "-1", "--z-re", "1")

@@ -5,12 +5,12 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coulombstar.exact
-from coulombstar.exact import (EtaPolynomial, Sqrt2Rational, format_sqrt2,
-                               p_coeff, potential_polynomials)
+from coulombstar.exact import (EtaPolynomial, Sqrt2Rational, _powers,
+                               format_sqrt2, p_coeff, potential_polynomials)
 from coulombstar.errors import RingMismatch
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=50)
@@ -280,3 +280,28 @@ def test_potential_polynomials_multiplicative(args, m, n):
     Am1 = potential_polynomials(m + 1, args, n)
     for k in range(n + 1):
         assert Am1[k] == sum(Am[j] * base[k - j] for j in range(k + 1))
+
+
+entries = st.one_of(fracs, sqrt2s, st.lists(sqrt2s, max_size=3).map(
+    EtaPolynomial))
+
+
+@given(st.lists(entries, max_size=6), st.lists(entries, max_size=6),
+       st.integers(0, 6), st.integers(0, 7), st.integers(0, 7))
+@settings(max_examples=80, deadline=None)
+@example([1, 0], [EtaPolynomial([])], 1, 3, 3)        # placeholder solved to 0
+@example([1, 0], [EtaPolynomial([0, 1])], 1, 3, 4)    # placeholder solved
+@example([1, 2, 3], [], 3, 5, 2)                      # k_max lowered
+@example([], [1, 1], 0, 2, 3)                         # grown from empty
+def test_powers_grown_in_place_equal_a_fresh_build(first, tail, keep,
+                                                   k_first, k_max):
+    # a table for ``first`` regrown for a kept prefix of it plus a new tail
+    coeffs = first[:keep] + tail
+    P = _powers(first, k_first)
+    assert _powers(coeffs, k_max, P) is P
+    fresh = _powers(coeffs, k_max)
+    assert [len(row) for row in P] == [len(row) for row in fresh]
+    assert all(x == y for row, new in zip(P, fresh) for x, y in zip(row, new))
+    # the triangle k + q <= k_max, capped at the length of the list
+    assert [len(row) for row in fresh] == [
+        min(len(coeffs), k_max - k + 1) for k in range(k_max + 1)]

@@ -299,9 +299,13 @@ def test_zeta_rows_snapshot(cold_memos):
 
 def test_zeta_memo_growth_path_is_irrelevant(cold_memos):
     # rows lengthened in place equal rows built cold; the second path is the
-    # memo of an eps solve grown 4 -> 6, then one low row asked for longer
+    # rectangle an eps solve grown 4 -> 6 used to build, then one low row
+    # asked for longer, and the third the staircase it builds now
     cold = {k: zeta_coeffs(k, 8) for k in range(16, 1, -1)}
-    for path in (((4, 1), (9, 4), (16, 8)), ((10, 4), (14, 6), (3, 8))):
+    stairs = tuple((k, N + 1 - (k + 1) // 2) for N in (4, 6)
+                   for k in range(2, 2 * N + 3))
+    for path in (((4, 1), (9, 4), (16, 8)), ((10, 4), (14, 6), (3, 8)),
+                 stairs + ((3, 8),)):
         rayleigh._ZETA.clear()
         for k, n in path:
             zeta_coeffs(k, n)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coulombstar import specfun
 from coulombstar.errors import (DegenerateOrder, GammaOverflow, GateViolation,
                                 NonConvergence)
 from coulombstar.specfun import (CoulombParams, _series_pair, _sum_pair,
@@ -227,6 +228,35 @@ def test_gates_and_errors():
         eval_F(CoulombParams(0.0, 0.0), 1e308)
     with pytest.raises(NonConvergence):
         eval_g(CoulombParams(0.0, 0.0), 1e200)
+
+
+P1 = CoulombParams(1.0, 0.0)
+
+
+@pytest.mark.parametrize("op, args", [
+    (CoulombParams, (math.nan, 0.0)),
+    (CoulombParams, (-math.inf, 0.0)),
+    (CoulombParams, (complex(math.inf, 1.0), 0.0)),
+    (CoulombParams, (1.0, math.nan)),
+    (CoulombParams, (1.0, math.inf)),
+    (eval_g, (P1, math.nan)),
+    (eval_g, (P1, complex(1.0, math.inf))),
+    (eval_F_with_derivative, (P1, math.inf)),
+    (eval_f_normalized, (P1, -math.inf)),
+    (eval_bessel_j, (1.0, math.inf)),
+    (eval_bessel_j, (math.nan, 1.0)),
+    (eval_dini, (1.0, 0.0, math.nan)),
+    (eval_dini, (1.0, math.inf, 1.0)),
+])
+def test_non_finite_inputs_are_gated(op, args, monkeypatch):
+    # a NaN or infinite L, eta or z used to run the series to its cap of
+    # 10000 terms and raise NonConvergence; the gate must raise first
+    def no_series(*_):
+        raise AssertionError("the series ran")
+
+    monkeypatch.setattr(specfun, "_series_pair", no_series)
+    with pytest.raises(GateViolation, match="finite"):
+        op(*args)
 
 
 def test_complex_L_demotion_and_eval():

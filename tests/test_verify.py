@@ -145,6 +145,14 @@ def test_spirallike_scan_brackets_companion_radius():
         math.atan2(0.1, 1.2))               # default theta = arg(L+1)
 
 
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_scans_refuse_a_non_finite_radius(r):
+    with pytest.raises(GateViolation, match="finite"):
+        starlike_scan("g", r, params=CoulombParams(1.0, 0.0))
+    with pytest.raises(GateViolation, match="finite"):
+        boundary_image("phi", r, 8, nu=1.0, alpha=0.0)
+
+
 def test_spirallike_gates():
     with pytest.raises(GateViolation):
         spirallike_scan(-2.0 + 0.0j, 0.0, 1.0)
@@ -176,6 +184,8 @@ def test_boundary_image_figures():
     (0.5, -1.0),                            # nu + alpha < 0
     (-1.0, 2.0),                            # nu = -1
     (-1.5, 3.0),                            # nu < -1
+    (1.0, math.inf),                        # scanned as if h = z
+    (math.nan, 1.0),                        # a NaN-to-int conversion
 ])
 def test_boundary_image_phi_gates(nu, alpha):
     # the same gates as starlike_scan and radius_phi
