@@ -23,10 +23,11 @@ applied to t_n = a_n z^n directly (no separate z**n factor, so nothing
 overflows).  A plain running sum drives the stopping rule; the returned sums
 are taken over the stored terms at the end, correctly rounded by
 ``math.fsum`` in float.  When cancellation eats the working precision the
-recurrence re-runs, with the same stopping rule, in fixed point on Python
-integers (``_sum_pair_fixed``), at a precision chosen from the size of
-log10(C_L(eta) z^(L+1)); its sums are exact in the integers and rounded to
-float once.  ``SeriesEval.retry_bits`` says which pass produced a value.
+float pass's terms are re-summed: the same number of terms is recomputed in
+fixed point on Python integers (``_sum_pair_fixed``), at a precision chosen
+from the size of log10(C_L(eta) z^(L+1)); its sums are exact in the
+integers and rounded to float once.  ``SeriesEval.retry_bits`` says which
+pass produced a value.
 """
 
 from __future__ import annotations
@@ -247,24 +248,6 @@ def _terms(L: Scalar, eta: float, z: Scalar, tol: float):
         f"(L={L!r}, eta={eta!r}, z={z!r})")
 
 
-def _sum_pair(params: CoulombParams, z: Scalar, tol: float):
-    """Sum S(z) and z S'(z) in float.
-
-    Returns (S, zSp, terms, est_error, retry_bits) with S and zSp Python
-    floats or complexes; ``zSp`` is z*S'(z) so the caller never divides by
-    a z that might be zero, and retry_bits is 0 for this float pass (see
-    ``_sum_pair_fixed``).  The sums are the correctly rounded sums of the
-    terms of ``_terms`` (``math.fsum``), or NaN when those overflow.
-    """
-    L = complex(params.L) if params.is_complex else params.real_L()
-    ts, scale, last3 = _terms(L, float(params.eta), z, tol)
-    try:
-        S, T = _fsum(ts), _fsum([n * t for n, t in enumerate(ts)])
-    except (OverflowError, ValueError):  # terms or their sum overflow
-        S = T = math.nan                 # and the caller retries
-    return S, T, len(ts), max(last3) + 4.0 * _EPS * scale, 0
-
-
 def _dyadic(*xs: float):
     """(k, [x * 2^k as int ...]) for floats xs, with the least such k."""
     ratios = [x.as_integer_ratio() for x in xs]
@@ -272,9 +255,10 @@ def _dyadic(*xs: float):
     return k, [m << (k - d.bit_length() + 1) for m, d in ratios]
 
 
-def _sum_pair_fixed(params: CoulombParams, z: Scalar, tol: float,
+def _sum_pair_fixed(params: CoulombParams, z: Scalar, n_terms: int,
                     dps: int):
-    """``_sum_pair`` at ``dps`` digits, on fixed-point Python integers.
+    """S and z S' over the terms t_0 .. t_{n_terms - 1}, at ``dps`` digits
+    on fixed-point Python integers.
 
     Each term t_n is held as a pair of integers (re, im) scaled by 2^p,
     p = ceil(dps log2 10) + ``_GUARD_BITS``.  L, eta and z are floats, so
@@ -287,11 +271,9 @@ def _sum_pair_fixed(params: CoulombParams, z: Scalar, tol: float,
     largest term.  The sums S and sum n t_n are exact in the integers and
     rounded to float once.
 
-    The stopping rule and ``est_error`` (at a unit roundoff of 10^(1 - dps))
-    are those of the float pass; the moduli it compares are kept squared,
-    so the test |t| <= tol * scale is exact.  Returns the float pass's
-    tuple with retry_bits = p.  Raises NonConvergence when a sum or its
-    peak leaves the float range.
+    Where the series stops is not decided here: ``n_terms`` is the float
+    pass's count.  Returns (S, zSp, p).  Raises NonConvergence when a sum
+    leaves the float range.
     """
     p = math.ceil(dps * math.log2(10.0)) + _GUARD_BITS
     L = complex(params.L)
@@ -300,17 +282,10 @@ def _sum_pair_fixed(params: CoulombParams, z: Scalar, tol: float,
     k, (lr, li, e, xr, xi) = _dyadic(L.real, L.imag, eta, zc.real, zc.imag)
     ar, ai = 2 * e * xr, 2 * e * xi
     br, bi = xr * xr - xi * xi, 2 * xr * xi
-    tm, td = float(tol).as_integer_ratio()
-    tm2, sh = tm * tm, 2 * (td.bit_length() - 1)   # tol^2 = tm2 / 2^sh
     one = 1 << p
-    scale2 = one * one                   # peak |running sum|^2, >= 1
-    thr = (tm2 * scale2) >> sh           # |t|^2 <= thr  <=>  |t| <= tol scale
     tr, ti, qr, qi = one, 0, 0, 0        # t_{n-1}, t_{n-2}; t_{-1} = 0
     Sr, Si, Tr, Ti = one, 0, 0, 0        # sum t_n, sum n t_n
-    last3 = [scale2] * 3
-    n_safe = _safe_index(params.real_L(), eta, abs(z))
-    streak = 0
-    for n in range(1, _MAX_TERMS + 1):
+    for n in range(1, n_terms):
         nr = ar * tr - ai * ti - br * qr + bi * qi
         ni = ar * ti + ai * tr - br * qi - bi * qr
         cr = (n * (n + 1) << k) + 2 * n * lr
@@ -322,34 +297,16 @@ def _sum_pair_fixed(params: CoulombParams, z: Scalar, tol: float,
         Si += ti
         Tr += n * tr
         Ti += n * ti
-        a2 = Sr * Sr + Si * Si
-        if a2 > scale2:
-            scale2 = a2
-            thr = (tm2 * scale2) >> sh
-        at2 = tr * tr + ti * ti
-        last3[n % 3] = at2
-        if at2 <= thr and n >= n_safe:
-            streak += 1
-            if streak >= 3:
-                break
-        else:
-            streak = 0
-    else:
-        raise NonConvergence(
-            f"series for S(z) did not converge within {_MAX_TERMS} terms "
-            f"(L={params.L!r}, eta={params.eta!r}, z={z!r}, dps={dps})")
     try:
         S, T = complex(Sr / one, Si / one), complex(Tr / one, Ti / one)
-        est = (math.isqrt(max(last3)) / one
-               + 4.0 * 10.0 ** (1 - dps) * (math.isqrt(scale2) / one))
     except OverflowError:
         raise NonConvergence(
-            f"series for S(z) at {dps} digits: the sum of {n + 1} terms "
-            f"or its peak leaves the float range (L={params.L!r}, "
-            f"eta={params.eta!r}, z={z!r})") from None
+            f"series for S(z) at {dps} digits: the sum of {n_terms} terms "
+            f"leaves the float range (L={params.L!r}, eta={params.eta!r}, "
+            f"z={z!r})") from None
     if not (params.is_complex or isinstance(z, complex)):
         S, T = S.real, T.real
-    return S, T, n + 1, est, p
+    return S, T, p
 
 
 def _working_dps(params: CoulombParams, z_abs: float) -> int:
@@ -368,23 +325,34 @@ def _working_dps(params: CoulombParams, z_abs: float) -> int:
 
 
 def _series_pair(params: CoulombParams, z: Scalar, tol: float):
-    """(S, z S', terms, est_error, retry_bits), retrying in fixed point
+    """(S, zSp, terms, est_error, retry_bits), retrying in fixed point
     when cancellation is fatal.
 
-    The float pass is kept whenever its own error estimate is small
-    relative to the result (retry_bits 0); otherwise the evaluation is
-    redone by ``_sum_pair_fixed`` at a precision sized to the expected
-    digit loss, and retry_bits is that pass's precision in bits.
+    ``zSp`` is z*S'(z), so the caller never divides by a z that might be
+    zero.  The stopping rule of ``_terms`` is the only one the series has.
+    The float pass sums its terms, correctly rounded (``math.fsum``), and
+    is kept whenever its error estimate is small relative to the result
+    (retry_bits 0).  Otherwise ``_sum_pair_fixed`` re-sums the same number
+    of terms at a precision sized to the expected digit loss, and
+    retry_bits is that pass's precision in bits.  Either way ``est_error``
+    is the largest of the last three terms plus the rounding error on the
+    peak partial sum ``scale``, at the unit roundoff of the pass that ran.
     """
-    res = _sum_pair(params, z, tol)
-    S, T, _, est, _ = res
-    bad = (not (abs(S) + abs(T) < math.inf)
-           or est > 1e-6 * (abs(S) + abs(T) + 1e-300))
-    if not bad:
-        return res
-    S, T, terms, est, bits = _sum_pair_fixed(params, z, tol,
-                                             _working_dps(params, abs(z)))
-    return S, T, terms, est + _EPS * (abs(S) + abs(T)), bits
+    L = complex(params.L) if params.is_complex else params.real_L()
+    ts, scale, last3 = _terms(L, float(params.eta), z, tol)
+    try:
+        S, T = _fsum(ts), _fsum([n * t for n, t in enumerate(ts)])
+    except (OverflowError, ValueError):  # terms or their sum overflow
+        S = T = math.nan                 # and the fixed-point pass retries
+    est = max(last3) + 4.0 * _EPS * scale
+    size = abs(S) + abs(T)
+    if size < math.inf and est <= 1e-6 * (size + 1e-300):
+        return S, T, len(ts), est, 0
+    dps = _working_dps(params, abs(z))
+    S, T, bits = _sum_pair_fixed(params, z, len(ts), dps)
+    est = (max(last3) + 4.0 * 10.0 ** (1 - dps) * scale
+           + _EPS * (abs(S) + abs(T)))
+    return S, T, len(ts), est, bits
 
 
 def _demote(x: Scalar) -> Scalar:
@@ -439,14 +407,17 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
     lc = _log_prefactor(params)
     L = complex(params.L) if params.is_complex else params.real_L()
     if z == 0:
-        C = cmath.exp(lc)
-        val: Scalar = 0.0
-        if isinstance(L, complex) or L > 0:
+        # F ~ C z^(L+1) and F' ~ C (L+1) z^L as z -> 0: each tends to 0 or
+        # to inf, or turns without a limit where its power of z has real
+        # part 0 and Im L != 0
+        re = L.real
+        val: Scalar = 0.0 if re > -1 else math.inf if re < -1 else math.nan
+        if re > 0:
             deriv: Scalar = 0.0
         elif L == 0:
-            deriv = _demote(C)
-        else:  # -1 < L < 0: z^L blows up at 0
-            deriv = math.inf
+            deriv = _demote(cmath.exp(lc))
+        else:
+            deriv = math.inf if re < 0 else math.nan
         return SeriesEval(value=val, derivative=deriv, terms_used=1,
                           est_error=0.0)
     logz = cmath.log(z)
@@ -506,7 +477,9 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     space, so large orders neither overflow nor lose the result before it
     underflows.  The terms are summed in float with Kahan compensation and
     there is no precision retry, so at |z| well beyond nu, where the terms
-    peak far above |J|, cancellation can leave wrong digits.
+    peak far above |J|, cancellation can leave wrong digits.  Raises
+    GammaOverflow when that factor, or its counterpart in J', exceeds the
+    float range.
     """
     if isinstance(nu, complex):
         raise ValueError("nu must be real")
@@ -516,14 +489,12 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     if nu <= -1:
         raise DegenerateOrder(f"Bessel order nu = {nu} <= -1 not supported")
     if z == 0:
-        if nu == 0:
-            return SeriesEval(value=1.0, derivative=0.0, terms_used=1,
-                              est_error=0.0)
-        if nu == 1:
-            return SeriesEval(value=0.0, derivative=0.5, terms_used=1,
-                              est_error=0.0)
-        deriv = 0.0 if nu > 1 else math.inf
-        return SeriesEval(value=0.0, derivative=deriv, terms_used=1,
+        # the limits as z -> 0+ of J ~ (z/2)^nu / Gamma(nu + 1) and of
+        # J' ~ nu (z/2)^(nu - 1) / (2 Gamma(nu + 1)), at nu != 0
+        value = 1.0 if nu == 0 else 0.0 if nu > 0 else math.inf
+        deriv = (0.5 if nu == 1 else 0.0 if nu == 0 or nu > 1
+                 else math.copysign(math.inf, nu))
+        return SeriesEval(value=value, derivative=deriv, terms_used=1,
                           est_error=0.0)
     w = z * z / 4.0
     t: Scalar = 1.0
@@ -560,12 +531,18 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
             f"(nu={nu}, z={z!r})")
     # half_pow = (z/2)^nu / Gamma(nu + 1), half_pow_m1 = (z/2)^(nu-1) / ...
     lg = math.lgamma(nu + 1.0)
+    lz = math.log(abs(z) / 2.0)
+    top = max(nu * lz, (nu - 1.0) * lz) - lg
+    if top > 709.0:
+        raise GammaOverflow(
+            f"Bessel prefactor exponent {top:.1f} overflows double "
+            f"precision (nu={nu}, z={z!r})")
     if isinstance(z, complex) or (z < 0 and nu != int(nu)):
         lz = cmath.log(complex(z) / 2.0)
         half_pow = cmath.exp(nu * lz - lg)
         half_pow_m1 = cmath.exp((nu - 1.0) * lz - lg)
     else:                         # z > 0, or z < 0 at an integer order
-        lz, sz = math.log(abs(z) / 2.0), math.copysign(1.0, z)
+        sz = math.copysign(1.0, z)
         half_pow = sz ** nu * math.exp(nu * lz - lg)
         half_pow_m1 = sz ** (nu - 1.0) * math.exp((nu - 1.0) * lz - lg)
     value = half_pow * U

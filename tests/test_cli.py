@@ -262,6 +262,14 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 4 and "NonConvergence" in err
 
 
+def test_bessel_prefactor_overflow_exits_4(capsys):
+    # (z/2)^(nu - 1) / Gamma(nu + 1) overflows at nu = -0.3, z = 1e-300;
+    # it used to escape as a bare OverflowError traceback with exit 1
+    code, out, err = run(capsys, "eval", "--family", "besselJ", "--L",
+                         "-0.3", "--z-re", "1e-300")
+    assert code == 4 and out == "" and "GammaOverflow" in err
+
+
 def test_verify_all_subset(capsys):
     code, out, _ = run(capsys, "verify-all", "--only", "1", "2", "10")
     assert code == 0

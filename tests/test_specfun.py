@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from coulombstar import specfun
 from coulombstar.errors import (DegenerateOrder, GammaOverflow, GateViolation,
                                 NonConvergence)
-from coulombstar.specfun import (CoulombParams, _series_pair, _sum_pair,
-                                 _sum_pair_fixed, _terms, _working_dps,
-                                 coulomb_series_coeffs, eval_F,
+from coulombstar.specfun import (CoulombParams, _fsum, _safe_index,
+                                 _series_pair, _sum_pair_fixed, _terms,
+                                 _working_dps, coulomb_series_coeffs, eval_F,
                                  eval_F_with_derivative, eval_bessel_j,
                                  eval_dini, eval_f_normalized, eval_g)
 
@@ -57,6 +57,22 @@ def test_F_at_zero_and_sin_case():
     res = eval_F_with_derivative(p, 0.0)
     assert res.value == 0.0 and res.derivative == pytest.approx(1.0)
     assert eval_F_with_derivative(CoulombParams(2.0, -1.0), 0.0).value == 0.0
+    # F ~ C z^(L+1) and F' ~ C (L+1) z^L at z -> 0, decided on Re L: F' -> 0
+    # for Re L > 0 and inf for Re L < 0; on Re L = 0 with Im L != 0 its
+    # modulus tends to |C (L+1)| while its phase turns, so it has no limit
+    for L, value, deriv in [
+            (0.5 + 0.1j, 0.0, 0.0), (-0.5 + 0.1j, 0.0, math.inf),
+            (-0.5, 0.0, math.inf), (0.1j, 0.0, math.nan),
+            (-1.5 + 0.1j, math.inf, math.inf),
+            (-1.0 + 0.2j, math.nan, math.inf)]:
+        res = eval_F_with_derivative(CoulombParams(L, 0.3), 0.0)
+        for got, want in ((res.value, value), (res.derivative, deriv)):
+            assert got == want or math.isnan(got) and math.isnan(want), L
+    # the derivative near 0 grows like |z|^(Re L)
+    p = CoulombParams(-0.5 + 0.1j, 0.0)
+    d = [eval_F_with_derivative(p, z).derivative for z in (1e-12, 1e-14)]
+    assert abs(d[1]) == pytest.approx(10 * abs(d[0]), rel=1e-6)
+    assert abs(d[0]) > 5e5
 
 
 def test_bessel_oracles():
@@ -67,6 +83,25 @@ def test_bessel_oracles():
     # J_0(0) = 1, J_nu(0) = 0 for nu > 0
     assert eval_bessel_j(0.0, 0.0).value == 1.0
     assert eval_bessel_j(2.0, 0.0).value == 0.0
+    # -1 < nu < 0: J ~ (z/2)^nu / Gamma(nu + 1) -> +inf and J' -> -inf as
+    # z -> 0+, the signs mpmath gives at z = 1e-30
+    for nu in (-0.5, -0.3):
+        res = eval_bessel_j(nu, 0.0)
+        assert res.value == math.inf and res.derivative == -math.inf
+        assert mp.besselj(nu, 1e-30) > 1e8
+        assert mp.besselj(nu, 1e-30, derivative=1) < -1e38
+        # d(r) = r J' + H J ~ (nu + H) J at r -> 0+
+        assert eval_dini(nu, 1.0, 0.0).value == math.inf
+
+
+def test_bessel_prefactor_overflow_raises_gamma_overflow():
+    # (z/2)^(nu - 1) / Gamma(nu + 1) at nu = -0.3, z = 1e-300 is ~1e390:
+    # the exponent is checked before exp, as for F's combined prefactor
+    with pytest.raises(GammaOverflow, match="overflows"):
+        eval_bessel_j(-0.3, 1e-300)
+    with pytest.raises(GammaOverflow):
+        eval_bessel_j(-0.3, 1e-300 + 1e-300j)
+    assert eval_bessel_j(-0.3, 1e-200).derivative < 0   # 1e258 still fits
 
 
 @pytest.mark.parametrize("nu", [171.5, 180.0, 200.0])
@@ -125,15 +160,15 @@ def test_exact_series_coefficients():
     (1.5 - 0.2j, 1.4, 0.9 - 0.7j),
 ])
 def test_float_and_mp_passes_agree(L, eta, z):
-    # at benign inner points the float pass and the fixed-point pass at 40
-    # digits give the same sums
+    # at benign inner points the float terms, correctly rounded, and the
+    # fixed-point pass at 40 digits over the same count give the same sums
     p = CoulombParams(L, eta)
-    S, T, terms, _, _ = _sum_pair(p, z, 1e-15)
-    S40, T40, terms40, est40, _ = _sum_pair_fixed(p, z, 1e-15, 40)
+    ts = _terms(L, eta, z, 1e-15)[0]
+    S, T = _fsum(ts), _fsum([n * t for n, t in enumerate(ts)])
+    S40, T40, _ = _sum_pair_fixed(p, z, len(ts), 40)
     assert type(S40) is type(S) and type(T40) is type(T)
     assert S == pytest.approx(S40, rel=1e-13)
     assert T == pytest.approx(T40, rel=1e-13)
-    assert abs(terms - terms40) <= 1 and est40 < 1e-13 * abs(S40)
 
 
 def _series_60(L, eta, z, terms):
@@ -169,6 +204,7 @@ def test_fixed_point_retry(L, eta, z, terms):
     p = CoulombParams(L, eta)
     S, T, used, _, bits = _series_pair(p, z, 1e-14)
     assert bits > 0 and used == terms
+    assert used == len(_terms(L, eta, z, 1e-14)[0])   # the float count
     S60, T60 = _series_60(L, eta, z, used)
     assert abs(S - S60) <= 1e-13 * abs(S60)
     assert abs(T - T60) <= 1e-13 * abs(T60)
@@ -177,14 +213,54 @@ def test_fixed_point_retry(L, eta, z, terms):
     assert eval_g(p, z, tol=1e-14).retry_bits == bits
 
 
-@pytest.mark.parametrize("L, eta, z", [
-    (2.0, 1.5, 800.0), (0.3 + 0.2j, -2.0, 700 + 300j),
-])
-def test_fixed_point_sum_out_of_float_range(L, eta, z):
-    # exact integer sums beyond 1.8e308 must not surface as OverflowError
+@pytest.mark.parametrize("L, eta, z, n_terms", [
+    (2.0, 1.5, 800.0, 1134), (0.3 + 0.2j, -2.0, 700 + 300j, 520),
+], ids=["2.0-1.5-800.0", "(0.3+0.2j)--2.0-(700+300j)"])
+def test_fixed_point_sum_out_of_float_range(L, eta, z, n_terms):
+    # exact integer sums beyond 1.8e308 must not surface as OverflowError;
+    # the float pass raises first on these inputs, so the count is given
     p = CoulombParams(L, eta)
     with pytest.raises(NonConvergence, match="leaves the float range"):
-        _sum_pair_fixed(p, z, 1e-14, _working_dps(p, abs(z)))
+        _sum_pair_fixed(p, z, n_terms, _working_dps(p, abs(z)))
+
+
+def _exact_stop(L, eta, z, tol):
+    """Where the stopping rule of ``_terms`` stops when it runs in exact
+    rationals of the float inputs: (term count, |t_n| / (tol * peak) for
+    every n)."""
+    L, eta, z, tol = Fr(L), Fr(eta), Fr(z), Fr(tol)
+    ts = [Fr(1), eta * z / (L + 1)]
+    S = ts[0] + ts[1]
+    peak = max(Fr(1), abs(S))
+    ratios = [None, None]
+    n_safe = _safe_index(float(L), float(eta), float(z))
+    streak = 0
+    for n in range(2, 1000):
+        ts.append((2 * eta * z * ts[-1] - z * z * ts[-2])
+                  / (n * (n + 2 * L + 1)))
+        S += ts[-1]
+        peak = max(peak, abs(S))
+        ratios.append(abs(ts[-1]) / (tol * peak))
+        streak = streak + 1 if ratios[-1] <= 1 and n >= n_safe else 0
+        if streak == 3:
+            return n + 1, ratios
+    raise AssertionError("no stop within 1000 terms")
+
+
+@given(st.floats(0.0, 10.0), st.floats(-2.0, 2.0), st.floats(20.0, 40.0))
+@settings(max_examples=40, deadline=None)
+def test_float_pass_stops_where_the_exact_rule_stops(L, eta, z):
+    # the float pass alone decides the count the fixed-point retry re-sums;
+    # on retried outer points it must be the count the same rule gives in
+    # exact arithmetic, or one off only where a term sits on the boundary
+    p = CoulombParams(L, eta)
+    assume(_series_pair(p, z, 1e-14)[4] > 0)
+    n_float = len(_terms(L, eta, z, 1e-14)[0])
+    n_exact, ratios = _exact_stop(L, eta, z, 1e-14)
+    if n_float != n_exact:
+        assert abs(n_float - n_exact) == 1
+        lo, hi = sorted((n_float, n_exact))
+        assert any(abs(r - 1) <= 1e-9 for r in ratios[max(2, lo - 4):hi])
 
 
 @given(st.floats(-0.9, 4.0), st.floats(-3.0, 3.0), st.floats(0.05, 2.0))
