@@ -15,60 +15,25 @@ The package computes:
   checks and empirical order fits;
 * independent verification oracles: disk scans for starlikeness and
   spirallikeness, ODE-based zero enumeration, and boundary-curve sampling.
+
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports them all.
 """
 
-from .errors import (BoundsInvalid, CoulombError, DegenerateFit,
-                     DegenerateOrder, GammaOverflow, GateViolation,
-                     NonConvergence, NoRootInScanRange, PoleOnCircle,
-                     RegionWarning, RingMismatch, ZeroEnumerationIncomplete)
-from .exact import (EtaPolynomial, Sqrt2Rational, format_sqrt2, p_coeff,
-                    potential_polynomials)
-from .specfun import (CoulombParams, SeriesEval, coulomb_series_coeffs,
-                      eval_F, eval_F_with_derivative, eval_bessel_j,
-                      eval_dini, eval_f_normalized, eval_g)
-from .rayleigh import (EulerRayleighBounds, RayleighTable,
-                       euler_rayleigh_bounds, rayleigh_Z, rayleigh_Ztilde,
-                       zeta_coeffs, zeta_laurent_eval)
-from .radii import (Family, RadiusQuery, RadiusResult, radius_f, radius_g,
-                    radius_phi)
-from .asympt import (EpsilonTable, OrderFit, annihilation_residuals,
-                     empirical_order, epsilon_coeffs,
-                     epsilon_coeffs_recurrence, radius_asymptotic)
-from .verify import (DiskScanReport, boundary_image, companion_order,
-                     dini_rayleigh_oracle, spirallike_scan, starlike_scan,
-                     zero_sum_oracle)
-from .acceptance import (CriterionResult, format_report, run_all,
-                         run_criterion)
+from .errors import *        # noqa: F401,F403
+from .exact import *         # noqa: F401,F403
+from .specfun import *       # noqa: F401,F403
+from .rayleigh import *      # noqa: F401,F403
+from .radii import *         # noqa: F401,F403
+from .asympt import *        # noqa: F401,F403
+from .verify import *        # noqa: F401,F403
+from .acceptance import *    # noqa: F401,F403
+from . import (acceptance, asympt, errors, exact, radii, rayleigh, specfun,
+               verify)
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "CoulombError", "GateViolation", "DegenerateOrder", "NonConvergence",
-    "GammaOverflow", "BoundsInvalid", "NoRootInScanRange", "PoleOnCircle",
-    "ZeroEnumerationIncomplete", "DegenerateFit", "RingMismatch",
-    "RegionWarning",
-    # exact arithmetic
-    "Sqrt2Rational", "EtaPolynomial", "format_sqrt2", "p_coeff",
-    "potential_polynomials",
-    # special functions
-    "CoulombParams", "SeriesEval", "coulomb_series_coeffs", "eval_F",
-    "eval_F_with_derivative", "eval_g", "eval_f_normalized",
-    "eval_bessel_j", "eval_dini",
-    # Rayleigh sums
-    "RayleighTable", "EulerRayleighBounds", "rayleigh_Z", "rayleigh_Ztilde",
-    "euler_rayleigh_bounds", "zeta_coeffs", "zeta_laurent_eval",
-    # radii
-    "Family", "RadiusQuery", "RadiusResult", "radius_f", "radius_g",
-    "radius_phi",
-    # asymptotics
-    "EpsilonTable", "OrderFit", "epsilon_coeffs",
-    "epsilon_coeffs_recurrence", "annihilation_residuals",
-    "radius_asymptotic", "empirical_order",
-    # verification
-    "DiskScanReport", "starlike_scan", "spirallike_scan", "companion_order",
-    "boundary_image", "zero_sum_oracle", "dini_rayleigh_oracle",
-    # acceptance
-    "CriterionResult", "run_criterion", "run_all", "format_report",
-]
+__all__ = ["__version__"] + [
+    name for module in (errors, exact, specfun, rayleigh, radii, asympt,
+                        verify, acceptance)
+    for name in module.__all__]

@@ -208,43 +208,44 @@ def epsilon_coeffs_recurrence(N: int) -> EpsilonTable:
                - _zeta(4, 0) * (_SQRT2 * _SQRT2 * _SQRT2))
         eps.append(rhs * Sqrt2Rational(0, Fraction(1, 2)))
     dot = EtaPolynomial.dot
+    # the sums that do not change with n, each formed once and read at every
+    # later order: alt2[m] = sum_{k<=m} (-1)^(m-k) zeta_k^(2) (brackets [3],
+    # [4], [5]), ee[j] = sum_l eps_{l+1} eps_{j-l+1} ([4]), and the
+    # alternating partial sums alt6[t] = sum_{j<=t} (-1)^(t-j) inner_j of
+    # the inner double sums of [6], likewise alt7 of [7]
+    alt2: List[EtaPolynomial] = []
+    ee: List[EtaPolynomial] = []
+    alt6: List[EtaPolynomial] = []
+    alt7: List[EtaPolynomial] = []
+
+    def push_alt(alt: List[EtaPolynomial], x: EtaPolynomial) -> None:
+        alt.append(x - alt[-1] if alt else x)
+
     for n in range(0, N - 1):
         # E to order u^(n+1) known; A_{m+1,k} = powers[m+1][k], m+1 <= n+4,
-        # from a table of this function's own, grown in place each step
+        # from a table of this function's own, grown in place each step;
+        # the entries [6] and [7] read at order n are final from here on
         _powers([c] + eps, n + 4, powers)
-        # brackets [1] .. [7] of the relation above as (factor, sum) pairs
-        terms = []
-        # [1]
-        terms.append((sgn(n) * (n + 2), c * _ETA))
-        # [2]
-        terms.append((dot([(sgn(n - k + 1) * (n - k + 1), eps[k])
-                           for k in range(n + 1)]), _ETA))
-        # [3]
-        terms.append((c * c, dot([(sgn(n - k), _zeta(2, k))
-                                  for k in range(n + 3)])))
-        # [4]
-        for j in range(n + 1):
-            zsum = dot([(sgn(n - j - k), _zeta(2, k))
-                        for k in range(n - j + 1)])
-            esum = dot([(eps[l], eps[j - l]) for l in range(j + 1)])
-            terms.append((zsum, esum))
-        # [5] without its k = n+1 term (that term is sqrt2 * eps_{n+2})
-        for k in range(n + 1):
-            zsum = dot([(sgn(n - k - q + 1), _zeta(2, q))
-                        for q in range(n - k + 2)])
-            terms.append((2 * c * eps[k], zsum))
-        # [6]
-        for j in range(n + 2):
-            inner = dot([(_zeta(2 * m, j - m - k + 2), powers[m + 1][k])
-                         for m in range(2, j + 3)
-                         for k in range(j - m + 3)])
-            terms.append((sgn(n - j + 1), inner))
-        # [7]
-        for j in range(n + 1):
-            inner = dot([(_zeta(2 * m + 1, j - m - k + 1), powers[m + 1][k])
-                         for m in range(1, j + 2)
-                         for k in range(j - m + 2)])
-            terms.append((sgn(n - j), inner))
+        for m in range(len(alt2), n + 3):
+            push_alt(alt2, _zeta(2, m))
+        ee.append(dot([(eps[l], eps[n - l]) for l in range(n + 1)]))
+        for j in range(len(alt6), n + 2):
+            push_alt(alt6, dot([(_zeta(2 * m, j - m - k + 2),
+                                 powers[m + 1][k])
+                                for m in range(2, j + 3)
+                                for k in range(j - m + 3)]))
+        push_alt(alt7, dot([(_zeta(2 * m + 1, n - m - k + 1), powers[m + 1][k])
+                            for m in range(1, n + 2)
+                            for k in range(n - m + 2)]))
+        # brackets [1] .. [7] of the relation above as (factor, sum) pairs;
+        # [5] without its k = n+1 term, which is sqrt2 * eps_{n+2}
+        terms = [(sgn(n) * (n + 2), c * _ETA),
+                 (dot([(sgn(n - k + 1) * (n - k + 1), eps[k])
+                       for k in range(n + 1)]), _ETA),
+                 (c * c, alt2[n + 2])]
+        terms += [(alt2[n - j], ee[j]) for j in range(n + 1)]
+        terms += [(2 * c * eps[k], alt2[n - k + 1]) for k in range(n + 1)]
+        terms += [(1, alt6[n + 1]), (1, alt7[n])]
         # sqrt2 * eps_{n+2} + (the sum of the terms) = 0
         eps.append(dot(terms) * Sqrt2Rational(0, Fraction(-1, 2)))
     return EpsilonTable(c=_SQRT2, eps=eps)

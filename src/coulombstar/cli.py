@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every subcommand is a thin wrapper over a library call and emits one
-:class:`OutputRecord` -- a single JSON object per invocation (one line,
-stream-friendly) or, with ``--csv``, a two-line CSV with a stable flattened
-column order.  Complex values are flattened to ``<key>_re``/``<key>_im``;
-exact rationals are rendered as ``num/den`` strings.
+Every subcommand but ``verify-all`` and ``figure`` is a thin wrapper over
+a library call and emits one :class:`OutputRecord` -- a single strict JSON
+object per invocation (one line, stream-friendly) or, with ``--csv``, a
+two-line CSV with a stable flattened column order.  Complex values are
+flattened to ``<key>_re``/``<key>_im``; exact rationals are rendered as
+``num/den`` strings, and non-finite floats as ``inf``, ``-inf`` or ``nan``.
+``verify-all`` prints a text table; ``figure`` writes CSV samples, and a
+record only when they go to a file.
 
 Exit codes: 0 ok, 2 parameter-gate violation (also argparse errors),
 3 IO failure, 4 numerical failure.
@@ -59,9 +62,14 @@ class OutputRecord:
             d[key] = value
 
     def to_json(self) -> str:
-        return json.dumps({"command": self.command, "inputs": self.inputs,
-                           "outputs": self.outputs,
-                           "diagnostics": self.diagnostics})
+        """Strict JSON: a non-finite float is the string the CSV prints,
+        "inf", "-inf" or "nan"."""
+        record = {"command": self.command}
+        for section in ("inputs", "outputs", "diagnostics"):
+            record[section] = {
+                k: repr(v) if isinstance(v, float) and not math.isfinite(v)
+                else v for k, v in getattr(self, section).items()}
+        return json.dumps(record, allow_nan=False)
 
     def to_csv(self) -> str:
         row: Dict[str, object] = {"command": self.command}
@@ -330,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="CSV destination ('-' for stdout)")
     pf.set_defaults(func=_cmd_figure)
 
-    pv = sub.add_parser("verify-all", parents=[common],
+    # verify-all prints a text table, so it takes no --json/--csv/--output
+    pv = sub.add_parser("verify-all",
                         help="run the acceptance criteria table")
     pv.add_argument("--only", nargs="+", metavar="ID",
                     help=f"subset of criteria, from {CRITERION_IDS}")

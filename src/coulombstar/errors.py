@@ -5,6 +5,11 @@ Every error raised on purpose derives from :class:`CoulombError`, so callers
 with two ``except`` clauses instead of a dozen.
 """
 
+__all__ = ["CoulombError", "GateViolation", "DegenerateOrder",
+           "NonConvergence", "GammaOverflow", "BoundsInvalid",
+           "NoRootInScanRange", "PoleOnCircle", "ZeroEnumerationIncomplete",
+           "DegenerateFit", "RingMismatch", "RegionWarning"]
+
 
 class CoulombError(Exception):
     """Base class for all library-specific errors."""

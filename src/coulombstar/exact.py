@@ -64,6 +64,7 @@ from .errors import RingMismatch
 __all__ = [
     "Sqrt2Rational",
     "EtaPolynomial",
+    "format_sqrt2",
     "p_coeff",
     "potential_polynomials",
 ]

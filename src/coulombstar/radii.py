@@ -1,30 +1,33 @@
 """Radii of starlikeness and univalence of the normalized regular solutions.
 
-Every radius computed here is the smallest positive root of a "reduced"
-equation that is positive at 0+:
+Every radius computed here is the smallest positive root of one "reduced"
+equation, positive at 0+,
 
-* power-normalized form f(z) = z S(z)^(1/(L+1)):
-      H_f(r)   = (L+1)(1-beta) S(r) + r S'(r)
-* shifted form g(z) = z S(z):
-      H_g(r)   = (1-beta) S(r) + r S'(r)
-* generalized Bessel-type normalization phi(z) = z jhat(z)^(1/(nu+alpha))
-  with jhat(z) = 0F1(nu+1; -z^2/4):
-      H_phi(r) = (nu+alpha)(1-beta) jhat(r) + r jhat'(r)
+    H(r) = kappa (1-beta) S(r) + r S'(r),
+
+for a normalized form h(z) = z S(z)^(1/kappa) of the Coulomb factor S at
+(L, eta).  One map, ``_family_map``, takes a family and its inputs to
+(L, eta, kappa) and applies every input gate:
+
+* power-normalized form f(z) = z S(z)^(1/(L+1)):      (L, eta, L + 1)
+* shifted form g(z) = z S(z):                          (L, eta, 1)
+* generalized Bessel-type normalization phi(z) = z jhat(z)^(1/(nu+alpha)),
+  jhat(z) = 0F1(nu+1; -z^2/4), which is S at L = nu - 1/2 and eta = 0:
+                                                       (nu - 1/2, 0, nu + alpha)
 
 The radius of starlikeness of order beta is the first positive root; the
 case beta = 0 also gives the radius of univalence for these families.
 
-Divided by S (or jhat), positive up to the first zero of F, each is a
-condition u(r) = r F_L'(eta, r)/F_L(eta, r) - c = 0 on the log-derivative
-of the regular Coulomb function: c = beta (L+1) for f, L + beta for g, and
-nu + 1/2 - (nu+alpha)(1-beta) for phi at order L = nu - 1/2 and eta = 0,
-where F_L(0, r) = sqrt(pi r/2) J_{L+1/2}(r).  One float kernel, Barnett's
+Divided by S, positive up to the first zero of F, H = 0 is the condition
+u(r) = r F_L'(eta, r)/F_L(eta, r) - c = 0 on the log-derivative of the
+regular Coulomb function, with c = L + 1 - d and d = kappa (1-beta), where
+F_L(0, r) = sqrt(pi r/2) J_{L+1/2}(r).  One float kernel, Barnett's
 continued fraction CF1 (Barnett, Feng, Steed & Goldfarb, Comput. Phys.
 Commun. 8, 1974), gives u for every family and order.  CF1 writes r F'/F
 as L + 1 + r eta/(L+1) plus a fraction; the kernel starts its Lentz
-product at d + r eta/(L+1) instead, with d = L + 1 - c formed exactly by
-each family ((1-beta)(L+1), 1-beta and (nu+alpha)(1-beta)), so u is never
-the difference of r F'/F and c, two numbers of size L for g.
+product at d + r eta/(L+1) instead, with d = kappa (1-beta) one rounded
+product, so u is never the difference of r F'/F and c, two numbers of size
+L for g.
 
 Why the first sign change of u is the root.  u has a pole at the first zero
 j of F.  With W = r F'/F - 1/2 and s = ln r, the Riccati equation of F gives
@@ -125,7 +128,8 @@ class RadiusResult:
 
 @dataclass(frozen=True)
 class RadiusQuery:
-    """CLI-friendly bundle of radius inputs; see :meth:`solve`."""
+    """Radius inputs: the family, beta and the family's two inputs (L and
+    eta, or nu and alpha); :meth:`solve` finds the radius."""
 
     family: Family
     beta: float = 0.0
@@ -135,15 +139,45 @@ class RadiusQuery:
     alpha: Optional[float] = None
 
     def solve(self) -> RadiusResult:
-        fam = Family(self.family)
-        if fam is Family.BESSEL_GEN:
-            if self.nu is None or self.alpha is None:
-                raise GateViolation("family 'phi' needs nu and alpha")
-            return radius_phi(self.nu, self.alpha, self.beta)
-        if self.L is None or self.eta is None:
-            raise GateViolation(f"family {fam.value!r} needs L and eta")
-        op = radius_f if fam is Family.F_POWER else radius_g
-        return op(self.L, self.eta, self.beta)
+        return _radius(Family(self.family), self.beta, self.L, self.eta,
+                       self.nu, self.alpha)
+
+
+def _family_map(fam: Family, L, eta, nu, alpha):
+    """(L, eta, kappa) of a family, whose radius of order beta is the first
+    root of kappa (1 - beta) S + r S' with S the Coulomb factor at (L, eta):
+    f gives (L, eta, L + 1), g gives (L, eta, 1) and phi gives
+    (nu - 1/2, 0, nu + alpha), where S is jhat.
+
+    Gates: the family's two inputs present, real and finite; L > -1 for f
+    and g, nu > -1 and nu + alpha > 0 for phi.  Raises GateViolation.
+    """
+    phi = fam is Family.BESSEL_GEN
+    a, b = (nu, alpha) if phi else (L, eta)
+    if (a is None or b is None or isinstance(a, complex)
+            or isinstance(b, complex)
+            or not (math.isfinite(a) and math.isfinite(b))):
+        x, y = ("nu", "alpha") if phi else ("L", "eta")
+        raise GateViolation(f"family {fam.value!r} needs finite real {x} "
+                            f"and {y}, got {x}={a!r}, {y}={b!r}")
+    a, b = float(a), float(b)
+    if not a > -1.0:
+        raise GateViolation(f"need {'nu' if phi else 'L'} > -1, got {a}")
+    if not phi:
+        return a, b, a + 1.0 if fam is Family.F_POWER else 1.0
+    if a + b <= 0.0:
+        raise GateViolation(f"need nu + alpha > 0, got nu+alpha = {a + b}")
+    # r jhat'/jhat = r J_nu'/J_nu - nu = r F'/F - nu - 1/2 at L = nu - 1/2
+    return a - 0.5, 0.0, a + b
+
+
+def _radius(fam: Family, beta, L, eta, nu, alpha) -> RadiusResult:
+    """The radius of order beta in [0, 1): the first root of u with
+    d = kappa (1 - beta), from the family map."""
+    if not 0.0 <= beta < 1.0:
+        raise GateViolation(f"order beta must lie in [0, 1), got {beta}")
+    L, eta, kappa = _family_map(fam, L, eta, nu, alpha)
+    return _first_root(L, eta, kappa * (1.0 - beta))
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +355,6 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
                         else math.inf)
 
 
-def _check_coulomb(L, eta, beta: float) -> None:
-    if isinstance(L, complex) or isinstance(eta, complex):
-        raise GateViolation("radii are defined for real L and eta")
-    if not (math.isfinite(L) and math.isfinite(eta)):
-        raise GateViolation(f"need finite L and eta, got L={L}, eta={eta}")
-    if not -1.0 < float(L):
-        raise GateViolation(f"need L > -1, got {L}")
-    if not 0.0 <= beta < 1.0:
-        raise GateViolation(f"order beta must lie in [0, 1), got {beta}")
-
-
 def radius_f(L, eta, beta: float = 0.0) -> RadiusResult:
     """Radius of starlikeness of order beta of f(z) = z S(z)^(1/(L+1)).
 
@@ -339,9 +362,7 @@ def radius_f(L, eta, beta: float = 0.0) -> RadiusResult:
     first positive zero of F' and also the radius of univalence.
     Preconditions: real L > -1, real eta, 0 <= beta < 1.
     """
-    _check_coulomb(L, eta, beta)
-    L = float(L)
-    return _first_root(L, float(eta), (1.0 - beta) * (L + 1.0))
+    return _radius(Family.F_POWER, beta, L, eta, None, None)
 
 
 def radius_g(L, eta, beta: float = 0.0) -> RadiusResult:
@@ -349,8 +370,7 @@ def radius_g(L, eta, beta: float = 0.0) -> RadiusResult:
 
     First positive root of (1-beta) S + r S'.
     """
-    _check_coulomb(L, eta, beta)
-    return _first_root(float(L), float(eta), 1.0 - beta)
+    return _radius(Family.F_SHIFT, beta, L, eta, None, None)
 
 
 def radius_phi(nu, alpha, beta: float = 0.0) -> RadiusResult:
@@ -358,18 +378,6 @@ def radius_phi(nu, alpha, beta: float = 0.0) -> RadiusResult:
     phi(z) = z jhat(z)^(1/(nu+alpha)), jhat(z) = 0F1(nu+1; -z^2/4).
 
     First positive root of (nu+alpha)(1-beta) jhat + r jhat'.
-    Preconditions: nu > -1, nu + alpha > 0, 0 <= beta < 1.
+    Preconditions: real nu > -1, real alpha, nu + alpha > 0, 0 <= beta < 1.
     """
-    nu = float(nu)
-    alpha = float(alpha)
-    if not (math.isfinite(nu) and math.isfinite(alpha)):
-        raise GateViolation(f"need finite nu and alpha, got nu={nu}, "
-                            f"alpha={alpha}")
-    if nu <= -1.0:
-        raise GateViolation(f"need nu > -1, got {nu}")
-    if nu + alpha <= 0.0:
-        raise GateViolation(f"need nu + alpha > 0, got nu+alpha = {nu + alpha}")
-    if not 0.0 <= beta < 1.0:
-        raise GateViolation(f"order beta must lie in [0, 1), got {beta}")
-    # r jhat'/jhat = r J_nu'/J_nu - nu = r F'/F - nu - 1/2 at L = nu - 1/2
-    return _first_root(nu - 0.5, 0.0, (nu + alpha) * (1.0 - beta))
+    return _radius(Family.BESSEL_GEN, beta, None, None, nu, alpha)

@@ -230,9 +230,10 @@ def _grow_row(j: int, n_max: int) -> None:
     once and doubled.  With the p_n^(j) expansion of 1/(2L + j + 1) and
     T_n = 2 eta sum_l c_l zeta_{n-l}^(j-1), c_l = sum_{m<=l} (-1)^m p_{l-m},
 
-        zeta_n^(j) = sum_q p_{n-q} (S'_q + S''_q) + T_n                (j odd),
-        zeta_n^(j) = sum_q p_{n-q} S'_q
-                     + sum_q p_{n-2-q} S''_q + T_{n-2}                (j even).
+        zeta_n^(j) = sum_q p_{n-q} S'_q + sum_q p_{n-s-q} S''_q + T_{n-s},
+
+    with the shift s = 0 for odd j and s = 2 for even j (sums over q >= 0,
+    empty where n - s < 0).
     """
     row, *S = _ZETA.setdefault(j, ([], [], []))
     have = len(row)
@@ -259,19 +260,11 @@ def _grow_row(j: int, n_max: int) -> None:
         c.append(p[l] - (c[-1] if c else 0))
     w = [EtaPolynomial([0, 2 * x]) for x in c]
     prev = _ZETA[j - 1][0]
-
-    def T(n: int) -> list:
-        return [(w[n - q], prev[q]) for q in range(n + 1)]
-
-    if j % 2:
-        row.extend(dot([(p[n - q], S[0][q]) for q in range(n + 1)]
-                       + [(p[n - q], S[1][q]) for q in range(n + 1)] + T(n))
-                   for n in range(have, n_max + 1))
-    else:
-        row.extend(dot([(p[n - q], S[0][q]) for q in range(n + 1)]
-                       + [(p[n - 2 - q], S[1][q]) for q in range(n - 1)]
-                       + (T(n - 2) if n >= 2 else []))
-                   for n in range(have, n_max + 1))
+    s = 0 if j % 2 else 2
+    row.extend(dot([(p[n - q], S[0][q]) for q in range(n + 1)]
+                   + [(p[n - s - q], S[1][q]) for q in range(n - s + 1)]
+                   + [(w[n - s - q], prev[q]) for q in range(n - s + 1)])
+               for n in range(have, n_max + 1))
 
 
 def _ensure_zeta(j_max: int, n_max: int) -> None:

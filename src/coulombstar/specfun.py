@@ -556,15 +556,19 @@ def eval_dini(nu: float, H: float, r: Scalar, tol: float = 1e-15) -> SeriesEval:
     """The Dini function d(r) = r J'_nu(r) + H J_nu(r) and its derivative.
 
     d'(r) follows from the Bessel equation:
-    d' = H J'_nu + (nu^2/r - r) J_nu  (r != 0).  nu, H and r must be
-    finite.
+    d' = H J'_nu + (nu^2/r - r) J_nu  (r != 0).  At r = 0 it returns the
+    limits as r -> 0+, d = (nu + H) J_nu and d' = (nu + H) J'_nu from the
+    limits of ``eval_bessel_j``, and 0 and 0 at nu + H = 0, where
+    d = -r J_{nu+1}.  nu, H and r must be finite.
     """
     _check_finite("H", H)
     je = eval_bessel_j(nu, r, tol)
-    value = r * je.derivative + H * je.value
     if r == 0:
-        return SeriesEval(value=H * je.value, derivative=0.0,
+        k = nu + H
+        value, deriv = (k * je.value, k * je.derivative) if k else (0.0, 0.0)
+        return SeriesEval(value=value, derivative=deriv,
                           terms_used=je.terms_used, est_error=je.est_error)
+    value = r * je.derivative + H * je.value
     deriv = H * je.derivative + (nu * nu / r - r) * je.value
     return SeriesEval(value=_demote(value), derivative=_demote(deriv),
                       terms_used=je.terms_used,

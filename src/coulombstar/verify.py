@@ -8,10 +8,11 @@ verified; these are the cross-checks:
   circle |z| = r and report the minimum.  A radius is confirmed by a
   positive minimum just below it and a sign change just above it.
 * ``boundary_image`` -- points of the image curve h(r e^(it)) for plotting.
-  Both write h = z B^(1/kappa), with B the Coulomb entire factor S, taken
-  at L = nu - 1/2 and eta = 0 for phi (where S is jhat), summed from the
-  float series terms of ``specfun`` and gated in one place.  The root
-  search's continued fraction plays no part.
+  Both write h = z B^(1/kappa), with B the Coulomb entire factor S, summed
+  from the float series terms of ``specfun``.  They read (L, eta, kappa)
+  and every input gate from the family map of the radii, which takes phi
+  to L = nu - 1/2 and eta = 0, where S is jhat.  The root search's
+  continued fraction plays no part.
 * ``zero_sum_oracle`` -- power sums over zeros located by direct numerical
   integration of the defining ODE  u'' = (2 eta/z + L(L+1)/z^2 - 1) u,
   plus an Euler-Maclaurin tail; this never touches the series recurrences,
@@ -32,7 +33,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from .errors import GateViolation, PoleOnCircle, ZeroEnumerationIncomplete
-from .radii import Family
+from .radii import Family, _family_map
 from .specfun import (CoulombParams, eval_F_with_derivative, _EPS,
                       _check_finite, _terms)
 
@@ -58,45 +59,35 @@ class DiskScanReport:
     witness_rotation: float = 0.0
 
 
-def _factor_on_circle(family, r, n, params, nu, alpha):
+def _family_inputs(family, params, nu, alpha):
+    """(L, eta, kappa) of h = z B^(1/kappa) by the family map of the radii,
+    with all its gates; L and eta come from ``params`` for f and g."""
+    L, eta = (None, None) if params is None else (params.L, params.eta)
+    return _family_map(Family(family), L, eta, nu, alpha)
+
+
+def _factor_on_circle(r, n, L, eta):
     """The entire factor B of h = z B^(1/kappa) at z = r e^(2 pi i k/n).
 
-    B is the Coulomb factor S, at (L, eta) for f and g and at L = nu - 1/2,
-    eta = 0 for phi, where S is jhat.  Its terms b_k = a_k r^k at z = r,
-    from the float series of ``specfun``, are the coefficients of B in
-    w = z/r: they are the term sizes on |z| = r, so none that matters
-    underflows.  Returns (z, B, z B', kappa, segment); segment is None for
-    complex order and otherwise holds B on [r/64, r] and the a priori bound
+    B is the Coulomb factor S at (L, eta); for phi the family map puts
+    L = nu - 1/2 and eta = 0, where S is jhat.  Its terms b_k = a_k r^k at
+    z = r, from the float series of ``specfun``, are the coefficients of B
+    in w = z/r: they are the term sizes on |z| = r, so none that matters
+    underflows.  Returns (z, B, z B', segment); segment is None for complex
+    order and otherwise holds B on [r/64, r] and the a priori bound
     2 n eps sum |b_k| (x/r)^k on the rounding of Horner's rule for those
     values (Higham, Accuracy and Stability of Numerical Algorithms, 5.1),
-    with n the number of terms.  kappa is L + 1 for f, 1 for g and
-    nu + alpha for phi.
-    Gates: finite r > 0, params for f and g, finite nu > -1 and finite
-    alpha with nu + alpha > 0 for phi.
+    with n the number of terms.
+    Gates: finite r > 0.
     Raises NonConvergence when the terms at z = r leave the float range.
     """
-    fam = Family(family)
     _check_finite("r", r)
     if r <= 0:
         raise ValueError("r must be positive")
-    if fam is Family.BESSEL_GEN:
-        if nu is None or alpha is None:
-            raise GateViolation("family 'phi' needs nu and alpha")
-        _check_finite("nu", nu)
-        _check_finite("alpha", alpha)
-        if nu + alpha <= 0 or nu <= -1:
-            raise GateViolation("need nu > -1 and nu + alpha > 0")
-        L, eta, kappa = float(nu) - 0.5, 0.0, float(nu) + float(alpha)
-    else:
-        if params is None:
-            raise GateViolation(f"family {fam.value!r} needs params")
-        L = complex(params.L) if params.is_complex else params.real_L()
-        eta = float(params.eta)
-        kappa = params.L + 1.0 if fam is Family.F_POWER else 1.0
     b = np.asarray(_terms(L, eta, r, 1e-15)[0])
     w = np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
     return (r * w, npp.polyval(w, b), npp.polyval(w, b * np.arange(len(b))),
-            kappa, None if isinstance(L, complex)
+            None if isinstance(L, complex)
             else _horner(np.linspace(1.0 / 64.0, 1.0, 64), b))
 
 
@@ -106,7 +97,7 @@ def _horner(x: np.ndarray, b: np.ndarray):
             2.0 * len(b) * _EPS * npp.polyval(x, np.abs(b)))
 
 
-def _witness(family, r, n, params, nu, alpha) -> np.ndarray:
+def _witness(r, n, L, eta, kappa) -> np.ndarray:
     """1 + (z B'/B)/kappa on the circle, whose real part is Re(z h'/h).
 
     Raises GateViolation where B on [r/64, r] is negative beyond its
@@ -114,8 +105,7 @@ def _witness(family, r, n, params, nu, alpha) -> np.ndarray:
     within that bound of 0, so that its sign is unknown, and PoleOnCircle
     where B vanishes on the circle (to working precision).
     """
-    _, B, zdB, kappa, segment = _factor_on_circle(family, r, n, params, nu,
-                                                  alpha)
+    _, B, zdB, segment = _factor_on_circle(r, n, L, eta)
     if segment is not None:
         vals, bound = segment
         if np.any(vals < -bound):
@@ -150,15 +140,16 @@ def starlike_scan(family: Union[Family, str], r: float, *,
 
     h is f, g, or phi per ``family``; the scan is the verification witness
     for radii of starlikeness (of order beta: compare the minimum against
-    beta).  Preconditions: r > 0, grid_size >= 16, r at most the first
-    positive zero of the normalized function (checked on the real axis for
-    real parameters).  Raises PoleOnCircle when the denominator vanishes on
-    the grid to working precision, or when its float sum on the real axis
-    is within its rounding bound of 0, so that the check cannot be made.
+    beta).  Preconditions: r > 0, grid_size >= 16, the gates of the radii
+    (real inputs, so complex order goes to ``spirallike_scan``), r at most
+    the first positive zero of the normalized function (checked on the
+    real axis).  Raises PoleOnCircle when the denominator vanishes on the
+    grid to working precision, or when its float sum on the real axis is
+    within its rounding bound of 0, so that the check cannot be made.
     """
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
-    w = _witness(family, r, grid_size, params, nu, alpha)
+    w = _witness(r, grid_size, *_family_inputs(family, params, nu, alpha))
     return _scan_report(r, np.real(w))
 
 
@@ -193,7 +184,8 @@ def spirallike_scan(L: complex, eta: float, r: float, *,
         raise GateViolation(f"|arg(L+1)| = {abs(th):.3f} >= pi/4")
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
-    w = _witness("f", r, grid_size, CoulombParams(Lc, eta), None, None)
+    p = CoulombParams(Lc, eta)        # gates finiteness, demotes a real Lc
+    w = _witness(r, grid_size, p.L, float(p.eta), p.L + 1.0)
     return _scan_report(r, np.real(np.exp(1j * th) * w), th)
 
 
@@ -209,8 +201,8 @@ def boundary_image(family: Union[Family, str], r: float, n_points: int, *,
     """
     if n_points < 8:
         raise ValueError("n_points must be at least 8")
-    z, B, _, kappa, _ = _factor_on_circle(family, r, n_points, params, nu,
-                                          alpha)
+    L, eta, kappa = _family_inputs(family, params, nu, alpha)
+    z, B, _, _ = _factor_on_circle(r, n_points, L, eta)
     if Family(family) is Family.F_SHIFT:
         vals = z * B
     else:

@@ -120,7 +120,7 @@ def test_shared_power_table_is_a_fresh_build(cold_memos):
 def test_dot_budget_of_the_large_order_layer(cold_memos, monkeypatch):
     # EtaPolynomial.dot calls, in the order of a bench session: a cold
     # eps_1..eps_6 (zeta rows included), the re-substitution check, then
-    # the recurrence.  Measured 270, 15 and 175; the caps allow 10 % more
+    # the recurrence.  Measured 270, 15 and 121; the caps allow 10 % more
     dot = EtaPolynomial.dot
     calls = []
 
@@ -131,7 +131,7 @@ def test_dot_budget_of_the_large_order_layer(cold_memos, monkeypatch):
     monkeypatch.setattr(EtaPolynomial, "dot", classmethod(counted))
     for f, cap in ((lambda: epsilon_coeffs(6), 297),
                    (lambda: annihilation_residuals(6), 17),
-                   (lambda: epsilon_coeffs_recurrence(6), 193)):
+                   (lambda: epsilon_coeffs_recurrence(6), 133)):
         calls.clear()
         f()
         assert len(calls) <= cap

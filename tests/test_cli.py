@@ -99,6 +99,25 @@ def test_eval_bit_identical_to_library(capsys):
     assert rec["diagnostics"]["retry_bits"] == res.retry_bits == 0
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    (("--family", "besselJ", "--L", "-0.5", "--z-re", "0"),
+     {"value": "inf", "derivative": "-inf"}),
+    (("--family", "F", "--L", "-0.5", "--eta", "0", "--z-re", "0"),
+     {"value": 0.0, "derivative": "inf"}),
+])
+def test_eval_limits_at_zero_are_strict_json(capsys, argv, outputs):
+    # the one-sided limits at z = 0 print as the strings the CSV prints,
+    # not as bare Infinity, which a strict parser refuses
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 0, err
+    rec = json.loads(out, parse_constant=_refuse_constant)
+    assert rec["outputs"] == outputs
+
+
 def test_eval_reports_the_fixed_point_retry(capsys):
     rec = run_json(capsys, "eval", "--family", "F", "--L", "3",
                    "--eta", "1.5", "--z-re", "34")
@@ -281,6 +300,19 @@ def test_verify_all_subset(capsys):
     assert code2 == 2 and "unknown criterion" in err2
 
 
+@pytest.mark.parametrize("extra", [("--csv",), ("--json",),
+                                   ("--output", "report.txt")])
+def test_verify_all_refuses_record_options(capsys, tmp_path, monkeypatch,
+                                           extra):
+    # verify-all prints a text table: the record options would do nothing
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--only", "1", "2", *extra])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_all_honest_failures_exit_nonzero(capsys):
     code, out, _ = run(capsys, "verify-all", "--only", "7a", "7b")
     assert code == 4                      # 7a is a documented failure
@@ -300,3 +332,41 @@ def test_console_script_entry_point():
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outputs"]["Z2"] == "1/5"
+
+
+def test_public_names_are_pinned():
+    # the package re-exports each module's __all__, its one list of names
+    assert set(coulombstar.__all__) == {
+        "__version__", "CRITERION_IDS",
+        # errors
+        "CoulombError", "GateViolation", "DegenerateOrder", "NonConvergence",
+        "GammaOverflow", "BoundsInvalid", "NoRootInScanRange", "PoleOnCircle",
+        "ZeroEnumerationIncomplete", "DegenerateFit", "RingMismatch",
+        "RegionWarning",
+        # exact arithmetic
+        "Sqrt2Rational", "EtaPolynomial", "format_sqrt2", "p_coeff",
+        "potential_polynomials",
+        # special functions
+        "CoulombParams", "SeriesEval", "coulomb_series_coeffs", "eval_F",
+        "eval_F_with_derivative", "eval_g", "eval_f_normalized",
+        "eval_bessel_j", "eval_dini",
+        # Rayleigh sums
+        "RayleighTable", "EulerRayleighBounds", "rayleigh_Z",
+        "rayleigh_Ztilde", "euler_rayleigh_bounds", "zeta_coeffs",
+        "zeta_laurent_eval",
+        # radii
+        "Family", "RadiusQuery", "RadiusResult", "radius_f", "radius_g",
+        "radius_phi",
+        # asymptotics
+        "EpsilonTable", "OrderFit", "epsilon_coeffs",
+        "epsilon_coeffs_recurrence", "annihilation_residuals",
+        "radius_asymptotic", "empirical_order",
+        # verification
+        "DiskScanReport", "starlike_scan", "spirallike_scan",
+        "companion_order", "boundary_image", "zero_sum_oracle",
+        "dini_rayleigh_oracle",
+        # acceptance
+        "CriterionResult", "run_criterion", "run_all", "format_report",
+    }
+    assert len(coulombstar.__all__) == len(set(coulombstar.__all__))
+    assert all(hasattr(coulombstar, name) for name in coulombstar.__all__)

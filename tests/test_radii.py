@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coulombstar import radii
-from coulombstar.errors import GateViolation
+from coulombstar.errors import DegenerateOrder, GateViolation
 from coulombstar.radii import (Family, RadiusQuery, _reduced, radius_f,
                                radius_g, radius_phi)
 from coulombstar.specfun import CoulombParams, eval_dini, eval_F_with_derivative
-from coulombstar.verify import companion_order
+from coulombstar.verify import companion_order, starlike_scan
 
 # frozen references (50-digit root solves, truncated)
 RF_HALF = 0.94077056394973735364900174324614   # f: L=-1/2, eta=0
@@ -214,6 +214,54 @@ def test_radius_query_dispatch():
         RadiusQuery("f", L=1.0).solve()            # missing eta
     with pytest.raises(GateViolation):
         RadiusQuery("phi", nu=1.0).solve()         # missing alpha
+
+
+@pytest.mark.parametrize("family, op, kw", [
+    ("f", radius_f, {"L": 2.0, "eta": -1.0}),
+    ("g", radius_g, {"L": 0.3, "eta": 0.7}),
+    ("phi", radius_phi, {"nu": 1.5, "alpha": 0.5}),
+])
+@pytest.mark.parametrize("beta", [0.0, 0.25, 0.9])
+def test_radius_query_is_the_direct_call(family, op, kw, beta):
+    # both go through the one family map: every field agrees bit for bit
+    direct = op(*kw.values(), beta)
+    assert repr(RadiusQuery(family, beta, **kw).solve()) == repr(direct)
+
+
+def _gate_class(call):
+    with pytest.raises(GateViolation) as exc:
+        call()
+    return type(exc.value)
+
+
+@pytest.mark.parametrize("family, a, b", [
+    ("f", None, 0.0), ("g", 1.0, None),                 # missing
+    ("phi", None, 1.0), ("phi", 1.0, None),
+    ("f", math.inf, 0.0), ("g", 0.0, math.nan),         # non-finite
+    ("phi", math.nan, 1.0), ("phi", 1.0, -math.inf),
+    ("f", -1.0, 0.0), ("g", -2.5, 1.0),                 # out of range
+    ("phi", -1.0, 3.0), ("phi", 0.5, -0.5),
+    ("f", 0.2 + 0.1j, 0.0),                             # complex
+    ("phi", 1.0 + 1.0j, 0.0), ("phi", 1.0, 0.5j),
+])
+def test_one_gate_for_radii_query_and_scan(family, a, b):
+    # radius_*, RadiusQuery and starlike_scan read the same family map, so a
+    # bad input raises the same class from each; for f and g the scan takes
+    # CoulombParams, whose own gates raise the same classes, but for an
+    # order at or below -1, which it refuses with its DegenerateOrder
+    op = {"f": radius_f, "g": radius_g, "phi": radius_phi}[family]
+    if family == "phi":
+        query = RadiusQuery(family, nu=a, alpha=b)
+        scan = lambda: starlike_scan(family, 1.0, nu=a, alpha=b)
+    else:
+        query = RadiusQuery(family, L=a, eta=b)
+        scan = lambda: starlike_scan(
+            family, 1.0, params=None if None in (a, b)
+            else CoulombParams(a, b))
+    direct = _gate_class(lambda: op(a, b))
+    assert _gate_class(query.solve) is direct
+    low_order = family != "phi" and isinstance(a, float) and a <= -1.0
+    assert _gate_class(scan) is (DegenerateOrder if low_order else direct)
 
 
 def test_gates():

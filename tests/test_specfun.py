@@ -117,6 +117,31 @@ def test_bessel_large_order(nu):
     assert eval_bessel_j(nu, 0.5).value == 0.0        # J ~ 1e-400 underflows
 
 
+@pytest.mark.parametrize("nu, H, value, deriv", [
+    (-0.5, 0.0, -math.inf, math.inf),   # (nu + H) times J and J' at 0+
+    (-0.5, 0.5, 0.0, 0.0),              # nu + H = 0: d = -r J_{nu+1}
+    (0.5, 1.0, 0.0, math.inf),
+    (1.0, 0.0, 0.0, 0.5),
+    (0.0, 1.0, 1.0, 0.0),
+    (2.0, 1.0, 0.0, 0.0),
+    (1.0, -1.0, 0.0, 0.0),
+])
+def test_dini_at_zero_is_the_one_sided_limit(nu, H, value, deriv):
+    res = eval_dini(nu, H, 0.0)
+    assert (res.value, res.derivative) == (value, deriv)
+    # d and d' = H J' + (nu^2/r - r) J at r = 1e-30, where the limits show
+    with mp.workdps(100):
+        r = mp.mpf("1e-30")
+        J, dJ = mp.besselj(nu, r), mp.besselj(nu, r, derivative=1)
+        for got, ref in ((value, r * dJ + H * J),
+                         (deriv, H * dJ + (nu * nu / r - r) * J)):
+            if math.isinf(got):
+                assert abs(ref) > 1e10 and mp.sign(ref) == math.copysign(
+                    1, got)
+            else:
+                assert abs(ref - got) < 1e-10
+
+
 def test_dini_zeros_match_radius_captions():
     # nu=0, H=1/2: d(r) = (2 r J0'(r) + J0(r))/2 vanishes at the first
     # caption value; nu=1/2, H=1/2: d(r) ~ cos(r) vanishes at pi/2
