@@ -23,7 +23,7 @@ import numpy as np
 from .asympt import annihilation_residuals, empirical_order, epsilon_coeffs
 from .errors import CoulombError, DegenerateFit
 from .exact import EtaPolynomial, Sqrt2Rational, potential_polynomials
-from .radii import radius_f, radius_g, radius_phi
+from .radii import RadiusQuery, radius_f, radius_g
 from .rayleigh import (euler_rayleigh_bounds, rayleigh_Z, rayleigh_Ztilde,
                        zeta_coeffs, zeta_laurent_eval)
 from .specfun import CoulombParams, eval_F, eval_bessel_j
@@ -176,20 +176,14 @@ def _scan_pair(kind: str, args, beta: float) -> Tuple[bool, str]:
         below = spirallike_scan(L, eta, 0.99 * r).min_real_part
         above = spirallike_scan(L, eta, 1.01 * r).min_real_part
         tag = f"spiral L={L}"
-    elif kind == "phi":
-        nu, alpha = args
-        r = radius_phi(nu, alpha, beta).value
-        below = starlike_scan("phi", 0.99 * r, nu=nu, alpha=alpha).min_real_part
-        above = starlike_scan("phi", 1.01 * r, nu=nu, alpha=alpha).min_real_part
-        tag = f"phi nu={nu:g} alpha={alpha:g} beta={beta:g}"
     else:
-        L, eta = args
-        op = radius_f if kind == "f" else radius_g
-        r = op(L, eta, beta).value
-        params = CoulombParams(L, eta)
-        below = starlike_scan(kind, 0.99 * r, params=params).min_real_part
-        above = starlike_scan(kind, 1.01 * r, params=params).min_real_part
-        tag = f"{kind} L={L:g} eta={eta:g}"
+        names = ("nu", "alpha") if kind == "phi" else ("L", "eta")
+        kw = dict(zip(names, args))
+        r = RadiusQuery(kind, beta, **kw).solve().value
+        below = starlike_scan(kind, 0.99 * r, **kw).min_real_part
+        above = starlike_scan(kind, 1.01 * r, **kw).min_real_part
+        tag = " ".join([kind] + [f"{k}={v:g}" for k, v in kw.items()]
+                       + ([f"beta={beta:g}"] if beta else []))
     ok = (below > beta) and (above < beta)
     return ok, (f"{tag}: min-beta at 0.99r = {below - beta:+.2e}, "
                 f"at 1.01r = {above - beta:+.2e}")

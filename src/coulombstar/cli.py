@@ -7,7 +7,8 @@ two-line CSV with a stable flattened column order.  Complex values are
 flattened to ``<key>_re``/``<key>_im``; exact rationals are rendered as
 ``num/den`` strings, and non-finite floats as ``inf``, ``-inf`` or ``nan``.
 ``verify-all`` prints a text table; ``figure`` writes CSV samples, and a
-record only when they go to a file.
+record only when they go to a file: with ``--out -`` it refuses
+``--json``, ``--csv`` and ``--output``, as ``verify-all`` does.
 
 Exit codes: 0 ok, 2 parameter-gate violation (also argparse errors),
 3 IO failure, 4 numerical failure.
@@ -30,7 +31,7 @@ from .errors import (BoundsInvalid, DegenerateFit, GammaOverflow,
                      GateViolation, NonConvergence, NoRootInScanRange,
                      PoleOnCircle, ZeroEnumerationIncomplete)
 from .exact import format_sqrt2
-from .radii import RadiusQuery, radius_f, radius_g
+from .radii import RadiusQuery
 from .rayleigh import rayleigh_Z, rayleigh_Ztilde, zeta_coeffs
 from .specfun import (CoulombParams, eval_F_with_derivative, eval_bessel_j,
                       eval_dini, eval_f_normalized, eval_g)
@@ -214,15 +215,13 @@ def _cmd_asympt(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    if args.figure == 1:
-        family = "f"
-        params = CoulombParams(-0.5, 0.0)
-        r = radius_f(-0.5, 0.0, 0.0).value
-    else:
-        family = "g"
-        params = CoulombParams(0.0, 0.0)
-        r = radius_g(0.0, 0.0, 0.0).value
-    pts = boundary_image(family, r, args.points, params=params)
+    if args.out == "-" and (args.fmt or args.output):
+        raise ValueError("figure --out - writes its samples to stdout and "
+                         "no record, so it takes no --json, --csv or "
+                         "--output")
+    family, L = ("f", -0.5) if args.figure == 1 else ("g", 0.0)
+    r = RadiusQuery(family, L=L, eta=0.0).solve().value
+    pts = boundary_image(family, r, args.points, L=L, eta=0.0)
     rows = [(2.0 * math.pi * k / args.points, p.real, p.imag)
             for k, p in enumerate(pts)]
     if args.out == "-":
@@ -275,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit flattened CSV (header + one row)")
     common.add_argument("--output", metavar="PATH",
                         help="write the record here instead of stdout")
-    common.set_defaults(fmt="json")
 
     p = argparse.ArgumentParser(
         prog="coulombstar",

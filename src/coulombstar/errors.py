@@ -5,10 +5,10 @@ Every error raised on purpose derives from :class:`CoulombError`, so callers
 with two ``except`` clauses instead of a dozen.
 """
 
-__all__ = ["CoulombError", "GateViolation", "DegenerateOrder",
-           "NonConvergence", "GammaOverflow", "BoundsInvalid",
-           "NoRootInScanRange", "PoleOnCircle", "ZeroEnumerationIncomplete",
-           "DegenerateFit", "RingMismatch", "RegionWarning"]
+__all__ = ["CoulombError", "GateViolation", "NonConvergence",
+           "GammaOverflow", "BoundsInvalid", "NoRootInScanRange",
+           "PoleOnCircle", "ZeroEnumerationIncomplete", "DegenerateFit",
+           "RingMismatch", "RegionWarning"]
 
 
 class CoulombError(Exception):
@@ -19,14 +19,12 @@ class GateViolation(CoulombError):
     """A documented parameter precondition does not hold (caller error)."""
 
 
-class DegenerateOrder(GateViolation):
-    """The order parameter makes a recurrence denominator vanish (or sits in
-    an unsupported range such as real L <= -1)."""
-
-
 class NonConvergence(CoulombError):
-    """A series did not meet its truncation rule within the fixed maximum
-    of 10000 terms."""
+    """A numerical process did not finish within its limits: a series did
+    not meet its truncation rule within the fixed maximum of 10000 terms;
+    CF1 for r F'/F did not converge within its cap of 1000 + 2r terms; the
+    fixed-point re-sum of a series left the float range; or the root search
+    underflowed before it found a root."""
 
 
 class GammaOverflow(CoulombError):

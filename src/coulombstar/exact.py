@@ -607,10 +607,10 @@ def potential_polynomials(exponent: int, args: Sequence, n_max: int):
 
     Returns the list [A_0, ..., A_{n_max}] of exact coefficients.  A_0 = 1
     always; for exponent m and a series with only the linear term a,
-    A_k = C(m, k) a^k.
+    A_k = C(m, k) a^k.  Raises ValueError for a negative exponent or n_max.
     """
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
+    if exponent < 0 or n_max < 0:
+        raise ValueError("exponent and n_max must be >= 0")
     args = [a if isinstance(a, EtaPolynomial) else _exact(a) for a in args]
     base = ([1] + args + [0] * n_max)[:n_max + 1]
     return _powers(base, exponent + n_max)[exponent]

@@ -46,8 +46,7 @@ from typing import List, Union
 import mpmath  # noqa: F401
 from scipy.special import loggamma
 
-from .errors import (DegenerateOrder, GammaOverflow, GateViolation,
-                     NonConvergence)
+from .errors import GammaOverflow, GateViolation, NonConvergence
 
 __all__ = [
     "CoulombParams",
@@ -91,7 +90,8 @@ class CoulombParams:
 
     L may be real (float/int/Fraction, must be > -1) or genuinely complex;
     eta must be real.  Both must be finite.  A complex L with zero imaginary
-    part is demoted to the real value it is.
+    part is demoted to the real value it is.  Raises GateViolation for a
+    non-finite input or a real L <= -1, ValueError for a complex eta.
     """
 
     L: Union[float, complex, Fraction]
@@ -110,7 +110,7 @@ class CoulombParams:
         _check_finite("L", L)
         _check_finite("eta", eta)
         if not isinstance(L, complex) and L <= -1:
-            raise DegenerateOrder(
+            raise GateViolation(
                 f"order L = {L} <= -1 makes the series recurrence degenerate")
 
     @property
@@ -126,6 +126,14 @@ def _check_finite(name: str, x) -> None:
     infinite or NaN; ints and Fractions are finite."""
     if isinstance(x, (float, complex)) and not cmath.isfinite(x):
         raise GateViolation(f"{name} must be finite, got {x!r}")
+
+
+def _check_tol_z(tol: float, z) -> None:
+    """The gates of every evaluator: ValueError unless tol lies in
+    [1e-16, 1e-6], GateViolation unless z is finite."""
+    if not 1e-16 <= tol <= 1e-6:
+        raise ValueError(f"tol must lie in [1e-16, 1e-6], got {tol!r}")
+    _check_finite("z", z)
 
 
 def _exact_mode(params: CoulombParams, exact: Union[bool, None]) -> bool:
@@ -368,9 +376,7 @@ def eval_g(params: CoulombParams, z: Scalar, tol: float = 1e-12) -> SeriesEval:
     prefactor.  tol is the truncation target for the series tail relative
     to the largest partial sum; it must lie in [1e-16, 1e-6].
     """
-    if not (1e-16 <= tol <= 1e-6):
-        raise ValueError(f"tol must lie in [1e-16, 1e-6], got {tol!r}")
-    _check_finite("z", z)
+    _check_tol_z(tol, z)
     if z == 0:
         one = 1.0 + 0j if params.is_complex else 1.0
         return SeriesEval(value=0.0 * one, derivative=one, terms_used=1,
@@ -401,9 +407,7 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
     non-integer L+1.  Raises GammaOverflow when even the combined exponent
     exceeds the float range.
     """
-    if not (1e-16 <= tol <= 1e-6):
-        raise ValueError(f"tol must lie in [1e-16, 1e-6], got {tol!r}")
-    _check_finite("z", z)
+    _check_tol_z(tol, z)
     lc = _log_prefactor(params)
     L = complex(params.L) if params.is_complex else params.real_L()
     if z == 0:
@@ -449,9 +453,7 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
 
     Principal branch of the fractional power; f(0) = 0, f'(0) = 1.
     """
-    if not (1e-16 <= tol <= 1e-6):
-        raise ValueError(f"tol must lie in [1e-16, 1e-6], got {tol!r}")
-    _check_finite("z", z)
+    _check_tol_z(tol, z)
     if z == 0:
         return SeriesEval(value=0.0, derivative=1.0, terms_used=1,
                           est_error=0.0)
@@ -472,7 +474,10 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
 def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     """Bessel J_nu(z) and J'_nu(z) from the ascending series.
 
-    nu must be real and > -1.  The series of J_nu(z) Gamma(nu + 1) / (z/2)^nu
+    nu must be real (ValueError), finite and > -1, and z finite
+    (GateViolation).  tol, the truncation target for the series tail
+    relative to its largest partial sum, must lie in [1e-16, 1e-6]
+    (ValueError).  The series of J_nu(z) Gamma(nu + 1) / (z/2)^nu
     starts at 1; the factor (z/2)^nu / Gamma(nu + 1) is applied in log
     space, so large orders neither overflow nor lose the result before it
     underflows.  The terms are summed in float with Kahan compensation and
@@ -485,9 +490,9 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
         raise ValueError("nu must be real")
     nu = float(nu)
     _check_finite("nu", nu)
-    _check_finite("z", z)
+    _check_tol_z(tol, z)
     if nu <= -1:
-        raise DegenerateOrder(f"Bessel order nu = {nu} <= -1 not supported")
+        raise GateViolation(f"Bessel order nu = {nu} <= -1 not supported")
     if z == 0:
         # the limits as z -> 0+ of J ~ (z/2)^nu / Gamma(nu + 1) and of
         # J' ~ nu (z/2)^(nu - 1) / (2 Gamma(nu + 1)), at nu != 0
@@ -559,7 +564,8 @@ def eval_dini(nu: float, H: float, r: Scalar, tol: float = 1e-15) -> SeriesEval:
     d' = H J'_nu + (nu^2/r - r) J_nu  (r != 0).  At r = 0 it returns the
     limits as r -> 0+, d = (nu + H) J_nu and d' = (nu + H) J'_nu from the
     limits of ``eval_bessel_j``, and 0 and 0 at nu + H = 0, where
-    d = -r J_{nu+1}.  nu, H and r must be finite.
+    d = -r J_{nu+1}.  nu, H and r must be finite, and tol must lie in
+    [1e-16, 1e-6], as for ``eval_bessel_j``.
     """
     _check_finite("H", H)
     je = eval_bessel_j(nu, r, tol)

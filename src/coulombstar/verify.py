@@ -9,10 +9,12 @@ verified; these are the cross-checks:
   positive minimum just below it and a sign change just above it.
 * ``boundary_image`` -- points of the image curve h(r e^(it)) for plotting.
   Both write h = z B^(1/kappa), with B the Coulomb entire factor S, summed
-  from the float series terms of ``specfun``.  They read (L, eta, kappa)
-  and every input gate from the family map of the radii, which takes phi
-  to L = nu - 1/2 and eta = 0, where S is jhat.  The root search's
-  continued fraction plays no part.
+  from the float series terms of ``specfun``.  They take the inputs of
+  ``RadiusQuery``: the family with ``L=``/``eta=`` for f and g, or
+  ``nu=``/``alpha=`` for phi.  They read (L, eta, kappa) and every input
+  gate from the family map of the radii, which takes phi to L = nu - 1/2
+  and eta = 0, where S is jhat.  The root search's continued fraction
+  plays no part.
 * ``zero_sum_oracle`` -- power sums over zeros located by direct numerical
   integration of the defining ODE  u'' = (2 eta/z + L(L+1)/z^2 - 1) u,
   plus an Euler-Maclaurin tail; this never touches the series recurrences,
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Union
@@ -57,13 +60,6 @@ class DiskScanReport:
     min_real_part: float
     argmin_angle: float
     witness_rotation: float = 0.0
-
-
-def _family_inputs(family, params, nu, alpha):
-    """(L, eta, kappa) of h = z B^(1/kappa) by the family map of the radii,
-    with all its gates; L and eta come from ``params`` for f and g."""
-    L, eta = (None, None) if params is None else (params.L, params.eta)
-    return _family_map(Family(family), L, eta, nu, alpha)
 
 
 def _factor_on_circle(r, n, L, eta):
@@ -100,11 +96,14 @@ def _horner(x: np.ndarray, b: np.ndarray):
 def _witness(r, n, L, eta, kappa) -> np.ndarray:
     """1 + (z B'/B)/kappa on the circle, whose real part is Re(z h'/h).
 
-    Raises GateViolation where B on [r/64, r] is negative beyond its
-    rounding bound (a zero of B lies inside), PoleOnCircle where it is
-    within that bound of 0, so that its sign is unknown, and PoleOnCircle
-    where B vanishes on the circle (to working precision).
+    Gates: the grid size n an integer >= 16 (ValueError).  Raises
+    GateViolation where B on [r/64, r] is negative beyond its rounding
+    bound (a zero of B lies inside), PoleOnCircle where it is within that
+    bound of 0, so that its sign is unknown, and PoleOnCircle where B
+    vanishes on the circle (to working precision).
     """
+    if not isinstance(n, numbers.Integral) or n < 16:
+        raise ValueError(f"grid_size must be an integer >= 16, got {n!r}")
     _, B, zdB, segment = _factor_on_circle(r, n, L, eta)
     if segment is not None:
         vals, bound = segment
@@ -132,24 +131,24 @@ def _scan_report(r: float, vals: np.ndarray,
 
 
 def starlike_scan(family: Union[Family, str], r: float, *,
-                  params: Optional[CoulombParams] = None,
+                  L: Optional[float] = None, eta: Optional[float] = None,
                   nu: Optional[float] = None,
                   alpha: Optional[float] = None,
                   grid_size: int = 1024) -> DiskScanReport:
     """Minimum of Re(z h'/h) over |z| = r for the requested normalization.
 
-    h is f, g, or phi per ``family``; the scan is the verification witness
-    for radii of starlikeness (of order beta: compare the minimum against
-    beta).  Preconditions: r > 0, grid_size >= 16, the gates of the radii
-    (real inputs, so complex order goes to ``spirallike_scan``), r at most
-    the first positive zero of the normalized function (checked on the
-    real axis).  Raises PoleOnCircle when the denominator vanishes on the
-    grid to working precision, or when its float sum on the real axis is
-    within its rounding bound of 0, so that the check cannot be made.
+    h is f, g, or phi per ``family``, with the inputs of ``RadiusQuery``:
+    ``L`` and ``eta`` for f and g, ``nu`` and ``alpha`` for phi.  The scan
+    is the verification witness for radii of starlikeness (of order beta:
+    compare the minimum against beta).  Preconditions: r > 0, grid_size an
+    integer >= 16, the gates of the radii (real inputs, so complex order
+    goes to ``spirallike_scan``), r at most the first positive zero of the
+    normalized function (checked on the real axis).  Raises PoleOnCircle
+    when the denominator vanishes on the grid to working precision, or when
+    its float sum on the real axis is within its rounding bound of 0, so
+    that the check cannot be made.
     """
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
-    w = _witness(r, grid_size, *_family_inputs(family, params, nu, alpha))
+    w = _witness(r, grid_size, *_family_map(Family(family), L, eta, nu, alpha))
     return _scan_report(r, np.real(w))
 
 
@@ -158,7 +157,9 @@ def companion_order(L: complex) -> float:
     radius statements to complex order.
 
     Exists iff Re[L(L+1)] > -1/4, i.e. (Im L)^2 < Re(L)(Re(L)+1) + 1/4.
+    Raises GateViolation otherwise, or when L is not finite.
     """
+    _check_finite("L", L)
     q = (L * (L + 1.0)).real
     if q <= -0.25:
         raise GateViolation(
@@ -182,26 +183,26 @@ def spirallike_scan(L: complex, eta: float, r: float, *,
     th = cmath.phase(Lc + 1.0)
     if abs(th) >= math.pi / 4.0:
         raise GateViolation(f"|arg(L+1)| = {abs(th):.3f} >= pi/4")
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
     p = CoulombParams(Lc, eta)        # gates finiteness, demotes a real Lc
     w = _witness(r, grid_size, p.L, float(p.eta), p.L + 1.0)
     return _scan_report(r, np.real(np.exp(1j * th) * w), th)
 
 
 def boundary_image(family: Union[Family, str], r: float, n_points: int, *,
-                   params: Optional[CoulombParams] = None,
+                   L: Optional[float] = None, eta: Optional[float] = None,
                    nu: Optional[float] = None,
                    alpha: Optional[float] = None) -> List[complex]:
     """Image points h(r e^(it)) for t = 2 pi k/n_points, k = 0..n_points-1.
 
-    Fractional powers take the principal branch.  The curve is closed by
-    construction (the last point neighbors the first).  Gates as for
-    ``starlike_scan``, with n_points >= 8.
+    The inputs are those of ``starlike_scan``: ``L`` and ``eta`` for f and
+    g, ``nu`` and ``alpha`` for phi.  Fractional powers take the principal
+    branch.  The curve is closed by construction (the last point neighbors
+    the first).  Gates as for ``starlike_scan``, with n_points an integer
+    >= 8.
     """
-    if n_points < 8:
-        raise ValueError("n_points must be at least 8")
-    L, eta, kappa = _family_inputs(family, params, nu, alpha)
+    if not isinstance(n_points, numbers.Integral) or n_points < 8:
+        raise ValueError(f"n_points must be an integer >= 8, got {n_points!r}")
+    L, eta, kappa = _family_map(Family(family), L, eta, nu, alpha)
     z, B, _, _ = _factor_on_circle(r, n_points, L, eta)
     if Family(family) is Family.F_SHIFT:
         vals = z * B

@@ -260,6 +260,39 @@ def test_figure_stdout(capsys):
                                               abs=1e-12)
 
 
+@pytest.mark.parametrize("opts", [
+    ["--output", "fig.json"], ["--json"], ["--csv"],
+    ["--output", "fig.json", "--csv"]])
+def test_figure_to_stdout_refuses_the_record_options(opts, tmp_path, capsys,
+                                                     monkeypatch):
+    # the samples fill stdout and no record is written, so the record
+    # options would be ignored; with a file --out the record stays
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "figure", "--figure", "1", "--points", "8",
+                         "--out", "-", *opts)
+    assert code == 2 and out == "" and "--out -" in err
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run(capsys, "figure", "--figure", "1", "--points", "8",
+                       "--out", "fig.csv", *opts)
+    assert code == 0
+    text = (tmp_path / "fig.json").read_text() if "--output" in opts else out
+    if "--csv" in opts:
+        assert next(csv.DictReader(io.StringIO(text)))["outputs.rows"] == "8"
+    else:
+        assert json.loads(text)["outputs"]["rows"] == 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "besselJ", "--L", "1", "--z-re", "5", "--tol", "1"],
+    ["--family", "dini", "--L", "1", "--H", "0.5", "--z-re", "5",
+     "--tol", "-1"],
+])
+def test_bessel_type_eval_refuses_a_tol_outside_the_range(argv, capsys):
+    # besselJ exited 0 with J_1(5) = -0.32337; dini ran 10000 terms, exit 4
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 2 and out == "" and "tol" in err
+
+
 def test_output_file_option(tmp_path, capsys):
     path = tmp_path / "rec.json"
     code, out, _ = run(capsys, "radius", "--family", "g", "--L", "0",
@@ -339,8 +372,8 @@ def test_public_names_are_pinned():
     assert set(coulombstar.__all__) == {
         "__version__", "CRITERION_IDS",
         # errors
-        "CoulombError", "GateViolation", "DegenerateOrder", "NonConvergence",
-        "GammaOverflow", "BoundsInvalid", "NoRootInScanRange", "PoleOnCircle",
+        "CoulombError", "GateViolation", "NonConvergence", "GammaOverflow",
+        "BoundsInvalid", "NoRootInScanRange", "PoleOnCircle",
         "ZeroEnumerationIncomplete", "DegenerateFit", "RingMismatch",
         "RegionWarning",
         # exact arithmetic

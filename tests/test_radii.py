@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coulombstar import radii
-from coulombstar.errors import DegenerateOrder, GateViolation
+from coulombstar.errors import GateViolation
 from coulombstar.radii import (Family, RadiusQuery, _reduced, radius_f,
                                radius_g, radius_phi)
 from coulombstar.specfun import CoulombParams, eval_dini, eval_F_with_derivative
@@ -245,23 +245,14 @@ def _gate_class(call):
     ("phi", 1.0 + 1.0j, 0.0), ("phi", 1.0, 0.5j),
 ])
 def test_one_gate_for_radii_query_and_scan(family, a, b):
-    # radius_*, RadiusQuery and starlike_scan read the same family map, so a
-    # bad input raises the same class from each; for f and g the scan takes
-    # CoulombParams, whose own gates raise the same classes, but for an
-    # order at or below -1, which it refuses with its DegenerateOrder
+    # radius_*, RadiusQuery and starlike_scan take the same inputs and read
+    # the same family map, so a bad input raises the same class from each
     op = {"f": radius_f, "g": radius_g, "phi": radius_phi}[family]
-    if family == "phi":
-        query = RadiusQuery(family, nu=a, alpha=b)
-        scan = lambda: starlike_scan(family, 1.0, nu=a, alpha=b)
-    else:
-        query = RadiusQuery(family, L=a, eta=b)
-        scan = lambda: starlike_scan(
-            family, 1.0, params=None if None in (a, b)
-            else CoulombParams(a, b))
+    kw = dict(zip(("nu", "alpha") if family == "phi" else ("L", "eta"),
+                  (a, b)))
     direct = _gate_class(lambda: op(a, b))
-    assert _gate_class(query.solve) is direct
-    low_order = family != "phi" and isinstance(a, float) and a <= -1.0
-    assert _gate_class(scan) is (DegenerateOrder if low_order else direct)
+    assert _gate_class(RadiusQuery(family, **kw).solve) is direct
+    assert _gate_class(lambda: starlike_scan(family, 1.0, **kw)) is direct
 
 
 def test_gates():

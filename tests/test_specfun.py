@@ -10,8 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coulombstar import specfun
-from coulombstar.errors import (DegenerateOrder, GammaOverflow, GateViolation,
-                                NonConvergence)
+from coulombstar.errors import GammaOverflow, GateViolation, NonConvergence
 from coulombstar.specfun import (CoulombParams, _fsum, _safe_index,
                                  _series_pair, _sum_pair_fixed, _terms,
                                  _working_dps, coulomb_series_coeffs, eval_F,
@@ -319,7 +318,7 @@ def test_f_normalized_matches_g_when_L_zero():
 
 
 def test_gates_and_errors():
-    with pytest.raises(DegenerateOrder):
+    with pytest.raises(GateViolation):
         CoulombParams(-1.0, 0.0)
     with pytest.raises(ValueError):
         CoulombParams(1.0, 1j)
@@ -329,6 +328,30 @@ def test_gates_and_errors():
         eval_F(CoulombParams(0.0, 0.0), 1e308)
     with pytest.raises(NonConvergence):
         eval_g(CoulombParams(0.0, 0.0), 1e200)
+
+
+@pytest.mark.parametrize("op, args", [
+    (CoulombParams, (-2.0, 0.0)),
+    (eval_bessel_j, (-1.5, 1.0)),
+])
+def test_an_order_at_or_below_minus_one_is_a_gate_violation(op, args):
+    # the class the radii raise for the same order, not a subclass of it
+    with pytest.raises(GateViolation) as exc:
+        op(*args)
+    assert type(exc.value) is GateViolation
+
+
+@pytest.mark.parametrize("tol", [1.0, 0.0, -1.0, math.nan])
+@pytest.mark.parametrize("op, args", [
+    (eval_bessel_j, (1.0, 5.0)),
+    (eval_dini, (1.0, 0.5, 5.0)),
+])
+def test_bessel_type_evaluators_gate_tol(op, args, tol):
+    # the tol range of the Coulomb evaluators: tol = 1 returned
+    # J_1(5) = -0.32337 against -0.32758, and tol = -1 ran the Dini series
+    # to its cap of 10000 terms
+    with pytest.raises(ValueError, match="tol"):
+        op(*args, tol=tol)
 
 
 P1 = CoulombParams(1.0, 0.0)

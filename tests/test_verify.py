@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coulombstar.errors import GateViolation, NonConvergence, PoleOnCircle
+from coulombstar.exact import potential_polynomials
 from coulombstar.radii import radius_f, radius_g, radius_phi
 from coulombstar.rayleigh import rayleigh_Z, rayleigh_Ztilde
 from coulombstar.specfun import CoulombParams
@@ -21,9 +22,8 @@ FIG1_T0 = 0.58814635401704561985200998438744   # [sqrt(r) J0(r)]^2 at RF_HALF
 
 
 def test_starlike_scan_brackets_radius_f():
-    p = CoulombParams(-0.5, 0.0)
-    below = starlike_scan("f", 0.999 * RF_HALF, params=p)
-    above = starlike_scan("f", 1.001 * RF_HALF, params=p)
+    below = starlike_scan("f", 0.999 * RF_HALF, L=-0.5, eta=0.0)
+    above = starlike_scan("f", 1.001 * RF_HALF, L=-0.5, eta=0.0)
     assert below.min_real_part > 0.0
     assert above.min_real_part < 0.0
     assert below.grid_size == 1024
@@ -32,20 +32,18 @@ def test_starlike_scan_brackets_radius_f():
 
 def test_starlike_scan_minimum_on_real_axis():
     # for real parameters the witness minimum sits on the real axis
-    p = CoulombParams(2.0, -1.0)
     r = 0.99 * radius_f(2.0, -1.0).value
-    rep = starlike_scan("f", r, params=p, grid_size=2048)
+    rep = starlike_scan("f", r, L=2.0, eta=-1.0, grid_size=2048)
     angle = min(rep.argmin_angle, 2 * math.pi - rep.argmin_angle)
     assert angle < 0.02 or abs(rep.argmin_angle - math.pi) < 0.02
 
 
 def test_starlike_scan_beta_families():
     rg = radius_g(1.0, -0.5).value
-    p = CoulombParams(1.0, -0.5)
-    assert starlike_scan("g", 0.99 * rg, params=p).min_real_part > 0
-    assert starlike_scan("g", 1.01 * rg, params=p).min_real_part < 0
+    assert starlike_scan("g", 0.99 * rg, L=1.0, eta=-0.5).min_real_part > 0
+    assert starlike_scan("g", 1.01 * rg, L=1.0, eta=-0.5).min_real_part < 0
     # nu = -0.7 is order L = -1.2 of the Coulomb factor, below the L > -1
-    # that CoulombParams accepts
+    # that the f and g families accept
     for nu, alpha in [(0.3, 0.2), (-0.7, 1.0)]:
         rphi = radius_phi(nu, alpha, 0.5).value
         assert starlike_scan("phi", 0.99 * rphi, nu=nu,
@@ -55,13 +53,13 @@ def test_starlike_scan_beta_families():
 
 
 def test_scan_guards():
-    p = CoulombParams(0.0, 0.0)             # S = sin z / z, first zero pi
+    # at L = eta = 0, S = sin z / z, first zero pi
     with pytest.raises((GateViolation, PoleOnCircle)):
-        starlike_scan("g", math.pi, params=p)
+        starlike_scan("g", math.pi, L=0.0, eta=0.0)
     with pytest.raises(GateViolation):
-        starlike_scan("g", 4.0, params=p)   # real-axis zero inside
+        starlike_scan("g", 4.0, L=0.0, eta=0.0)   # real-axis zero inside
     with pytest.raises(GateViolation):
-        starlike_scan("f", 1.0)             # params missing
+        starlike_scan("f", 1.0)             # L and eta missing
     with pytest.raises(GateViolation):
         starlike_scan("phi", 1.0, nu=0.5)   # alpha missing
 
@@ -101,15 +99,14 @@ def test_f_scan_at_large_order():
     # scaled terms a_n r^n keep them, so the scan is not told that 0.9 r
     # lies past the first zero of F.  There the factor cancels below its
     # rounding bound, a numerical error; at 0.5 r it matches r F'/F/(L+1)
-    p = CoulombParams(200.0, 0.0)
     r = radius_f(200.0, 0.0).value
     with pytest.raises(PoleOnCircle):
-        starlike_scan("f", 0.9 * r, params=p)
+        starlike_scan("f", 0.9 * r, L=200.0, eta=0.0)
     x = mp.mpf(0.5 * r)
     with mp.workdps(40):     # F_200(0, x) = sqrt(pi x/2) J_200.5(x)
         ref = (0.5 + x * mp.besselj(200.5, x, derivative=1)
                / mp.besselj(200.5, x)) / 201
-    rep = starlike_scan("f", 0.5 * r, params=p)
+    rep = starlike_scan("f", 0.5 * r, L=200.0, eta=0.0)
     assert rep.min_real_part == pytest.approx(float(ref), rel=1e-5)
 
 
@@ -119,7 +116,7 @@ def test_segment_below_rounding_is_a_numerical_error():
     # scan radius lying beyond the first zero
     r = 0.99 * radius_f(100.0, -1.0).value
     with pytest.raises(PoleOnCircle):
-        starlike_scan("f", r, params=CoulombParams(100.0, -1.0))
+        starlike_scan("f", r, L=100.0, eta=-1.0)
 
 
 def test_companion_order_values_and_gate():
@@ -148,9 +145,28 @@ def test_spirallike_scan_brackets_companion_radius():
 @pytest.mark.parametrize("r", [math.inf, math.nan])
 def test_scans_refuse_a_non_finite_radius(r):
     with pytest.raises(GateViolation, match="finite"):
-        starlike_scan("g", r, params=CoulombParams(1.0, 0.0))
+        starlike_scan("g", r, L=1.0, eta=0.0)
     with pytest.raises(GateViolation, match="finite"):
         boundary_image("phi", r, 8, nu=1.0, alpha=0.0)
+
+
+@pytest.mark.parametrize("call, exc", [
+    (lambda: companion_order(complex(math.nan, 0.0)), GateViolation),
+    (lambda: companion_order(complex(math.inf, 0.1)), GateViolation),
+    (lambda: potential_polynomials(2, [Fr(1)], -1), ValueError),
+    (lambda: starlike_scan("f", 1.0, L=2.0, eta=-1.0, grid_size=16.5),
+     ValueError),
+    (lambda: spirallike_scan(0.2 + 0.1j, 0.0, 0.5, grid_size=16.5),
+     ValueError),
+    (lambda: boundary_image("f", 1.0, 8.5, L=2.0, eta=-1.0), ValueError),
+], ids=["companion-nan", "companion-inf", "potential-n_max", "starlike-grid",
+        "spirallike-grid", "boundary-points"])
+def test_inputs_that_escaped_every_gate(call, exc):
+    # a non-finite order gave a nan or inf companion order, n_max < 0 a
+    # bare IndexError, and a fractional count scanned the next integer
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc
 
 
 def test_spirallike_gates():
@@ -161,8 +177,7 @@ def test_spirallike_gates():
 
 
 def test_boundary_image_figures():
-    p = CoulombParams(-0.5, 0.0)
-    pts = boundary_image("f", RF_HALF, 256, params=p)
+    pts = boundary_image("f", RF_HALF, 256, L=-0.5, eta=0.0)
     assert len(pts) == 256
     assert pts[0] == pytest.approx(FIG1_T0, abs=1e-13)
     # closed and conjugate-symmetric (real coefficients)
@@ -170,8 +185,7 @@ def test_boundary_image_figures():
     for k in (1, 7, 100):
         assert pts[-k] == pytest.approx(pts[k].conjugate(), rel=1e-10)
     # figure-2 parameters: image of the pi/2 circle under sin
-    pg = CoulombParams(0.0, 0.0)
-    pts2 = boundary_image("g", math.pi / 2, 64, params=pg)
+    pts2 = boundary_image("g", math.pi / 2, 64, L=0.0, eta=0.0)
     assert pts2[0] == pytest.approx(1.0, abs=1e-14)
     t = 2 * math.pi * 5 / 64
     z = (math.pi / 2) * complex(math.cos(t), math.sin(t))
@@ -198,7 +212,7 @@ def test_spirallike_scan_at_real_order_is_the_f_scan():
     eta = -0.5
     r = 0.9 * radius_f(2.0, eta).value
     spiral = spirallike_scan(2.0 + 0j, eta, r)
-    star = starlike_scan("f", r, params=CoulombParams(2.0, eta))
+    star = starlike_scan("f", r, L=2.0, eta=eta)
     assert spiral.witness_rotation == 0.0
     assert spiral.min_real_part == star.min_real_part
     assert spiral.argmin_angle == star.argmin_angle
@@ -208,7 +222,7 @@ def test_spirallike_scan_at_real_order_guards_the_first_zero():
     # F(2, -0.5) has its first positive zero below 6; the real-axis guard
     # of starlike_scan applies
     with pytest.raises(GateViolation):
-        starlike_scan("f", 7.0, params=CoulombParams(2.0, -0.5))
+        starlike_scan("f", 7.0, L=2.0, eta=-0.5)
     with pytest.raises(GateViolation):
         spirallike_scan(2.0 + 0j, -0.5, 7.0)
 
