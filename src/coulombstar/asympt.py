@@ -296,13 +296,15 @@ def empirical_order(L_values: Sequence[float], eta: float, N: int) -> OrderFit:
 
     If the expansion captured the radius to order N, the slope would sit
     near -(N+1).  The line is the least-squares fit of log(err) against
-    log(L).  Raises DegenerateFit when an error underflows the resolvable
-    range (nothing left to fit).
+    log(L).  Raises ValueError unless the L values hold two distinct
+    logarithms (a line needs two abscissae), and DegenerateFit when an
+    error underflows the resolvable range (nothing left to fit).
     """
     Ls = [float(x) for x in L_values]
-    if len(Ls) < 2:
-        raise ValueError("need at least two L values")
     _check_expansion_args(Ls, eta)
+    x = [math.log(L) for L in Ls]
+    if len(set(x)) < 2:
+        raise ValueError("need at least two distinct L values")
     errs: List[float] = []
     for L in Ls:
         direct = radius_f(L, eta, 0.0).value
@@ -313,7 +315,6 @@ def empirical_order(L_values: Sequence[float], eta: float, N: int) -> OrderFit:
                 f"scaled error {err:.3e} at L = {L} is below the resolvable "
                 "floor; the fit would be meaningless")
         errs.append(err)
-    x = [math.log(L) for L in Ls]
     y = [math.log(e) for e in errs]
     x_bar, y_bar = math.fsum(x) / len(x), math.fsum(y) / len(y)
     slope = (math.fsum((a - x_bar) * (b - y_bar) for a, b in zip(x, y))

@@ -183,6 +183,12 @@ def _cmd_rayleigh(args) -> int:
     return 0
 
 
+def _L_key(prefix: str, L: float) -> str:
+    """The record key for one L: L in the shortest digits that read back
+    as L, and an integral L without its ".0" (value_L100)."""
+    return prefix + repr(L).removesuffix(".0")
+
+
 def _cmd_asympt(args) -> int:
     rec = OutputRecord("asympt")
     rec.put("inputs", "N", args.N)
@@ -199,7 +205,7 @@ def _cmd_asympt(args) -> int:
         rec.put("outputs", "slope", fit.slope)
         rec.put("outputs", "fit_residual", fit.fit_residual)
         for L, err in zip(Ls, fit.errors):
-            rec.put("diagnostics", f"scaled_err_L{L:g}", err)
+            rec.put("diagnostics", _L_key("scaled_err_L", L), err)
     elif Ls:
         rec.put("inputs", "eta", args.eta)
         rec.put("inputs", "L", list(Ls))
@@ -208,7 +214,7 @@ def _cmd_asympt(args) -> int:
                                                           args.N))
         else:
             for L in Ls:
-                rec.put("outputs", f"value_L{L:g}",
+                rec.put("outputs", _L_key("value_L", L),
                         radius_asymptotic(L, args.eta, args.N))
     _emit(rec, args)
     return 0

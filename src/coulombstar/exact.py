@@ -28,7 +28,10 @@ of the exact tables.
   form for Fractions, one reduction per entry of the exact Rayleigh tables.
 * ``p_coeff`` -- the expansion
   ``1/(2L + alpha + 1) = (1/L) * sum_n p_n^(alpha) L^(-n)`` with
-  ``p_n^(alpha) = ((-1)^n / 2) * ((alpha + 1)/2)^n``.
+  ``p_n^(alpha) = ((-1)^n / 2) * ((alpha + 1)/2)^n``.  The zeta rows
+  divide by 2L + alpha + 1 as a recurrence instead of convolving with
+  this series; it stays public for callers and for the tests' convolution
+  form of those rows.
 * ``_powers`` -- the one power kernel: the coefficient table of B^0 .. B^k
   for a truncated series B given as a plain coefficient list, built by
   Cauchy products, each entry one ``dot``.  It holds only the triangle

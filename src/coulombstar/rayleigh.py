@@ -37,9 +37,20 @@ expansions of Z^(k),
     Z^(2k+1) = L^-(2k+1) * sum_n zeta_n^(2k+1) L^-n,
 
 as exact polynomials in eta; ``zeta_laurent_eval`` sums them numerically
-(inclusive of the n = n_terms term).  ``euler_rayleigh_bounds`` turns the
-derivative-zero sums into two-sided bounds for the square of the smallest
-positive zero of F':
+(inclusive of the n = n_terms term).  With u = 1/L and
+Zeta_k(u) = sum_n zeta_n^(k) u^n, the Z recurrence becomes
+
+    Zeta_2 (2 + 3u)     = 1 + eta^2 u^2/(1+u)^2,
+    Zeta_j (2 + (j+1)u) = S'(u) + u^s S''(u) + 2 eta u^s Zeta_(j-1)(u)/(1+u),
+
+with s = 0 for odd j and s = 2 for even j, and S', S'' the sums of the
+Cauchy products Zeta_a Zeta_(j-a), a = 2 .. j-2, of j's parity and of the
+other one.  Dividing by 2 + (j+1)u is a first-order recurrence in n, so each
+zeta_n^(j) is one dot over the lower rows, the alternating partial sums of
+row j-1 (the coefficients of Zeta_(j-1)/(1+u)) and zeta_(n-1)^(j).
+
+``euler_rayleigh_bounds`` turns the derivative-zero sums into two-sided
+bounds for the square of the smallest positive zero of F':
 
     (Ztilde^(2s))^(-1/s)  <  rho~_1^2  <  Ztilde^(2s)/Ztilde^(2s+2).
 """
@@ -52,7 +63,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple, Union
 
 from .errors import BoundsInvalid, GateViolation, RegionWarning
-from .exact import EtaPolynomial, _rational_dot, p_coeff
+from .exact import EtaPolynomial, _rational_dot
 from .specfun import CoulombParams, _exact_mode
 
 __all__ = [
@@ -201,70 +212,82 @@ def euler_rayleigh_bounds(params: CoulombParams, s: int) -> EulerRayleighBounds:
 # Laurent coefficients of Z^(k) in 1/L
 # ---------------------------------------------------------------------------
 
-_Row = Tuple[List[EtaPolynomial], List[EtaPolynomial], List[EtaPolynomial]]
+_Row = Tuple[List[EtaPolynomial], List[EtaPolynomial]]
 
-#: zeta tables memo: j -> ([zeta_0^(j), ..., zeta_n^(j)], S', S''), with the
-#: pair series S' and S'' of :func:`_grow_row` (empty for j = 2) kept so that
-#: the row can grow without recomputing them.  A row grows only after every
-#: row below it is at least as long, so row lengths never increase with j.
-#: Process-global and grow-only: rows are added or lengthened in place, never
-#: dropped.  Not safe to share across threads.
+#: zeta tables memo: j -> ([zeta_0^(j), ..., zeta_n^(j)], V), with V the
+#: coefficients of Zeta_j/(1+u), the alternating partial sums of the row,
+#: grown as far as row j + 1 reads them.  A row grows only after every row
+#: below it is at least as long, so row lengths never increase with j.
+#: Process-global and grow-only: rows are added or lengthened in place,
+#: never dropped.  Not safe to share across threads.
 _ZETA: Dict[int, _Row] = {}
 
+_ETA = EtaPolynomial.eta()
 _ETA2 = EtaPolynomial([0, 0, 1])
 
 
-def _zeta_2(n: int) -> EtaPolynomial:
-    """zeta_n^(2) = p_n + eta^2 sum_{m=0}^{n-2} (-1)^m (m+1) p_{n-2-m}."""
-    tail = _rational_dot(((-1) ** m * (m + 1), p_coeff(2, n - 2 - m))
-                         for m in range(n - 1))
-    return p_coeff(2, n) + tail * _ETA2
+def _zeta_2(row: List[EtaPolynomial], n: int) -> EtaPolynomial:
+    """zeta_n^(2) from zeta_{n-1}^(2) = row[n - 1]: with u = 1/L,
+    Zeta_2 (2 + 3u) = 1 + eta^2 u^2/(1+u)^2, so
+
+        2 zeta_n + 3 zeta_{n-1} = [n = 0] + (-1)^n (n-1) eta^2 [n >= 2].
+    """
+    pairs = [(Fraction(-3, 2), row[n - 1])] if n else [(Fraction(1, 2), 1)]
+    if n >= 2:
+        pairs.append((Fraction((-1) ** n * (n - 1), 2), _ETA2))
+    return EtaPolynomial.dot(pairs)
+
+
+def _half(x: EtaPolynomial) -> EtaPolynomial:
+    """x/2, by doubling the denominator rather than by a dot."""
+    return EtaPolynomial._new(2 * x._d, list(x._A), list(x._B))
 
 
 def _grow_row(j: int, n_max: int) -> None:
     """Lengthen row j >= 3 of the memo through zeta_{n_max}, computing only
     the orders it lacks; the rows below must reach n_max already.
 
-    S'_q and S''_q sum the Cauchy products [u^q] Zeta_a Zeta_(j-a) over
-    a = 2 .. j-2 with a even and a odd; each unordered pair is multiplied
-    once and doubled.  With the p_n^(j) expansion of 1/(2L + j + 1) and
-    T_n = 2 eta sum_l c_l zeta_{n-l}^(j-1), c_l = sum_{m<=l} (-1)^m p_{l-m},
+    In u = 1/L the Z recurrence reads, with s = 0 for odd j and s = 2 for
+    even j and V = Zeta_(j-1)/(1+u),
 
-        zeta_n^(j) = sum_q p_{n-q} S'_q + sum_q p_{n-s-q} S''_q + T_{n-s},
+        Zeta_j (2 + (j+1)u) = S'(u) + u^s S''(u) + 2 eta u^s V(u),
 
-    with the shift s = 0 for odd j and s = 2 for even j (sums over q >= 0,
-    empty where n - s < 0).
+    where S' and S'' sum the Cauchy products Zeta_a Zeta_(j-a) over
+    a = 2 .. j-2 of j's parity and of the other one.  Dividing by
+    2 + (j+1)u is the first-order recurrence
+
+        zeta_n = [u^n] (S' + u^s S'')/2 + eta V_(n-s) - (j+1)/2 zeta_(n-1),
+
+    so each entry is one dot: the unordered pairs a < j - a at weight 1
+    (order n for a of j's parity, n - s for the other), half the middle
+    square a = j/2, eta V_(n-s) and the previous entry.  V_n, the
+    alternating partial sums of row j - 1, are grown first, as far as this
+    row reads them.
     """
-    row, *S = _ZETA.setdefault(j, ([], [], []))
-    have = len(row)
-    if have > n_max:
+    row, _ = _ZETA.setdefault(j, ([], []))
+    if len(row) > n_max:
         return
-    dot = EtaPolynomial.dot
-
-    def part(q: int, parity: int) -> EtaPolynomial:
-        # the doubled pairs a < j - a, then the middle pair a = j/2
-        twice = dot([(_ZETA[a][0][m], _ZETA[j - a][0][q - m])
-                     for a in range(2 + parity, (j + 1) // 2, 2)
-                     for m in range(q + 1)])
-        mid = _ZETA[j // 2][0] if j % 4 == 2 * parity else None
-        return dot([(2, twice)] + (
-            [(mid[m], mid[q - m]) for m in range(q + 1)] if mid else []))
-
-    for q in range(len(S[0]), n_max + 1):   # S runs ahead if a growth was cut
-        even, odd = part(q, 0), part(q, 1)
-        S[0].append(even)
-        S[1].append(odd)
-    p = [p_coeff(j, n) for n in range(n_max + 1)]
-    c: List[Fraction] = []
-    for l in range(n_max + 1):
-        c.append(p[l] - (c[-1] if c else 0))
-    w = [EtaPolynomial([0, 2 * x]) for x in c]
-    prev = _ZETA[j - 1][0]
     s = 0 if j % 2 else 2
-    row.extend(dot([(p[n - q], S[0][q]) for q in range(n + 1)]
-                   + [(p[n - s - q], S[1][q]) for q in range(n - s + 1)]
-                   + [(w[n - s - q], prev[q]) for q in range(n - s + 1)])
-               for n in range(have, n_max + 1))
+    prev, V = _ZETA[j - 1]
+    for n in range(len(V), n_max - s + 1):
+        V.append(prev[n] - V[n - 1] if n else prev[0])
+    lag = [s * ((a + j) % 2) for a in range(j // 2 + 1)]
+    step = Fraction(-(j + 1), 2)
+    for n in range(len(row), n_max + 1):
+        pairs = [(_ZETA[a][0][m], _ZETA[j - a][0][n - lag[a] - m])
+                 for a in range(2, (j + 1) // 2)
+                 for m in range(n - lag[a] + 1)]
+        q = n - lag[j // 2]
+        if j % 2 == 0 and q >= 0:            # half the middle square
+            mid = _ZETA[j // 2][0]
+            pairs += [(mid[m], mid[q - m]) for m in range((q + 1) // 2)]
+            if q % 2 == 0:
+                pairs.append((mid[q // 2], _half(mid[q // 2])))
+        if n >= s:
+            pairs.append((_ETA, V[n - s]))
+        if n:
+            pairs.append((step, row[n - 1]))
+        row.append(EtaPolynomial.dot(pairs))
 
 
 def _ensure_zeta(j_max: int, n_max: int) -> None:
@@ -273,8 +296,9 @@ def _ensure_zeta(j_max: int, n_max: int) -> None:
     are."""
     if j_max in _ZETA and len(_ZETA[j_max][0]) > n_max:
         return                          # so are the rows below it
-    row = _ZETA.setdefault(2, ([], [], []))[0]
-    row.extend(_zeta_2(n) for n in range(len(row), n_max + 1))
+    row = _ZETA.setdefault(2, ([], []))[0]
+    for n in range(len(row), n_max + 1):
+        row.append(_zeta_2(row, n))
     for j in range(3, j_max + 1):
         _grow_row(j, n_max)
 

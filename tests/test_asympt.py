@@ -15,6 +15,7 @@ from coulombstar.errors import GateViolation
 from coulombstar.exact import (EtaPolynomial, Sqrt2Rational, _powers,
                                format_sqrt2)
 from coulombstar.radii import radius_f
+from coulombstar.rayleigh import zeta_coeffs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -120,7 +121,8 @@ def test_shared_power_table_is_a_fresh_build(cold_memos):
 def test_dot_budget_of_the_large_order_layer(cold_memos, monkeypatch):
     # EtaPolynomial.dot calls, in the order of a bench session: a cold
     # eps_1..eps_6 (zeta rows included), the re-substitution check, then
-    # the recurrence.  Measured 270, 15 and 121; the caps allow 10 % more
+    # the recurrence; last, a cold zeta_coeffs(16, 8).  Measured 116, 15,
+    # 121 and 233; the caps allow 10 % more
     dot = EtaPolynomial.dot
     calls = []
 
@@ -129,12 +131,16 @@ def test_dot_budget_of_the_large_order_layer(cold_memos, monkeypatch):
         return dot(pairs)
 
     monkeypatch.setattr(EtaPolynomial, "dot", classmethod(counted))
-    for f, cap in ((lambda: epsilon_coeffs(6), 297),
+    for f, cap in ((lambda: epsilon_coeffs(6), 127),
                    (lambda: annihilation_residuals(6), 17),
                    (lambda: epsilon_coeffs_recurrence(6), 133)):
         calls.clear()
         f()
         assert len(calls) <= cap
+    rayleigh._ZETA.clear()
+    calls.clear()
+    zeta_coeffs(16, 8)
+    assert len(calls) <= 256
 
 
 def test_recurrence_reads_neither_the_cache_nor_the_table(monkeypatch):
@@ -177,6 +183,8 @@ def test_gates():
         epsilon_coeffs(-1)
     with pytest.raises(ValueError):
         empirical_order([100.0], -1.0, 1)            # needs >= 2 points
+    with pytest.raises(ValueError, match="distinct"):
+        empirical_order([50.0, 50.0], 0.0, 2)        # one abscissa twice
     with pytest.raises(GateViolation):
         empirical_order([10.0, -5.0], -1.0, 1)
 

@@ -229,6 +229,29 @@ def test_asympt_validate_reports_divergence(capsys):
                if k.startswith("scaled_err"))
 
 
+def test_asympt_keys_each_L_apart(capsys):
+    # L that print alike at 6 digits keep their own keys, each reading
+    # back as its L; integral L keep the short label
+    rec = run_json(capsys, "asympt", "--N", "1", "--eta", "0",
+                   "--L", "100", "100.0000001", "30")
+    assert rec["inputs"]["L"] == [100.0, 100.0000001, 30.0]
+    out = rec["outputs"]
+    keys = [k for k in out if k.startswith("value_L")]
+    assert keys == ["value_L100", "value_L100.0000001", "value_L30"]
+    assert [float(k[len("value_L"):]) for k in keys] == rec["inputs"]["L"]
+    assert out["value_L100"] < out["value_L100.0000001"]
+    rec = run_json(capsys, "asympt", "--N", "0", "--eta", "-1",
+                   "--L", "25", "25.0000001", "--validate")
+    assert [k for k in rec["diagnostics"] if k.startswith("scaled_err")] \
+        == ["scaled_err_L25", "scaled_err_L25.0000001"]
+
+
+def test_asympt_validate_refuses_a_single_distinct_L(capsys):
+    code, out, err = run(capsys, "asympt", "--N", "2", "--eta", "0",
+                         "--L", "50", "50", "--validate")
+    assert code == 2 and out == "" and "distinct" in err
+
+
 def test_figure_csv(tmp_path, capsys):
     out = tmp_path / "fig2.csv"
     code, stdout, _ = run(capsys, "figure", "--figure", "2", "--points",

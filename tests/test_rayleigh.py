@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from coulombstar import rayleigh
 from coulombstar.errors import GateViolation, RegionWarning
-from coulombstar.exact import EtaPolynomial
+from coulombstar.exact import EtaPolynomial, p_coeff
 from coulombstar.rayleigh import (euler_rayleigh_bounds, rayleigh_Z,
                                   rayleigh_Ztilde, zeta_coeffs,
                                   zeta_laurent_eval)
@@ -315,6 +315,72 @@ def test_zeta_memo_growth_path_is_irrelevant(cold_memos):
                    for k in held)
         assert all(row == cold[k][:len(row)] for k, row in held.items())
         assert {k: zeta_coeffs(k, 8) for k in range(2, 17)} == cold
+
+
+def _convolution_rows(j_max, n_max):
+    """zeta_n^(j) for j = 2 .. j_max and n = 0 .. n_max by the convolution
+    form, written apart from the library's division form.
+
+    With p_n = p_n^(j), the series of L/(2L + j + 1) in 1/L, row 2 is
+    zeta_n = p_n + eta^2 sum_m (-1)^m (m+1) p_{n-2-m}.  For j >= 3, S'_q
+    and S''_q sum [u^q] Zeta_a Zeta_(j-a) over even and odd a, each
+    unordered pair doubled, and with c_l = sum_{m<=l} (-1)^m p_{l-m},
+    w_l = 2 eta c_l and s = 0 (odd j) or 2 (even j),
+
+        zeta_n = sum_q p_{n-q} S'_q + sum_q p_{n-s-q} S''_q
+                 + sum_q w_{n-s-q} zeta_q^(j-1).
+    """
+    dot = EtaPolynomial.dot
+    eta2 = EtaPolynomial([0, 0, 1])
+    rows = {2: [dot([(1, p_coeff(2, n))] + [
+        ((-1) ** m * (m + 1) * p_coeff(2, n - 2 - m), eta2)
+        for m in range(n - 1)]) for n in range(n_max + 1)]}
+    for j in range(3, j_max + 1):
+        def part(q, parity):
+            pairs = [(2 * rows[a][m], rows[j - a][q - m])
+                     for a in range(2 + parity, (j + 1) // 2, 2)
+                     for m in range(q + 1)]
+            if j % 4 == 2 * parity:
+                mid = rows[j // 2]
+                pairs += [(mid[m], mid[q - m]) for m in range(q + 1)]
+            return dot(pairs)
+
+        S = [[part(q, parity) for q in range(n_max + 1)] for parity in (0, 1)]
+        p = [p_coeff(j, n) for n in range(n_max + 1)]
+        c = [sum((-1) ** m * p[l - m] for m in range(l + 1))
+             for l in range(n_max + 1)]
+        w = [EtaPolynomial([0, 2 * x]) for x in c]
+        s = 0 if j % 2 else 2
+        rows[j] = [dot([(p[n - q], S[0][q]) for q in range(n + 1)]
+                       + [(p[n - s - q], S[1][q]) for q in range(n - s + 1)]
+                       + [(w[n - s - q], rows[j - 1][q])
+                          for q in range(n - s + 1)])
+                   for n in range(n_max + 1)]
+    return rows
+
+
+def test_zeta_rows_equal_the_convolution_form(cold_memos):
+    want = _convolution_rows(20, 12)
+    assert {k: zeta_coeffs(k, 12) for k in range(2, 21)} == want
+
+
+def test_memo_grown_in_steps_holds_the_cold_rows_and_partial_sums(
+        cold_memos):
+    zeta_coeffs(16, 8)
+    cold = {k: (list(row), list(V)) for k, (row, V) in rayleigh._ZETA.items()}
+    # V_k holds the alternating partial sums of row k as far as row k + 1
+    # reads them: through order 8 for even k, 6 for odd k, none for k = 16
+    for k, (row, V) in cold.items():
+        assert len(V) == (0 if k == 16 else 9 - 2 * (k % 2))
+        assert all(V[n] == row[n] - (V[n - 1] if n else 0)
+                   for n in range(len(V)))
+    rayleigh._ZETA.clear()
+    for N in (2, 4, 6):                  # the staircases of an eps solve
+        for k in range(2, 2 * N + 3):
+            zeta_coeffs(k, N + 1 - (k + 1) // 2)
+    zeta_coeffs(16, 8)
+    assert {k: (list(row), list(V))
+            for k, (row, V) in rayleigh._ZETA.items()} == cold
 
 
 def test_laurent_eval_matches_recurrence():
