@@ -19,10 +19,12 @@ the next eps and is solved exactly over Q(sqrt2)[eta]
 (:func:`epsilon_coeffs`).  The solve works on the identity multiplied by
 1 + u, whose u^j coefficient is a finite sum of entries of the power table
 of E's coefficient list times zeta entries, summed by one
-``EtaPolynomial.dot``.  It builds only what it reads: the zeta rows along a
-staircase, row k through order N + 1 - ceil(k/2), and one power table,
-grown in place by ``exact._powers`` by a column and a diagonal per order
-and shared with :func:`annihilation_residuals`.
+``EtaPolynomial.dot``.  Each exact table is the one store of its facts:
+the solved eps are row 1 of the power table ``_POWERS``, grown in place by
+``exact._powers`` by a column and a diagonal per order and read as it
+stands by :func:`annihilation_residuals`, and the zeta rows grow on a miss
+as the identity reads them, so they hold only the staircase it reads, row
+k through order N + 1 - ceil(k/2).
 :func:`epsilon_coeffs_recurrence` computes the
 same table from the fully expanded coefficient recurrence (a seed identity
 for eps_1 plus an order-(n+2) relation), as an independent transcription;
@@ -93,7 +95,8 @@ def _identity_coeff(P: List[list], E: Sequence[EtaPolynomial],
         G = sum_{m>=1} E^(m+1) (u^(m-1) Zeta_(2m) + u^(m+1) Zeta_(2m+1)),
 
     from the coefficients E = [c, eps_1, ...] and their power table
-    P = _powers(E, j + 2).  Needs E and the zeta rows through order j.
+    P = _powers(E, k_max) at any k_max >= j + 2.  Needs E through order
+    j - 1 and P through order j; the zeta rows grow as they are read.
     The last terms are [u^j] -eta u E/(1+u) = sum_{i<j} (-1)^(j-i) eta E_i."""
     pairs = []
     for m in range(1, j + 2):
@@ -107,15 +110,12 @@ def _identity_coeff(P: List[list], E: Sequence[EtaPolynomial],
     return EtaPolynomial.dot(pairs)
 
 
-#: eps_1, eps_2, ... solved so far.  Process-global and grow-only: a longer
-#: request solves only the orders it lacks.  Not safe to share across threads.
-_CACHE: List[EtaPolynomial] = []
-
-#: the power table of [c, eps_1, ...] that the solve and
-#: :func:`annihilation_residuals` read, grown in place by ``_powers`` (the
-#: solve's last column is the zero placeholder of the order it solves).
-#: Process-global and grow-only, like ``_CACHE``; not safe to share across
-#: threads.
+#: the power table of [c, eps_1, ..., eps_M], the solved coefficients, with
+#: k_max = M + 2: row 1 is the one store of the solved eps, and the table
+#: holds every entry :func:`annihilation_residuals` reads through order M.
+#: Grown in place by ``_powers``, a column and a diagonal per solved order;
+#: between calls it is a fresh build, with no placeholder column.
+#: Process-global and grow-only; not safe to share across threads.
 _POWERS: List[list] = []
 
 
@@ -129,22 +129,23 @@ def epsilon_coeffs(N: int) -> EpsilonTable:
     sqrt2 eps_j, so each order is that coefficient taken with eps_j = 0,
     less [j <= 1], times -sqrt2/2.  Re-substitution (see
     :func:`annihilation_residuals`) kills every coefficient of L^0 .. L^-N
-    exactly.  The solved orders are kept in ``_CACHE`` and their power
-    table in ``_POWERS``, process-global, grow-only tables that are not safe
-    to share across threads.  The zeta rows are built first, each only as
-    far as order N reads it: row k through zeta_{N + 1 - ceil(k/2)}.
+    exactly.  The solved orders live in row 1 of ``_POWERS``, a
+    process-global, grow-only table that is not safe to share across
+    threads: each step grows it with a zero placeholder for eps_j, and one
+    last ``_powers`` call recomputes that column with the solved value.  The
+    zeta rows grow as the identity reads them, row k through
+    zeta_{N + 1 - ceil(k/2)}.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    if len(_CACHE) < N:
-        for k in range(2, 2 * N + 3):
-            _ensure_zeta(k, N + 1 - (k + 1) // 2)
-        neg_inv_lead = Sqrt2Rational(0, Fraction(-1, 2))
-        for j in range(len(_CACHE) + 1, N + 1):
-            E = [_C_POLY] + _CACHE + [_ZERO]
-            H = _identity_coeff(_powers(E, j + 2, _POWERS), E, j)
-            _CACHE.append((H - 1 if j == 1 else H) * neg_inv_lead)
-    return EpsilonTable(c=_SQRT2, eps=list(_CACHE[:N]))
+    E = _POWERS[1][:] if _POWERS else [_C_POLY]
+    neg_inv_lead = Sqrt2Rational(0, Fraction(-1, 2))
+    for j in range(len(E), N + 1):
+        E.append(_ZERO)
+        H = _identity_coeff(_powers(E, j + 2, _POWERS), E, j)
+        E[j] = (H - 1 if j == 1 else H) * neg_inv_lead
+    _powers(E, len(E) + 1, _POWERS)
+    return EpsilonTable(c=_SQRT2, eps=E[1:N + 1])
 
 
 def annihilation_residuals(N: int) -> List[EtaPolynomial]:
@@ -152,16 +153,14 @@ def annihilation_residuals(N: int) -> List[EtaPolynomial]:
     the exact coefficients of u^0-1, u^1, ..., u^N (all must be the zero
     polynomial).
 
-    The coefficients H_j of the identity times (1 + u) come from the power
-    table of the solve, grown to every solved order (so that it only
-    grows); dividing by 1 + u again gives R_j = H_j - R_(j-1).
+    The coefficients H_j of the identity times (1 + u) are read off the
+    power table of the solve as it stands; dividing by 1 + u again gives
+    R_j = H_j - R_(j-1).
     """
     epsilon_coeffs(N)
-    E = [_C_POLY] + _CACHE
-    P = _powers(E, len(E) + 1, _POWERS)
     R: List[EtaPolynomial] = []
     for j in range(N + 1):
-        H = _identity_coeff(P, E, j)
+        H = _identity_coeff(_POWERS, _POWERS[1], j)
         R.append(H - R[-1] if R else H)
     R[0] = R[0] - 1
     return R

@@ -190,13 +190,15 @@ def _L_key(prefix: str, L: float) -> str:
 
 
 def _cmd_asympt(args) -> int:
+    Ls = args.L or []
+    if len(set(Ls)) < len(Ls):          # one key, and one fit point, per L
+        raise ValueError(f"the L values must be distinct, got {Ls}")
     rec = OutputRecord("asympt")
     rec.put("inputs", "N", args.N)
     table = epsilon_coeffs(args.N)
     rec.put("outputs", "c", format_sqrt2(table.c))
     for j, e in enumerate(table.eps, start=1):
         rec.put("outputs", f"eps{j}", e.to_str(descending=True))
-    Ls = args.L or []
     if args.validate:
         Ls = Ls or [25.0, 50.0, 100.0, 200.0]
         rec.put("inputs", "eta", args.eta)

@@ -30,16 +30,17 @@ of the exact tables.
   ``1/(2L + alpha + 1) = (1/L) * sum_n p_n^(alpha) L^(-n)`` with
   ``p_n^(alpha) = ((-1)^n / 2) * ((alpha + 1)/2)^n``.  The zeta rows
   divide by 2L + alpha + 1 as a recurrence instead of convolving with
-  this series; it stays public for callers and for the tests' convolution
-  form of those rows.
+  this series, so no package code calls it; it stays public, uncached,
+  for callers and for the tests' convolution form of those rows.
 * ``_powers`` -- the one power kernel: the coefficient table of B^0 .. B^k
   for a truncated series B given as a plain coefficient list, built by
   Cauchy products, each entry one ``dot``.  It holds only the triangle
   [x^q] B^k with k + q <= k_max, the entries its readers use, and grows a
   table it is given in place: columns whose coefficients are unchanged are
   kept, and only the missing entries are computed.  The large-order solve
-  and its re-substitution check share one such table, the expanded
-  recurrence grows its own, and ``potential_polynomials`` reads one row.
+  keeps its solved coefficients in row 1 of one such table, which its
+  re-substitution check reads as it stands; the expanded recurrence grows
+  its own, and ``potential_polynomials`` reads one row.
 * ``potential_polynomials`` -- coefficients of integer powers of a
   unit-constant-term series (ordinary potential polynomials).
 
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
@@ -547,7 +547,6 @@ def _rational_dot(pairs) -> Fraction:
 # geometric expansion coefficients and powers of a series
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
 def p_coeff(alpha, n: int) -> Fraction:
     """n-th coefficient of L/(2L + alpha + 1) as a series in 1/L:
 

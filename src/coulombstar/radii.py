@@ -149,11 +149,16 @@ def _family_map(fam: Family, L, eta, nu, alpha):
     f gives (L, eta, L + 1), g gives (L, eta, 1) and phi gives
     (nu - 1/2, 0, nu + alpha), where S is jhat.
 
-    Gates: the family's two inputs present, real and finite; L > -1 for f
-    and g, nu > -1 and nu + alpha > 0 for phi.  Raises GateViolation.
+    Gates: the family's two inputs present, real and finite, and neither
+    input of the other family given; L > -1 for f and g, nu > -1 and
+    nu + alpha > 0 for phi.  Raises GateViolation.
     """
     phi = fam is Family.BESSEL_GEN
-    a, b = (nu, alpha) if phi else (L, eta)
+    (a, b), other = ((nu, alpha), (L, eta)) if phi else ((L, eta), (nu, alpha))
+    if any(x is not None for x in other):
+        x, y = ("L", "eta") if phi else ("nu", "alpha")
+        raise GateViolation(f"family {fam.value!r} takes no {x} or {y}, "
+                            f"got {x}={other[0]!r}, {y}={other[1]!r}")
     if (a is None or b is None or isinstance(a, complex)
             or isinstance(b, complex)
             or not (math.isfinite(a) and math.isfinite(b))):

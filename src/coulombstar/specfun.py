@@ -216,10 +216,10 @@ def _terms(L: Scalar, eta: float, z: Scalar, tol: float):
     """The terms t_n = a_n z^n of S(z) in float, with their stopping data.
 
     L is a float or complex, eta a float; L = -1 is allowed at eta = 0,
-    where t_1 = 0 and S(z) = cos z.  Returns (ts, scale, last3): the stored
-    terms, the peak modulus of the running sum, which sets ``scale`` for the
+    where t_1 = 0 and S(z) = cos z.  Returns (ts, scale): the stored terms
+    and the peak modulus of the running sum, which sets ``scale`` for the
     stopping rule (three terms in a row at most ``tol * scale``, from the
-    index ``_safe_index`` on), and the moduli of the last three terms.
+    index ``_safe_index`` on; so there are at least five terms).
     Raises NonConvergence when the running sum overflows or the cap
     ``_MAX_TERMS`` is reached.
     """
@@ -228,7 +228,6 @@ def _terms(L: Scalar, eta: float, z: Scalar, tol: float):
     ts = [one, eta * z / (L + 1) if eta else 0.0 * z]
     S = one + ts[1]                      # running sum, for the stopping rule
     scale = max(1.0, abs(S))
-    last3 = [1.0, abs(ts[1]), 1.0]
     n_safe = _safe_index(L.real, eta, abs(z))
     streak = 0
     for n in range(2, _MAX_TERMS + 1):
@@ -243,12 +242,10 @@ def _terms(L: Scalar, eta: float, z: Scalar, tol: float):
                     f"{_MAX_TERMS} terms: the float sum overflowed at "
                     f"term {n} (L={L!r}, eta={eta!r}, z={z!r})")
             scale = a
-        at = abs(t)
-        last3[n % 3] = at
-        if at <= tol * scale and n >= n_safe:
+        if abs(t) <= tol * scale and n >= n_safe:
             streak += 1
             if streak >= 3:
-                return ts, scale, last3
+                return ts, scale
         else:
             streak = 0
     raise NonConvergence(
@@ -323,10 +320,9 @@ def _working_dps(params: CoulombParams, z_abs: float) -> int:
     The digits lost in summing S at z comparable to the turning point are
     close to log10 of C_L(eta) * z^(L+1) (the headroom between the largest
     term of F's series and F itself), plus a slowly growing |z| term.
+    Needs z_abs > 0: every evaluator answers z = 0 without the series.
     """
     L = complex(params.L) if params.is_complex else params.real_L()
-    if z_abs <= 0.0:
-        z_abs = 1.0
     lg = (_log_prefactor(params) + (L + 1) * math.log(z_abs)).real
     lost = max(0.0, lg / math.log(10.0))
     return 25 + int(lost) + int(0.06 * z_abs)
@@ -347,18 +343,19 @@ def _series_pair(params: CoulombParams, z: Scalar, tol: float):
     peak partial sum ``scale``, at the unit roundoff of the pass that ran.
     """
     L = complex(params.L) if params.is_complex else params.real_L()
-    ts, scale, last3 = _terms(L, float(params.eta), z, tol)
+    ts, scale = _terms(L, float(params.eta), z, tol)
+    tail = max(abs(t) for t in ts[-3:])
     try:
         S, T = _fsum(ts), _fsum([n * t for n, t in enumerate(ts)])
     except (OverflowError, ValueError):  # terms or their sum overflow
         S = T = math.nan                 # and the fixed-point pass retries
-    est = max(last3) + 4.0 * _EPS * scale
+    est = tail + 4.0 * _EPS * scale
     size = abs(S) + abs(T)
     if size < math.inf and est <= 1e-6 * (size + 1e-300):
         return S, T, len(ts), est, 0
     dps = _working_dps(params, abs(z))
     S, T, bits = _sum_pair_fixed(params, z, len(ts), dps)
-    est = (max(last3) + 4.0 * 10.0 ** (1 - dps) * scale
+    est = (tail + 4.0 * 10.0 ** (1 - dps) * scale
            + _EPS * (abs(S) + abs(T)))
     return S, T, len(ts), est, bits
 

@@ -7,16 +7,13 @@ from coulombstar import asympt, rayleigh
 
 @pytest.fixture
 def cold_memos():
-    """Empty the process-global zeta, eps and power-table memos for one
-    test and put their previous contents back afterwards."""
+    """Empty the process-global zeta memo and power table for one test and
+    put their previous contents back afterwards."""
     zeta = dict(rayleigh._ZETA)
-    eps = list(asympt._CACHE)
     powers = list(asympt._POWERS)
     rayleigh._ZETA.clear()
-    asympt._CACHE.clear()
     asympt._POWERS.clear()
     yield
     rayleigh._ZETA.clear()
     rayleigh._ZETA.update(zeta)
-    asympt._CACHE[:] = eps
     asympt._POWERS[:] = powers

@@ -9,9 +9,13 @@ internally consistent (criterion 7b passes, with exact re-substitution
 residuals of zero), and the README documents the discrepancy.
 """
 
+import time
+
 import pytest
 
+from coulombstar import acceptance
 from coulombstar.acceptance import run_criterion
+from coulombstar.errors import NonConvergence
 
 
 def _check(cid):
@@ -79,3 +83,32 @@ def test_criterion_09_scan_brackets():
 
 def test_criterion_10_potential_polynomials():
     _check("10")
+
+
+def test_an_unknown_criterion_id_is_a_key_error():
+    with pytest.raises(KeyError, match="unknown criterion '11'"):
+        run_criterion("11")
+
+
+def test_a_criterion_that_raises_a_library_error_fails(monkeypatch):
+    # the table reports it as failed and goes on; it is never raised
+    def raises():
+        raise NonConvergence("no root")
+
+    monkeypatch.setitem(acceptance._CRITERIA, "x", ("raises", raises, None))
+    res = run_criterion("x")
+    assert not res.passed
+    assert res.detail == "raised NonConvergence: no root"
+
+
+def test_a_criterion_over_its_time_budget_fails(monkeypatch):
+    def slow():
+        time.sleep(0.02)
+        return True, "ok"
+
+    monkeypatch.setitem(acceptance._CRITERIA, "x", ("slow", slow, 0.001))
+    res = run_criterion("x")
+    assert not res.passed and res.seconds >= 0.02
+    assert res.detail.startswith("ok [exceeded 0s budget: ")
+    monkeypatch.setitem(acceptance._CRITERIA, "x", ("slow", slow, 60.0))
+    assert run_criterion("x").passed

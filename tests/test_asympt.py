@@ -83,14 +83,13 @@ def test_eps_snapshot(cold_memos):
 def test_eps_memo_growth_path_is_irrelevant(cold_memos):
     for N in (2, 4, 6):
         grown = epsilon_coeffs(N)
-    assert len(asympt._CACHE) == 6
+    assert len(asympt._POWERS[1]) == 7           # c, eps_1 .. eps_6
     rayleigh._ZETA.clear()
-    asympt._CACHE.clear()
     asympt._POWERS.clear()
     cold = epsilon_coeffs(6)
     assert grown.eps == cold.eps
     assert epsilon_coeffs(3).eps == cold.eps[:3]
-    assert len(asympt._CACHE) == 6
+    assert len(asympt._POWERS[1]) == 7
 
 
 @pytest.mark.parametrize("N", [1, 3, 6])
@@ -105,24 +104,28 @@ def test_eps_builds_only_the_zeta_staircase(N, cold_memos):
 
 
 def test_shared_power_table_is_a_fresh_build(cold_memos):
-    # the solve grows one table order by order and the re-substitution
-    # check grows it to every solved order, even when it checks fewer
-    epsilon_coeffs(4)                   # last solved with eps_4 = 0
-    E = [asympt._C_POLY] + asympt._CACHE[:3] + [asympt._ZERO]
-    assert asympt._POWERS == _powers(E, 6)
-    assert all(not r for r in annihilation_residuals(2))
-    E = [asympt._C_POLY] + asympt._CACHE
-    assert asympt._POWERS == _powers(E, 6)
-    assert epsilon_coeffs(6).eps == epsilon_coeffs_recurrence(6).eps
-    assert all(not r for r in annihilation_residuals(6))
-    assert asympt._POWERS == _powers([asympt._C_POLY] + asympt._CACHE, 8)
+    # the table is the one store of the solved eps: after every call, of
+    # either function and in any order, it equals a fresh build of
+    # [c, eps_1, ..., eps_M] at k_max = M + 2, with no zero placeholder
+    want = epsilon_coeffs_recurrence(7).eps
+    for f, N in ((epsilon_coeffs, 0), (epsilon_coeffs, 4),
+                 (annihilation_residuals, 2), (epsilon_coeffs, 3),
+                 (annihilation_residuals, 6), (epsilon_coeffs, 7),
+                 (annihilation_residuals, 5)):
+        f(N)
+        E = asympt._POWERS[1]
+        M = len(E) - 1
+        assert E == [asympt._C_POLY] + want[:M]
+        assert all(E[1:])
+        assert asympt._POWERS == _powers(E, M + 2)
 
 
 def test_dot_budget_of_the_large_order_layer(cold_memos, monkeypatch):
     # EtaPolynomial.dot calls, in the order of a bench session: a cold
     # eps_1..eps_6 (zeta rows included), the re-substitution check, then
-    # the recurrence; last, a cold zeta_coeffs(16, 8).  Measured 116, 15,
-    # 121 and 233; the caps allow 10 % more
+    # the recurrence; last, a cold zeta_coeffs(16, 8).  Measured 117, 14,
+    # 121 and 233; the caps allow about 10 % more, and one more for the
+    # re-substitution check, which reads the table as it stands
     dot = EtaPolynomial.dot
     calls = []
 
@@ -132,7 +135,7 @@ def test_dot_budget_of_the_large_order_layer(cold_memos, monkeypatch):
 
     monkeypatch.setattr(EtaPolynomial, "dot", classmethod(counted))
     for f, cap in ((lambda: epsilon_coeffs(6), 127),
-                   (lambda: annihilation_residuals(6), 17),
+                   (lambda: annihilation_residuals(6), 15),
                    (lambda: epsilon_coeffs_recurrence(6), 133)):
         calls.clear()
         f()
@@ -145,7 +148,6 @@ def test_dot_budget_of_the_large_order_layer(cold_memos, monkeypatch):
 
 def test_recurrence_reads_neither_the_cache_nor_the_table(monkeypatch):
     want = epsilon_coeffs(5).eps
-    monkeypatch.setattr(asympt, "_CACHE", [asympt._ZERO] * 5)
     monkeypatch.setattr(asympt, "_POWERS", [[None] * 9 for _ in range(9)])
     assert epsilon_coeffs_recurrence(5).eps == want
 

@@ -73,6 +73,13 @@ def test_radius_non_finite_input_exits_2(capsys, monkeypatch):
     assert code == 2 and out == "" and "finite" in err
 
 
+def test_radius_refuses_an_input_of_the_other_family(capsys):
+    # refused, not echoed beside a radius that ignores it
+    code, out, err = run(capsys, "radius", "--family", "f", "--L", "1",
+                         "--eta", "0", "--nu", "3")
+    assert code == 2 and out == "" and "takes no nu" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "--family", "g", "--L", "1", "--eta", "nan", "--z-re", "1"),
     ("eval", "--family", "g", "--L", "1", "--eta", "0", "--z-re", "nan"),
@@ -249,6 +256,14 @@ def test_asympt_keys_each_L_apart(capsys):
 def test_asympt_validate_refuses_a_single_distinct_L(capsys):
     code, out, err = run(capsys, "asympt", "--N", "2", "--eta", "0",
                          "--L", "50", "50", "--validate")
+    assert code == 2 and out == "" and "distinct" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--validate",)])
+def test_asympt_refuses_a_repeated_L(capsys, extra):
+    # each L has one output key and is one point of the fit
+    code, out, err = run(capsys, "asympt", "--N", "1", "--eta", "0",
+                         "--L", "100", "100", "30", *extra)
     assert code == 2 and out == "" and "distinct" in err
 
 

@@ -14,7 +14,7 @@ from coulombstar.errors import GateViolation
 from coulombstar.radii import (Family, RadiusQuery, _reduced, radius_f,
                                radius_g, radius_phi)
 from coulombstar.specfun import CoulombParams, eval_dini, eval_F_with_derivative
-from coulombstar.verify import companion_order, starlike_scan
+from coulombstar.verify import boundary_image, companion_order, starlike_scan
 
 # frozen references (50-digit root solves, truncated)
 RF_HALF = 0.94077056394973735364900174324614   # f: L=-1/2, eta=0
@@ -268,6 +268,31 @@ def test_gates():
         radius_phi(-1.5, 0.0)
     with pytest.raises(GateViolation):
         radius_phi(0.5, -0.5)          # nu + alpha = 0
+
+
+_OWN = {"f": {"L": 1.0, "eta": -0.5}, "g": {"L": 0.5, "eta": 1.0},
+        "phi": {"nu": 1.0, "alpha": 0.5}}
+_TAKERS = {
+    "radius": lambda fam, kw: radii._radius(    # the path of every radius_*
+        Family(fam), 0.0, *(kw.get(x) for x in ("L", "eta", "nu", "alpha"))),
+    "RadiusQuery": lambda fam, kw: RadiusQuery(fam, **kw).solve(),
+    "starlike_scan": lambda fam, kw: starlike_scan(fam, 0.5, **kw),
+    "boundary_image": lambda fam, kw: boundary_image(fam, 0.5, 8, **kw),
+}
+
+
+@pytest.mark.parametrize("taker", list(_TAKERS))
+@pytest.mark.parametrize("family, extra", [
+    ("f", "nu"), ("f", "alpha"), ("g", "nu"), ("g", "alpha"),
+    ("phi", "L"), ("phi", "eta"),
+])
+def test_an_input_of_the_other_family_is_refused(taker, family, extra):
+    # an input the family does not take is refused, not ignored, even a
+    # zero: only an absent input is no input
+    call = _TAKERS[taker]
+    call(family, _OWN[family])
+    with pytest.raises(GateViolation, match=f"takes no .*{extra}="):
+        call(family, {**_OWN[family], extra: 0.0})
 
 
 @pytest.mark.parametrize("op, args", [

@@ -383,6 +383,24 @@ def test_non_finite_inputs_are_gated(op, args, monkeypatch):
         op(*args)
 
 
+@pytest.mark.parametrize("L", [1.5, -0.5, 0.3 + 0.2j])
+@pytest.mark.parametrize("fn", [eval_g, eval_f_normalized])
+def test_normalized_forms_at_zero(fn, L, monkeypatch):
+    # g(0) = f(0) = 0 and g'(0) = f'(0) = 1 at every order, without the
+    # series; its precision sizing takes log |z| and needs z != 0
+    near = fn(CoulombParams(L, -0.7), 1e-9)
+    assert abs(near.value) < 2e-9
+    assert near.derivative == pytest.approx(1.0, abs=1e-8)
+
+    def no_series(*_):
+        raise AssertionError("the series ran")
+
+    monkeypatch.setattr(specfun, "_series_pair", no_series)
+    res = fn(CoulombParams(L, -0.7), 0.0)
+    assert (res.value, res.derivative) == (0.0, 1.0)
+    assert (res.terms_used, res.est_error, res.retry_bits) == (1, 0.0, 0)
+
+
 def test_complex_L_demotion_and_eval():
     p = CoulombParams(complex(1.0, 0.0), -1.0)
     assert not p.is_complex                       # demoted to real
@@ -394,10 +412,10 @@ def test_complex_L_demotion_and_eval():
 
 def test_terms_at_order_minus_one():
     # L = -1 is allowed at eta = 0, where t_1 = 0 and S(z) = cos z
-    ts, scale, last3 = _terms(-1.0, 0.0, 2.0, 1e-15)
+    ts, scale = _terms(-1.0, 0.0, 2.0, 1e-15)
     assert ts[1] == 0.0 and scale == 1.0
     assert math.fsum(ts) == pytest.approx(math.cos(2.0), rel=1e-15)
-    assert max(last3) <= 1e-15
+    assert max(abs(t) for t in ts[-3:]) <= 1e-15
 
 
 def test_non_convergence_at_fixed_cap():
