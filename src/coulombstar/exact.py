@@ -26,12 +26,6 @@ of the exact tables.
   exact layer (the power table, the zeta rows, the large-order identity
   and its recurrence transcription) is one call.  ``_rational_dot`` is its
   form for Fractions, one reduction per entry of the exact Rayleigh tables.
-* ``p_coeff`` -- the expansion
-  ``1/(2L + alpha + 1) = (1/L) * sum_n p_n^(alpha) L^(-n)`` with
-  ``p_n^(alpha) = ((-1)^n / 2) * ((alpha + 1)/2)^n``.  The zeta rows
-  divide by 2L + alpha + 1 as a recurrence instead of convolving with
-  this series, so no package code calls it; it stays public, uncached,
-  for callers and for the tests' convolution form of those rows.
 * ``_powers`` -- the one power kernel: the coefficient table of B^0 .. B^k
   for a truncated series B given as a plain coefficient list, built by
   Cauchy products, each entry one ``dot``.  It holds only the triangle
@@ -46,10 +40,6 @@ of the exact tables.
 
 Doctest smoke tests::
 
-    >>> p_coeff(2, 0), p_coeff(2, 1), p_coeff(2, 2)
-    (Fraction(1, 2), Fraction(-3, 4), Fraction(9, 8))
-    >>> p_coeff(3, 2)
-    Fraction(2, 1)
     >>> x = Sqrt2Rational(1, 1)       # 1 + sqrt2
     >>> x * Sqrt2Rational(-1, 1)      # (sqrt2 - 1)(sqrt2 + 1) = 1
     Sqrt2Rational(a=Fraction(1, 1), b=Fraction(0, 1))
@@ -68,7 +58,6 @@ __all__ = [
     "Sqrt2Rational",
     "EtaPolynomial",
     "format_sqrt2",
-    "p_coeff",
     "potential_polynomials",
 ]
 
@@ -544,19 +533,8 @@ def _rational_dot(pairs) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# geometric expansion coefficients and powers of a series
+# powers of a series
 # ---------------------------------------------------------------------------
-
-def p_coeff(alpha, n: int) -> Fraction:
-    """n-th coefficient of L/(2L + alpha + 1) as a series in 1/L:
-
-    p_n = ((-1)^n / 2) * ((alpha + 1)/2)^n.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    base = (_as_fraction(alpha) + 1) / 2
-    return Fraction((-1) ** n, 2) * base ** n
-
 
 def _powers(coeffs: Sequence, k_max: int,
             P: Optional[List[list]] = None) -> List[list]:

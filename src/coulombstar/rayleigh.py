@@ -57,6 +57,7 @@ bounds for the square of the smallest positive zero of F':
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,7 +65,7 @@ from typing import Dict, List, Tuple, Union
 
 from .errors import BoundsInvalid, GateViolation, RegionWarning
 from .exact import EtaPolynomial, _rational_dot
-from .specfun import CoulombParams, _exact_mode
+from .specfun import CoulombParams
 
 __all__ = [
     "RayleighTable",
@@ -80,6 +81,9 @@ Number = Union[Fraction, float]
 
 #: the largest k a table holds, in either arithmetic
 _K_MAX = 64
+
+#: denominators above this make a float "inexact" for auto exact-mode
+_EXACT_DENOM_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,27 @@ class EulerRayleighBounds:
 def _float_dot(pairs) -> float:
     """The sum of x*y over ``pairs`` in float, in the order given."""
     return sum(x * y for x, y in pairs)
+
+
+def _is_exactable(x) -> bool:
+    """An int or Fraction, or a finite float whose denominator is at most
+    ``_EXACT_DENOM_CAP``."""
+    if isinstance(x, float):
+        return (math.isfinite(x)
+                and Fraction(x).denominator <= _EXACT_DENOM_CAP)
+    return isinstance(x, (int, Fraction))
+
+
+def _exact_mode(params: CoulombParams, exact: Union[bool, None]) -> bool:
+    """Whether to work in exact rationals: ``exact`` when given, else
+    whether L and eta are both exactly representable.  Raises ValueError
+    when exact mode is demanded of an L or eta that is not."""
+    exactable = _is_exactable(params.L) and _is_exactable(params.eta)
+    if exact and not exactable:
+        raise ValueError(
+            f"exact mode needs rational L and eta, got L={params.L!r}, "
+            f"eta={params.eta!r}")
+    return exactable if exact is None else bool(exact)
 
 
 def _pick_mode(params: CoulombParams, k_max: int, exact):

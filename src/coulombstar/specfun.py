@@ -27,7 +27,8 @@ float pass's terms are re-summed: the same number of terms is recomputed in
 fixed point on Python integers (``_sum_pair_fixed``), at a precision chosen
 from the size of log10(C_L(eta) z^(L+1)); its sums are exact in the
 integers and rounded to float once.  ``SeriesEval.retry_bits`` says which
-pass produced a value.
+pass produced a value.  Only float and fixed-point code lives here; the
+exact a_n are a test reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Union
+from typing import Union
 
 # Nothing here calls mpmath, but the package must keep importing it at
 # load: the traced benchmark times ``cli.import_mpmath_ms`` from the modules
@@ -51,7 +52,6 @@ from .errors import GammaOverflow, GateViolation, NonConvergence
 __all__ = [
     "CoulombParams",
     "SeriesEval",
-    "coulomb_series_coeffs",
     "eval_g",
     "eval_F",
     "eval_F_with_derivative",
@@ -62,9 +62,6 @@ __all__ = [
 
 Scalar = Union[float, complex]
 
-#: denominators above this make a float "inexact" for auto exact-mode
-_EXACT_DENOM_CAP = 1 << 20
-
 _EPS = 2.220446049250313e-16
 
 #: series length cap; a longer series raises NonConvergence
@@ -72,16 +69,6 @@ _MAX_TERMS = 10000
 
 #: bits carried by the fixed-point retry beyond its decimal digits
 _GUARD_BITS = 20
-
-
-def _is_exactable(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return True
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            return False
-        return Fraction(x).denominator <= _EXACT_DENOM_CAP
-    return False
 
 
 @dataclass(frozen=True)
@@ -136,18 +123,6 @@ def _check_tol_z(tol: float, z) -> None:
     _check_finite("z", z)
 
 
-def _exact_mode(params: CoulombParams, exact: Union[bool, None]) -> bool:
-    """Whether to work in exact rationals: ``exact`` when given, else
-    whether L and eta are both exactly representable.  Raises ValueError
-    when exact mode is demanded of an L or eta that is not."""
-    exactable = _is_exactable(params.L) and _is_exactable(params.eta)
-    if exact and not exactable:
-        raise ValueError(
-            f"exact mode needs rational L and eta, got L={params.L!r}, "
-            f"eta={params.eta!r}")
-    return exactable if exact is None else bool(exact)
-
-
 @dataclass(frozen=True)
 class SeriesEval:
     """Value/derivative pair with truncation diagnostics.
@@ -162,30 +137,6 @@ class SeriesEval:
     terms_used: int
     est_error: float
     retry_bits: int = 0
-
-
-def coulomb_series_coeffs(params: CoulombParams, n_max: int,
-                          exact: Union[bool, None] = None) -> List:
-    """Coefficients a_0 .. a_{n_max} of the entire factor S.
-
-    exact=True demands Fraction output (L and eta must be exactly
-    representable rationals); exact=False forces float/complex; None picks
-    exact when possible.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if _exact_mode(params, exact):
-        L, eta, one = Fraction(params.L), Fraction(params.eta), Fraction(1)
-    else:
-        L = complex(params.L) if params.is_complex else params.real_L()
-        eta = float(params.eta)
-        one = 1.0 + 0j if params.is_complex else 1.0
-    a: List = [one]
-    if n_max >= 1:
-        a.append(eta / (L + 1))
-    for n in range(2, n_max + 1):
-        a.append((2 * eta * a[n - 1] - a[n - 2]) / (n * (n + 2 * L + 1)))
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +211,7 @@ def _dyadic(*xs: float):
     return k, [m << (k - d.bit_length() + 1) for m, d in ratios]
 
 
-def _sum_pair_fixed(params: CoulombParams, z: Scalar, n_terms: int,
+def _sum_pair_fixed(L: Scalar, eta: float, z: Scalar, n_terms: int,
                     dps: int):
     """S and z S' over the terms t_0 .. t_{n_terms - 1}, at ``dps`` digits
     on fixed-point Python integers.
@@ -281,10 +232,8 @@ def _sum_pair_fixed(params: CoulombParams, z: Scalar, n_terms: int,
     leaves the float range.
     """
     p = math.ceil(dps * math.log2(10.0)) + _GUARD_BITS
-    L = complex(params.L)
-    eta = float(params.eta)
-    zc = complex(z)
-    k, (lr, li, e, xr, xi) = _dyadic(L.real, L.imag, eta, zc.real, zc.imag)
+    Lc, zc = complex(L), complex(z)
+    k, (lr, li, e, xr, xi) = _dyadic(Lc.real, Lc.imag, eta, zc.real, zc.imag)
     ar, ai = 2 * e * xr, 2 * e * xi
     br, bi = xr * xr - xi * xi, 2 * xr * xi
     one = 1 << p
@@ -307,14 +256,14 @@ def _sum_pair_fixed(params: CoulombParams, z: Scalar, n_terms: int,
     except OverflowError:
         raise NonConvergence(
             f"series for S(z) at {dps} digits: the sum of {n_terms} terms "
-            f"leaves the float range (L={params.L!r}, eta={params.eta!r}, "
+            f"leaves the float range (L={L!r}, eta={eta!r}, "
             f"z={z!r})") from None
-    if not (params.is_complex or isinstance(z, complex)):
+    if not (isinstance(L, complex) or isinstance(z, complex)):
         S, T = S.real, T.real
     return S, T, p
 
 
-def _working_dps(params: CoulombParams, z_abs: float) -> int:
+def _working_dps(L: Scalar, eta: float, z_abs: float) -> int:
     """Decimal digits that keep the dominant cancellation harmless.
 
     The digits lost in summing S at z comparable to the turning point are
@@ -322,13 +271,12 @@ def _working_dps(params: CoulombParams, z_abs: float) -> int:
     term of F's series and F itself), plus a slowly growing |z| term.
     Needs z_abs > 0: every evaluator answers z = 0 without the series.
     """
-    L = complex(params.L) if params.is_complex else params.real_L()
-    lg = (_log_prefactor(params) + (L + 1) * math.log(z_abs)).real
+    lg = (_log_prefactor(L, eta) + (L + 1) * math.log(z_abs)).real
     lost = max(0.0, lg / math.log(10.0))
     return 25 + int(lost) + int(0.06 * z_abs)
 
 
-def _series_pair(params: CoulombParams, z: Scalar, tol: float):
+def _series_pair(L: Scalar, eta: float, z: Scalar, tol: float):
     """(S, zSp, terms, est_error, retry_bits), retrying in fixed point
     when cancellation is fatal.
 
@@ -342,8 +290,7 @@ def _series_pair(params: CoulombParams, z: Scalar, tol: float):
     is the largest of the last three terms plus the rounding error on the
     peak partial sum ``scale``, at the unit roundoff of the pass that ran.
     """
-    L = complex(params.L) if params.is_complex else params.real_L()
-    ts, scale = _terms(L, float(params.eta), z, tol)
+    ts, scale = _terms(L, eta, z, tol)
     tail = max(abs(t) for t in ts[-3:])
     try:
         S, T = _fsum(ts), _fsum([n * t for n, t in enumerate(ts)])
@@ -353,11 +300,18 @@ def _series_pair(params: CoulombParams, z: Scalar, tol: float):
     size = abs(S) + abs(T)
     if size < math.inf and est <= 1e-6 * (size + 1e-300):
         return S, T, len(ts), est, 0
-    dps = _working_dps(params, abs(z))
-    S, T, bits = _sum_pair_fixed(params, z, len(ts), dps)
+    dps = _working_dps(L, eta, abs(z))
+    S, T, bits = _sum_pair_fixed(L, eta, z, len(ts), dps)
     est = (tail + 4.0 * 10.0 ** (1 - dps) * scale
            + _EPS * (abs(S) + abs(T)))
     return S, T, len(ts), est, bits
+
+
+def _plain(params: CoulombParams):
+    """(L, eta) as the series reads them: L complex for a complex order and
+    float otherwise, eta float."""
+    return (complex(params.L) if params.is_complex else params.real_L(),
+            float(params.eta))
 
 
 def _demote(x: Scalar) -> Scalar:
@@ -375,20 +329,18 @@ def eval_g(params: CoulombParams, z: Scalar, tol: float = 1e-12) -> SeriesEval:
     """
     _check_tol_z(tol, z)
     if z == 0:
-        one = 1.0 + 0j if params.is_complex else 1.0
-        return SeriesEval(value=0.0 * one, derivative=one, terms_used=1,
+        return SeriesEval(value=0.0, derivative=1.0, terms_used=1,
                           est_error=0.0)
-    S, T, terms, est, bits = _series_pair(params, z, tol)
+    S, T, terms, est, bits = _series_pair(*_plain(params), z, tol)
     # g = z*S ; g' = S + z S' = S + T
     return SeriesEval(value=_demote(z * S), derivative=_demote(S + T),
                       terms_used=terms, est_error=est * abs(z),
                       retry_bits=bits)
 
 
-def _log_prefactor(params: CoulombParams):
+def _log_prefactor(L: Scalar, eta: float):
     """log C_L(eta) as a complex number (real for real L)."""
-    L = complex(params.L) if params.is_complex else complex(params.real_L())
-    eta = float(params.eta)
+    L = complex(L)
     return (L * math.log(2.0) - math.pi * eta / 2.0
             + 0.5 * (loggamma(L + 1 + 1j * eta) + loggamma(L + 1 - 1j * eta))
             - loggamma(2 * L + 2))
@@ -405,8 +357,8 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
     exceeds the float range.
     """
     _check_tol_z(tol, z)
-    lc = _log_prefactor(params)
-    L = complex(params.L) if params.is_complex else params.real_L()
+    L, eta = _plain(params)
+    lc = _log_prefactor(L, eta)
     if z == 0:
         # F ~ C z^(L+1) and F' ~ C (L+1) z^L as z -> 0: each tends to 0 or
         # to inf, or turns without a limit where its power of z has real
@@ -427,12 +379,11 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
         raise GammaOverflow(
             f"combined prefactor exponent {log_total.real:.1f} overflows "
             "double precision")
-    S, T, terms, est, bits = _series_pair(params, z, tol)
+    S, T, terms, est, bits = _series_pair(L, eta, z, tol)
     pref = cmath.exp(log_total)          # C z^(L+1)
     value = pref * S
     deriv = pref / z * ((L + 1) * S + T)
-    real_inputs = (not params.is_complex) and not isinstance(z, complex)
-    if real_inputs and isinstance(z, (int, float)) and z > 0:
+    if not isinstance(L, complex) and isinstance(z, (int, float)) and z > 0:
         value, deriv = value.real, deriv.real
     return SeriesEval(value=_demote(value), derivative=_demote(deriv),
                       terms_used=terms, est_error=est * abs(pref),
@@ -454,8 +405,8 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
     if z == 0:
         return SeriesEval(value=0.0, derivative=1.0, terms_used=1,
                           est_error=0.0)
-    S, T, terms, est, bits = _series_pair(params, z, tol)
-    L = complex(params.L) if params.is_complex else params.real_L()
+    L, eta = _plain(params)
+    S, T, terms, est, bits = _series_pair(L, eta, z, tol)
     root = cmath.exp(cmath.log(S) / (L + 1))
     value = z * root
     deriv = root * (1 + T / (S * (L + 1)))
@@ -466,6 +417,17 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
 
 # ---------------------------------------------------------------------------
 # Bessel and Dini evaluations (independent series, used for cross-checks)
+#
+# J_nu(z) Gamma(nu + 1) / (z/2)^nu is S at L = nu - 1/2 and eta = 0, yet J
+# keeps its own loop in w = -z^2/4.  At eta = 0 every odd term of S is
+# zero, so ``_series_pair`` computes and stores twice the terms: over the
+# benchmark's Bessel J points of seeds 1-3 with nu > -1/2 it took 35-37 us
+# a value against 16-24 us for this loop (2-core host, Python 3.11).  Nor
+# does it mend J: of the 148 outer values wrong at 1e-8 relative, it leaves
+# 145 wrong, and 125 of those stay wrong with the same terms summed
+# exactly, so the fixed-point retry, which re-sums the float pass's count,
+# cannot reach them.  Two different series also keep acceptance criterion
+# 3, the Bessel reduction, a comparison of two sums.
 # ---------------------------------------------------------------------------
 
 def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:

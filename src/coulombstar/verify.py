@@ -19,8 +19,6 @@ verified; these are the cross-checks:
   integration of the defining ODE  u'' = (2 eta/z + L(L+1)/z^2 - 1) u,
   plus an Euler-Maclaurin tail; this never touches the series recurrences,
   so agreement with ``rayleigh_Z``/``rayleigh_Ztilde`` is meaningful.
-* ``dini_rayleigh_oracle`` -- the classical closed form for the squared
-  reciprocal sum over Dini zeros, for the Bessel reduction cross-check.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Union
 
 import numpy as np
@@ -47,7 +44,6 @@ __all__ = [
     "companion_order",
     "boundary_image",
     "zero_sum_oracle",
-    "dini_rayleigh_oracle",
 ]
 
 
@@ -311,18 +307,3 @@ def zero_sum_oracle(params: CoulombParams, k: int = 2, which: str = "F",
         total *= 2.0      # negative-axis zeros mirror the positive ones
     return total
 
-
-def dini_rayleigh_oracle(nu, H) -> Fraction:
-    """Exact first Rayleigh sum over the positive zeros of the Dini function
-    r J'_nu(r) + H J_nu(r):  sum lambda_n^(-2) = (nu + 2 + H) /
-    (4 (nu + 1) (nu + H)).
-
-    Preconditions: rational nu > -1 and nu + H > 0.
-    """
-    nu_f = Fraction(nu)
-    H_f = Fraction(H)
-    if nu_f <= -1:
-        raise GateViolation(f"need nu > -1, got {nu}")
-    if nu_f + H_f <= 0:
-        raise GateViolation(f"need nu + H > 0, got {nu_f + H_f}")
-    return (nu_f + 2 + H_f) / (4 * (nu_f + 1) * (nu_f + H_f))

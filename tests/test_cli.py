@@ -415,12 +415,11 @@ def test_public_names_are_pinned():
         "ZeroEnumerationIncomplete", "DegenerateFit", "RingMismatch",
         "RegionWarning",
         # exact arithmetic
-        "Sqrt2Rational", "EtaPolynomial", "format_sqrt2", "p_coeff",
+        "Sqrt2Rational", "EtaPolynomial", "format_sqrt2",
         "potential_polynomials",
         # special functions
-        "CoulombParams", "SeriesEval", "coulomb_series_coeffs", "eval_F",
-        "eval_F_with_derivative", "eval_g", "eval_f_normalized",
-        "eval_bessel_j", "eval_dini",
+        "CoulombParams", "SeriesEval", "eval_F", "eval_F_with_derivative",
+        "eval_g", "eval_f_normalized", "eval_bessel_j", "eval_dini",
         # Rayleigh sums
         "RayleighTable", "EulerRayleighBounds", "rayleigh_Z",
         "rayleigh_Ztilde", "euler_rayleigh_bounds", "zeta_coeffs",
@@ -435,7 +434,6 @@ def test_public_names_are_pinned():
         # verification
         "DiskScanReport", "starlike_scan", "spirallike_scan",
         "companion_order", "boundary_image", "zero_sum_oracle",
-        "dini_rayleigh_oracle",
         # acceptance
         "CriterionResult", "run_criterion", "run_all", "format_report",
     }

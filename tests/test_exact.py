@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import coulombstar.exact
 from coulombstar.exact import (EtaPolynomial, Sqrt2Rational, _powers,
-                               format_sqrt2, p_coeff, potential_polynomials)
+                               format_sqrt2, potential_polynomials)
 from coulombstar.errors import RingMismatch
+from oracles import p_coeff
 
 fracs = st.fractions(min_value=-10, max_value=10, max_denominator=50)
 sqrt2s = st.builds(Sqrt2Rational, fracs, fracs)

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from coulombstar import rayleigh
 from coulombstar.errors import GateViolation, RegionWarning
-from coulombstar.exact import EtaPolynomial, p_coeff
+from coulombstar.exact import EtaPolynomial
 from coulombstar.rayleigh import (euler_rayleigh_bounds, rayleigh_Z,
                                   rayleigh_Ztilde, zeta_coeffs,
                                   zeta_laurent_eval)
 from coulombstar.radii import radius_f
-from coulombstar.specfun import CoulombParams, coulomb_series_coeffs
+from coulombstar.specfun import CoulombParams
+from oracles import coulomb_series_coeffs, p_coeff
 
 
 def test_Z_first_sum_closed_form():
@@ -43,7 +44,7 @@ def _newton_power_sums(params, k_max):
     """sum rho^-k over the zeros of the entire factor, from Newton's
     identities on its exact series a_0 = 1, a_1, ...; the factor has genus 1,
     so p[1] carries an exponential part and only k >= 2 are zero sums."""
-    a = coulomb_series_coeffs(params, k_max, exact=True)
+    a = coulomb_series_coeffs(params.L, params.eta, k_max)
     p = [None]
     for k in range(1, k_max + 1):
         p.append(-k * a[k] - sum(p[i] * a[k - i] for i in range(1, k)))
@@ -227,11 +228,10 @@ def test_rayleigh_gates():
 
 
 def test_exact_flag_refuses_unrepresentable():
-    # one gate decides the exact mode for the series and the tables
+    # one gate decides the exact mode for both tables
     p = CoulombParams(0.1234567890123, -1.0)
     for call in (lambda: rayleigh_Z(p, 2, exact=True),
-                 lambda: rayleigh_Ztilde(p, 2, exact=True),
-                 lambda: coulomb_series_coeffs(p, 3, exact=True)):
+                 lambda: rayleigh_Ztilde(p, 2, exact=True)):
         with pytest.raises(ValueError, match="exact mode needs rational"):
             call()
 

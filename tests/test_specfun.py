@@ -13,9 +13,10 @@ from coulombstar import specfun
 from coulombstar.errors import GammaOverflow, GateViolation, NonConvergence
 from coulombstar.specfun import (CoulombParams, _fsum, _safe_index,
                                  _series_pair, _sum_pair_fixed, _terms,
-                                 _working_dps, coulomb_series_coeffs, eval_F,
+                                 _working_dps, eval_F,
                                  eval_F_with_derivative, eval_bessel_j,
                                  eval_dini, eval_f_normalized, eval_g)
+from oracles import coulomb_series_coeffs
 
 # frozen high-precision reference values (50-digit arithmetic, truncated)
 G_1_M1 = 0.52526316152998352235828502496453
@@ -162,20 +163,40 @@ def test_bessel_reduction_identity():
 
 def test_exact_series_coefficients():
     L, eta = Fr(1), Fr(-1)
-    a = coulomb_series_coeffs(CoulombParams(L, eta), 3, exact=True)
+    a = coulomb_series_coeffs(L, eta, 3)
     assert a[0] == 1
     assert a[1] == eta / (L + 1)
     assert a[2] == (2 * eta * a[1] - a[0]) / (2 * (2 * L + 3))
     assert a[3] == (2 * eta * a[2] - a[1]) / (3 * (2 * L + 4))
     assert all(isinstance(x, Fr) for x in a)
-    # the float branch runs the same recurrence
+    # float inputs run the same recurrence in float
     for L, eta in ((Fr(1), Fr(-1)), (Fr(1, 2), Fr(3, 4)),
                    (Fr(-3, 4), Fr(5, 2))):
-        exact = coulomb_series_coeffs(CoulombParams(L, eta), 40, exact=True)
-        flt = coulomb_series_coeffs(CoulombParams(float(L), float(eta)), 40,
-                                    exact=False)
+        exact = coulomb_series_coeffs(L, eta, 40)
+        flt = coulomb_series_coeffs(float(L), float(eta), 40)
         assert all(isinstance(x, float) for x in flt)
         assert flt == pytest.approx([float(x) for x in exact], rel=1e-13)
+
+
+@pytest.mark.parametrize("L, eta, z", [
+    (0.5, -1.3, 1.2), (2.5, 0.8, 1.7 + 0.9j), (-0.7, 2.0, 0.4),
+    (-1.0, 0.0, 2.0), (-1.0, 0.0, 1.5 - 1.1j), (0.4 + 0.3j, -0.9, 1.2),
+    (1.5 - 0.2j, 1.4, 0.9 - 0.7j),
+])
+def test_float_terms_are_the_exact_terms(L, eta, z):
+    # each stored term t_n of the float pass is a_n z^n, with a_n from the
+    # reference recurrence in exact rationals; a complex L runs it in
+    # 50-digit mpmath, as a Fraction has no complex form
+    ts = _terms(L, eta, z, 1e-15)[0]
+    with mp.workdps(50):
+        if isinstance(L, complex):
+            a = coulomb_series_coeffs(mp.mpc(L), mp.mpf(eta), len(ts) - 1)
+        else:
+            a = [mp.mpf(c.numerator) / c.denominator for c in
+                 coulomb_series_coeffs(Fr(L), Fr(eta), len(ts) - 1)]
+        want = [complex(c * mp.mpc(z) ** n) for n, c in enumerate(a)]
+    for t, w in zip(ts, want):
+        assert abs(t - w) <= 1e-13 * abs(w)
 
 
 @pytest.mark.parametrize("L, eta, z", [
@@ -186,10 +207,9 @@ def test_exact_series_coefficients():
 def test_float_and_mp_passes_agree(L, eta, z):
     # at benign inner points the float terms, correctly rounded, and the
     # fixed-point pass at 40 digits over the same count give the same sums
-    p = CoulombParams(L, eta)
     ts = _terms(L, eta, z, 1e-15)[0]
     S, T = _fsum(ts), _fsum([n * t for n, t in enumerate(ts)])
-    S40, T40, _ = _sum_pair_fixed(p, z, len(ts), 40)
+    S40, T40, _ = _sum_pair_fixed(L, eta, z, len(ts), 40)
     assert type(S40) is type(S) and type(T40) is type(T)
     assert S == pytest.approx(S40, rel=1e-13)
     assert T == pytest.approx(T40, rel=1e-13)
@@ -225,8 +245,7 @@ RETRY_POINTS = [
 def test_fixed_point_retry(L, eta, z, terms):
     # the reference sums the same number of terms: where the series stops
     # is the stopping rule's business, and this checks the arithmetic
-    p = CoulombParams(L, eta)
-    S, T, used, _, bits = _series_pair(p, z, 1e-14)
+    S, T, used, _, bits = _series_pair(L, eta, z, 1e-14)
     assert bits > 0 and used == terms
     assert used == len(_terms(L, eta, z, 1e-14)[0])   # the float count
     S60, T60 = _series_60(L, eta, z, used)
@@ -234,7 +253,7 @@ def test_fixed_point_retry(L, eta, z, terms):
     assert abs(T - T60) <= 1e-13 * abs(T60)
     real = isinstance(L, float) and isinstance(z, float)
     assert type(S) is type(T) is (float if real else complex)
-    assert eval_g(p, z, tol=1e-14).retry_bits == bits
+    assert eval_g(CoulombParams(L, eta), z, tol=1e-14).retry_bits == bits
 
 
 @pytest.mark.parametrize("L, eta, z, n_terms", [
@@ -243,9 +262,8 @@ def test_fixed_point_retry(L, eta, z, terms):
 def test_fixed_point_sum_out_of_float_range(L, eta, z, n_terms):
     # exact integer sums beyond 1.8e308 must not surface as OverflowError;
     # the float pass raises first on these inputs, so the count is given
-    p = CoulombParams(L, eta)
     with pytest.raises(NonConvergence, match="leaves the float range"):
-        _sum_pair_fixed(p, z, n_terms, _working_dps(p, abs(z)))
+        _sum_pair_fixed(L, eta, z, n_terms, _working_dps(L, eta, abs(z)))
 
 
 def _exact_stop(L, eta, z, tol):
@@ -277,8 +295,7 @@ def test_float_pass_stops_where_the_exact_rule_stops(L, eta, z):
     # the float pass alone decides the count the fixed-point retry re-sums;
     # on retried outer points it must be the count the same rule gives in
     # exact arithmetic, or one off only where a term sits on the boundary
-    p = CoulombParams(L, eta)
-    assume(_series_pair(p, z, 1e-14)[4] > 0)
+    assume(_series_pair(L, eta, z, 1e-14)[4] > 0)
     n_float = len(_terms(L, eta, z, 1e-14)[0])
     n_exact, ratios = _exact_stop(L, eta, z, 1e-14)
     if n_float != n_exact:
@@ -291,7 +308,7 @@ def test_float_pass_stops_where_the_exact_rule_stops(L, eta, z):
 @settings(max_examples=60, deadline=None)
 def test_g_matches_direct_polynomial(L, eta, z):
     assume(math.isfinite(L) and math.isfinite(eta) and math.isfinite(z))
-    a = coulomb_series_coeffs(CoulombParams(L, eta), 60, exact=False)
+    a = coulomb_series_coeffs(L, eta, 60)
     direct = z * sum(c * z ** n for n, c in enumerate(a))
     got = eval_g(CoulombParams(L, eta), z).value
     assert got == pytest.approx(direct, rel=1e-9, abs=1e-12)
@@ -398,6 +415,7 @@ def test_normalized_forms_at_zero(fn, L, monkeypatch):
     monkeypatch.setattr(specfun, "_series_pair", no_series)
     res = fn(CoulombParams(L, -0.7), 0.0)
     assert (res.value, res.derivative) == (0.0, 1.0)
+    assert type(res.value) is type(res.derivative) is float
     assert (res.terms_used, res.est_error, res.retry_bits) == (1, 0.0, 0)
 
 
