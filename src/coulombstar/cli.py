@@ -127,6 +127,7 @@ def _cmd_eval(args) -> int:
     rec.put("diagnostics", "terms_used", res.terms_used)
     rec.put("diagnostics", "est_error", res.est_error)
     rec.put("diagnostics", "retry_bits", res.retry_bits)
+    rec.put("diagnostics", "method", res.method)
     _emit(rec, args)
     return 0
 

@@ -22,9 +22,10 @@ class GateViolation(CoulombError):
 class NonConvergence(CoulombError):
     """A numerical process did not finish within its limits: a series did
     not meet its truncation rule within the fixed maximum of 10000 terms;
-    CF1 for r F'/F did not converge within its cap of 1000 + 2r terms; the
-    fixed-point re-sum of a series left the float range; or the root search
-    underflowed before it found a root."""
+    CF1 for r F'/F did not converge within its cap of 1000 + 2r terms, or
+    CF2 for H+'/H+ within 10000; the fixed-point re-sum of a series left
+    the float range; or the root search underflowed before it found a
+    root."""
 
 
 class GammaOverflow(CoulombError):

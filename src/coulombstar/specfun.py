@@ -1,4 +1,5 @@
-"""Power-series evaluation of the regular Coulomb function and relatives.
+"""Evaluation of the regular Coulomb function and relatives: the power
+series, and Steed's continued fractions past the turning point.
 
 The regular solution of ``w'' + (1 - 2 eta / z - L(L+1)/z^2) w = 0`` that
 vanishes at the origin factors as
@@ -26,9 +27,18 @@ are taken over the stored terms at the end, correctly rounded by
 float pass's terms are re-summed: the same number of terms is recomputed in
 fixed point on Python integers (``_sum_pair_fixed``), at a precision chosen
 from the size of log10(C_L(eta) z^(L+1)); its sums are exact in the
-integers and rounded to float once.  ``SeriesEval.retry_bits`` says which
-pass produced a value.  Only float and fixed-point code lives here; the
-exact a_n are a test reference (``tests/oracles.py``).
+integers and rounded to float once.
+
+Past the turning point eta + sqrt(eta^2 + L(L+1)) the series cancels
+against its peak partial sum, and no re-sum of its terms recovers F.  At
+real L, eta and z there (z > 4 and z <= ``_MAX_TERMS``), F, g and Bessel J
+come from Steed's method instead (Barnett, Feng, Steed & Goldfarb, Comput.
+Phys. Commun. 8, 1974): CF1 (``_cf1``, the radii's CF1 plus a sign bit)
+gives F'/F and the sign of F, CF2 (``_cf2``) gives H+'/H+, and the
+Wronskian gives |F|.  Complex inputs and ``eval_f_normalized`` stay on the
+series.  ``SeriesEval.method`` says which path produced a value, and
+``retry_bits`` which pass of the series.  Only float and fixed-point code
+lives here; the exact a_n are a test reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -127,9 +137,11 @@ def _check_tol_z(tol: float, z) -> None:
 class SeriesEval:
     """Value/derivative pair with truncation diagnostics.
 
-    ``retry_bits`` names the path that produced the value: 0 when the float
-    pass was kept, otherwise the working precision in bits of the
-    fixed-point retry.
+    ``method`` names the path that produced the value: ``"series"`` when
+    the float pass of the series was kept, ``"fixed"`` for its fixed-point
+    retry, whose working precision in bits is ``retry_bits`` (0 on the
+    other paths), and ``"steed"`` for Steed's continued fractions, where
+    ``terms_used`` counts the terms of CF1 and CF2.
     """
 
     value: Scalar
@@ -137,6 +149,7 @@ class SeriesEval:
     terms_used: int
     est_error: float
     retry_bits: int = 0
+    method: str = "series"
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +320,156 @@ def _series_pair(L: Scalar, eta: float, z: Scalar, tol: float):
     return S, T, len(ts), est, bits
 
 
+# ---------------------------------------------------------------------------
+# Steed's method past the turning point
+# ---------------------------------------------------------------------------
+
+#: Steed's method serves real z from here on past the turning point: below
+#: it CF2 takes about 60/z terms, each dearer than a series term, and the
+#: series, whose cancellation grows with z, is both faster and right
+_STEED_MIN_Z = 4.0
+
+_TINY = 1e-300
+
+
+def _cf1(L: float, eta: float, x: float):
+    """(u, neg, terms): u = x F_L'(eta, x) / F_L(eta, x) for x > 0 by
+    Barnett's continued fraction CF1 (Barnett, Feng, Steed & Goldfarb,
+    Comput. Phys. Commun. 8, 1974), scaled by x and evaluated by the
+    modified Lentz method:
+
+        u = lam + x eta/lam - a_lam / (b_lam - a_{lam+1} / (b_{lam+1} - ...))
+
+    with lam = L + 1, a_m = x^2 (1 + eta^2/m^2) and
+    b_m = (2m+1)(1 + x eta/(m(m+1))); the eta terms are skipped at
+    eta = 0, where any L > -3/2 is allowed.  This is the arithmetic of
+    ``radii._reduced`` at d = L + 1, bit for bit, plus ``neg``, the sign of
+    F_L(eta, x): the parity of the negative Lentz D's, since each D has the
+    sign of F_m / F_{m-1} and F is positive at orders far above x.  The
+    radii keep their own loop: the sign branch slowed the radius workload
+    by 1.5 % (ROADMAP item 3).  ``terms`` is the number of Lentz terms.
+    Raises NonConvergence past a cap of 1000 + 2x terms.
+    """
+    lam = L + 1.0
+    nr2 = -x * x
+    n = 1000 + 2 * int(x)
+    # locals, and |delta - 1| <= eps as one chained comparison
+    tiny, lo, hi = _TINY, 1.0 - _EPS, 1.0 + _EPS
+    neg = False
+    # CF1 converges once m passes the turning point, which lies below ~x
+    if eta:
+        e2, xe = eta * eta, x * eta
+        f = lam + xe / lam or tiny
+        C, D = f, 0.0
+        for k in range(n):
+            m = lam + k
+            a = nr2 * (1.0 + e2 / (m * m))
+            b = (2.0 * m + 1.0) * (1.0 + xe / (m * (m + 1.0)))
+            D = 1.0 / (b + a * D or tiny)
+            if D < 0.0:
+                neg = not neg
+            C = b + a / C or tiny
+            delta = C * D
+            f *= delta
+            if lo <= delta <= hi:
+                return f, neg, k + 1
+    else:
+        f = lam or tiny
+        C, D = f, 0.0
+        for k in range(n):
+            b = 2.0 * (lam + k) + 1.0
+            D = 1.0 / (b + nr2 * D or tiny)
+            if D < 0.0:
+                neg = not neg
+            C = b + nr2 / C or tiny
+            delta = C * D
+            f *= delta
+            if lo <= delta <= hi:
+                return f, neg, k + 1
+    raise NonConvergence(
+        f"CF1 for x F'/F did not converge (L={L!r}, eta={eta!r}, x={x!r})")
+
+
+def _cf2(L: float, eta: float, x: float):
+    """(p, q, terms): p + iq = H+_L'(eta, x) / H+_L(eta, x) by Steed's CF2
+    (DLMF 33.8.2),
+
+        p + iq = i (1 - eta/x) + (i/x) ab/(2(x - eta + i) +)
+                 (a+1)(b+1)/(2(x - eta + 2i) +) ...,
+
+    a = 1 + L + i eta and b = -L + i eta, summed forward by Steed's
+    algorithm until a term is below eps of the sum in modulus.  It
+    converges fast past the turning point, in about 60/x terms at small x.
+    Raises NonConvergence past ``_MAX_TERMS`` terms.
+    """
+    # a b, then (a+k)(b+k), which grows by step = 2k + 2i eta
+    ab = complex(-(eta * eta + L * (L + 1.0)), eta)
+    step = complex(0.0, 2.0 * eta)
+    b = complex(2.0 * (x - eta), 2.0)
+    D = 1.0 / b
+    dh = 1j / x * ab * D
+    h = complex(0.0, 1.0 - eta / x) + dh
+    for k in range(1, _MAX_TERMS):
+        step += 2.0
+        ab += step
+        b += 2j
+        D = 1.0 / (b + ab * D)
+        dh *= b * D - 1.0
+        h += dh
+        if abs(dh) <= _EPS * abs(h):
+            return h.real, h.imag, k + 1
+    raise NonConvergence(
+        f"CF2 for H+'/H+ did not converge within {_MAX_TERMS} terms "
+        f"(L={L!r}, eta={eta!r}, x={x!r})")
+
+
+def _steed_range(L: Scalar, eta: float, z: Scalar) -> bool:
+    """Whether Steed's method serves F_L(eta, z): real L and z, with z past
+    the turning point eta + sqrt(eta^2 + L(L+1)) and ``_STEED_MIN_Z``, and
+    at most ``_MAX_TERMS``, about as many terms as CF1 then takes."""
+    if isinstance(L, complex) or not isinstance(z, (int, float)):
+        return False
+    turn = eta + math.sqrt(max(eta * eta + L * (L + 1.0), 0.0))
+    return max(turn, _STEED_MIN_Z) < z <= _MAX_TERMS
+
+
+def _steed(L: float, eta: float, x: float):
+    """(F, u, est, terms): F_L(eta, x), u = x F'/F, an error estimate for
+    F and the CF1 plus CF2 terms, by Steed's method (Barnett, Feng, Steed
+    & Goldfarb 1974) at real x past the turning point.
+
+    CF1 gives f = F'/F and the sign of F, CF2 gives p + iq = H+'/H+, and
+    the Wronskian G F' - G' F = 1 with G = (f - p) F / q fixes
+
+        |F| = (q + (f - p)^2 / q)^(-1/2),
+
+    where 1/sqrt(q) = sqrt(F^2 + G^2) is the envelope.  ``est`` is the
+    envelope times eps per term of both fractions, plus the rounding of u
+    at the scale |L + 1| + x |eta| / |L + 1| of its leading terms, which
+    reaches F through the factor 1/(q x).
+    """
+    u, neg, n1 = _cf1(L, eta, x)
+    p, q, n2 = _cf2(L, eta, x)
+    f = u / x
+    F = 1.0 / math.sqrt(q + (f - p) * (f - p) / q)
+    env = 1.0 / math.sqrt(q)
+    lam = abs(L + 1.0)
+    scale = lam + x * abs(eta) / lam if eta else lam
+    est = _EPS * env * (n1 + n2 + scale / (q * x))
+    return -F if neg else F, u, est, n1 + n2
+
+
 def _plain(params: CoulombParams):
     """(L, eta) as the series reads them: L complex for a complex order and
     float otherwise, eta float."""
     return (complex(params.L) if params.is_complex else params.real_L(),
             float(params.eta))
+
+
+def _method(bits: int) -> str:
+    """The ``SeriesEval.method`` of a series value whose retry took
+    ``bits``."""
+    return "fixed" if bits else "series"
 
 
 def _demote(x: Scalar) -> Scalar:
@@ -325,17 +483,38 @@ def eval_g(params: CoulombParams, z: Scalar, tol: float = 1e-12) -> SeriesEval:
 
     g is entire in z with g(0) = 0, g'(0) = 1, independent of the gamma
     prefactor.  tol is the truncation target for the series tail relative
-    to the largest partial sum; it must lie in [1e-16, 1e-6].
+    to the largest partial sum; it must lie in [1e-16, 1e-6].  At real L
+    and z past the turning point, g = F / (C z^L) from Steed's method,
+    which tol does not steer; GammaOverflow if 1/(C z^L) overflows.
     """
     _check_tol_z(tol, z)
     if z == 0:
         return SeriesEval(value=0.0, derivative=1.0, terms_used=1,
                           est_error=0.0)
-    S, T, terms, est, bits = _series_pair(*_plain(params), z, tol)
+    L, eta = _plain(params)
+    if _steed_range(L, eta, z):
+        # g = F / (C z^L) and g' = S (z F'/F - L), with S = g/z
+        F, u, est, terms = _steed(L, eta, z)
+        L_logz = L * math.log(z)
+        ex = -float(_log_prefactor(L, eta).real) - L_logz
+        if ex > 709.0:
+            raise GammaOverflow(
+                f"1/(C z^L) exponent {ex:.1f} overflows double precision")
+        k = math.exp(ex)
+        g = F * k
+        # ex rounds at the scale of its largest terms, log Gamma(2L + 2)
+        # and L log z
+        ex_err = 2.0 * _EPS * (abs(math.lgamma(2.0 * L + 2.0)) + abs(L_logz)
+                               + abs(ex))
+        return SeriesEval(value=g, derivative=g / z * (u - L),
+                          terms_used=terms,
+                          est_error=(est + ex_err * abs(F)) * k,
+                          method="steed")
+    S, T, terms, est, bits = _series_pair(L, eta, z, tol)
     # g = z*S ; g' = S + z S' = S + T
     return SeriesEval(value=_demote(z * S), derivative=_demote(S + T),
                       terms_used=terms, est_error=est * abs(z),
-                      retry_bits=bits)
+                      retry_bits=bits, method=_method(bits))
 
 
 def _log_prefactor(L: Scalar, eta: float):
@@ -354,10 +533,15 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
     log C + (L+1) log z is formed first so huge gamma factors and tiny
     powers cancel before exponentiation.  Principal branch of log z for
     non-integer L+1.  Raises GammaOverflow when even the combined exponent
-    exceeds the float range.
+    exceeds the float range.  At real L and z past the turning point F and
+    F' come from Steed's method instead, which tol does not steer.
     """
     _check_tol_z(tol, z)
     L, eta = _plain(params)
+    if _steed_range(L, eta, z):
+        F, u, est, terms = _steed(L, eta, z)
+        return SeriesEval(value=F, derivative=F * u / z, terms_used=terms,
+                          est_error=est, method="steed")
     lc = _log_prefactor(L, eta)
     if z == 0:
         # F ~ C z^(L+1) and F' ~ C (L+1) z^L as z -> 0: each tends to 0 or
@@ -387,7 +571,7 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
         value, deriv = value.real, deriv.real
     return SeriesEval(value=_demote(value), derivative=_demote(deriv),
                       terms_used=terms, est_error=est * abs(pref),
-                      retry_bits=bits)
+                      retry_bits=bits, method=_method(bits))
 
 
 def eval_F(params: CoulombParams, z: Scalar, tol: float = 1e-14) -> Scalar:
@@ -412,7 +596,7 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
     deriv = root * (1 + T / (S * (L + 1)))
     return SeriesEval(value=_demote(value), derivative=_demote(deriv),
                       terms_used=terms, est_error=est * abs(z),
-                      retry_bits=bits)
+                      retry_bits=bits, method=_method(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -422,28 +606,33 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
 # keeps its own loop in w = -z^2/4.  At eta = 0 every odd term of S is
 # zero, so ``_series_pair`` computes and stores twice the terms: over the
 # benchmark's Bessel J points of seeds 1-3 with nu > -1/2 it took 35-37 us
-# a value against 16-24 us for this loop (2-core host, Python 3.11).  Nor
-# does it mend J: of the 148 outer values wrong at 1e-8 relative, it leaves
-# 145 wrong, and 125 of those stay wrong with the same terms summed
-# exactly, so the fixed-point retry, which re-sums the float pass's count,
-# cannot reach them.  Two different series also keep acceptance criterion
-# 3, the Bessel reduction, a comparison of two sums.
+# a value against 16-24 us for this loop (2-core host, Python 3.11).  The
+# other reason this loop was kept, that ``_series_pair`` mends almost none
+# of J's wrong outer values (145 of 148 stayed wrong), no longer counts at
+# real z: Steed's method serves those from F_{nu-1/2}(0, z), as it does F
+# and g.  What is left for the loop is complex z, so folding J into the
+# Coulomb series may reopen.  Two different series also keep acceptance
+# criterion 3, the Bessel reduction at complex z, a comparison of two sums.
 # ---------------------------------------------------------------------------
 
 def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
-    """Bessel J_nu(z) and J'_nu(z) from the ascending series.
+    """Bessel J_nu(z) and J'_nu(z), by Steed's method past the turning
+    point and from the ascending series otherwise.
 
     nu must be real (ValueError), finite and > -1, and z finite
     (GateViolation).  tol, the truncation target for the series tail
     relative to its largest partial sum, must lie in [1e-16, 1e-6]
-    (ValueError).  The series of J_nu(z) Gamma(nu + 1) / (z/2)^nu
+    (ValueError).  At real z past sqrt(nu^2 - 1/4) and 4 (and at most
+    ``_MAX_TERMS``), J_nu(z) = sqrt(2/(pi z)) F_{nu-1/2}(0, z) by Steed's
+    method, to about 1e-13 of the envelope sqrt(J^2 + Y^2); tol does not
+    steer it.  Otherwise the series of J_nu(z) Gamma(nu + 1) / (z/2)^nu
     starts at 1; the factor (z/2)^nu / Gamma(nu + 1) is applied in log
     space, so large orders neither overflow nor lose the result before it
     underflows.  The terms are summed in float with Kahan compensation and
-    there is no precision retry, so at |z| well beyond nu, where the terms
-    peak far above |J|, cancellation can leave wrong digits.  Raises
-    GammaOverflow when that factor, or its counterpart in J', exceeds the
-    float range.
+    there is no precision retry, so at complex z with |z| well beyond nu,
+    where the terms peak far above |J|, cancellation can leave wrong
+    digits.  Raises GammaOverflow when that factor, or its counterpart in
+    J', exceeds the float range.
     """
     if isinstance(nu, complex):
         raise ValueError("nu must be real")
@@ -452,6 +641,13 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     _check_tol_z(tol, z)
     if nu <= -1:
         raise GateViolation(f"Bessel order nu = {nu} <= -1 not supported")
+    if _steed_range(nu - 0.5, 0.0, z):
+        # J = sqrt(2/(pi z)) F_{nu-1/2}(0, z), J' = J (z F'/F - 1/2) / z
+        F, u, est, terms = _steed(nu - 0.5, 0.0, z)
+        k = math.sqrt(2.0 / (math.pi * z))
+        return SeriesEval(value=k * F, derivative=k * F * (u - 0.5) / z,
+                          terms_used=terms, est_error=est * k,
+                          method="steed")
     if z == 0:
         # the limits as z -> 0+ of J ~ (z/2)^nu / Gamma(nu + 1) and of
         # J' ~ nu (z/2)^(nu - 1) / (2 Gamma(nu + 1)), at nu != 0
@@ -537,4 +733,5 @@ def eval_dini(nu: float, H: float, r: Scalar, tol: float = 1e-15) -> SeriesEval:
     deriv = H * je.derivative + (nu * nu / r - r) * je.value
     return SeriesEval(value=_demote(value), derivative=_demote(deriv),
                       terms_used=je.terms_used,
-                      est_error=je.est_error * (abs(r) + abs(H)))
+                      est_error=je.est_error * (abs(r) + abs(H)),
+                      method=je.method)

@@ -104,6 +104,7 @@ def test_eval_bit_identical_to_library(capsys):
     assert rec["outputs"]["derivative"] == res.derivative
     assert rec["diagnostics"]["terms_used"] == res.terms_used
     assert rec["diagnostics"]["retry_bits"] == res.retry_bits == 0
+    assert rec["diagnostics"]["method"] == res.method == "series"
 
 
 def _refuse_constant(name):
@@ -126,11 +127,24 @@ def test_eval_limits_at_zero_are_strict_json(capsys, argv, outputs):
 
 
 def test_eval_reports_the_fixed_point_retry(capsys):
+    # a complex outer point: real ones past the turning point take Steed's
+    # method
     rec = run_json(capsys, "eval", "--family", "F", "--L", "3",
-                   "--eta", "1.5", "--z-re", "34")
-    res = eval_F_with_derivative(CoulombParams(3.0, 1.5), 34.0)
-    assert rec["outputs"]["value"] == res.value
+                   "--eta", "1.5", "--z-re=-32.862", "--z-im=-3.018")
+    res = eval_F_with_derivative(CoulombParams(3.0, 1.5), -32.862 - 3.018j)
+    assert (rec["outputs"]["value_re"], rec["outputs"]["value_im"]) \
+        == (res.value.real, res.value.imag)
     assert rec["diagnostics"]["retry_bits"] == res.retry_bits > 0
+    assert rec["diagnostics"]["method"] == res.method == "fixed"
+
+
+def test_eval_reports_steeds_method(capsys):
+    rec = run_json(capsys, "eval", "--family", "F", "--L", "0",
+                   "--eta", "0", "--z-re", "400")
+    assert rec["outputs"]["value"] == pytest.approx(math.sin(400.0),
+                                                    abs=1e-10)
+    assert rec["diagnostics"]["method"] == "steed"
+    assert rec["diagnostics"]["retry_bits"] == 0
 
 
 def test_eval_spec_examples(capsys):
@@ -347,8 +361,10 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "figure", "--figure", "1", "--points", "64",
                        "--out", str(tmp_path / "no-such-dir" / "x.csv"))
     assert code == 3
+    # sin(720 i) = i sinh 720 overflows (at real z = 720 Steed's method
+    # returns sin 720)
     code, _, err = run(capsys, "eval", "--family", "F", "--L", "0",
-                       "--eta", "0", "--z-re", "720")
+                       "--eta", "0", "--z-re", "0", "--z-im", "720")
     assert code == 4 and "NonConvergence" in err
 
 

@@ -13,7 +13,8 @@ from coulombstar import radii
 from coulombstar.errors import GateViolation
 from coulombstar.radii import (Family, RadiusQuery, _reduced, radius_f,
                                radius_g, radius_phi)
-from coulombstar.specfun import CoulombParams, eval_dini, eval_F_with_derivative
+from coulombstar.specfun import (CoulombParams, _series_pair, eval_dini,
+                                 eval_F_with_derivative)
 from coulombstar.verify import boundary_image, companion_order, starlike_scan
 
 # frozen references (50-digit root solves, truncated)
@@ -119,13 +120,14 @@ def test_radius_phi_order_below_minus_half():
 
 
 def test_log_derivative_kernel():
-    # CF1 against the series ratio r F'/F at small order ...
+    # CF1 against the series ratio r F'/F = L + 1 + r S'/S at small order
+    # (the series itself: past the turning point the evaluators run CF1) ...
     for L in (-0.5, 0.0, 1.5, 5.0, 20.0):
         for eta in (-1.0, 0.0, 2.0):
             for r in (0.5, 2.0, 6.0):
-                ev = eval_F_with_derivative(CoulombParams(L, eta), r)
+                S, T = _series_pair(L, eta, r, 1e-14)[:2]
                 assert _reduced(L, eta, L + 1.0, r) == pytest.approx(
-                    r * ev.derivative / ev.value, rel=1e-12)
+                    L + 1.0 + T / S, rel=1e-12)
     # ... and against mpmath's coulombf at large order
     with mp.workdps(30):
         for L in (100, 200):
@@ -442,8 +444,9 @@ def test_reduced_kernel_rounds_u_to_its_leading_terms():
 @given(st.floats(-0.9, 10.0, exclude_min=True), st.floats(-3.0, 3.0),
        st.floats(0.0, 0.95), st.floats(0.5, 5.0))
 def test_first_sign_change_is_the_root(L, eta, beta, alpha):
-    # r F'/F from the power series, not from CF1: u stays positive up to
-    # the radius and changes sign across it, for all three families
+    # r F'/F = L + 1 + r S'/S from the power series, not from CF1: u stays
+    # positive up to the radius and changes sign across it, for all three
+    # families
     nu = L + 0.5
     cases = [(radius_f(L, eta, beta), L, eta, beta * (L + 1.0)),
              (radius_g(L, eta, beta), L, eta, L + beta),
@@ -451,8 +454,8 @@ def test_first_sign_change_is_the_root(L, eta, beta, alpha):
               nu + 0.5 - (nu + alpha) * (1.0 - beta))]
     for res, L_, eta_, c in cases:
         def u(r):
-            ev = eval_F_with_derivative(CoulombParams(L_, eta_), r)
-            return r * ev.derivative / ev.value - c
+            S, T = _series_pair(L_, eta_, r, 1e-14)[:2]
+            return L_ + 1.0 + T / S - c
 
         r = res.value
         assert all(u(0.99 * r * k / 16) > 0.0 for k in range(1, 17))

@@ -1,6 +1,7 @@
 """Series evaluation of F, g, f, Bessel J, and Dini functions."""
 
 import math
+import random
 import re
 from fractions import Fraction as Fr
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from coulombstar import specfun
 from coulombstar.errors import GammaOverflow, GateViolation, NonConvergence
+from coulombstar.radii import _reduced
 from coulombstar.specfun import (CoulombParams, _fsum, _safe_index,
                                  _series_pair, _sum_pair_fixed, _terms,
                                  _working_dps, eval_F,
@@ -228,6 +230,23 @@ def _series_60(L, eta, z, terms):
                 complex(mp.fsum(n * tn for n, tn in enumerate(t))))
 
 
+def _mp_refs(L, eta, x):
+    """(F, F', sqrt(F^2 + G^2), sqrt(F'^2 + G'^2), C x^L) at real x > 0
+    from mpmath at 20 digits, as floats; F' and G' from the order ladder
+    (L + 1) u_L' = ((L + 1)^2/x + eta) u_L - sqrt((L + 1)^2 + eta^2) u_{L+1}
+    (Abramowitz & Stegun 14.2.2), which is faster than mpmath's diff."""
+    with mp.workdps(20):
+        L, eta, x = mp.mpf(L), mp.mpf(eta), mp.mpf(x)
+        F, G = mp.coulombf(L, eta, x), mp.coulombg(L, eta, x)
+        F1, G1 = mp.coulombf(L + 1, eta, x), mp.coulombg(L + 1, eta, x)
+        a, b = (L + 1) ** 2 / x + eta, mp.sqrt((L + 1) ** 2 + eta ** 2)
+        dF, dG = (a * F - b * F1) / (L + 1), (a * G - b * G1) / (L + 1)
+        logC = (L * mp.log(2) - mp.pi * eta / 2
+                + mp.re(mp.loggamma(L + 1 + 1j * eta)) - mp.loggamma(2 * L + 2))
+        return tuple(float(v) for v in (
+            F, dF, mp.hypot(F, G), mp.hypot(dF, dG), mp.exp(logC) * x ** L))
+
+
 # outer points whose float pass is rejected, with the term counts of the
 # 27-32 digit mpmath pass that the fixed-point retry replaced (tol 1e-14)
 RETRY_POINTS = [
@@ -253,7 +272,14 @@ def test_fixed_point_retry(L, eta, z, terms):
     assert abs(T - T60) <= 1e-13 * abs(T60)
     real = isinstance(L, float) and isinstance(z, float)
     assert type(S) is type(T) is (float if real else complex)
-    assert eval_g(CoulombParams(L, eta), z, tol=1e-14).retry_bits == bits
+    res = eval_g(CoulombParams(L, eta), z, tol=1e-14)
+    if real:
+        # Steed's method serves real points past the turning point
+        assert (res.method, res.retry_bits) == ("steed", 0)
+        F, _, env, _, cxl = _mp_refs(L, eta, z)
+        assert abs(res.value - F / cxl) <= 1e-13 * env / cxl
+    else:
+        assert (res.method, res.retry_bits) == ("fixed", bits)
 
 
 @pytest.mark.parametrize("L, eta, z, n_terms", [
@@ -261,7 +287,9 @@ def test_fixed_point_retry(L, eta, z, terms):
 ], ids=["2.0-1.5-800.0", "(0.3+0.2j)--2.0-(700+300j)"])
 def test_fixed_point_sum_out_of_float_range(L, eta, z, n_terms):
     # exact integer sums beyond 1.8e308 must not surface as OverflowError;
-    # the float pass raises first on these inputs, so the count is given
+    # the float pass raises first on these inputs, so the count is given.
+    # (eval_g takes Steed's method at the real point: see
+    # test_overflowing_terms_raise_non_convergence)
     with pytest.raises(NonConvergence, match="leaves the float range"):
         _sum_pair_fixed(L, eta, z, n_terms, _working_dps(L, eta, abs(z)))
 
@@ -439,9 +467,12 @@ def test_terms_at_order_minus_one():
 def test_non_convergence_at_fixed_cap():
     # sin z at z = 720: the float terms overflow, and the loop raises at the
     # term where the running sum turns infinite instead of running on to
-    # the fixed cap of 10000 terms
+    # the fixed cap of 10000 terms; eval_F takes Steed's method there
     with pytest.raises(NonConvergence, match="within 10000 terms"):
-        eval_F(CoulombParams(0, 0), 720.0)
+        _series_pair(0.0, 0.0, 720.0, 1e-14)
+    res = eval_F_with_derivative(CoulombParams(0, 0), 720.0)
+    assert res.method == "steed"
+    assert abs(res.value - math.sin(720.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("L, eta, z", [
@@ -451,20 +482,146 @@ def test_non_convergence_at_fixed_cap():
 def test_overflowing_terms_raise_non_convergence(L, eta, z):
     # the exact final sums must not turn overflowed terms into an
     # OverflowError or ValueError from math.fsum; the error names the term
-    # where the running sum overflowed, which lies far below the cap
+    # where the running sum overflowed, which lies far below the cap.  The
+    # real points go to the series directly, since eval_g takes Steed's
+    # method there, and must give the mpmath value
+    real = isinstance(z, float)
     with pytest.raises(NonConvergence, match="within 10000 terms") as exc:
-        eval_g(CoulombParams(L, eta), z)
+        if real:
+            _series_pair(L, eta, z, 1e-12)
+        else:
+            eval_g(CoulombParams(L, eta), z)
     n = int(re.search(r"overflowed at term (\d+)", str(exc.value)).group(1))
     assert 2 <= n < 1000
+    if real:
+        res = eval_g(CoulombParams(L, eta), z)
+        F, _, env, _, cxl = _mp_refs(L, eta, z)
+        assert res.method == "steed"
+        assert abs(res.value - F / cxl) <= 1e-13 * env / cxl
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "defect A: the series stops at |t| <= tol * (peak partial sum ~1e169), "
-    "so the truncation error dwarfs sin(400); a retry at more digits keeps "
-    "the same truncation and returns the same 1.4e157"))
 def test_F_far_beyond_turning_point_is_sin():
     assert eval_F(CoulombParams(0, 0), 400.0) == pytest.approx(
         math.sin(400.0), rel=1e-10)
+
+
+def test_steed_cf1_is_the_radii_kernel_plus_a_sign():
+    # Steed's CF1 keeps its own loop only for the sign branch: its u must
+    # stay bit for bit the radii's at d = L + 1, and its sign bit must be
+    # the sign of F, also past many zeros
+    rng = random.Random(5)
+    pts = [(rng.uniform(-0.99, 300.0),
+            rng.choice([0.0, -0.0, rng.uniform(-40.0, 40.0)]),
+            math.exp(rng.uniform(-12.0, 6.5))) for _ in range(1000)]
+    pts += [(-1.25, 0.0, 1.3), (-1.0, 0.0, 0.7)]
+    for L, eta, x in pts:
+        assert specfun._cf1(L, eta, x)[0] == _reduced(L, eta, L + 1.0, x)
+    for L, eta, x in [(-0.5, 0.0, 3.0), (0.0, 0.0, 400.0), (7.0, -3.0, 55.5),
+                      (2.0, 1.5, 800.0), (-0.9, 3.0, 17.0), (25.0, 0.5, 64.0),
+                      (-1.25, 0.0, 100.0), (40.0, 2.0, 41.0)]:
+        with mp.workdps(20):
+            F = mp.coulombf(L, eta, x)
+        assert specfun._cf1(L, eta, x)[1] == (F < 0), (L, eta, x)
+
+
+def _turn(L, eta):
+    """The turning point eta + sqrt(eta^2 + L(L+1)), at least 0."""
+    return max(eta + math.sqrt(max(eta * eta + L * (L + 1.0), 0.0)), 0.0)
+
+
+def _outer_xs(L, eta):
+    """Real points from just past the turning point to 3000."""
+    tp = _turn(L, eta)
+    xs = {tp + 1e-3, tp + 1.0, max(tp, specfun._STEED_MIN_Z) + 1e-3, 30.0,
+          3000.0}
+    return sorted(x for x in xs if x > tp)
+
+
+def _check_F_g(L, eta, x, rel, drel):
+    """F, F', g and g' at real x against mpmath, to ``rel`` of the
+    envelope sqrt(F^2 + G^2) (scaled by 1/(C x^L) for g) and ``drel`` of
+    the derivative's; a Steed value must lie within its est_error."""
+    p = CoulombParams(L, eta)
+    rF, rg = eval_F_with_derivative(p, x), eval_g(p, x)
+    F, dF, env, denv, cxl = _mp_refs(L, eta, x)
+    steed = max(_turn(L, eta), specfun._STEED_MIN_Z) < x
+    assert rF.method == rg.method == ("steed" if steed else "series"), x
+    dg, dgenv = (dF - L * F / x) / cxl, (denv + abs(L) / x * env) / cxl
+    for got, want, scale in ((rF.value, F, rel * env),
+                             (rF.derivative, dF, drel * denv),
+                             (rg.value, F / cxl, rel * env / cxl),
+                             (rg.derivative, dg, drel * dgenv)):
+        assert abs(got - want) <= scale, (x, got, want)
+    if steed:
+        assert abs(rF.value - F) <= rF.est_error, x
+        assert abs(rg.value - F / cxl) <= rg.est_error, x
+
+
+def _check_J(nu, x, rel, drel):
+    """J_nu and J_nu' at real x against mpmath, to ``rel`` and ``drel`` of
+    sqrt(J^2 + Y^2) and sqrt(J'^2 + Y'^2); a Steed value must lie within
+    its est_error."""
+    res = eval_bessel_j(nu, x)
+    with mp.workdps(20):
+        J, Y = mp.besselj(nu, x), mp.bessely(nu, x)
+        dJ, dY = (mp.besselj(nu, x, derivative=1),
+                  mp.bessely(nu, x, derivative=1))
+        env, denv = float(mp.hypot(J, Y)), float(mp.hypot(dJ, dY))
+        J, dJ = float(J), float(dJ)
+    assert abs(res.value - J) <= rel * env, (nu, x)
+    assert abs(res.derivative - dJ) <= drel * denv, (nu, x)
+    if res.method == "steed":
+        assert abs(res.value - J) <= res.est_error, (nu, x)
+
+
+# F' and J' reach 1.05e-13 and 1.46e-13 of their envelope at x = 3000: CF1
+# rounds its order L + 1 + k once a term, alike across each binade of k,
+# which leaves x F'/F some 3e-13 relative there at a non-dyadic L
+@pytest.mark.parametrize("L", [-0.9, 0.0, 7.0, 25.0, 40.0])
+@pytest.mark.parametrize("eta", [-3.0, -0.5, 0.0, 0.5, 2.0, 3.0])
+def test_outer_real_points_match_mpmath(L, eta):
+    # past the turning point the series cancels against its peak partial
+    # sum (defect A); Steed's method is right to 1e-13 of the envelope
+    for x in _outer_xs(L, eta):
+        _check_F_g(L, eta, x, 1e-13, 2e-13)
+        if eta == 0.0:
+            _check_J(L + 0.5, x, 1e-13, 2e-13)
+
+
+@pytest.mark.parametrize("nu", [-0.99, -0.9, -0.75, -0.5])
+def test_bessel_j_past_the_turning_point_below_order_minus_half(nu):
+    # J_nu = sqrt(2/(pi x)) F_{nu-1/2}(0, x) at the orders nu - 1/2 <= -1
+    # that CF1 and CF2 allow at eta = 0 and CoulombParams refuses
+    for x in (0.5, 4.5, 30.0, 3000.0):
+        _check_J(nu, x, 1e-13, 2e-13)
+    res = eval_bessel_j(nu, 30.0)
+    assert res.method == "steed" and res.terms_used > 2
+    with mp.workdps(20):
+        d = 30 * mp.besselj(nu, 30, derivative=1) + 0.5 * mp.besselj(nu, 30)
+    dini = eval_dini(nu, 0.5, 30.0)
+    assert dini.method == "steed"
+    assert abs(dini.value - float(d)) <= 1e-13
+
+
+@pytest.mark.parametrize("L", [-0.99, -0.999])
+@pytest.mark.parametrize("eta", [-3.0, 0.5, 2.0, 3.0])
+def test_outer_points_near_order_minus_one(L, eta):
+    # CF1 cancels d + x eta/(L + 1) against its fraction near L = -1 with
+    # eta > 0 (CHANGES.md FOUND #13): 7.0e-13 of the envelope just past the
+    # turning point at eta = 3; a step down the order ladder would mend it
+    for x in _outer_xs(L, eta):
+        _check_F_g(L, eta, x, 1e-12, 1e-12)
+
+
+def test_steed_g_whose_scale_overflows_raises_gamma_overflow():
+    # g = F / (C z^L) ~ e^(pi eta) leaves the float range at eta = 300; F
+    # itself is fine (the series overflowed its running sum here instead)
+    with pytest.raises(GammaOverflow, match="overflows"):
+        eval_g(CoulombParams(0.0, 300.0), 700.0)
+    res = eval_F_with_derivative(CoulombParams(0.0, 300.0), 700.0)
+    # mpmath's coulombf at 20 digits (it takes ~45 s there)
+    assert res.method == "steed"
+    assert abs(res.value - 1.6248785141197847973) <= 1e-13
 
 
 def test_eta_zero_far_from_origin():
