@@ -109,6 +109,12 @@ def _cmd_eval(args) -> int:
     rec.put("inputs", "z_im", args.z_im)
     if args.tol is not None:
         rec.put("inputs", "tol", args.tol)
+    # each input belongs to one family; one given to another is refused
+    bessel = args.family in ("besselJ", "dini")
+    name, value = ("eta", args.eta) if bessel else ("H", args.H)
+    if value is not None:
+        raise GateViolation(f"family {args.family!r} takes no --{name}, "
+                            f"got --{name}={value!r}")
     if args.family == "besselJ":
         res = eval_bessel_j(args.L, z, **kw)
     elif args.family == "dini":
@@ -117,8 +123,9 @@ def _cmd_eval(args) -> int:
         rec.put("inputs", "H", args.H)
         res = eval_dini(args.L, args.H, z, **kw)
     else:
-        rec.put("inputs", "eta", args.eta)
-        params = CoulombParams(args.L, args.eta)
+        eta = 0.0 if args.eta is None else args.eta
+        rec.put("inputs", "eta", eta)
+        params = CoulombParams(args.L, eta)
         fn = {"F": eval_F_with_derivative, "g": eval_g,
               "f": eval_f_normalized}[args.family]
         res = fn(params, z, **kw)
@@ -296,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["F", "g", "f", "besselJ", "dini"])
     pe.add_argument("--L", type=float, required=True,
                     help="order (the Bessel/Dini order for those families)")
-    pe.add_argument("--eta", type=float, default=0.0)
+    pe.add_argument("--eta", type=float, default=None,
+                    help="Coulomb parameter (families F, g and f; default 0)")
     pe.add_argument("--z-re", type=float, required=True)
     pe.add_argument("--z-im", type=float, default=0.0)
     pe.add_argument("--tol", type=float, default=None)

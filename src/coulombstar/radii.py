@@ -23,8 +23,9 @@ u(r) = r F_L'(eta, r)/F_L(eta, r) - c = 0 on the log-derivative of the
 regular Coulomb function, with c = L + 1 - d and d = kappa (1-beta), where
 F_L(0, r) = sqrt(pi r/2) J_{L+1/2}(r).  One float kernel, Barnett's
 continued fraction CF1 (Barnett, Feng, Steed & Goldfarb, Comput. Phys.
-Commun. 8, 1974), gives u for every family and order.  CF1 writes r F'/F
-as L + 1 + r eta/(L+1) plus a fraction; the kernel starts its Lentz
+Commun. 8, 1974), gives u for every family and order: ``specfun._cf1``,
+which also feeds Steed's method past the turning point.  CF1 writes
+r F'/F as L + 1 + r eta/(L+1) plus a fraction; the kernel starts its Lentz
 product at d + r eta/(L+1) instead, with d = kappa (1-beta) one rounded
 product, so u is never the difference of r F'/F and c, two numbers of size
 L for g.
@@ -92,7 +93,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import GateViolation, NonConvergence, NoRootInScanRange
-from .specfun import _EPS
+from .specfun import _EPS, _TINY, _cf1, _turning_point
 
 __all__ = [
     "Family",
@@ -102,8 +103,6 @@ __all__ = [
     "radius_g",
     "radius_phi",
 ]
-
-_TINY = 1e-300
 
 
 class Family(str, enum.Enum):
@@ -185,60 +184,6 @@ def _radius(fam: Family, beta, L, eta, nu, alpha) -> RadiusResult:
     return _first_root(L, eta, kappa * (1.0 - beta))
 
 
-# ---------------------------------------------------------------------------
-# reduced equations through the logarithmic derivative
-# ---------------------------------------------------------------------------
-
-def _reduced(L: float, eta: float, d: float, r: float) -> float:
-    """u(r) = r F_L'(eta, r) / F_L(eta, r) - (L + 1 - d) for r > 0 by
-    Barnett's continued fraction CF1 (Barnett, Feng, Steed & Goldfarb,
-    Comput. Phys. Commun. 8, 1974), scaled by r and evaluated by the
-    modified Lentz method:
-
-        u = d + r eta/lam - a_lam / (b_lam - a_{lam+1} / (b_{lam+1} - ...))
-
-    with lam = L + 1, a_m = r^2 (1 + eta^2/m^2) and
-    b_m = (2m+1)(1 + r eta/(m(m+1))).  The offset d = L + 1 - c replaces
-    lam in the leading term, so u is summed without first forming r F'/F
-    and subtracting c; d = L + 1 gives r F'/F itself.  The eta terms are
-    skipped at eta = 0, where F_L = sqrt(pi r/2) J_{L+1/2} and any
-    L > -3/2 is allowed.
-    """
-    lam = L + 1.0
-    nr2 = -r * r
-    n = 1000 + 2 * int(r)
-    # locals, and |delta - 1| <= eps as one chained comparison
-    tiny, lo, hi = _TINY, 1.0 - _EPS, 1.0 + _EPS
-    # CF1 converges once m passes the turning point, which lies below ~r
-    if eta:
-        e2, re = eta * eta, r * eta
-        f = d + re / lam or tiny
-        C, D = f, 0.0
-        for k in range(n):
-            m = lam + k
-            a = nr2 * (1.0 + e2 / (m * m))
-            b = (2.0 * m + 1.0) * (1.0 + re / (m * (m + 1.0)))
-            D = 1.0 / (b + a * D or tiny)
-            C = b + a / C or tiny
-            delta = C * D
-            f *= delta
-            if lo <= delta <= hi:
-                return f
-    else:
-        f = d or tiny
-        C, D = f, 0.0
-        for k in range(n):
-            b = 2.0 * (lam + k) + 1.0
-            D = 1.0 / (b + nr2 * D or tiny)
-            C = b + nr2 / C or tiny
-            delta = C * D
-            f *= delta
-            if lo <= delta <= hi:
-                return f
-    raise NonConvergence(
-        f"CF1 for r F'/F did not converge (L={L!r}, eta={eta!r}, r={r!r})")
-
-
 def _first_root(L: float, eta: float, d: float) -> RadiusResult:
     """First positive root of u(r) = r F_L'(eta, r)/F_L(eta, r) - c by the
     guarded Newton loop of the module docstring; d = L + 1 - c, formed
@@ -249,7 +194,7 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
     def u(r: float) -> float:
         nonlocal evals
         evals += 1
-        return _reduced(L, eta, d, r)
+        return _cf1(L, eta, d, r)[0]
 
     def P(r: float) -> float:
         return (L + 0.5) ** 2 + 2.0 * eta * r - r * r
@@ -275,8 +220,8 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
     # every root sought here lies before the first zero of F, which lies
     # within 2.4 Airy lengths past the outer turning point; that length is
     # at most (L/2)^(1/3) at large order and (2 eta)^(1/3) at large eta
-    turn = max(eta + math.sqrt(max(eta * eta + L * (L + 1.0), 0.0)), 0.0)
-    ceiling = turn + 4.0 * max(L, eta, 1.0) ** (1.0 / 3.0) + 10.0
+    ceiling = (_turning_point(L, eta)
+               + 4.0 * max(L, eta, 1.0) ** (1.0 / 3.0) + 10.0)
     # r u' moves by |2L + 1 - 2d| per unit of u, so the rounding of u makes
     # any r u' below du_u * noise, and a step or band width drawn from it,
     # noise

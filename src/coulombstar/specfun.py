@@ -33,12 +33,13 @@ Past the turning point eta + sqrt(eta^2 + L(L+1)) the series cancels
 against its peak partial sum, and no re-sum of its terms recovers F.  At
 real L, eta and z there (z > 4 and z <= ``_MAX_TERMS``), F, g and Bessel J
 come from Steed's method instead (Barnett, Feng, Steed & Goldfarb, Comput.
-Phys. Commun. 8, 1974): CF1 (``_cf1``, the radii's CF1 plus a sign bit)
-gives F'/F and the sign of F, CF2 (``_cf2``) gives H+'/H+, and the
-Wronskian gives |F|.  Complex inputs and ``eval_f_normalized`` stay on the
-series.  ``SeriesEval.method`` says which path produced a value, and
-``retry_bits`` which pass of the series.  Only float and fixed-point code
-lives here; the exact a_n are a test reference (``tests/oracles.py``).
+Phys. Commun. 8, 1974): CF1 (``_cf1``, the package's one CF1 kernel,
+which the radii read too) gives F'/F and the sign of F, CF2 (``_cf2``)
+gives H+'/H+, and the Wronskian gives |F|.  Complex inputs and
+``eval_f_normalized`` stay on the series.  ``SeriesEval.method`` says
+which path produced a value, and ``retry_bits`` which pass of the series.
+Only float and fixed-point code lives here; the exact a_n are a test
+reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ __all__ = [
 Scalar = Union[float, complex]
 
 _EPS = 2.220446049250313e-16
+_TINY = 1e-300
 
 #: series length cap; a longer series raises NonConvergence
 _MAX_TERMS = 10000
@@ -329,26 +331,25 @@ def _series_pair(L: Scalar, eta: float, z: Scalar, tol: float):
 #: series, whose cancellation grows with z, is both faster and right
 _STEED_MIN_Z = 4.0
 
-_TINY = 1e-300
 
+def _cf1(L: float, eta: float, d: float, x: float):
+    """(u, neg, terms): u = x F_L'(eta, x) / F_L(eta, x) - (L + 1 - d) for
+    x > 0 by Barnett's continued fraction CF1 (Barnett, Feng, Steed &
+    Goldfarb, Comput. Phys. Commun. 8, 1974), scaled by x and evaluated by
+    the modified Lentz method:
 
-def _cf1(L: float, eta: float, x: float):
-    """(u, neg, terms): u = x F_L'(eta, x) / F_L(eta, x) for x > 0 by
-    Barnett's continued fraction CF1 (Barnett, Feng, Steed & Goldfarb,
-    Comput. Phys. Commun. 8, 1974), scaled by x and evaluated by the
-    modified Lentz method:
-
-        u = lam + x eta/lam - a_lam / (b_lam - a_{lam+1} / (b_{lam+1} - ...))
+        u = d + x eta/lam - a_lam / (b_lam - a_{lam+1} / (b_{lam+1} - ...))
 
     with lam = L + 1, a_m = x^2 (1 + eta^2/m^2) and
-    b_m = (2m+1)(1 + x eta/(m(m+1))); the eta terms are skipped at
-    eta = 0, where any L > -3/2 is allowed.  This is the arithmetic of
-    ``radii._reduced`` at d = L + 1, bit for bit, plus ``neg``, the sign of
-    F_L(eta, x): the parity of the negative Lentz D's, since each D has the
-    sign of F_m / F_{m-1} and F is positive at orders far above x.  The
-    radii keep their own loop: the sign branch slowed the radius workload
-    by 1.5 % (ROADMAP item 3).  ``terms`` is the number of Lentz terms.
-    Raises NonConvergence past a cap of 1000 + 2x terms.
+    b_m = (2m+1)(1 + x eta/(m(m+1))).  The offset d replaces lam in the
+    leading term, so the radii's u = x F'/F - c, at d = L + 1 - c, is
+    summed without first forming x F'/F and subtracting c; Steed's method
+    takes d = L + 1, which gives x F'/F itself.  The eta terms are skipped
+    at eta = 0, where F_L = sqrt(pi x/2) J_{L+1/2} and any L > -3/2 is
+    allowed.  ``neg`` is the sign of F_L(eta, x): the parity of the
+    negative Lentz D's, since each D has the sign of F_m / F_{m-1} and F is
+    positive at orders far above x.  ``terms`` is the number of Lentz
+    terms.  Raises NonConvergence past a cap of 1000 + 2x terms.
     """
     lam = L + 1.0
     nr2 = -x * x
@@ -359,7 +360,7 @@ def _cf1(L: float, eta: float, x: float):
     # CF1 converges once m passes the turning point, which lies below ~x
     if eta:
         e2, xe = eta * eta, x * eta
-        f = lam + xe / lam or tiny
+        f = d + xe / lam or tiny
         C, D = f, 0.0
         for k in range(n):
             m = lam + k
@@ -374,7 +375,7 @@ def _cf1(L: float, eta: float, x: float):
             if lo <= delta <= hi:
                 return f, neg, k + 1
     else:
-        f = lam or tiny
+        f = d or tiny
         C, D = f, 0.0
         for k in range(n):
             b = 2.0 * (lam + k) + 1.0
@@ -423,14 +424,19 @@ def _cf2(L: float, eta: float, x: float):
         f"(L={L!r}, eta={eta!r}, x={x!r})")
 
 
+def _turning_point(L: float, eta: float) -> float:
+    """The outer turning point eta + sqrt(eta^2 + L(L+1)) of F_L(eta, .),
+    or 0 where there is none on the positive axis."""
+    return max(eta + math.sqrt(max(eta * eta + L * (L + 1.0), 0.0)), 0.0)
+
+
 def _steed_range(L: Scalar, eta: float, z: Scalar) -> bool:
     """Whether Steed's method serves F_L(eta, z): real L and z, with z past
     the turning point eta + sqrt(eta^2 + L(L+1)) and ``_STEED_MIN_Z``, and
     at most ``_MAX_TERMS``, about as many terms as CF1 then takes."""
     if isinstance(L, complex) or not isinstance(z, (int, float)):
         return False
-    turn = eta + math.sqrt(max(eta * eta + L * (L + 1.0), 0.0))
-    return max(turn, _STEED_MIN_Z) < z <= _MAX_TERMS
+    return max(_turning_point(L, eta), _STEED_MIN_Z) < z <= _MAX_TERMS
 
 
 def _steed(L: float, eta: float, x: float):
@@ -448,7 +454,7 @@ def _steed(L: float, eta: float, x: float):
     at the scale |L + 1| + x |eta| / |L + 1| of its leading terms, which
     reaches F through the factor 1/(q x).
     """
-    u, neg, n1 = _cf1(L, eta, x)
+    u, neg, n1 = _cf1(L, eta, L + 1.0, x)
     p, q, n2 = _cf2(L, eta, x)
     f = u / x
     F = 1.0 / math.sqrt(q + (f - p) * (f - p) / q)

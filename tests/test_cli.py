@@ -172,6 +172,30 @@ def test_eval_dini_requires_H(capsys):
     assert rec["outputs"]["value"] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("family, extra", [
+    ("besselJ", ("--eta", "3")),
+    ("besselJ", ("--eta", "0")),
+    ("dini", ("--H", "0.5", "--eta", "3")),
+    ("F", ("--H", "3")),
+    ("g", ("--eta", "1", "--H", "3")),
+    ("f", ("--H", "0")),
+])
+def test_eval_refuses_an_input_of_another_family(capsys, family, extra):
+    # refused, not dropped beside a value that ignores it
+    code, out, err = run(capsys, "eval", "--family", family, "--L", "1",
+                         "--z-re", "2", *extra)
+    name = "eta" if family in ("besselJ", "dini") else "H"
+    assert code == 2 and out == "" and f"takes no --{name}" in err
+
+
+@pytest.mark.parametrize("family", ["F", "g", "f"])
+def test_eval_echoes_the_default_eta(capsys, family):
+    rec = run_json(capsys, "eval", "--family", family, "--L", "1",
+                   "--z-re", "0.5")
+    assert rec["inputs"]["eta"] == 0.0
+    assert "H" not in rec["inputs"]
+
+
 def test_csv_output_shape(capsys):
     code, out, _ = run(capsys, "radius", "--family", "g", "--L", "0",
                        "--eta", "0", "--csv")

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from coulombstar import radii
 from coulombstar.errors import GateViolation
-from coulombstar.radii import (Family, RadiusQuery, _reduced, radius_f,
-                               radius_g, radius_phi)
-from coulombstar.specfun import (CoulombParams, _series_pair, eval_dini,
-                                 eval_F_with_derivative)
+from coulombstar.radii import (Family, RadiusQuery, radius_f, radius_g,
+                               radius_phi)
+from coulombstar.specfun import (CoulombParams, _cf1, _series_pair,
+                                 eval_dini, eval_F_with_derivative)
 from coulombstar.verify import boundary_image, companion_order, starlike_scan
 
 # frozen references (50-digit root solves, truncated)
@@ -126,7 +126,7 @@ def test_log_derivative_kernel():
         for eta in (-1.0, 0.0, 2.0):
             for r in (0.5, 2.0, 6.0):
                 S, T = _series_pair(L, eta, r, 1e-14)[:2]
-                assert _reduced(L, eta, L + 1.0, r) == pytest.approx(
+                assert _cf1(L, eta, L + 1.0, r)[0] == pytest.approx(
                     L + 1.0 + T / S, rel=1e-12)
     # ... and against mpmath's coulombf at large order
     with mp.workdps(30):
@@ -135,15 +135,16 @@ def test_log_derivative_kernel():
                 for r in (L // 2, L):
                     F = mp.coulombf(L, eta, r)
                     dF = mp.diff(lambda x: mp.coulombf(L, eta, x), r)
-                    assert _reduced(float(L), float(eta), L + 1.0,
-                                    float(r)) \
+                    assert _cf1(float(L), float(eta), L + 1.0,
+                                float(r))[0] \
                         == pytest.approx(float(r * dF / F), rel=1e-12)
 
 
-def _cf1_reference(L, eta, r):
-    """The CF1 loop as first written, choosing the eta branch per term."""
+def _cf1_reference(L, eta, d, r):
+    """The CF1 loop as first written, choosing the eta branch per term, with
+    the Lentz product started at the offset d in place of L + 1."""
     lam = L + 1.0
-    f = (lam + r * eta / lam if eta else lam) or 1e-300
+    f = (d + r * eta / lam if eta else d) or 1e-300
     C, D = f, 0.0
     r2 = r * r
     for k in range(1000 + 2 * int(r)):
@@ -164,7 +165,9 @@ def _cf1_reference(L, eta, r):
 
 def test_log_derivative_bit_identical_to_reference_loop():
     # the kernel hoists eta^2, r eta and -r^2 and picks the eta branch once;
-    # every value must stay bit for bit what the per-term loop gives
+    # every value must stay bit for bit what the per-term loop gives, at
+    # Steed's offset d = L + 1 and at the radii's kappa (1 - beta) of f, g
+    # and phi
     pts = [(L, eta, r) for L in (-0.5, 0.0, 1.5, 5.0, 20.0)
            for eta in (-1.0, 0.0, 2.0) for r in (0.5, 2.0, 6.0)]
     pts += [(float(L), float(eta), float(r)) for L in (100, 200)
@@ -174,8 +177,18 @@ def test_log_derivative_bit_identical_to_reference_loop():
              rng.choice([0.0, -0.0, rng.uniform(-40.0, 40.0)]),
              math.exp(rng.uniform(-12.0, 6.5))) for _ in range(2000)]
     pts += [(-1.25, 0.0, 1.3), (-1.0, 0.0, 0.7)]
+    cases = []
     for L, eta, r in pts:
-        assert _reduced(L, eta, L + 1.0, r) == _cf1_reference(L, eta, r)
+        beta = rng.choice([0.0, rng.uniform(0.0, 0.999)])
+        cases += [(L, eta, L + 1.0, r), (L, eta, (L + 1.0) * (1.0 - beta), r),
+                  (L, eta, 1.0 - beta, r)]
+        # phi at nu = L + 1/2, with nu + alpha in (0, 3)
+        nu = L + 0.5
+        alpha = rng.uniform(0.0, 3.0) - nu
+        cases.append((nu - 0.5, 0.0, (nu + alpha) * (1.0 - beta), r))
+    for L, eta, d, r in cases:
+        assert _cf1(L, eta, d, r)[0] == _cf1_reference(L, eta, d, r), \
+            (L, eta, d, r)
 
 
 def test_complex_order_companion_route():
@@ -435,7 +448,7 @@ def test_reduced_kernel_rounds_u_to_its_leading_terms():
            (0.0, 5000.0, 0.5, 10021.945212595074)]
     with mp.workdps(40):
         for L, eta, d, r in pts:
-            err = abs(_reduced(L, eta, d, r) - _u_backward(L, eta, d, r))
+            err = abs(_cf1(L, eta, d, r)[0] - _u_backward(L, eta, d, r))
             scale = d + r * abs(eta) / (L + 1.0)
             assert err <= 10.0 * math.ulp(1.0) * scale, (L, eta, d, r)
 
