@@ -41,35 +41,44 @@ falling; since u(0+) = d > 0 it has exactly one root there, a simple
 crossing, and u > 0 at a point before j means the root lies beyond it.  No
 probe for double roots is needed.
 
-The search is one guarded Newton loop in s, and its derivative is free:
-the Riccati equation at any point where u is known gives
+The search is one guarded Halley loop in s, and both derivatives are
+free: the Riccati equation at any point where u is known gives, with
+v(s) = u(r) and W = u + L + 1/2 - d = u + c - 1/2,
 
-    r u'(r) = P(r) - (u + c - 1/2)^2
-            = (d - u)(2L + 1 - d + u) + r (2 eta - r),
+    v' = r u'(r) = P(r) - W^2 = (d - u)(2L + 1 - d + u) + r (2 eta - r),
 
-factored so that the squares do not cancel.  It starts at the positive
-root of the Taylor polynomial of u,
+factored so that the squares do not cancel, and its derivative in s,
+
+    v'' = 2 r (eta - r) - 2 W v'.
+
+It starts at the positive root of the Taylor polynomial of u,
 
     d + r eta/(L+1) - Z2 r^2 = 0,    Z2 = (1 + eta^2/(L+1)^2) / (2L + 3),
 
 taken in the form without cancellation for the sign of eta, and capped at
-the lower bound (L+1)^2 / (hypot(eta, L+1) + |eta|) on j (2 sqrt(L + 3/2)
-at eta = 0).  Since u(0+) = d > 0, u <= 0 there brackets the root in
-(0, start); otherwise the start is the lower end and there is no bracket
-yet.  Before a bracket each step, from the lower end, is a plain Newton
-step, or where r u' >= 0 a step in s that doubles the last one, and it
-halves until a Riccati comparison bound clears it: for K^2 >= -P over a
-step, W stays above K tan(atan(W0/K) - K ds), finite while
-ds < atan2(K, -W0)/K, so no step passes j; nor does one pass a ceiling
-past the turning point.  After a bracket each step starts from whichever
-of the last two iterates has the smaller |u| and goes to the root of the
-cubic Hermite interpolant of s(u) through both, or is a plain Newton step
-when the other has r u' >= 0; every iterate shrinks the bracket by the
-sign of u, and bisection replaces a step from a point with r u' >= 0 and
-a step that leaves the bracket or fails to halve the step before last.
-Once a step falls below half the tolerance 1e-15 hi (1e-15 r before a
-bracket), one evaluation half a tolerance past the iterate closes the
-bracket.
+the lower bound (L+1)^2 / (hypot(eta, L+1) + |eta|) on j.  At eta = 0 the
+cap is max(2 sqrt(L + 3/2), L + 1), the limit of that bound, and both
+terms lie below j = j_{nu,1}, nu = L + 1/2: the Rayleigh sum of
+1/j_{nu,k}^2 is 1/(4 (nu + 1)), so j > 2 sqrt(nu + 1); for nu >= 1/4,
+j > sqrt(nu (nu + 2)) >= nu + 1/2 (Watson, Bessel Functions, 15.3), and
+below that j >= j_{-1/2,1} = pi/2 > L + 1.  Since u(0+) = d > 0, u <= 0
+at the start brackets the root in (0, start); otherwise the start is the
+lower end and there is no bracket yet.  Each step is the Halley step
+
+    ds = -(v/v') / (1 - v v''/(2 v'^2)),
+
+never shorter than half the Newton step -v/v', and the Newton step where
+that denominator is <= 0; where r u' >= 0 it is instead a step that
+doubles the last one before a bracket, and bisection after.  Before a
+bracket each step, from the lower end, halves until a Riccati comparison
+bound clears it: for K^2 >= -P over a step, W stays above
+K tan(atan(W0/K) - K ds), finite while ds < atan2(K, -W0)/K, so no step
+passes j; nor does one pass a ceiling past the turning point.  Every
+iterate shrinks the bracket by the sign of u, and bisection replaces a
+step that leaves the bracket or is longer than both half the step before
+last and half the bracket.  Once a step falls below half the tolerance
+1e-15 hi (1e-15 r before a bracket), one evaluation half a tolerance past
+the iterate closes the bracket.
 
 Rounding.  The kernel rounds u to a few eps of the two terms its product
 starts from, scale = d + r |eta|/(L+1); near the root the fraction is of
@@ -186,7 +195,7 @@ def _radius(fam: Family, beta, L, eta, nu, alpha) -> RadiusResult:
 
 def _first_root(L: float, eta: float, d: float) -> RadiusResult:
     """First positive root of u(r) = r F_L'(eta, r)/F_L(eta, r) - c by the
-    guarded Newton loop of the module docstring; d = L + 1 - c, formed
+    guarded Halley loop of the module docstring; d = L + 1 - c, formed
     exactly by the caller, since L + 1 - c in floats cancels as c nears
     L + 1."""
     evals = 0
@@ -205,15 +214,15 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
 
     # start at the root of the Taylor polynomial d + r eta/lam - Z2 r^2 of
     # u, capped at a lower bound on the first zero of F:
-    # (L+1)^2 / (hypot(eta, L+1) + |eta|) for L > -1, 2 sqrt(L + 3/2) at
-    # eta = 0
+    # (L+1)^2 / (hypot(eta, L+1) + |eta|) for L > -1, and its limit
+    # max(2 sqrt(L + 3/2), L + 1) at eta = 0
     lam = L + 1.0
     if eta:
         e = eta / lam
         r = lam * lam / (math.hypot(eta, lam) + abs(eta))
     else:
         e = 0.0
-        r = 2.0 * math.sqrt(L + 1.5)
+        r = max(2.0 * math.sqrt(L + 1.5), lam)
     Z2 = (1.0 + e * e) / (2.0 * L + 3.0)
     s = math.sqrt(e * e + 4.0 * Z2 * d)
     r = min(r, (e + s) / (2.0 * Z2) if e > 0.0 else 2.0 * d / (s - e))
@@ -232,7 +241,6 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
     # otherwise hi stays infinite until a step finds u <= 0
     lo, ulo, hi, uhi = ((r, ur, math.inf, -math.inf) if ur > 0.0
                         else (0.0, d, r, ur))
-    q, uq, duq = r, ur, 0.0
     dx = dx_old = hi - lo
     step, h, band = 0.5, 0.0, 0.0    # step: the doubling step in s = ln r
     while True:
@@ -245,17 +253,15 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
                 f"no sign change of the reduced equation found on "
                 f"(0, {ceiling}]")
         dur = rdu(r, ur)
-        if bracketed and abs(uq) < abs(ur):
-            # step from the better iterate
-            r, ur, dur, q, uq, duq = q, uq, duq, r, ur, dur
         ds = math.inf if bracketed else step
         if dur < 0.0:
+            # Halley in s, with v''/2 = r (eta - r) - W r u' from the
+            # Riccati equation, W = u + L + 1/2 - d: at least half the
+            # Newton step, and Newton's where Halley's would turn back
             ds = -ur / dur
-            if bracketed and duq < 0.0 and uq != ur:
-                # inverse cubic Hermite through (u, s, ds/du) at r and q
-                t = ur / (ur - uq)
-                ds = ((3.0 - 2.0 * t) * t * t * math.log(q / r)
-                      - ur * (1.0 - t) * ((1.0 - t) / dur - t / duq))
+            den = 1.0 + ds * (r * (eta - r) / dur - ur - L - 0.5 + d)
+            if den > 0.0:
+                ds /= min(den, 2.0)
         # before a bracket, halve the step until the Riccati bound clears it
         cap = math.log(ceiling / r)
         while True:
@@ -282,14 +288,14 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
             h = max(h, 0.5 * tol)
             x = r + h if ur > 0.0 else r - h
             h *= 2.0
-        elif bracketed and not (lo < x < hi and abs(x - r) <= 0.5 * dx_old):
+        elif bracketed and not (lo < x < hi and abs(x - r)
+                                <= 0.5 * max(dx_old, hi - lo)):
             x = 0.5 * (lo + hi)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if not lo < x < hi:
                 raise NonConvergence(f"root search underflows at r={r!r}")
         dx_old, dx = dx, abs(x - r)
-        q, uq, duq = r, ur, dur
         r, ur = x, u(x)
         if ur > 0.0:
             lo, ulo = r, ur

@@ -39,6 +39,9 @@ RPHI_BIG = {30: 32.5342235567901424086452, 100: 103.768377682542268707241,
 RPHI_NEG = 0.49082223744721337577760905720382   # phi: nu=-.75, a=1.5, b=.2
 RG_BETA_NEAR_1 = 0.17303198713330553805217334630856  # g: L=0, eta=0, b=.99
 RF_150_1 = 146.162981868498937943056            # f: L=150, eta=1, b=.3
+# g: L=25.744362816149444, eta=4312.5803759295095, b=0.9999998475984988
+# (40-digit CF1 at d = 1 - beta in floats)
+RG_CASCADE = "8644.834910041192071493704"
 # 40-digit roots for the error-bound check (mpmath CF1 at 60 digits, with
 # c formed exactly from the float inputs)
 ROOTS_40 = {
@@ -356,18 +359,73 @@ def test_dini_changes_sign_across_radius_f():
 
 
 def test_walk_cost_does_not_grow_with_the_root():
-    # steps in ln r are Newton or doubling, so a root near 1e4 costs about
-    # twenty evaluations
+    # steps in ln r are Halley, Newton or doubling, so a root near 1e4
+    # costs under twenty evaluations
     assert radius_f(150.0, 1.0, 0.3).value == pytest.approx(RF_150_1,
                                                             rel=1e-12)
     res = radius_g(0.0, 5000.0, 0.5)
-    assert res.iterations <= 23       # 21 measured; the cap adds 2
+    assert res.iterations <= 20       # 18 measured; the cap adds 2
     assert res.residual < 1e-6
 
 
+def test_rounding_band_does_not_cascade_into_bisection():
+    # the iterates close in on the root from one side inside the rounding
+    # band, a bracket width away from the far end; a step no longer than
+    # half the bracket is taken, not bisected, so the bisections do not
+    # follow each other one call at a time (32 calls without that rule)
+    res = radius_g(25.744362816149444, 4312.5803759295095, 0.9999998475984988)
+    assert res.iterations <= 21       # 21 measured
+    with mp.workdps(50):
+        err = float(abs(mp.mpf(res.value) / mp.mpf(RG_CASCADE) - 1))
+    assert err <= res.error_bound
+
+
+def _rdu(L, eta, d, r, u):
+    """r u' from the Riccati equation, in the factored form of the search."""
+    return (d - u) * (2.0 * L + 1.0 - d + u) + r * (2.0 * eta - r)
+
+
+@pytest.mark.parametrize("eta", [0.0, -3.0, 40.0])
+def test_second_derivative_in_ln_r_from_the_riccati_equation(eta):
+    # the Halley step takes v'' = 2 r (eta - r) - 2 W v' for v(s) = u(e^s),
+    # v' = r u' and W = u + L + 1/2 - d; it must match a centred difference
+    # of v' along CF1 at the f, g and phi offsets d
+    L, beta, alpha, h = 3.0, 0.3, 2.0, 1e-5
+
+    def dv(s):
+        x = math.exp(s)
+        return _rdu(L, eta, d, x, _cf1(L, eta, d, x)[0])
+
+    for d in ((L + 1.0) * (1.0 - beta), 1.0 - beta,
+              (L + 0.5 + alpha) * (1.0 - beta)):
+        root = radii._first_root(L, eta, d).value
+        for r in (0.3 * root, 0.8 * root, root, 1.1 * root):
+            u = _cf1(L, eta, d, r)[0]
+            v1 = _rdu(L, eta, d, r, u)
+            v2 = 2.0 * r * (eta - r) - 2.0 * (u + L + 0.5 - d) * v1
+            s = math.log(r)
+            fd = (dv(s + h) - dv(s - h)) / (2.0 * h)
+            assert fd == pytest.approx(v2, rel=1e-6), (d, r)
+
+
+def test_eta_zero_start_lies_below_the_first_zero_of_F():
+    # at eta = 0 the search starts at most at max(2 sqrt(L + 3/2), L + 1),
+    # short of j_{nu,1}, nu = L + 1/2, where F = sqrt(pi r/2) J_nu has its
+    # first zero: j_{nu,1} > sqrt(nu (nu + 2)) >= nu + 1/2 for nu >= 1/4
+    # (Watson 15.3), and j_{nu,1} >= j_{-1/2,1} = pi/2 below
+    for nu in [-0.49, -0.3, -0.1, 0.0, 0.1, 0.25, 0.5, *range(1, 51)]:
+        if nu < 0.0:
+            j = mp.findroot(lambda x: mp.besselj(nu, x), (1.0, 2.5),
+                            solver="anderson")
+        else:
+            j = mp.besseljzero(nu, 1)
+        L = nu - 0.5
+        assert max(2.0 * math.sqrt(L + 1.5), L + 1.0) < j, nu
+
+
 def test_kernel_calls_per_radius():
-    # a fixed grid over all three families: 588 radii took 6.58 kernel
-    # calls on average and at most 15; the caps add 0.5 and 2
+    # a fixed grid over all three families: 588 radii took 5.61 kernel
+    # calls on average and at most 14; the caps add 0.5 and 2
     its = []
     for L, eta, beta in itertools.product(
             (-0.95, -0.5, 0.0, 0.7, 3.0, 12.0, 40.0, 100.0, 200.0),
@@ -379,8 +437,8 @@ def test_kernel_calls_per_radius():
             (-0.9, -0.25, 0.5, 2.0, 10.0, 50.0, 200.0), (1.0, 3.0, 10.0),
             (0.0, 0.3, 0.7, 0.95)):
         its.append(radius_phi(nu, alpha, beta).iterations)
-    assert sum(its) / len(its) <= 7.08
-    assert max(its) <= 17
+    assert sum(its) / len(its) <= 6.11
+    assert max(its) <= 16
 
 
 def test_error_bound_covers_true_error():
