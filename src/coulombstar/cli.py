@@ -181,9 +181,7 @@ def _cmd_rayleigh(args) -> int:
     rec.put("inputs", "eta", fmt(eta))
     op = rayleigh_Z if args.which == "Z" else rayleigh_Ztilde
     prefix = "Z" if args.which == "Z" else "Zt"
-    params = (CoulombParams(L, eta) if args.exact
-              else CoulombParams(float(L), float(eta)))
-    table = op(params, args.kmax, exact=args.exact)
+    table = op(CoulombParams(L, eta), args.kmax, exact=args.exact)
     for k in range(2, args.kmax + 1):
         rec.put("outputs", f"{prefix}{k}", fmt(table[k]))
     rec.put("diagnostics", "exact", table.exact)

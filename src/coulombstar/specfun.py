@@ -35,9 +35,10 @@ real L, eta and z there (z > 4 and z <= ``_MAX_TERMS``), F, g and Bessel J
 come from Steed's method instead (Barnett, Feng, Steed & Goldfarb, Comput.
 Phys. Commun. 8, 1974): CF1 (``_cf1``, the package's one CF1 kernel,
 which the radii read too) gives F'/F and the sign of F, CF2 (``_cf2``)
-gives H+'/H+, and the Wronskian gives |F|.  Complex inputs and
-``eval_f_normalized`` stay on the series.  ``SeriesEval.method`` says
-which path produced a value, and ``retry_bits`` which pass of the series.
+gives H+'/H+, and the Wronskian gives |F|.  Complex inputs stay on the
+series.  ``eval_f_normalized`` reads ``eval_g``, so f takes g's path.
+``SeriesEval.method`` says which path produced a value, and ``retry_bits``
+which pass of the series.
 Only float and fixed-point code lives here; the exact a_n are a test
 reference (``tests/oracles.py``).
 """
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
@@ -587,22 +588,22 @@ def eval_F(params: CoulombParams, z: Scalar, tol: float = 1e-14) -> Scalar:
 
 def eval_f_normalized(params: CoulombParams, z: Scalar,
                       tol: float = 1e-14) -> SeriesEval:
-    """The power-normalized form f(z) = z * S(z)^(1/(L+1)) and derivative.
+    """The power-normalized form f(z) = z * S(z)^(1/(L+1)) and derivative,
+    read off g = z S:
 
-    Principal branch of the fractional power; f(0) = 0, f'(0) = 1.
+        f = z (g/z)^(1/(L+1)),        f' = (f/z) (1 + (z g'/g - 1)/(L+1)).
+
+    Principal branch of the fractional power; f(0) = 0, f'(0) = 1.  f
+    takes g's path (Steed's method at real L and z past the turning point,
+    the series otherwise), its diagnostics and its GammaOverflow.
     """
-    _check_tol_z(tol, z)
+    g = eval_g(params, z, tol)
     if z == 0:
-        return SeriesEval(value=0.0, derivative=1.0, terms_used=1,
-                          est_error=0.0)
-    L, eta = _plain(params)
-    S, T, terms, est, bits = _series_pair(L, eta, z, tol)
-    root = cmath.exp(cmath.log(S) / (L + 1))
-    value = z * root
-    deriv = root * (1 + T / (S * (L + 1)))
-    return SeriesEval(value=_demote(value), derivative=_demote(deriv),
-                      terms_used=terms, est_error=est * abs(z),
-                      retry_bits=bits, method=_method(bits))
+        return g
+    L = _plain(params)[0]
+    root = cmath.exp(cmath.log(g.value / z) / (L + 1))
+    deriv = root * (1 + (z * g.derivative / g.value - 1) / (L + 1))
+    return replace(g, value=_demote(z * root), derivative=_demote(deriv))
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +617,11 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
 # other reason this loop was kept, that ``_series_pair`` mends almost none
 # of J's wrong outer values (145 of 148 stayed wrong), no longer counts at
 # real z: Steed's method serves those from F_{nu-1/2}(0, z), as it does F
-# and g.  What is left for the loop is complex z, so folding J into the
-# Coulomb series may reopen.  Two different series also keep acceptance
+# and g.  With only complex z left for the loop, folding J onto
+# ``_series_pair`` still cost the benchmark's eval workload 8-12 % of its
+# operations per second, and a pair-step eta = 0 loop in ``_terms`` left J
+# at 1.3-1.5 times the cost of this loop.  The loop shares the series' tail
+# bound, ``_safe_index``.  Two different series also keep acceptance
 # criterion 3, the Bessel reduction at complex z, a comparison of two sums.
 # ---------------------------------------------------------------------------
 
@@ -663,6 +667,9 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
         return SeriesEval(value=value, derivative=deriv, terms_used=1,
                           est_error=0.0)
     w = z * z / 4.0
+    # t_m is the Coulomb term n = 2m of S at L = nu - 1/2, eta = 0, so the
+    # tail is bounded from 2m >= n_safe on
+    n_safe = _safe_index(nu - 0.5, 0.0, abs(z))
     t: Scalar = 1.0
     U, cU = 1.0, 0.0              # sum t_m
     V, cV = nu, 0.0               # sum (2m + nu) t_m
@@ -685,7 +692,7 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
         if a > scale:
             scale = a
         last = abs(t)
-        if last <= tol * scale and m * (m + nu) > 2 * abs(w):
+        if last <= tol * scale and 2 * m >= n_safe:
             streak += 1
             if streak >= 3:
                 break

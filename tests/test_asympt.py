@@ -184,6 +184,8 @@ def test_gates():
     with pytest.raises(ValueError):
         epsilon_coeffs(-1)
     with pytest.raises(ValueError):
+        epsilon_coeffs_recurrence(-1)
+    with pytest.raises(ValueError):
         empirical_order([100.0], -1.0, 1)            # needs >= 2 points
     with pytest.raises(ValueError, match="distinct"):
         empirical_order([50.0, 50.0], 0.0, 2)        # one abscissa twice

@@ -249,6 +249,11 @@ def test_rayleigh_zeta_strings(capsys):
     assert rec["outputs"]["zeta4_1"] == "-11/16"
 
 
+def test_rayleigh_table_without_L_is_refused(capsys):
+    code, out, err = run(capsys, "rayleigh", "--which", "Z", "--kmax", "4")
+    assert code == 2 and out == "" and "--L" in err
+
+
 @pytest.mark.parametrize("which", ["zeta", "Z", "Ztilde"])
 def test_rayleigh_kmax_below_two_is_refused(capsys, which):
     code, out, err = run(capsys, "rayleigh", "--which", which, "--L", "1",

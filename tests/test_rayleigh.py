@@ -165,8 +165,8 @@ def test_euler_rayleigh_bounds_at_L_zero():
 
 
 def test_one_k_max_cap_for_both_arithmetics():
-    # a dyadic float takes the exact path, and still reaches k = 64
-    t = rayleigh_Z(CoulombParams(2.0, 0.0), 41)
+    # ints take the exact path, and still reach k = 64
+    t = rayleigh_Z(CoulombParams(2, 0), 41)
     assert t.exact and t[41] == _plain_Z(Fr(2), Fr(0), 41)[41]
     for exact in (True, False):
         for op in (rayleigh_Z, rayleigh_Ztilde):
@@ -227,13 +227,15 @@ def test_rayleigh_gates():
         euler_rayleigh_bounds(CoulombParams(1.0, -1.0), 0)
 
 
-def test_exact_flag_refuses_unrepresentable():
-    # one gate decides the exact mode for both tables
-    p = CoulombParams(0.1234567890123, -1.0)
-    for call in (lambda: rayleigh_Z(p, 2, exact=True),
-                 lambda: rayleigh_Ztilde(p, 2, exact=True)):
-        with pytest.raises(ValueError, match="exact mode needs rational"):
-            call()
+def test_exact_flag_runs_exact_on_the_dyadic_value_of_a_float():
+    # exact=True takes any finite float at its exact binary value, and
+    # floats alone run float
+    L = 0.1234567890123
+    for op in (rayleigh_Z, rayleigh_Ztilde):
+        t = op(CoulombParams(L, -1.0), 6, exact=True)
+        assert t.exact
+        assert t.values == op(CoulombParams(Fr(L), Fr(-1)), 6).values
+        assert not op(CoulombParams(L, -1.0), 6).exact
 
 
 def test_zeta_base_row():
@@ -397,6 +399,10 @@ def test_laurent_eval_matches_recurrence():
 def test_laurent_gates_and_region_warning():
     with pytest.raises(GateViolation):
         zeta_laurent_eval(2, CoulombParams(-0.5, 0.0), 2)
+    with pytest.raises(GateViolation, match="real L"):
+        zeta_laurent_eval(2, CoulombParams(50.0 + 1.0j, 0.0), 2)
+    with pytest.raises(ValueError, match="n_max"):
+        zeta_coeffs(3, -1)
     with pytest.warns(RegionWarning):
         zeta_laurent_eval(2, CoulombParams(2.0, 0.0), 2)  # L <= k+1
 

@@ -365,6 +365,10 @@ def test_gates_and_errors():
         CoulombParams(-1.0, 0.0)
     with pytest.raises(ValueError):
         CoulombParams(1.0, 1j)
+    eta = CoulombParams(1.0, 2 + 0j).eta           # a real eta, demoted
+    assert type(eta) is float and eta == 2.0
+    with pytest.raises(ValueError, match="real"):
+        eval_bessel_j(1 + 1j, 2.0)
     with pytest.raises(ValueError):
         eval_g(CoulombParams(0.0, 0.0), 1.0, tol=1e-3)
     with pytest.raises(GammaOverflow):
@@ -601,6 +605,37 @@ def test_outer_points_near_order_minus_one(L, eta):
     # turning point at eta = 3; a step down the order ladder would mend it
     for x in _outer_xs(L, eta):
         _check_F_g(L, eta, x, 1e-12, 1e-12)
+
+
+def test_f_past_the_turning_point_matches_mpmath():
+    # f = z (g/z)^(1/(L+1)) is read off g, so past the turning point it
+    # takes Steed's method: the series alone is off by up to 1.7e13
+    # relative on these points.  At points where |F| >= 0.1 of the envelope, f and
+    # f' = f F'/((L+1) F) against 30-digit mpmath, on the principal branch
+    n = 0
+    for L in (-0.5, 0.0, 1.0, 3.0, 7.5):
+        for eta in (-2.0, -0.5, 0.0, 0.5, 2.0):
+            lo = max(_turn(L, eta), 4.0)
+            for x in (lo + 0.37 * (60.0 - lo), lo + 0.83 * (60.0 - lo)):
+                with mp.workdps(30):
+                    F, G = mp.coulombf(L, eta, x), mp.coulombg(L, eta, x)
+                    if abs(F) < 0.1 * mp.hypot(F, G):
+                        continue
+                    a = (L + 1) ** 2 / mp.mpf(x) + eta
+                    b = mp.sqrt((L + 1) ** 2 + mp.mpf(eta) ** 2)
+                    dF = (a * F - b * mp.coulombf(L + 1, eta, x)) / (L + 1)
+                    logC = (L * mp.log(2) - mp.pi * eta / 2
+                            + mp.re(mp.loggamma(L + 1 + 1j * eta))
+                            - mp.loggamma(2 * L + 2))
+                    S = F / (mp.exp(logC) * mp.mpf(x) ** (L + 1))
+                    f = x * mp.power(mp.mpc(S), 1 / mp.mpf(L + 1))
+                    f, df = complex(f), complex(f * dF / ((L + 1) * F))
+                res = eval_f_normalized(CoulombParams(L, eta), x)
+                assert res.method == "steed", (L, eta, x)
+                assert abs(res.value - f) <= 1e-12 * abs(f), (L, eta, x)
+                assert abs(res.derivative - df) <= 1e-12 * abs(df), (L, eta, x)
+                n += 1
+    assert n >= 25
 
 
 def test_steed_g_whose_scale_overflows_raises_gamma_overflow():

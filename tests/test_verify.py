@@ -151,6 +151,12 @@ def test_scans_refuse_a_non_finite_radius(r):
         boundary_image("phi", r, 8, nu=1.0, alpha=0.0)
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0])
+def test_scans_refuse_a_radius_at_or_below_zero(r):
+    with pytest.raises(ValueError, match="positive"):
+        starlike_scan("f", r, L=0.5, eta=0.0)
+
+
 @pytest.mark.parametrize("call, exc", [
     (lambda: companion_order(complex(math.nan, 0.0)), GateViolation),
     (lambda: companion_order(complex(math.inf, 0.1)), GateViolation),
