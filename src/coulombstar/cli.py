@@ -174,14 +174,17 @@ def _cmd_rayleigh(args) -> int:
         return 0
     if args.L is None:
         raise GateViolation(f"--which {args.which} requires --L")
-    L = Fraction(args.L)          # '1/2', '0.5' and '-3' parse exactly
-    eta = Fraction(args.eta)
-    fmt = str if args.exact else float
-    rec.put("inputs", "L", fmt(L))
-    rec.put("inputs", "eta", fmt(eta))
+    try:                          # '1/2', '0.5' and '-3' parse exactly
+        L, eta = Fraction(args.L), Fraction(args.eta)
+    except ZeroDivisionError as exc:
+        raise GateViolation(f"--L and --eta must be finite rationals, got "
+                            f"{args.L!r} and {args.eta!r}") from exc
     op = rayleigh_Z if args.which == "Z" else rayleigh_Ztilde
     prefix = "Z" if args.which == "Z" else "Zt"
     table = op(CoulombParams(L, eta), args.kmax, exact=args.exact)
+    fmt = str if args.exact else float
+    rec.put("inputs", "L", fmt(L))
+    rec.put("inputs", "eta", fmt(eta))
     for k in range(2, args.kmax + 1):
         rec.put("outputs", f"{prefix}{k}", fmt(table[k]))
     rec.put("diagnostics", "exact", table.exact)

@@ -7,10 +7,6 @@ Fractions and :class:`Sqrt2Rational` values mix freely.  Floats and complex
 numbers are refused with :class:`RingMismatch`, which keeps inexact input out
 of the exact tables.
 
-* :class:`Sqrt2Rational` -- elements ``a + b*sqrt(2)`` of the real quadratic
-  field Q(sqrt 2), needed because the leading coefficient of the large-order
-  expansion of the starlikeness radius lives there.  An element with b = 0
-  equals, and hashes like, the rational ``a``.
 * :class:`EtaPolynomial` -- polynomials in the Sommerfeld parameter ``eta``
   with coefficients in Q(sqrt 2), stored as one positive integer denominator
   d and two integer lists A and B: coefficient i is (A_i + B_i sqrt2)/d.
@@ -19,13 +15,22 @@ of the exact tables.
   exact evaluation run on plain ints, with no Fraction per coefficient
   product.  The Fraction / Sqrt2Rational coefficients are a view built on
   first use.
-* ``EtaPolynomial.dot`` -- the one summation kernel: the sum of x*y over
-  a list of pairs, accumulated as integer convolutions over the lcm of the
-  product denominators and reduced once.  A sum or a product of two
-  polynomials is a one- or two-term dot, and every sum of products in the
-  exact layer (the power table, the zeta rows, the large-order identity
-  and its recurrence transcription) is one call.  ``_rational_dot`` is its
-  form for Fractions, one reduction per entry of the exact Rayleigh tables.
+* :class:`Sqrt2Rational` -- the elements ``a + b*sqrt(2)`` of the real
+  quadratic field Q(sqrt 2), needed because the leading coefficient of the
+  large-order expansion of the starlikeness radius lives there.  It is the
+  constant EtaPolynomial: the same storage and the same arithmetic, plus the
+  field's own conjugate, norm, inverse and division.  A sum, difference or
+  product is a Sqrt2Rational unless an operand is a plain EtaPolynomial, and
+  then it is an EtaPolynomial.  An element with b = 0 equals, and hashes
+  like, the rational ``a``.
+* ``EtaPolynomial.dot`` -- the one summation kernel, and so the one product
+  of Q(sqrt 2): the sum of x*y over a list of pairs, accumulated as integer
+  convolutions over the lcm of the product denominators and reduced once.
+  A sum or a product of two polynomials or scalars is a one- or two-term
+  dot, and every sum of products in the exact layer (the power table, the
+  zeta rows, the large-order identity and its recurrence transcription) is
+  one call.  ``_rational_dot`` is its form for Fractions, one reduction per
+  entry of the exact Rayleigh tables.
 * ``_powers`` -- the one power kernel: the coefficient table of B^0 .. B^k
   for a truncated series B given as a plain coefficient list, built by
   Cauchy products, each entry one ``dot``.  It holds only the triangle
@@ -48,7 +53,6 @@ Doctest smoke tests::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
@@ -70,132 +74,6 @@ def _as_fraction(x: _RationalLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise RingMismatch(f"expected an exact rational scalar, got {x!r}")
-
-
-@dataclass(frozen=True)
-class Sqrt2Rational:
-    """An element ``a + b*sqrt(2)`` of the field Q(sqrt 2).
-
-    ``a`` and ``b`` are stored as Fractions; ints are accepted and coerced.
-    Since sqrt(2) is irrational the representation is unique, so equality is
-    structural; an element with b = 0 equals the rational ``a`` and hashes
-    like it.  Division uses the conjugate:
-    ``1/(a + b s) = (a - b s)/(a^2 - 2 b^2)`` and the norm ``a^2 - 2b^2``
-    vanishes only for a = b = 0.
-    """
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def zero(cls) -> "Sqrt2Rational":
-        return cls(Fraction(0), Fraction(0))
-
-    @classmethod
-    def one(cls) -> "Sqrt2Rational":
-        return cls(Fraction(1), Fraction(0))
-
-    @classmethod
-    def sqrt2(cls) -> "Sqrt2Rational":
-        return cls(Fraction(0), Fraction(1))
-
-    @classmethod
-    def from_rational(cls, q: _RationalLike) -> "Sqrt2Rational":
-        return cls(_as_fraction(q), Fraction(0))
-
-    # -- helpers ------------------------------------------------------
-    @staticmethod
-    def _lift(other) -> "Sqrt2Rational":
-        if isinstance(other, Sqrt2Rational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Sqrt2Rational(_as_fraction(other), Fraction(0))
-        return NotImplemented  # type: ignore[return-value]
-
-    def conjugate(self) -> "Sqrt2Rational":
-        return Sqrt2Rational(self.a, -self.b)
-
-    def norm(self) -> Fraction:
-        """Field norm a^2 - 2 b^2 (zero iff the element is zero)."""
-        return self.a * self.a - 2 * self.b * self.b
-
-    # -- arithmetic ---------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):       # rational: a only
-            return Sqrt2Rational(self.a + other, self.b)
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Sqrt2Rational(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Sqrt2Rational":
-        return Sqrt2Rational(-self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Sqrt2Rational(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Sqrt2Rational(o.a - self.a, o.b - self.b)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):       # rational: scale a, b
-            return Sqrt2Rational(self.a * other, self.b * other)
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Sqrt2Rational(self.a * o.a + 2 * self.b * o.b,
-                             self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Sqrt2Rational":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
-        return Sqrt2Rational(self.a / n, -self.b / n)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def __eq__(self, other) -> bool:
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b)) if self.b else hash(self.a)
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(2.0)
-
-    def __str__(self) -> str:
-        return format_sqrt2(self)
 
 
 def _frac_str(q: Fraction) -> str:
@@ -225,19 +103,8 @@ def format_sqrt2(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# polynomials in eta
+# polynomials in eta, and Q(sqrt2) as their constants
 # ---------------------------------------------------------------------------
-
-#: the exact scalars; ints and Fractions are the b = 0 part of Q(sqrt2)
-_EXACT = (int, Fraction, Sqrt2Rational)
-
-
-def _exact(x):
-    """Return ``x`` if it is an exact scalar, else raise RingMismatch."""
-    if isinstance(x, _EXACT):
-        return x
-    raise RingMismatch(f"inexact coefficient {x!r}")
-
 
 def _parts(x):
     """Integers (p, r, s) with x = (p + r*sqrt2)/s and s > 0, for an exact
@@ -245,20 +112,17 @@ def _parts(x):
     if isinstance(x, (int, Fraction)):
         return x.numerator, 0, x.denominator
     if isinstance(x, Sqrt2Rational):
-        a, b = x.a, x.b
-        s = math.lcm(a.denominator, b.denominator)
-        return (a.numerator * (s // a.denominator),
-                b.numerator * (s // b.denominator), s)
+        return x._A[0] if x._A else 0, x._B[0] if x._B else 0, x._d
     raise RingMismatch(f"inexact coefficient {x!r}")
 
 
 def _storage(x):
-    """(d, A, B, length) of an eta-polynomial, or of an exact scalar as a
+    """(d, A, B, length) of an eta-polynomial, or of an int or Fraction as a
     constant polynomial; anything else raises RingMismatch."""
     if isinstance(x, EtaPolynomial):
         return x._d, x._A, x._B, x._n
-    p, r, s = _parts(x)
-    return s, (p,), (r,), 1
+    p, _, s = _parts(x)
+    return (s, (p,), (), 1) if p else (1, (), (), 0)
 
 
 class EtaPolynomial:
@@ -324,8 +188,7 @@ class EtaPolynomial:
             if B:
                 A = A + (0,) * (len(B) - len(A))
                 B = B + (0,) * (len(A) - len(B))
-                self._view = tuple(Sqrt2Rational(Fraction(a, d),
-                                                 Fraction(b, d))
+                self._view = tuple(Sqrt2Rational._new(d, [a], [b])
                                    for a, b in zip(A, B))
             else:
                 self._view = tuple(Fraction(a, d) for a in A)
@@ -339,15 +202,6 @@ class EtaPolynomial:
         if 0 <= i <= self.degree:
             return self.coeffs[i]
         return Fraction(0)
-
-    @staticmethod
-    def _operand(x):
-        if isinstance(x, EtaPolynomial):
-            return x
-        if isinstance(x, _EXACT):
-            p, r, s = _parts(x)
-            return EtaPolynomial._new(s, [p], [r])
-        return None
 
     # -- arithmetic -------------------------------------------------------
     @classmethod
@@ -397,31 +251,37 @@ class EtaPolynomial:
                         A[j] += v * w
         return cls._new(d, A, B)
 
+    def _kind(self, other) -> type:
+        """The class of a sum, difference or product with ``other``:
+        Sqrt2Rational unless an operand is a plain EtaPolynomial."""
+        return (EtaPolynomial if EtaPolynomial in (type(self), type(other))
+                else Sqrt2Rational)
+
     def __add__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return EtaPolynomial.dot(((1, self), (1, other)))
+        return self._kind(other).dot(((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EtaPolynomial._new(self._d, [-v for v in self._A],
-                                  [-v for v in self._B])
+        return self._new(self._d, [-v for v in self._A],
+                         [-v for v in self._B])
 
     def __sub__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return EtaPolynomial.dot(((1, self), (-1, other)))
+        return self._kind(other).dot(((1, self), (-1, other)))
 
     def __rsub__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return EtaPolynomial.dot(((1, other), (-1, self)))
+        return self._kind(other).dot(((1, other), (-1, self)))
 
     def __mul__(self, other):
         if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return EtaPolynomial.dot(((self, other),))
+        return self._kind(other).dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -438,16 +298,15 @@ class EtaPolynomial:
         return bool(self._A or self._B)
 
     def __eq__(self, other) -> bool:
-        o = self._operand(other)
-        if o is None:
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
-        return (self._d, self._A, self._B) == (o._d, o._A, o._B)
+        return _storage(other)[:3] == (self._d, self._A, self._B)
 
     def __hash__(self) -> int:
-        # a constant polynomial equals its scalar, so it hashes like it
-        if self.degree <= 0:
-            return hash(self.coeff(0))
-        return hash((self._d, self._A, self._B))
+        # a rational constant equals its scalar, so it hashes like it
+        if self._B or self._n > 1:
+            return hash((self._d, self._A, self._B))
+        return hash(Fraction(self._A[0] if self._A else 0, self._d))
 
     # -- evaluation and printing ------------------------------------------
     def __call__(self, eta):
@@ -471,7 +330,7 @@ class EtaPolynomial:
             X, Y = X * p + 2 * Y * r + a * qk, X * r + Y * p + b * qk
         den = self._d * qk
         if B or r:
-            return Sqrt2Rational(Fraction(X, den), Fraction(Y, den))
+            return Sqrt2Rational._new(den, [X], [Y])
         return Fraction(X, den)
 
     @staticmethod
@@ -514,8 +373,105 @@ class EtaPolynomial:
         return f"EtaPolynomial({list(self.coeffs)!r})"
 
 
-#: what combines with an eta-polynomial
-_OPERANDS = _EXACT + (EtaPolynomial,)
+class Sqrt2Rational(EtaPolynomial):
+    """An element ``a + b*sqrt(2)`` of the field Q(sqrt 2): the constant
+    :class:`EtaPolynomial`, built from ``a`` and ``b`` (ints or Fractions)
+    and read back as the Fractions ``.a`` and ``.b``.
+
+    Sums, differences, products, negation, equality and hashing are the
+    polynomial's, so every product in the field is one ``dot``; a result is
+    a Sqrt2Rational unless an operand is a plain EtaPolynomial.  Since
+    sqrt(2) is irrational the representation is unique, and an element with
+    b = 0 equals the rational ``a`` and hashes like it.  Division uses the
+    conjugate: ``1/(a + b s) = (a - b s)/(a^2 - 2 b^2)`` and the norm
+    ``a^2 - 2b^2`` vanishes only for a = b = 0.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, a: _RationalLike, b: _RationalLike):
+        a, b = _as_fraction(a), _as_fraction(b)
+        d = math.lcm(a.denominator, b.denominator)
+        self._set(d, [a.numerator * (d // a.denominator)],
+                  [b.numerator * (d // b.denominator)])
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._A[0] if self._A else 0, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._B[0] if self._B else 0, self._d)
+
+    # -- constructors -------------------------------------------------
+    @classmethod
+    def zero(cls) -> "Sqrt2Rational":
+        return cls(0, 0)
+
+    @classmethod
+    def one(cls) -> "Sqrt2Rational":
+        return cls(1, 0)
+
+    @classmethod
+    def sqrt2(cls) -> "Sqrt2Rational":
+        return cls(0, 1)
+
+    @classmethod
+    def from_rational(cls, q: _RationalLike) -> "Sqrt2Rational":
+        return cls(q, 0)
+
+    # -- the field ----------------------------------------------------
+    def conjugate(self) -> "Sqrt2Rational":
+        return self._new(self._d, list(self._A), [-v for v in self._B])
+
+    def norm(self) -> Fraction:
+        """Field norm a^2 - 2 b^2 (zero iff the element is zero)."""
+        p, r, s = _parts(self)
+        return Fraction(p * p - 2 * r * r, s * s)
+
+    def inverse(self) -> "Sqrt2Rational":
+        # (p + r sqrt2)/s has the inverse s (p - r sqrt2)/(p^2 - 2 r^2)
+        p, r, s = _parts(self)
+        n = p * p - 2 * r * r
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
+        if n < 0:
+            n, s = -n, -s
+        return self._new(n, [s * p], [-s * r])
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Sqrt2Rational(other, 0)
+        elif not isinstance(other, Sqrt2Rational):
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return other * self.inverse()
+
+    def __float__(self) -> float:
+        return float(self.a) + float(self.b) * math.sqrt(2.0)
+
+    def __str__(self) -> str:
+        return format_sqrt2(self)
+
+    def __repr__(self) -> str:
+        return f"Sqrt2Rational(a={self.a!r}, b={self.b!r})"
+
+
+#: what combines with an eta-polynomial: ints, Fractions and eta-polynomials,
+#: Sqrt2Rationals among them
+_OPERANDS = (int, Fraction, EtaPolynomial)
+
+
+def _exact(x):
+    """Return ``x`` if it is an exact scalar or an eta-polynomial, else
+    raise RingMismatch."""
+    if isinstance(x, _OPERANDS):
+        return x
+    raise RingMismatch(f"inexact coefficient {x!r}")
 
 
 def _rational_dot(pairs) -> Fraction:
@@ -543,8 +499,9 @@ def _powers(coeffs: Sequence, k_max: int,
 
     Each power is the Cauchy product of the one below with B; zero entries
     (such as a not yet solved coefficient) are skipped.  Entries are exact
-    scalars or eta-polynomials; with any eta-polynomial among ``coeffs``
-    each entry is one :meth:`EtaPolynomial.dot`.
+    scalars or eta-polynomials; with any plain EtaPolynomial among
+    ``coeffs`` each entry is one :meth:`EtaPolynomial.dot`, and scalar
+    entries, Sqrt2Rationals among them, stay scalars.
 
     A table ``P`` from an earlier call is grown in place and returned.
     Column q depends on coeffs[:q + 1] only, so the columns from the first
@@ -565,7 +522,7 @@ def _powers(coeffs: Sequence, k_max: int,
     for k, row in enumerate(P):
         del row[min(keep, n, k_max - k + 1):]
     P.extend([] for _ in range(len(P), k_max + 1))
-    if any(isinstance(c, EtaPolynomial) for c in coeffs):
+    if any(type(c) is EtaPolynomial for c in coeffs):
         add = EtaPolynomial.dot
     else:                               # scalar entries stay scalars
         def add(pairs):
@@ -591,6 +548,6 @@ def potential_polynomials(exponent: int, args: Sequence, n_max: int):
     """
     if exponent < 0 or n_max < 0:
         raise ValueError("exponent and n_max must be >= 0")
-    args = [a if isinstance(a, EtaPolynomial) else _exact(a) for a in args]
+    args = [_exact(a) for a in args]
     base = ([1] + args + [0] * n_max)[:n_max + 1]
     return _powers(base, exponent + n_max)[exponent]

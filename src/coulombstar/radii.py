@@ -190,7 +190,13 @@ def _radius(fam: Family, beta, L, eta, nu, alpha) -> RadiusResult:
     if not 0.0 <= beta < 1.0:
         raise GateViolation(f"order beta must lie in [0, 1), got {beta}")
     L, eta, kappa = _family_map(fam, L, eta, nu, alpha)
-    return _first_root(L, eta, kappa * (1.0 - beta))
+    try:
+        return _first_root(L, eta, kappa * (1.0 - beta))
+    except (OverflowError, ZeroDivisionError) as exc:
+        # at huge order the search's own floats leave the range, such as
+        # (L + 1/2)^2 in the Riccati bound or 2L + 3 in the start
+        raise NonConvergence(f"the root search left the float range at "
+                             f"L={L!r}, eta={eta!r}: {exc}") from exc
 
 
 def _first_root(L: float, eta: float, d: float) -> RadiusResult:

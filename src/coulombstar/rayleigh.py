@@ -131,7 +131,11 @@ def _pick_mode(params: CoulombParams, k_max: int, exact):
                     for x in (params.L, params.eta))
     if exact:
         return Fraction(params.L), Fraction(params.eta), _rational_dot
-    return float(params.L), float(params.eta), _float_dot
+    try:
+        return float(params.L), float(params.eta), _float_dot
+    except OverflowError as exc:
+        raise GateViolation(f"a float table needs L and eta in the float "
+                            f"range: {exc}") from exc
 
 
 def _pairs(Z: Dict[int, Number], total: int) -> list:

@@ -167,7 +167,10 @@ def _safe_index(L_real: float, eta: float, z_abs: float) -> int:
     b = 2.0 * L_real + 1.0
     if not math.isfinite(rhs) or rhs > 1e18:
         return _MAX_TERMS   # the sum loop reports NonConvergence
-    n = 0.5 * (-b + math.sqrt(b * b + 4.0 * rhs))
+    if abs(b) < 1e150:
+        n = 0.5 * (-b + math.sqrt(b * b + 4.0 * rhs))
+    else:       # b * b would overflow, and 4 rhs is lost beside it anyway
+        n = rhs / b if b > 0.0 else -b
     return max(2, int(n) + 1)
 
 

@@ -484,3 +484,34 @@ def test_public_names_are_pinned():
     }
     assert len(coulombstar.__all__) == len(set(coulombstar.__all__))
     assert all(hasattr(coulombstar, name) for name in coulombstar.__all__)
+
+
+def test_eval_at_huge_order_exits_0(capsys):
+    rec = run_json(capsys, "eval", "--family", "g", "--L", "1e200",
+                   "--z-re", "1")
+    assert rec["outputs"]["value"] == 1.0
+
+
+@pytest.mark.parametrize("argv, code, words", [
+    (("--L", "1/0"), 2, "finite rationals"),
+    (("--L", "1", "--eta", "1/0"), 2, "finite rationals"),
+    (("--L", "1", "--eta", "1e400"), 2, "float range"),
+])
+def test_rayleigh_extreme_inputs_exit_with_a_library_code(capsys, argv, code,
+                                                          words):
+    got, out, err = run(capsys, "rayleigh", "--which", "Z", "--kmax", "3",
+                        *argv)
+    assert got == code and out == "" and words in err
+
+
+def test_rayleigh_exact_takes_an_eta_past_the_float_range(capsys):
+    rec = run_json(capsys, "rayleigh", "--which", "Z", "--kmax", "3", "--L",
+                   "1", "--eta", "1e400", "--exact")
+    assert rec["inputs"]["eta"] == str(10**400)
+
+
+@pytest.mark.parametrize("L", ["1e300", "1e308"])
+def test_radius_at_huge_order_exits_4(capsys, L):
+    code, out, err = run(capsys, "radius", "--family", "g", "--L", L,
+                         "--eta", "0")
+    assert code == 4 and out == "" and "NonConvergence" in err

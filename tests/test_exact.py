@@ -306,3 +306,72 @@ def test_powers_grown_in_place_equal_a_fresh_build(first, tail, keep,
     # the triangle k + q <= k_max, capped at the length of the list
     assert [len(row) for row in fresh] == [
         min(len(coeffs), k_max - k + 1) for k in range(k_max + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Sqrt2Rational is the constant EtaPolynomial
+# ---------------------------------------------------------------------------
+
+def test_sqrt2rational_is_a_constant_eta_polynomial():
+    x = Sqrt2Rational(1, 1)
+    assert isinstance(x, EtaPolynomial) and x.degree == 0
+    assert (x.a, x.b) == (1, 1) and type(x.a) is Fr
+    assert Sqrt2Rational(Fr(3, 4), Fr(-1, 6)).b == Fr(-1, 6)
+    assert repr(Sqrt2Rational(Fr(1, 2), 0)) == \
+        "Sqrt2Rational(a=Fraction(1, 2), b=Fraction(0, 1))"
+    with pytest.raises(RingMismatch):
+        Sqrt2Rational(0.5, 0)
+    # one arithmetic: the field's ring operations are the polynomial's
+    assert not {"__add__", "__sub__", "__mul__", "__neg__", "__eq__",
+                "__bool__", "__hash__"} & set(vars(Sqrt2Rational))
+
+
+_SCALAR = Sqrt2Rational(Fr(1, 3), -2)
+_POLY = EtaPolynomial([1, Sqrt2Rational(0, 1)])
+_KINDS = {"int": 3, "Fraction": Fr(-5, 7), "Sqrt2Rational": _SCALAR,
+          "EtaPolynomial": _POLY}
+
+
+@pytest.mark.parametrize("left", list(_KINDS))
+@pytest.mark.parametrize("right", list(_KINDS))
+def test_result_class_rule(left, right):
+    # Sqrt2Rational unless an operand is a plain EtaPolynomial; two
+    # rationals stay out of the exact types altogether
+    x, y = _KINDS[left], _KINDS[right]
+    if {left, right} <= {"int", "Fraction"}:
+        return
+    want = EtaPolynomial if "EtaPolynomial" in (left, right) else Sqrt2Rational
+    for got, op in ((x + y, "+"), (x - y, "-"), (x * y, "*")):
+        assert type(got) is want, (left, op, right)
+    assert -_SCALAR == Sqrt2Rational(Fr(-1, 3), 2)
+    assert type(-_SCALAR) is Sqrt2Rational and type(-_POLY) is EtaPolynomial
+    # and the values are the coefficientwise ones
+    P, Q = (v if type(v) is EtaPolynomial else EtaPolynomial([v])
+            for v in (x, y))
+    assert x + y == P + Q and x - y == P - Q and x * y == P * Q
+
+
+def test_division_by_a_polynomial_is_refused():
+    with pytest.raises(TypeError):
+        Sqrt2Rational(1, 1) / EtaPolynomial([0, 1])
+    with pytest.raises(TypeError):
+        EtaPolynomial([0, 1]) / Sqrt2Rational(1, 1)
+    assert 1 / Sqrt2Rational(1, 1) == Sqrt2Rational(-1, 1)
+    assert type(Fr(1, 2) / Sqrt2Rational(0, 1)) is Sqrt2Rational
+
+
+def test_potential_polynomials_of_scalars_stay_scalars():
+    s = Sqrt2Rational(0, 1)
+    A = potential_polynomials(2, [s, Fr(1, 2)], 3)
+    assert all(type(a) is not EtaPolynomial for a in A)
+    assert A == [1, 2 * s, 3, s]            # (1 + s x + x^2/2)^2, s^2 = 2
+    assert all(type(a) in (int, Fr) for a in potential_polynomials(
+        3, [Fr(1, 2), 2], 4))
+
+
+def test_hash_of_a_constant_with_a_sqrt2_part():
+    x = Sqrt2Rational(Fr(-1, 4), Fr(5, 4))
+    p = EtaPolynomial([x])
+    assert p == x and hash(p) == hash(x)
+    assert len({p, x, EtaPolynomial([0, x]).coeff(1)}) == 1
+    assert hash(EtaPolynomial([Sqrt2Rational(Fr(2, 3), 0)])) == hash(Fr(2, 3))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coulombstar import radii
-from coulombstar.errors import GateViolation
+from coulombstar.errors import GateViolation, NonConvergence
 from coulombstar.radii import (Family, RadiusQuery, radius_f, radius_g,
                                radius_phi)
 from coulombstar.specfun import (CoulombParams, _cf1, _series_pair,
@@ -539,3 +539,14 @@ def test_univalence_equals_starlikeness_at_beta_zero():
     r = radius_f(2.0, -1.0).value
     d = eval_F_with_derivative(CoulombParams(2.0, -1.0), r).derivative
     assert abs(d) < 1e-12
+
+
+@pytest.mark.parametrize("L", [1e300, 1e308])
+def test_huge_order_raises_a_library_error(L):
+    # (L + 1/2)^2 overflows at 1e300, 2L + 3 at 1e308: neither escapes bare
+    with pytest.raises(NonConvergence, match="float range"):
+        radius_g(L, 0)
+
+
+def test_huge_order_below_the_overflow_keeps_its_root():
+    assert radius_g(1e200, 0).value == 1.414213562373095e+100

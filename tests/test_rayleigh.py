@@ -412,3 +412,13 @@ def test_table_repr_and_lookup():
     assert t[2] == Fr(1, 5)
     with pytest.raises(KeyError):
         t[9]
+
+
+def test_float_table_of_an_input_past_the_float_range_is_gated():
+    # float(10**400) overflows; the table refuses it with a gate error
+    with pytest.raises(GateViolation, match="float range"):
+        rayleigh_Z(CoulombParams(1, Fr(10**400)), 3, exact=False)
+    with pytest.raises(GateViolation, match="float range"):
+        rayleigh_Ztilde(CoulombParams(Fr(10**400), 0), 3, exact=False)
+    # the exact table still takes it
+    assert rayleigh_Z(CoulombParams(1, Fr(10**400)), 3, exact=True).exact

@@ -656,3 +656,37 @@ def test_eta_zero_far_from_origin():
     # term peak ~ e^20 / sqrt(40 pi) ~ 4e7 times machine epsilon.)
     p = CoulombParams(0.0, 0.0)
     assert eval_F(p, 20.0) == pytest.approx(math.sin(20.0), abs=2e-8)
+
+
+# ---------------------------------------------------------------------------
+# huge orders: the tail index of the series does not overflow
+# ---------------------------------------------------------------------------
+
+def test_safe_index_at_huge_order():
+    # (2L + 1)^2 leaves the float range near L = 6.7e153; the index does not
+    assert _safe_index(1e200, 0.0, 1.0) == 2
+    assert _safe_index(1e160, 3.0, 50.0) == 2
+    # unchanged where the square is still finite
+    assert [_safe_index(*a) for a in ((0.5, 1.0, 30.0), (-0.9, -2.0, 35.0),
+                                      (1e100, 0.0, 1.0), (6e153, 0.0, 1.0))
+            ] == [43, 53, 2, 2]
+
+
+def test_g_at_huge_order_is_one_at_one():
+    res = eval_g(CoulombParams(1e200, 0), 1.0)
+    assert res.value == 1.0 and res.method == "series"
+
+
+def test_F_with_derivative_at_huge_order_returns_a_value():
+    res = eval_F_with_derivative(CoulombParams(1e160, 0), 1.0)
+    assert res.value == 0.0 and res.derivative == 0.0
+
+
+def test_bessel_j_at_huge_order_returns_a_value():
+    assert eval_bessel_j(1e200, 1.0).value == 0.0
+
+
+def test_scan_at_huge_order_returns_a_report():
+    from coulombstar.verify import starlike_scan
+    rep = starlike_scan("g", 1.0, L=1e300, eta=0.0)
+    assert rep.radius_scanned == 1.0 and rep.min_real_part > 0.0
