@@ -41,15 +41,17 @@ falling; since u(0+) = d > 0 it has exactly one root there, a simple
 crossing, and u > 0 at a point before j means the root lies beyond it.  No
 probe for double roots is needed.
 
-The search is one guarded Halley loop in s, and both derivatives are
-free: the Riccati equation at any point where u is known gives, with
-v(s) = u(r) and W = u + L + 1/2 - d = u + c - 1/2,
+The search is one guarded loop of fourth-order steps in s, and the three
+derivatives they take are free: the Riccati equation at any point where u
+is known gives, with v(s) = u(r) and W = u + L + 1/2 - d = u + c - 1/2,
 
     v' = r u'(r) = P(r) - W^2 = (d - u)(2L + 1 - d + u) + r (2 eta - r),
 
-factored so that the squares do not cancel, and its derivative in s,
+factored so that the squares do not cancel, and, since dW/ds = v', its
+derivatives in s,
 
-    v'' = 2 r (eta - r) - 2 W v'.
+    v''  = 2 r (eta - r) - 2 W v',
+    v''' = 2 eta r - 4 r^2 - 2 v'^2 - 2 W v''.
 
 It starts at the positive root of the Taylor polynomial of u,
 
@@ -63,15 +65,19 @@ terms lie below j = j_{nu,1}, nu = L + 1/2: the Rayleigh sum of
 j > sqrt(nu (nu + 2)) >= nu + 1/2 (Watson, Bessel Functions, 15.3), and
 below that j >= j_{-1/2,1} = pi/2 > L + 1.  Since u(0+) = d > 0, u <= 0
 at the start brackets the root in (0, start); otherwise the start is the
-lower end and there is no bracket yet.  Each step is the Halley step
+lower end and there is no bracket yet.  Each step is the series
+reversion of v + v' ds + v'' ds^2/2 + v''' ds^3/6 = 0,
 
-    ds = -(v/v') / (1 - v v''/(2 v'^2)),
+    ds = N / (1 + B N + (C - B^2) N^2),
+    N = -v/v',    B = v''/(2 v'),    C = v'''/(6 v'),
 
-never shorter than half the Newton step -v/v', and the Newton step where
-that denominator is <= 0; where r u' >= 0 it is instead a step that
-doubles the last one before a bracket, and bisection after.  Before a
-bracket each step, from the lower end, halves until a Riccati comparison
-bound clears it: for K^2 >= -P over a step, W stays above
+whose error is O(N^4), so it converges with order four at one kernel
+call a step.  It is never shorter than half the Newton step N, and it is
+N where that denominator is <= 0 or not finite (v'^2 overflows past
+L ~ 1e154); where r u' >= 0 it is instead a step that doubles the last
+one before a bracket, and bisection after.  Before a bracket each step,
+from the lower end, halves until a Riccati comparison bound clears it:
+for K^2 >= -P over a step, W stays above
 K tan(atan(W0/K) - K ds), finite while ds < atan2(K, -W0)/K, so no step
 passes j; nor does one pass a ceiling past the turning point.  Every
 iterate shrinks the bracket by the sign of u, and bisection replaces a
@@ -201,23 +207,10 @@ def _radius(fam: Family, beta, L, eta, nu, alpha) -> RadiusResult:
 
 def _first_root(L: float, eta: float, d: float) -> RadiusResult:
     """First positive root of u(r) = r F_L'(eta, r)/F_L(eta, r) - c by the
-    guarded Halley loop of the module docstring; d = L + 1 - c, formed
-    exactly by the caller, since L + 1 - c in floats cancels as c nears
-    L + 1."""
-    evals = 0
-
-    def u(r: float) -> float:
-        nonlocal evals
-        evals += 1
-        return _cf1(L, eta, d, r)[0]
-
-    def P(r: float) -> float:
-        return (L + 0.5) ** 2 + 2.0 * eta * r - r * r
-
-    def rdu(r: float, ur: float) -> float:
-        # r u' = P(r) - (u + L + 1/2 - d)^2, factored so it does not cancel
-        return (d - ur) * (2.0 * L + 1.0 - d + ur) + r * (2.0 * eta - r)
-
+    guarded loop of fourth-order steps in s = ln r of the module docstring;
+    d = L + 1 - c, formed exactly by the caller, since L + 1 - c in floats
+    cancels as c nears L + 1.  The Riccati equation gives v', v'' and v'''
+    from each value of u, so a step costs one call of ``_cf1``."""
     # start at the root of the Taylor polynomial d + r eta/lam - Z2 r^2 of
     # u, capped at a lower bound on the first zero of F:
     # (L+1)^2 / (hypot(eta, L+1) + |eta|) for L > -1, and its limit
@@ -242,7 +235,10 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
     # noise
     du_u = abs(2.0 * L + 1.0 - 2.0 * d)
     ae = abs(eta) / lam if eta else 0.0
-    ur = u(r)
+    # r u' = (d - u)(a + u) + r (2 eta - r) = P(r) - W^2, factored so that
+    # it does not cancel, with W = u + w0
+    a, w0, eta2 = 2.0 * L + 1.0 - d, L + 0.5 - d, 2.0 * eta
+    ur, evals = _cf1(L, eta, d, r)[0], 1
     # u(0+) = d > 0, so u(start) <= 0 brackets the root in (0, start);
     # otherwise hi stays infinite until a step finds u <= 0
     lo, ulo, hi, uhi = ((r, ur, math.inf, -math.inf) if ur > 0.0
@@ -258,15 +254,20 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
             raise NoRootInScanRange(
                 f"no sign change of the reduced equation found on "
                 f"(0, {ceiling}]")
-        dur = rdu(r, ur)
+        dur = (d - ur) * (a + ur) + r * (eta2 - r)
+        w = ur + w0
         ds = math.inf if bracketed else step
         if dur < 0.0:
-            # Halley in s, with v''/2 = r (eta - r) - W r u' from the
-            # Riccati equation, W = u + L + 1/2 - d: at least half the
-            # Newton step, and Newton's where Halley's would turn back
+            # the fourth-order step of the module docstring, with v' = r u'
+            # and v'', v''' from the Riccati equation: at least half the
+            # Newton step, and Newton's where the denominator is <= 0 or
+            # not finite (v'^2 overflows past L ~ 1e154)
+            v2 = 2.0 * r * (eta - r) - 2.0 * w * dur
+            v3 = eta2 * r - 4.0 * r * r - 2.0 * dur * dur - 2.0 * w * v2
             ds = -ur / dur
-            den = 1.0 + ds * (r * (eta - r) / dur - ur - L - 0.5 + d)
-            if den > 0.0:
+            B, C = v2 / (2.0 * dur), v3 / (6.0 * dur)
+            den = 1.0 + B * ds + (C - B * B) * ds * ds
+            if 0.0 < den < math.inf:
                 ds /= min(den, 2.0)
         # before a bracket, halve the step until the Riccati bound clears it
         cap = math.log(ceiling / r)
@@ -274,9 +275,12 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
             x = r * math.exp(ds) if ds < cap else ceiling
             if bracketed:
                 break
-            # P is concave, so least at an end of the step
-            K = math.sqrt(max(-min(P(r), P(x)), _TINY))
-            if min(ds, cap) < 0.9 * math.atan2(K, d - L - 0.5 - ur) / K:
+            # P(r) = (L + 1/2)^2 + 2 eta r - r^2 is concave, so least at an
+            # end of the step
+            hs = (L + 0.5) ** 2
+            K = math.sqrt(max(-min(hs + eta2 * r - r * r,
+                                   hs + eta2 * x - x * x), _TINY))
+            if min(ds, cap) < 0.9 * math.atan2(K, -w) / K:
                 break
             ds *= 0.5
         step = 2.0 * ds
@@ -302,7 +306,7 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
             if not lo < x < hi:
                 raise NonConvergence(f"root search underflows at r={r!r}")
         dx_old, dx = dx, abs(x - r)
-        r, ur = x, u(x)
+        r, ur, evals = x, _cf1(L, eta, d, x)[0], evals + 1
         if ur > 0.0:
             lo, ulo = r, ur
         else:
@@ -310,7 +314,7 @@ def _first_root(L: float, eta: float, d: float) -> RadiusResult:
     root, ur = (lo, ulo) if ulo < -uhi else (hi, uhi)
     # first-order forward error, void where r u' is lost in rounding
     err_u = abs(ur) + 10.0 * _EPS * (d + root * ae)
-    dur = abs(rdu(root, 0.0)) - du_u * err_u
+    dur = abs(d * a + root * (eta2 - root)) - du_u * err_u
     return RadiusResult(value=root, bracket=(lo, hi), residual=abs(ur),
                         iterations=evals,
                         error_bound=err_u / dur + _EPS if dur > 0.0

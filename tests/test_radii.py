@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import _u_backward, radius_oracle
 
 from coulombstar import radii
 from coulombstar.errors import GateViolation, NonConvergence
@@ -73,6 +74,8 @@ ROOTS_40 = {
     ("f", -0.9999999, -1000.0, 0.5):
         "4.999999744736504418171461288439765567126e-18",
 }
+
+RADIUS = {"f": radius_f, "g": radius_g, "phi": radius_phi}
 
 
 def test_radius_f_frozen_values():
@@ -359,8 +362,8 @@ def test_dini_changes_sign_across_radius_f():
 
 
 def test_walk_cost_does_not_grow_with_the_root():
-    # steps in ln r are Halley, Newton or doubling, so a root near 1e4
-    # costs under twenty evaluations
+    # steps in ln r are fourth-order, Newton or doubling, so a root near
+    # 1e4 costs at most twenty evaluations
     assert radius_f(150.0, 1.0, 0.3).value == pytest.approx(RF_150_1,
                                                             rel=1e-12)
     res = radius_g(0.0, 5000.0, 0.5)
@@ -374,7 +377,7 @@ def test_rounding_band_does_not_cascade_into_bisection():
     # half the bracket is taken, not bisected, so the bisections do not
     # follow each other one call at a time (32 calls without that rule)
     res = radius_g(25.744362816149444, 4312.5803759295095, 0.9999998475984988)
-    assert res.iterations <= 21       # 21 measured
+    assert res.iterations <= 20       # 20 measured
     with mp.workdps(50):
         err = float(abs(mp.mpf(res.value) / mp.mpf(RG_CASCADE) - 1))
     assert err <= res.error_bound
@@ -385,9 +388,15 @@ def _rdu(L, eta, d, r, u):
     return (d - u) * (2.0 * L + 1.0 - d + u) + r * (2.0 * eta - r)
 
 
+def _v2(L, eta, d, r, u):
+    """v'' = 2 r (eta - r) - 2 W v' in s = ln r, W = u + L + 1/2 - d."""
+    return (2.0 * r * (eta - r)
+            - 2.0 * (u + L + 0.5 - d) * _rdu(L, eta, d, r, u))
+
+
 @pytest.mark.parametrize("eta", [0.0, -3.0, 40.0])
 def test_second_derivative_in_ln_r_from_the_riccati_equation(eta):
-    # the Halley step takes v'' = 2 r (eta - r) - 2 W v' for v(s) = u(e^s),
+    # the step takes v'' = 2 r (eta - r) - 2 W v' for v(s) = u(e^s),
     # v' = r u' and W = u + L + 1/2 - d; it must match a centred difference
     # of v' along CF1 at the f, g and phi offsets d
     L, beta, alpha, h = 3.0, 0.3, 2.0, 1e-5
@@ -400,12 +409,34 @@ def test_second_derivative_in_ln_r_from_the_riccati_equation(eta):
               (L + 0.5 + alpha) * (1.0 - beta)):
         root = radii._first_root(L, eta, d).value
         for r in (0.3 * root, 0.8 * root, root, 1.1 * root):
-            u = _cf1(L, eta, d, r)[0]
-            v1 = _rdu(L, eta, d, r, u)
-            v2 = 2.0 * r * (eta - r) - 2.0 * (u + L + 0.5 - d) * v1
+            v2 = _v2(L, eta, d, r, _cf1(L, eta, d, r)[0])
             s = math.log(r)
             fd = (dv(s + h) - dv(s - h)) / (2.0 * h)
             assert fd == pytest.approx(v2, rel=1e-6), (d, r)
+
+
+@pytest.mark.parametrize("eta", [0.0, -3.0, 40.0])
+def test_third_derivative_in_ln_r_from_the_riccati_equation(eta):
+    # the fourth-order step takes v''' = 2 eta r - 4 r^2 - 2 v'^2 - 2 W v'',
+    # the derivative of v'' in s; it must match a centred difference of v''
+    # along CF1 at the f, g and phi offsets d
+    L, beta, alpha, h = 3.0, 0.3, 2.0, 1e-5
+
+    def v2(s):
+        x = math.exp(s)
+        return _v2(L, eta, d, x, _cf1(L, eta, d, x)[0])
+
+    for d in ((L + 1.0) * (1.0 - beta), 1.0 - beta,
+              (L + 0.5 + alpha) * (1.0 - beta)):
+        root = radii._first_root(L, eta, d).value
+        for r in (0.3 * root, 0.8 * root, root, 1.1 * root):
+            u = _cf1(L, eta, d, r)[0]
+            v1 = _rdu(L, eta, d, r, u)
+            v3 = (2.0 * eta * r - 4.0 * r * r - 2.0 * v1 * v1
+                  - 2.0 * (u + L + 0.5 - d) * _v2(L, eta, d, r, u))
+            s = math.log(r)
+            fd = (v2(s + h) - v2(s - h)) / (2.0 * h)
+            assert fd == pytest.approx(v3, rel=1e-6), (d, r)
 
 
 def test_eta_zero_start_lies_below_the_first_zero_of_F():
@@ -424,7 +455,7 @@ def test_eta_zero_start_lies_below_the_first_zero_of_F():
 
 
 def test_kernel_calls_per_radius():
-    # a fixed grid over all three families: 588 radii took 5.61 kernel
+    # a fixed grid over all three families: 588 radii took 5.28 kernel
     # calls on average and at most 14; the caps add 0.5 and 2
     its = []
     for L, eta, beta in itertools.product(
@@ -437,15 +468,14 @@ def test_kernel_calls_per_radius():
             (-0.9, -0.25, 0.5, 2.0, 10.0, 50.0, 200.0), (1.0, 3.0, 10.0),
             (0.0, 0.3, 0.7, 0.95)):
         its.append(radius_phi(nu, alpha, beta).iterations)
-    assert sum(its) / len(its) <= 6.11
+    assert sum(its) / len(its) <= 5.78
     assert max(its) <= 16
 
 
 def test_error_bound_covers_true_error():
-    ops = {"f": radius_f, "g": radius_g, "phi": radius_phi}
     with mp.workdps(50):
         for (family, p1, p2, beta), ref in ROOTS_40.items():
-            res = ops[family](p1, p2, beta)
+            res = RADIUS[family](p1, p2, beta)
             err = float(abs(mp.mpf(res.value) / mp.mpf(ref) - 1))
             assert err <= res.error_bound, (family, p1, p2, beta)
             if beta < 1 - 1e-6:
@@ -458,40 +488,52 @@ def test_error_bound_covers_true_error():
         assert res.error_bound < 1e-13
 
 
+def _exact_inputs(family, p1, p2, beta):
+    """(L, eta, d) of a radius at the exact values of its float inputs,
+    d = kappa (1 - beta) unrounded."""
+    p1, p2, beta = (mp.mpf(x) for x in (p1, p2, beta))
+    if family == "phi":
+        return p1 - mp.mpf(0.5), 0, (p1 + p2) * (1 - beta)
+    return p1, p2, (p1 + 1 if family == "f" else 1) * (1 - beta)
+
+
+def test_radius_oracle_reproduces_the_frozen_roots():
+    with mp.workdps(50):
+        for (family, p1, p2, beta), ref in ROOTS_40.items():
+            r0 = RADIUS[family](p1, p2, beta).value
+            root = radius_oracle(*_exact_inputs(family, p1, p2, beta), r0)
+            assert abs(root / mp.mpf(ref) - 1) <= 1e-35, (family, p1, p2)
+
+
+def test_error_bound_covers_the_oracle_on_a_bench_shaped_sample():
+    # 30 radii mixed as in the benchmark: f, g and phi in turn, orders
+    # below and above 20 up to 200, |eta| <= 3, beta = 0 or up to 0.9
+    rng = random.Random(33)
+    for i in range(30):
+        family = ("f", "g", "phi")[i % 3]
+        p1 = rng.uniform(20.0, 200.0) if i % 2 else rng.uniform(-0.95, 20.0)
+        p2 = rng.uniform(-3.0, 3.0)
+        if family == "phi":
+            p2 = max(-p1, 0.0) + 0.05 + abs(p2)       # nu + alpha > 0
+        beta = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 0.9)
+        res = RADIUS[family](p1, p2, beta)
+        with mp.workdps(50):
+            root = radius_oracle(*_exact_inputs(family, p1, p2, beta),
+                                 res.value)
+            err = float(abs(mp.mpf(res.value) / root - 1))
+        assert err <= res.error_bound, (family, p1, p2, beta, err)
+
+
 def test_extreme_attraction_and_beta_one_ulp_below_one():
     # the bound on the first zero of F must not cancel to 0 when
     # (L + 1)^2 << eps eta^2, and u must stay positive near 0 when
     # L + beta rounds to L + 1
-    ops = {"f": radius_f, "g": radius_g}
     for family, L, eta, beta in [("f", 0.0, -1e9, 0.5), ("f", -0.9, -1e8, 0.5),
                                  ("f", -0.9999999, -1000.0, 0.5),
                                  ("g", 5.0, 0.0, 1 - 2 ** -53)]:
         ref = float(ROOTS_40[(family, L, eta, beta)])
-        assert ops[family](L, eta, beta).value == pytest.approx(ref, rel=1e-14)
-
-
-def _u_backward(L, eta, d, r):
-    """u = d + r eta/lam + CF1 tail by backward recurrence at the working
-    precision, doubling the depth until two depths agree."""
-    L, eta, d, r = (mp.mpf(x) for x in (L, eta, d, r))
-    lam = L + 1
-    lead = d + r * eta / lam
-
-    def tail(n):
-        t = mp.mpf(0)
-        for k in range(n, -1, -1):
-            m = lam + k
-            t = -r * r * (1 + eta * eta / (m * m)) / (
-                (2 * m + 1) * (1 + r * eta / (m * (m + 1))) + t)
-        return t
-
-    n, old = 64, tail(64)
-    while True:
-        n *= 2
-        new = tail(n)
-        if abs(new - old) <= mp.mpf(10) ** (5 - mp.mp.dps) * abs(lead):
-            return lead + new
-        old = new
+        assert RADIUS[family](L, eta, beta).value == pytest.approx(
+            ref, rel=1e-14)
 
 
 def test_reduced_kernel_rounds_u_to_its_leading_terms():
