@@ -26,8 +26,11 @@ are taken over the stored terms at the end, correctly rounded by
 ``math.fsum`` in float.  When cancellation eats the working precision the
 float pass's terms are re-summed: the same number of terms is recomputed in
 fixed point on Python integers (``_sum_pair_fixed``), at a precision chosen
-from the size of log10(C_L(eta) z^(L+1)); its sums are exact in the
-integers and rounded to float once.
+from the size of log10(C_L(eta) z^(L+1)), with one floor division a term
+(by the real C_n itself at real L); its sums are exact in the integers,
+sum n t_n is read off the sum of the partial sums, and both are rounded to
+float once.  The series ``est_error`` of F and Bessel J includes the
+rounding of the log-space prefactor.
 
 Past the turning point eta + sqrt(eta^2 + L(L+1)) the series cancels
 against its peak partial sum, and no re-sum of its terms recovers F.  At
@@ -195,14 +198,17 @@ def _terms(L: Scalar, eta: float, z: Scalar, tol: float):
     """
     one = 1.0 + 0j if isinstance(L, complex) or isinstance(z, complex) else 1.0
     two_eta_z, z_sq, two_L = 2 * eta * z, z * z, 2 * L
-    ts = [one, eta * z / (L + 1) if eta else 0.0 * z]
-    S = one + ts[1]                      # running sum, for the stopping rule
+    t2, t1 = one, eta * z / (L + 1) if eta else 0.0 * z   # t_{n-2}, t_{n-1}
+    ts = [t2, t1]
+    S = one + t1                         # running sum, for the stopping rule
     scale = max(1.0, abs(S))
+    small = tol * scale
     n_safe = _safe_index(L.real, eta, abs(z))
     streak = 0
     for n in range(2, _MAX_TERMS + 1):
-        t = (two_eta_z * ts[-1] - z_sq * ts[-2]) / (n * (n + two_L + 1))
+        t = (two_eta_z * t1 - z_sq * t2) / (n * (n + two_L + 1))
         ts.append(t)
+        t2, t1 = t1, t
         S += t
         a = abs(S)
         if a > scale:
@@ -212,7 +218,8 @@ def _terms(L: Scalar, eta: float, z: Scalar, tol: float):
                     f"{_MAX_TERMS} terms: the float sum overflowed at "
                     f"term {n} (L={L!r}, eta={eta!r}, z={z!r})")
             scale = a
-        if abs(t) <= tol * scale and n >= n_safe:
+            small = tol * scale
+        if abs(t) <= small and n >= n_safe:
             streak += 1
             if streak >= 3:
                 return ts, scale
@@ -238,13 +245,19 @@ def _sum_pair_fixed(L: Scalar, eta: float, z: Scalar, n_terms: int,
     Each term t_n is held as a pair of integers (re, im) scaled by 2^p,
     p = ceil(dps log2 10) + ``_GUARD_BITS``.  L, eta and z are floats, so
     they are exact dyadic rationals: with all of them scaled by one power
-    of two 2^k to integers, t_n = (A t_{n-1} - B t_{n-2}) / (2^k C_n) with
-    A = 2 eta z 4^k, B = z^2 4^k and C_n = 2^k n(n + 2L + 1) all exact
-    integers, so each term carries one floor division and no other
-    rounding.  Each division errs by less than 2^-p absolute, which at
+    of two 2^k to integers, t_n = N_n / (2^k C_n) with N_n = A t_{n-1} -
+    B t_{n-2}, A = 2 eta z 4^k, B = z^2 4^k and C_n = 2^k n(n + 2L + 1)
+    all exact integers, so each term carries one floor division and no
+    other rounding.  At real L the divisor 2^k C_n is a real integer, built
+    by two additions a term, and N_n's parts are divided by it directly; at
+    complex L they are divided through the norm, N_n conj(C_n) //
+    (|C_n|^2 2^k).  Either quotient is the floor of the same rational as
+    the loop first written (``tests/oracles.py``), so every term is the
+    same integer.  Each division errs by less than 2^-p absolute, which at
     scale >= 1 is less than a ``dps``-digit float pass commits on the
-    largest term.  The sums S and sum n t_n are exact in the integers and
-    rounded to float once.
+    largest term.  S = S_{N-1} and the sum P = S_0 + ... + S_{N-2} of the
+    partial sums are exact in the integers, and so is
+    sum n t_n = (N - 1) S - P; both are rounded to float once.
 
     Where the series stops is not decided here: ``n_terms`` is the float
     pass's count.  Returns (S, zSp, p).  Raises NonConvergence when a sum
@@ -257,19 +270,35 @@ def _sum_pair_fixed(L: Scalar, eta: float, z: Scalar, n_terms: int,
     br, bi = xr * xr - xi * xi, 2 * xr * xi
     one = 1 << p
     tr, ti, qr, qi = one, 0, 0, 0        # t_{n-1}, t_{n-2}; t_{-1} = 0
-    Sr, Si, Tr, Ti = one, 0, 0, 0        # sum t_n, sum n t_n
-    for n in range(1, n_terms):
-        nr = ar * tr - ai * ti - br * qr + bi * qi
-        ni = ar * ti + ai * tr - br * qi - bi * qr
-        cr = (n * (n + 1) << k) + 2 * n * lr
-        ci = 2 * n * li
-        d = (cr * cr + ci * ci) << k
-        qr, qi = tr, ti
-        tr, ti = (nr * cr + ni * ci) // d, (ni * cr - nr * ci) // d
-        Sr += tr
-        Si += ti
-        Tr += n * tr
-        Ti += n * ti
+    Sr, Si, Pr, Pi = one, 0, 0, 0        # S_{n-1} = sum t_m, P = sum S_m
+    if li:
+        for n in range(1, n_terms):
+            nr = ar * tr - ai * ti - br * qr + bi * qi
+            ni = ar * ti + ai * tr - br * qi - bi * qr
+            cr = (n * (n + 1) << k) + 2 * n * lr
+            ci = 2 * n * li
+            d = (cr * cr + ci * ci) << k
+            qr, qi = tr, ti
+            tr, ti = (nr * cr + ni * ci) // d, (ni * cr - nr * ci) // d
+            Pr += Sr
+            Pi += Si
+            Sr += tr
+            Si += ti
+    else:       # C_n real: d = 2^k C_n = d_{n-1} + s_n, s_n = s_{n-1} + c
+        d, s, c = 0, ((1 << k + 1) + 2 * lr) << k, 1 << 2 * k + 1
+        for n in range(1, n_terms):
+            nr = ar * tr - ai * ti - br * qr + bi * qi
+            ni = ar * ti + ai * tr - br * qi - bi * qr
+            d += s
+            s += c
+            qr, qi = tr, ti
+            tr, ti = nr // d, ni // d
+            Pr += Sr
+            Pi += Si
+            Sr += tr
+            Si += ti
+    # sum n t_n = (N - 1) S_{N-1} - (S_0 + ... + S_{N-2}), exactly
+    Tr, Ti = (n_terms - 1) * Sr - Pr, (n_terms - 1) * Si - Pi
     try:
         S, T = complex(Sr / one, Si / one), complex(Tr / one, Ti / one)
     except OverflowError:
@@ -290,7 +319,7 @@ def _working_dps(L: Scalar, eta: float, z_abs: float) -> int:
     term of F's series and F itself), plus a slowly growing |z| term.
     Needs z_abs > 0: every evaluator answers z = 0 without the series.
     """
-    lg = (_log_prefactor(L, eta) + (L + 1) * math.log(z_abs)).real
+    lg = (_log_prefactor(L, eta)[0] + (L + 1) * math.log(z_abs)).real
     lost = max(0.0, lg / math.log(10.0))
     return 25 + int(lost) + int(0.06 * z_abs)
 
@@ -506,7 +535,7 @@ def eval_g(params: CoulombParams, z: Scalar, tol: float = 1e-12) -> SeriesEval:
         # g = F / (C z^L) and g' = S (z F'/F - L), with S = g/z
         F, u, est, terms = _steed(L, eta, z)
         L_logz = L * math.log(z)
-        ex = -float(_log_prefactor(L, eta).real) - L_logz
+        ex = -float(_log_prefactor(L, eta)[0].real) - L_logz
         if ex > 709.0:
             raise GammaOverflow(
                 f"1/(C z^L) exponent {ex:.1f} overflows double precision")
@@ -528,11 +557,14 @@ def eval_g(params: CoulombParams, z: Scalar, tol: float = 1e-12) -> SeriesEval:
 
 
 def _log_prefactor(L: Scalar, eta: float):
-    """log C_L(eta) as a complex number (real for real L)."""
+    """(log C_L(eta), scale): log C as a complex number, and the sum of
+    the moduli of the real parts of its terms, the scale at which it
+    rounds."""
     L = complex(L)
-    return (L * math.log(2.0) - math.pi * eta / 2.0
-            + 0.5 * (loggamma(L + 1 + 1j * eta) + loggamma(L + 1 - 1j * eta))
-            - loggamma(2 * L + 2))
+    a = L * math.log(2.0) - math.pi * eta / 2.0
+    b = 0.5 * (loggamma(L + 1 + 1j * eta) + loggamma(L + 1 - 1j * eta))
+    c = loggamma(2 * L + 2)
+    return complex(a + b - c), float(abs(a.real) + abs(b.real) + abs(c.real))
 
 
 def eval_F_with_derivative(params: CoulombParams, z: Scalar,
@@ -543,8 +575,11 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
     log C + (L+1) log z is formed first so huge gamma factors and tiny
     powers cancel before exponentiation.  Principal branch of log z for
     non-integer L+1.  Raises GammaOverflow when even the combined exponent
-    exceeds the float range.  At real L and z past the turning point F and
-    F' come from Steed's method instead, which tol does not steer.
+    exceeds the float range.  On the series ``est_error`` is the series'
+    bound times |C z^(L+1)| plus the rounding of that exponent, 2 eps times
+    the terms of its real part and its imaginary part, times |F|.  At real
+    L and z past the turning point F and F' come from Steed's method
+    instead, which tol does not steer.
     """
     _check_tol_z(tol, z)
     L, eta = _plain(params)
@@ -552,7 +587,7 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
         F, u, est, terms = _steed(L, eta, z)
         return SeriesEval(value=F, derivative=F * u / z, terms_used=terms,
                           est_error=est, method="steed")
-    lc = _log_prefactor(L, eta)
+    lc, lc_scale = _log_prefactor(L, eta)
     if z == 0:
         # F ~ C z^(L+1) and F' ~ C (L+1) z^L as z -> 0: each tends to 0 or
         # to inf, or turns without a limit where its power of z has real
@@ -567,8 +602,8 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
             deriv = math.inf if re < 0 else math.nan
         return SeriesEval(value=val, derivative=deriv, terms_used=1,
                           est_error=0.0)
-    logz = cmath.log(z)
-    log_total = lc + (L + 1) * logz
+    lz = (L + 1) * cmath.log(z)
+    log_total = lc + lz
     if log_total.real > 709.0:
         raise GammaOverflow(
             f"combined prefactor exponent {log_total.real:.1f} overflows "
@@ -579,8 +614,12 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
     deriv = pref / z * ((L + 1) * S + T)
     if not isinstance(L, complex) and isinstance(z, (int, float)) and z > 0:
         value, deriv = value.real, deriv.real
+    # log_total rounds at the scale of its terms, those of log C and
+    # (L + 1) log z, and its imaginary part, the prefactor's phase, at its own
+    ex_err = 2.0 * _EPS * (lc_scale + abs(lz.real) + abs(log_total.imag))
     return SeriesEval(value=_demote(value), derivative=_demote(deriv),
-                      terms_used=terms, est_error=est * abs(pref),
+                      terms_used=terms,
+                      est_error=est * abs(pref) + ex_err * abs(value),
                       retry_bits=bits, method=_method(bits))
 
 
@@ -644,8 +683,10 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     underflows.  The terms are summed in float with Kahan compensation and
     there is no precision retry, so at complex z with |z| well beyond nu,
     where the terms peak far above |J|, cancellation can leave wrong
-    digits.  Raises GammaOverflow when that factor, or its counterpart in
-    J', exceeds the float range.
+    digits.  The series ``est_error`` adds to the tail and the rounding at
+    the peak partial sum that of the factor's exponent
+    nu log(z/2) - lgamma(nu + 1).  Raises GammaOverflow when that factor,
+    or its counterpart in J', exceeds the float range.
     """
     if isinstance(nu, complex):
         raise ValueError("nu must be real")
@@ -723,7 +764,12 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
         half_pow_m1 = sz ** (nu - 1.0) * math.exp((nu - 1.0) * lz - lg)
     value = half_pow * U
     deriv = 0.5 * half_pow_m1 * V
-    est = (last + 4.0 * _EPS * scale) * abs(half_pow)
+    # the exponent nu log(z/2) - lgamma(nu + 1) rounds at the scale of its
+    # terms, and its imaginary part, the phase, at its own
+    nu_lz = nu * lz
+    ex_err = 2.0 * _EPS * (abs(lg) + abs(nu_lz.real) + abs(nu_lz.imag))
+    est = ((last + 4.0 * _EPS * scale) * abs(half_pow)
+           + ex_err * abs(value))
     return SeriesEval(value=_demote(value), derivative=_demote(deriv),
                       terms_used=m + 1, est_error=est)
 

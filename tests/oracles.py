@@ -7,9 +7,13 @@ written apart from the package code it checks.
     Fraction(2, 1)
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
+
+from coulombstar.errors import NonConvergence
+from coulombstar.specfun import _GUARD_BITS, _MAX_TERMS, _dyadic, _safe_index
 
 
 def coulomb_series_coeffs(L, eta, n_max):
@@ -22,6 +26,73 @@ def coulomb_series_coeffs(L, eta, n_max):
     for n in range(2, n_max + 1):
         a.append((2 * eta * a[n - 1] - a[n - 2]) / (n * (n + 2 * L + 1)))
     return a[:n_max + 1]
+
+
+def terms_reference(L, eta, z, tol):
+    """``specfun._terms`` as first written, reading t_{n-1} and t_{n-2}
+    back from the term list and forming tol * scale at every term: the
+    float terms t_n = a_n z^n and the peak modulus of the running sum,
+    stopping after three terms in a row at most tol * scale from
+    ``_safe_index`` on; NonConvergence when the sum overflows or at
+    ``_MAX_TERMS``."""
+    one = 1.0 + 0j if isinstance(L, complex) or isinstance(z, complex) else 1.0
+    two_eta_z, z_sq, two_L = 2 * eta * z, z * z, 2 * L
+    ts = [one, eta * z / (L + 1) if eta else 0.0 * z]
+    S = one + ts[1]
+    scale = max(1.0, abs(S))
+    n_safe = _safe_index(L.real, eta, abs(z))
+    streak = 0
+    for n in range(2, _MAX_TERMS + 1):
+        t = (two_eta_z * ts[-1] - z_sq * ts[-2]) / (n * (n + two_L + 1))
+        ts.append(t)
+        S += t
+        a = abs(S)
+        if a > scale:
+            if a == math.inf:
+                raise NonConvergence("reference float sum overflowed")
+            scale = a
+        if abs(t) <= tol * scale and n >= n_safe:
+            streak += 1
+            if streak >= 3:
+                return ts, scale
+        else:
+            streak = 0
+    raise NonConvergence("reference series hit the term cap")
+
+
+def sum_pair_fixed_reference(L, eta, z, n_terms, dps):
+    """``specfun._sum_pair_fixed`` as first written: each term divided by
+    the complex C_n through its norm, (N_n conj(C_n)) // (|C_n|^2 2^k),
+    and sum n t_n accumulated term by term.  Returns (S, z S', p);
+    NonConvergence when a sum leaves the float range."""
+    p = math.ceil(dps * math.log2(10.0)) + _GUARD_BITS
+    Lc, zc = complex(L), complex(z)
+    k, (lr, li, e, xr, xi) = _dyadic(Lc.real, Lc.imag, eta, zc.real, zc.imag)
+    ar, ai = 2 * e * xr, 2 * e * xi
+    br, bi = xr * xr - xi * xi, 2 * xr * xi
+    one = 1 << p
+    tr, ti, qr, qi = one, 0, 0, 0
+    Sr, Si, Tr, Ti = one, 0, 0, 0
+    for n in range(1, n_terms):
+        nr = ar * tr - ai * ti - br * qr + bi * qi
+        ni = ar * ti + ai * tr - br * qi - bi * qr
+        cr = (n * (n + 1) << k) + 2 * n * lr
+        ci = 2 * n * li
+        d = (cr * cr + ci * ci) << k
+        qr, qi = tr, ti
+        tr, ti = (nr * cr + ni * ci) // d, (ni * cr - nr * ci) // d
+        Sr += tr
+        Si += ti
+        Tr += n * tr
+        Ti += n * ti
+    try:
+        S, T = complex(Sr / one, Si / one), complex(Tr / one, Ti / one)
+    except OverflowError:
+        raise NonConvergence("reference fixed-point sum left the float "
+                             "range") from None
+    if not (isinstance(L, complex) or isinstance(z, complex)):
+        S, T = S.real, T.real
+    return S, T, p
 
 
 def p_coeff(alpha, n):

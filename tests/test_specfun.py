@@ -1,6 +1,8 @@
 """Series evaluation of F, g, f, Bessel J, and Dini functions."""
 
+import cmath
 import math
+import random
 import re
 from fractions import Fraction as Fr
 
@@ -16,7 +18,8 @@ from coulombstar.specfun import (CoulombParams, _fsum, _safe_index,
                                  _working_dps, eval_F,
                                  eval_F_with_derivative, eval_bessel_j,
                                  eval_dini, eval_f_normalized, eval_g)
-from oracles import coulomb_series_coeffs
+from oracles import (coulomb_series_coeffs, sum_pair_fixed_reference,
+                     terms_reference)
 
 # frozen high-precision reference values (50-digit arithmetic, truncated)
 G_1_M1 = 0.52526316152998352235828502496453
@@ -288,8 +291,59 @@ def test_fixed_point_sum_out_of_float_range(L, eta, z, n_terms):
     # the float pass raises first on these inputs, so the count is given.
     # (eval_g takes Steed's method at the real point: see
     # test_overflowing_terms_raise_non_convergence)
+    dps = _working_dps(L, eta, abs(z))
     with pytest.raises(NonConvergence, match="leaves the float range"):
-        _sum_pair_fixed(L, eta, z, n_terms, _working_dps(L, eta, abs(z)))
+        _sum_pair_fixed(L, eta, z, n_terms, dps)
+    with pytest.raises(NonConvergence):       # and so does the loop it pins
+        sum_pair_fixed_reference(L, eta, z, n_terms, dps)
+
+
+def test_fixed_point_kernel_is_the_reference_loop_bit_for_bit():
+    # the kernel divides by a real C_n directly and takes sum n t_n from the
+    # sum of the partial sums; (S, z S', p) must stay what the loop as first
+    # written gives, at real and complex L (near -1 too), eta = 0 and not,
+    # real and complex z, from one term up, at 17 to 80 digits
+    rng = random.Random(33)
+    for i in range(2000):
+        L = rng.choice([rng.uniform(-0.999, 60.0),
+                        -1.0 + 10.0 ** rng.uniform(-9.0, -1.0)])
+        if rng.random() < 0.4:
+            L = complex(L, rng.uniform(-3.0, 3.0))
+        eta = rng.choice([0.0, rng.uniform(-5.0, 5.0)])
+        r = 10.0 ** rng.uniform(-2.0, 1.6)
+        z = rng.choice([r, -r, r * cmath.exp(1j * rng.uniform(-3.2, 3.2))])
+        n = 1 + i % 3 if i < 30 else rng.randint(1, 150)
+        dps = rng.randint(17, 80)
+        got = _sum_pair_fixed(L, eta, z, n, dps)
+        want = sum_pair_fixed_reference(L, eta, z, n, dps)
+        assert got == want, (L, eta, z, n, dps)
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def test_float_terms_are_the_reference_loop_bit_for_bit():
+    # _terms holds t_{n-1}, t_{n-2} and tol * scale in locals; the term
+    # list, scale and stop must stay what the loop as first written gives,
+    # on a sample shaped like the benchmark's eval points (L in (-1, 200],
+    # eta in [-2, 3], |z| <= 35, real and complex), and both must raise
+    # where the float sum overflows
+    rng = random.Random(34)
+    for _ in range(2000):
+        L = rng.uniform(-0.99, 200.0)
+        if rng.random() < 0.25:
+            L = complex(L, rng.uniform(-2.0, 2.0))
+        eta = rng.choice([0.0, rng.uniform(-2.0, 3.0)])
+        r = rng.uniform(0.01, 35.0)
+        z = rng.choice([r, -r, r * cmath.exp(1j * rng.uniform(-3.2, 3.2))])
+        tol = rng.choice([1e-16, 1e-14, 1e-12, 1e-6])
+        ts, scale = _terms(L, eta, z, tol)
+        ts_ref, scale_ref = terms_reference(L, eta, z, tol)
+        assert (ts, scale) == (ts_ref, scale_ref), (L, eta, z, tol)
+        assert [type(t) for t in ts] == [type(t) for t in ts_ref]
+    for L, eta, z in [(0.0, 0.0, 710.0), (0.0, 0.0, 709j),
+                      (0.3 + 0.2j, -2.0, 700 + 300j)]:
+        for loop in (_terms, terms_reference):
+            with pytest.raises(NonConvergence):
+                loop(L, eta, z, 1e-14)
 
 
 def _exact_stop(L, eta, z, tol):
@@ -595,6 +649,33 @@ def test_bessel_j_past_the_turning_point_below_order_minus_half(nu):
     dini = eval_dini(nu, 0.5, 30.0)
     assert dini.method == "steed"
     assert abs(dini.value - float(d)) <= 1e-13
+
+
+def test_est_error_covers_mpmath_with_the_prefactor_rounding():
+    # F = C z^(L+1) S and J = (z/2)^nu S / Gamma(nu + 1) glue their
+    # prefactor on in log space, and its rounding, eps times the terms of
+    # the exponent, is part of est_error: every F and J record of a fixed
+    # sample (L in (-0.9, 30), |eta| <= 3, |z| <= 40, half of z and of F's L
+    # complex) lies within its est_error of 30-digit mpmath.  The
+    # exponent's rounding alone puts about a third of this sample's series
+    # records outside a bound that leaves it out
+    rng = random.Random(35)
+    seen = {"series": 0, "fixed": 0, "steed": 0}
+    with mp.workdps(30):
+        for _ in range(500):
+            L, eta = rng.uniform(-0.9, 30.0), rng.uniform(-3.0, 3.0)
+            r = rng.uniform(0.1, 40.0)
+            z = rng.choice([r, r * cmath.exp(1j * rng.uniform(-3.2, 3.2))])
+            if rng.random() < 0.5:
+                res, ref = eval_bessel_j(L + 0.5, z), mp.besselj(L + 0.5, z)
+            else:
+                if rng.random() < 0.5:
+                    L = complex(L, rng.uniform(-3.0, 3.0))
+                res = eval_F_with_derivative(CoulombParams(L, eta), z)
+                ref = mp.coulombf(L, eta, z)
+            seen[res.method] += 1
+            assert abs(res.value - ref) <= res.est_error, (L, eta, z)
+    assert seen["series"] >= 300 and seen["steed"] >= 50, seen
 
 
 @pytest.mark.parametrize("L", [-0.99, -0.999])
