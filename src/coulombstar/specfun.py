@@ -1,5 +1,6 @@
 """Evaluation of the regular Coulomb function and relatives: the power
-series, and Steed's continued fractions past the turning point.
+series, and Steed's continued fractions past the turning point, continued
+to complex z near the real axis.
 
 The regular solution of ``w'' + (1 - 2 eta / z - L(L+1)/z^2) w = 0`` that
 vanishes at the origin factors as
@@ -42,8 +43,12 @@ real L, eta and z there (z > 4 and z <= ``_MAX_TERMS``), F, g and Bessel J
 come from Steed's method instead (Barnett, Feng, Steed & Goldfarb, Comput.
 Phys. Commun. 8, 1974): CF1 (``_cf1``, the package's one CF1 kernel,
 which the radii read too) gives F'/F and the sign of F, CF2 (``_cf2``)
-gives H+'/H+, and the Wronskian gives |F|.  Complex inputs stay on the
-series.  ``eval_f_normalized`` reads ``eval_g``, so f takes g's path.
+gives H+'/H+, and the Wronskian gives |F|.  At complex z = x + iy with
+x in that range and 0 < |y| <= 0.6 x, Steed's F(x) and F'(x) are continued
+along the Coulomb equation by the Taylor series of F about x
+(``_continuation``), whose terms shrink like (|y|/x)^n.  Complex orders,
+and complex z elsewhere, stay on the series.  ``eval_f_normalized`` reads
+``eval_g``, so f takes g's path.
 ``SeriesEval.method`` says which path produced a value, and ``retry_bits``
 which pass of the series.
 Only float and fixed-point code lives here; the exact a_n are a test
@@ -142,8 +147,10 @@ class SeriesEval:
     ``method`` names the path that produced the value: ``"series"`` when
     the float pass of the series was kept, ``"fixed"`` for its fixed-point
     retry, whose working precision in bits is ``retry_bits`` (0 on the
-    other paths), and ``"steed"`` for Steed's continued fractions, where
-    ``terms_used`` counts the terms of CF1 and CF2.
+    other paths), ``"steed"`` for Steed's continued fractions, where
+    ``terms_used`` counts the terms of CF1 and CF2, and ``"continuation"``
+    for Steed's values continued to complex z, where it counts the terms
+    of CF1, CF2 and the Taylor series.
     """
 
     value: Scalar
@@ -360,6 +367,13 @@ def _series_pair(L: Scalar, eta: float, z: Scalar, tol: float):
 #: series, whose cancellation grows with z, is both faster and right
 _STEED_MIN_Z = 4.0
 
+#: the continuation serves z = x + iy with |y| <= rho x.  Its Taylor terms
+#: about x shrink like (|y|/x)^n, since the nearest singular point of the
+#: Coulomb equation is z = 0; at rho = 0.6 the benchmark's outer complex
+#: points need at most 64 of them, and every such point whose series pass
+#: was rejected has |y|/x < 0.27
+_CONTINUATION_RHO = 0.6
+
 
 def _cf1(L: float, eta: float, d: float, x: float):
     """(u, neg, terms): u = x F_L'(eta, x) / F_L(eta, x) - (L + 1 - d) for
@@ -459,28 +473,43 @@ def _turning_point(L: float, eta: float) -> float:
     return max(eta + math.sqrt(max(eta * eta + L * (L + 1.0), 0.0)), 0.0)
 
 
-def _steed_range(L: Scalar, eta: float, z: Scalar) -> bool:
-    """Whether Steed's method serves F_L(eta, z): real L and z, with z past
-    the turning point eta + sqrt(eta^2 + L(L+1)) and ``_STEED_MIN_Z``, and
-    at most ``_MAX_TERMS``, about as many terms as CF1 then takes."""
-    if isinstance(L, complex) or not isinstance(z, (int, float)):
-        return False
-    return max(_turning_point(L, eta), _STEED_MIN_Z) < z <= _MAX_TERMS
+def _outer_method(L: Scalar, eta: float, z: Scalar):
+    """The method that serves F_L(eta, z) past the turning point, or None
+    where the series does: ``"steed"`` at real L and z, with z past the
+    turning point eta + sqrt(eta^2 + L(L+1)) and ``_STEED_MIN_Z``, and at
+    most ``_MAX_TERMS``, about as many terms as CF1 then takes; and
+    ``"continuation"`` at real L and complex z = x + iy with such x and
+    0 < |y| <= ``_CONTINUATION_RHO`` x."""
+    if isinstance(L, complex):
+        return None
+    if isinstance(z, complex):
+        x = z.real
+        if not 0.0 < abs(z.imag) <= _CONTINUATION_RHO * x:
+            return None
+        method = "continuation"
+    elif isinstance(z, (int, float)):
+        x, method = z, "steed"
+    else:
+        return None
+    if max(_turning_point(L, eta), _STEED_MIN_Z) < x <= _MAX_TERMS:
+        return method
+    return None
 
 
 def _steed(L: float, eta: float, x: float):
-    """(F, u, est, terms): F_L(eta, x), u = x F'/F, an error estimate for
-    F and the CF1 plus CF2 terms, by Steed's method (Barnett, Feng, Steed
-    & Goldfarb 1974) at real x past the turning point.
+    """(F, u, est, terms, env): F_L(eta, x), u = x F'/F, an error estimate
+    for F, the CF1 plus CF2 terms and the envelope, by Steed's method
+    (Barnett, Feng, Steed & Goldfarb 1974) at real x past the turning
+    point.
 
     CF1 gives f = F'/F and the sign of F, CF2 gives p + iq = H+'/H+, and
     the Wronskian G F' - G' F = 1 with G = (f - p) F / q fixes
 
         |F| = (q + (f - p)^2 / q)^(-1/2),
 
-    where 1/sqrt(q) = sqrt(F^2 + G^2) is the envelope.  ``est`` is the
-    envelope times eps per term of both fractions, plus the rounding of u
-    at the scale |L + 1| + x |eta| / |L + 1| of its leading terms, which
+    where env = 1/sqrt(q) = sqrt(F^2 + G^2) is the envelope.  ``est`` is
+    the envelope times eps per term of both fractions, plus the rounding of
+    u at the scale |L + 1| + x |eta| / |L + 1| of its leading terms, which
     reaches F through the factor 1/(q x).
     """
     u, neg, n1 = _cf1(L, eta, L + 1.0, x)
@@ -491,7 +520,98 @@ def _steed(L: float, eta: float, x: float):
     lam = abs(L + 1.0)
     scale = lam + x * abs(eta) / lam if eta else lam
     est = _EPS * env * (n1 + n2 + scale / (q * x))
-    return -F if neg else F, u, est, n1 + n2
+    return -F if neg else F, u, est, n1 + n2, env
+
+
+# ---------------------------------------------------------------------------
+# Steed's values continued to complex z
+# ---------------------------------------------------------------------------
+
+def _continuation(L: float, eta: float, z: complex):
+    """(F, F', est, terms): F_L(eta, z) and F_L'(eta, z) at z = x + iy,
+    Steed's values at x continued along the Coulomb equation (DLMF 33.2.1)
+    by the Taylor series of F about x in h = iy.
+
+    Times z^2 the equation reads z^2 F'' + (z^2 - 2 eta z - L(L+1)) F = 0.
+    With F(x + h) = sum c_n h^n and a_n = c_n y^n, all real at real L, eta
+    and x, it gives
+
+        x^2 (n+2)(n+1) a_{n+2} = -[2x(n+1)n y a_{n+1}
+            + (n(n-1) + x^2 - 2 eta x - L(L+1)) y^2 a_n
+            + 2(x - eta) y^3 a_{n-1} + y^4 a_{n-2}],
+
+    from a_0 = F(x) and a_1 = F'(x) y, and F(z) = sum a_n i^n,
+    F'(z) = sum n a_n i^(n-1) / y.  The loop divides through by x^2 and
+    takes an even and an odd term a step.  The sums stop after three terms
+    in a row below eps of both sums of moduli, sum |a_n| and sum n |a_n|,
+    or raise NonConvergence past ``_MAX_TERMS`` terms or when they leave
+    the float range.  ``est`` scales Steed's error relative to the
+    envelope, plus eps a term, by sum |a_n| and the envelope at x: an error
+    in F(x) or F'(x) grows along the continuation no faster than the sum of
+    moduli of a solution at the envelope's size.  ``terms`` counts CF1, CF2
+    and the Taylor terms.
+    """
+    x, y = z.real, z.imag
+    F, u, est, n_steed, env = _steed(L, eta, x)
+    r = y / x
+    r2 = r * r
+    # the coefficients of a_n, a_{n-1} and a_{n-2} past n(n-1) r^2, over x^2
+    c2 = (x * x - 2.0 * eta * x - L * (L + 1.0)) * r2
+    c3 = 2.0 * (x - eta) * y * r2
+    c4 = y * y * r2
+    a1 = F * u / x * y
+    p1, p2, p3, p4 = a1, F, 0.0, 0.0      # a_{m-1} .. a_{m-4}
+    Fr, Fi, Dr, Di = F, a1, a1, 0.0       # F(z) and y F'(z), by parts
+    A = abs(F) + abs(a1)                  # sum |a_n|
+    B = abs(a1)                           # sum n |a_n|
+    eps, two_r = _EPS, 2.0 * r
+    j, k = 0, 0                           # (m - 2)(m - 3), (m - 1)(m - 2)
+    streak = 0
+    for m in range(2, _MAX_TERMS, 2):
+        mm = m * (m - 1)
+        a = -(k * two_r * p1 + (j * r2 + c2) * p2 + c3 * p3 + c4 * p4) / mm
+        b = -(mm * two_r * a + (k * r2 + c2) * p1 + c3 * p2
+              + c4 * p3) / (mm + 2 * m)
+        p4, p3, p2, p1 = p2, p1, a, b
+        j, k = mm, mm + 2 * m
+        ma, mb = m * a, (m + 1) * b
+        if m & 2:                         # i^m = -1
+            Fr -= a
+            Fi -= b
+            Di += ma
+            Dr -= mb
+        else:
+            Fr += a
+            Fi += b
+            Di -= ma
+            Dr += mb
+        ta, tb, tma, tmb = abs(a), abs(b), abs(ma), abs(mb)
+        A += ta + tb
+        B += tma + tmb
+        tiny, dtiny = eps * A, eps * B
+        if ta <= tiny and tma <= dtiny:
+            streak += 1
+            if tb <= tiny and tmb <= dtiny:
+                streak += 1
+                if streak >= 3:
+                    break
+            else:
+                streak = 0
+        elif tb <= tiny and tmb <= dtiny:
+            streak = 1
+        elif not B < math.inf:       # overflowed (inf) or lost (NaN)
+            break
+        else:
+            streak = 0
+    terms = m + 2
+    if streak < 3 or not B < math.inf:
+        what = ("leave the float range" if not B < math.inf
+                else f"do not converge within {_MAX_TERMS} terms")
+        raise NonConvergence(
+            f"Taylor sums continuing F from x = {x!r} to z = {z!r} {what} "
+            f"(L={L!r}, eta={eta!r})")
+    est = 2.0 * (est / env + terms * eps) * (A + env)
+    return (complex(Fr, Fi), complex(Dr, Di) / y, est, n_steed + terms)
 
 
 def _plain(params: CoulombParams):
@@ -513,39 +633,64 @@ def _demote(x: Scalar) -> Scalar:
     return x
 
 
+def _divide_prefactor(L: float, eta: float, z: Scalar, F: Scalar):
+    """(g, k, ex_err): g = F k with k = 1/(C_L(eta) z^L), at real L and z
+    off the negative axis, and the rounding of k's exponent
+    ex = -log C - L log z relative to k.  ex rounds at the scale of its
+    terms, those of log C (where pi eta / 2 and Re log Gamma(L + 1 + i eta)
+    cancel at large |eta|) and L log z, and its imaginary part, the phase,
+    at its own.  Raises GammaOverflow when k or g leaves the float range.
+    """
+    lc, lc_scale = _log_prefactor(L, eta)
+    cplx = isinstance(z, complex)
+    L_logz = L * (cmath.log(z) if cplx else math.log(z))
+    ex = -lc.real - L_logz
+    if not ex.real <= 709.0:
+        raise GammaOverflow(
+            f"1/(C z^L) exponent {ex.real:.1f} overflows double precision")
+    k = cmath.exp(ex) if cplx else math.exp(ex)
+    g = F * k
+    if not abs(g) < math.inf:
+        raise GammaOverflow(
+            f"g = F / (C z^L) overflows double precision at z = {z!r}")
+    ex_err = 2.0 * _EPS * (lc_scale + abs(L_logz.real) + abs(ex.real)
+                           + abs(ex.imag))
+    return g, k, ex_err
+
+
 def eval_g(params: CoulombParams, z: Scalar, tol: float = 1e-12) -> SeriesEval:
     """The shifted regular solution g(z) = z S(z) and its derivative.
 
     g is entire in z with g(0) = 0, g'(0) = 1, independent of the gamma
     prefactor.  tol is the truncation target for the series tail relative
     to the largest partial sum; it must lie in [1e-16, 1e-6].  At real L
-    and z past the turning point, g = F / (C z^L) from Steed's method,
-    which tol does not steer; GammaOverflow if 1/(C z^L) overflows.
+    and z past the turning point, g = F / (C z^L) from Steed's method, and
+    near the real axis there (``_outer_method``) from its
+    continuation; tol steers neither.  GammaOverflow if 1/(C z^L)
+    overflows.
     """
     _check_tol_z(tol, z)
     if z == 0:
         return SeriesEval(value=0.0, derivative=1.0, terms_used=1,
                           est_error=0.0)
     L, eta = _plain(params)
-    if _steed_range(L, eta, z):
+    method = _outer_method(L, eta, z)
+    if method == "steed":
         # g = F / (C z^L) and g' = S (z F'/F - L), with S = g/z
-        F, u, est, terms = _steed(L, eta, z)
-        L_logz = L * math.log(z)
-        lc, lc_scale = _log_prefactor(L, eta)
-        ex = -lc.real - L_logz
-        if ex > 709.0:
-            raise GammaOverflow(
-                f"1/(C z^L) exponent {ex:.1f} overflows double precision")
-        k = math.exp(ex)
-        g = F * k
-        # ex rounds at the scale of its terms, those of log C (where
-        # pi eta / 2 and Re log Gamma(L + 1 + i eta) cancel at large |eta|)
-        # and L log z
-        ex_err = 2.0 * _EPS * (lc_scale + abs(L_logz) + abs(ex))
+        F, u, est, terms, _ = _steed(L, eta, z)
+        g, k, ex_err = _divide_prefactor(L, eta, z, F)
         return SeriesEval(value=g, derivative=g / z * (u - L),
                           terms_used=terms,
                           est_error=(est + ex_err * abs(F)) * k,
                           method="steed")
+    if method:
+        # g = F / (C z^L) and g' = (F' - L F / z) / (C z^L)
+        F, dF, est, terms = _continuation(L, eta, z)
+        g, k, ex_err = _divide_prefactor(L, eta, z, F)
+        return SeriesEval(value=g, derivative=(dF - L * F / z) * k,
+                          terms_used=terms,
+                          est_error=(est + ex_err * abs(F)) * abs(k),
+                          method="continuation")
     S, T, terms, est, bits = _series_pair(L, eta, z, tol)
     # g = z*S ; g' = S + z S' = S + T
     return SeriesEval(value=_demote(z * S), derivative=_demote(S + T),
@@ -659,18 +804,25 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
     log C + (L+1) log z is formed first so huge gamma factors and tiny
     powers cancel before exponentiation.  Principal branch of log z for
     non-integer L+1.  Raises GammaOverflow when even the combined exponent
-    exceeds the float range.  On the series ``est_error`` is the series'
-    bound times |C z^(L+1)| plus the rounding of that exponent, 2 eps times
-    the terms of its real part and its imaginary part, times |F|.  At real
-    L and z past the turning point F and F' come from Steed's method
-    instead, which tol does not steer.
+    exceeds the float range, or its terms do (past L ~ 1.3e305).  On the
+    series ``est_error`` is the series' bound times |C z^(L+1)| plus the
+    rounding of that exponent, 2 eps times the terms of its real part and
+    its imaginary part, times |F|.  At real L and z past the turning point
+    F and F' come from Steed's method instead, and near the real axis
+    there (``_outer_method``) from its continuation; tol steers
+    neither.
     """
     _check_tol_z(tol, z)
     L, eta = _plain(params)
-    if _steed_range(L, eta, z):
-        F, u, est, terms = _steed(L, eta, z)
+    method = _outer_method(L, eta, z)
+    if method == "steed":
+        F, u, est, terms, _ = _steed(L, eta, z)
         return SeriesEval(value=F, derivative=F * u / z, terms_used=terms,
                           est_error=est, method="steed")
+    if method:
+        F, dF, est, terms = _continuation(L, eta, z)
+        return SeriesEval(value=F, derivative=dF, terms_used=terms,
+                          est_error=est, method="continuation")
     lc, lc_scale = _log_prefactor(L, eta)
     if z == 0:
         # F ~ C z^(L+1) and F' ~ C (L+1) z^L as z -> 0: each tends to 0 or
@@ -688,10 +840,13 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
                           est_error=0.0)
     lz = (L + 1) * cmath.log(z)
     log_total = lc + lz
-    if log_total.real > 709.0:
+    # past L ~ 1e305 the terms of log C overflow, and log C is inf - inf or
+    # a finite remnant of them; at a pole of Gamma(L + 1 +- i eta) (complex
+    # L) they are NaN, and so is F
+    if log_total.real > 709.0 or lc_scale == math.inf:
         raise GammaOverflow(
-            f"combined prefactor exponent {log_total.real:.1f} overflows "
-            "double precision")
+            f"combined prefactor exponent {log_total.real:.5g} (terms up to "
+            f"{lc_scale:.3g}) overflows double precision")
     S, T, terms, est, bits = _series_pair(L, eta, z, tol)
     pref = cmath.exp(log_total)          # C z^(L+1)
     value = pref * S
@@ -748,7 +903,11 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
 # operations per second, and a pair-step eta = 0 loop in ``_terms`` left J
 # at 1.3-1.5 times the cost of this loop.  The loop shares the series' tail
 # bound, ``_safe_index``.  Two different series also keep acceptance
-# criterion 3, the Bessel reduction at complex z, a comparison of two sums.
+# criterion 3, the Bessel reduction at complex z, a comparison of two sums,
+# except near the real axis past the turning point, where F and J both come
+# from the continuation of Steed's F_{nu-1/2}(0, x): 6 of its 60 points
+# (z = 7.231 - 2.481i and 4.280 + 1.408i at each order) compare the
+# continuation with itself, and the other 54 still two series.
 # ---------------------------------------------------------------------------
 
 def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
@@ -760,17 +919,19 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     relative to its largest partial sum, must lie in [1e-16, 1e-6]
     (ValueError).  At real z past sqrt(nu^2 - 1/4) and 4 (and at most
     ``_MAX_TERMS``), J_nu(z) = sqrt(2/(pi z)) F_{nu-1/2}(0, z) by Steed's
-    method, to about 1e-13 of the envelope sqrt(J^2 + Y^2); tol does not
-    steer it.  Otherwise the series of J_nu(z) Gamma(nu + 1) / (z/2)^nu
-    starts at 1; the factor (z/2)^nu / Gamma(nu + 1) is applied in log
-    space, so large orders neither overflow nor lose the result before it
-    underflows.  The terms are summed in float with Kahan compensation and
+    method, to about 1e-13 of the envelope sqrt(J^2 + Y^2), and so at
+    complex z = x + iy with such x and 0 < |y| <= 0.6 x by its
+    continuation; tol steers neither.  Otherwise the series of
+    J_nu(z) Gamma(nu + 1) / (z/2)^nu starts at 1; the factor
+    (z/2)^nu / Gamma(nu + 1) is applied in log space, so large orders
+    neither overflow nor lose the result before it underflows.  The terms are summed in float with Kahan compensation and
     there is no precision retry, so at complex z with |z| well beyond nu,
     where the terms peak far above |J|, cancellation can leave wrong
     digits.  The series ``est_error`` adds to the tail and the rounding at
     the peak partial sum that of the factor's exponent
     nu log(z/2) - lgamma(nu + 1).  Raises GammaOverflow when that factor,
-    or its counterpart in J', exceeds the float range.
+    or its counterpart in J', exceeds the float range, or lgamma(nu + 1)
+    does (past nu ~ 2.5e305).
     """
     if isinstance(nu, complex):
         raise ValueError("nu must be real")
@@ -779,13 +940,21 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     _check_tol_z(tol, z)
     if nu <= -1:
         raise GateViolation(f"Bessel order nu = {nu} <= -1 not supported")
-    if _steed_range(nu - 0.5, 0.0, z):
+    method = _outer_method(nu - 0.5, 0.0, z)
+    if method == "steed":
         # J = sqrt(2/(pi z)) F_{nu-1/2}(0, z), J' = J (z F'/F - 1/2) / z
-        F, u, est, terms = _steed(nu - 0.5, 0.0, z)
+        F, u, est, terms, _ = _steed(nu - 0.5, 0.0, z)
         k = math.sqrt(2.0 / (math.pi * z))
         return SeriesEval(value=k * F, derivative=k * F * (u - 0.5) / z,
                           terms_used=terms, est_error=est * k,
                           method="steed")
+    if method:
+        # the same at complex z, J' = sqrt(2/(pi z)) (F' - F / (2z))
+        F, dF, est, terms = _continuation(nu - 0.5, 0.0, z)
+        k = cmath.sqrt(2.0 / (math.pi * z))
+        return SeriesEval(value=k * F, derivative=k * (dF - 0.5 * F / z),
+                          terms_used=terms, est_error=est * abs(k),
+                          method="continuation")
     if z == 0:
         # the limits as z -> 0+ of J ~ (z/2)^nu / Gamma(nu + 1) and of
         # J' ~ nu (z/2)^(nu - 1) / (2 Gamma(nu + 1)), at nu != 0
@@ -831,10 +1000,15 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
             f"Bessel series did not converge within {_MAX_TERMS} terms "
             f"(nu={nu}, z={z!r})")
     # half_pow = (z/2)^nu / Gamma(nu + 1), half_pow_m1 = (z/2)^(nu-1) / ...
-    lg = math.lgamma(nu + 1.0)
+    try:
+        lg = math.lgamma(nu + 1.0)
+    except OverflowError:               # past nu ~ 2.5e305
+        raise GammaOverflow(
+            f"log Gamma(nu + 1) in the Bessel prefactor overflows double "
+            f"precision (nu={nu}, z={z!r})") from None
     lz = math.log(abs(z) / 2.0)
     top = max(nu * lz, (nu - 1.0) * lz) - lg
-    if top > 709.0:
+    if not top <= 709.0:
         raise GammaOverflow(
             f"Bessel prefactor exponent {top:.1f} overflows double "
             f"precision (nu={nu}, z={z!r})")

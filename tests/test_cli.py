@@ -405,6 +405,19 @@ def test_bessel_prefactor_overflow_exits_4(capsys):
     assert code == 4 and out == "" and "GammaOverflow" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "F", "--L", "1e306", "--z-re", "1"),
+    ("--family", "F", "--L", "1e305", "--eta", "1", "--z-re", "1"),
+    ("--family", "besselJ", "--L", "1e306", "--z-re", "1"),
+])
+def test_a_prefactor_past_the_float_range_exits_4(capsys, argv):
+    # log Gamma(2L + 2) and lgamma(nu + 1) leave the float range near
+    # 1.3e305 and 2.5e305; F printed NaN, or 0.0 with est_error NaN, and
+    # exited 0, and Bessel J escaped as a bare OverflowError with exit 1
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 4 and out == "" and "GammaOverflow" in err
+
+
 def test_verify_all_subset(capsys):
     code, out, _ = run(capsys, "verify-all", "--only", "1", "2", "10")
     assert code == 0

@@ -261,6 +261,11 @@ RETRY_POINTS = [
 ]
 
 
+#: the complex retry points at real L with |Im z| <= 0.6 Re z past the
+#: turning point, which the continuation of Steed's values serves
+CONTINUED_RETRY_POINTS = (25.995 + 0.52j, 32.835 + 3.295j)
+
+
 @pytest.mark.parametrize("L, eta, z, terms", RETRY_POINTS)
 def test_fixed_point_retry(L, eta, z, terms):
     # the reference sums the same number of terms: where the series stops
@@ -279,6 +284,12 @@ def test_fixed_point_retry(L, eta, z, terms):
         assert (res.method, res.retry_bits) == ("steed", 0)
         F, _, env, _, cxl = _mp_refs(L, eta, z)
         assert abs(res.value - F / cxl) <= 1e-13 * env / cxl
+    elif z in CONTINUED_RETRY_POINTS:
+        # and its continuation those near the real axis, where the retry
+        # is 2.5e-5 off at 25.995 + 0.52i
+        assert (res.method, res.retry_bits) == ("continuation", 0)
+        g = _mp_continuation_refs(L, eta, z)[2]
+        assert abs(res.value - g) <= min(1e-13 * abs(g), res.est_error)
     else:
         assert (res.method, res.retry_bits) == ("fixed", bits)
 
@@ -660,7 +671,7 @@ def test_est_error_covers_mpmath_with_the_prefactor_rounding():
     # exponent's rounding alone puts about a third of this sample's series
     # records outside a bound that leaves it out
     rng = random.Random(35)
-    seen = {"series": 0, "fixed": 0, "steed": 0}
+    seen = {"series": 0, "fixed": 0, "steed": 0, "continuation": 0}
     with mp.workdps(30):
         for _ in range(500):
             L, eta = rng.uniform(-0.9, 30.0), rng.uniform(-3.0, 3.0)
@@ -741,6 +752,154 @@ def test_steed_g_est_error_covers_the_prefactor_at_large_negative_eta():
         assert abs(res.value - float(g)) <= res.est_error, (L, eta, z)
 
 
+# ---------------------------------------------------------------------------
+# Steed's values continued to complex z near the real axis
+# ---------------------------------------------------------------------------
+
+def _continuation_points(n):
+    """n seeded (L, eta, z), z = x + iy in the continuation's sector: L in
+    (-0.9, 60), eta = 0 at every third point and in (-10, 10) otherwise, x
+    from just past max(turning point, 4) (every fifth point) to about 200,
+    and |y| up to 0.6 x in both half-planes (every seventh point on the
+    edge).  |eta| stays at 10 or below, where Steed's est_error, which the
+    continuation scales, holds."""
+    rng = random.Random(35)
+    pts = []
+    for i in range(n):
+        L = rng.uniform(-0.9, 60.0)
+        eta = 0.0 if i % 3 == 0 else rng.uniform(-10.0, 10.0)
+        x0 = max(_turn(L, eta), specfun._STEED_MIN_Z)
+        x = (x0 * (1.0 + 1e-9) if i % 5 == 0
+             else x0 + (200.0 - x0) * rng.random() ** 2)
+        y = 0.6 * x if i % 7 == 0 else rng.uniform(0.0, 0.6) * x
+        pts.append((L, eta, complex(x, y if i % 2 else -y)))
+    return pts
+
+
+def _mp_continuation_refs(L, eta, z):
+    """(F, F', g, g', f, f') at real L and complex z from 30-digit mpmath;
+    F' from the order ladder of ``_mp_refs``, g = F / (C z^L) and f read
+    off g as ``eval_f_normalized`` reads it."""
+    with mp.workdps(30):
+        L_, z_ = mp.mpf(L), mp.mpc(z)
+        F, F1 = mp.coulombf(L_, eta, z_), mp.coulombf(L_ + 1, eta, z_)
+        a, b = (L_ + 1) ** 2 / z_ + eta, mp.sqrt((L_ + 1) ** 2 + eta ** 2)
+        dF = (a * F - b * F1) / (L_ + 1)
+        logC = (L_ * mp.log(2) - mp.pi * eta / 2
+                + mp.re(mp.loggamma(L_ + 1 + 1j * eta))
+                - mp.loggamma(2 * L_ + 2))
+        czl = mp.exp(logC) * z_ ** L_
+        g, dg = F / czl, (dF - L_ * F / z_) / czl
+        f = z_ * mp.exp(mp.log(g / z_) / (L_ + 1))
+        df = f / z_ * (1 + (z_ * dg / g - 1) / (L_ + 1))
+        return tuple(complex(v) for v in (F, dF, g, dg, f, df))
+
+
+def test_continuation_matches_mpmath_within_its_est_error():
+    # F, F', g, g', f, f', J and J' in the sector 0 < |Im z| <= 0.6 Re z
+    # past the turning point, against 30-digit mpmath: every value and
+    # derivative within 1e-12 relative, and F, g and J within their
+    # est_error.  Measured worst: 1.1e-13 relative (g at large L, the
+    # prefactor's rounding), 0.26 of est_error
+    for L, eta, z in _continuation_points(400):
+        p = CoulombParams(L, eta)
+        rF, rg = eval_F_with_derivative(p, z), eval_g(p, z)
+        rf = eval_f_normalized(p, z)
+        F, dF, g, dg, f, df = _mp_continuation_refs(L, eta, z)
+        recs = [(rF, F, dF), (rg, g, dg), (rf, f, df)]
+        if eta == 0.0:
+            with mp.workdps(30):
+                J = complex(mp.besselj(L + 0.5, z))
+                dJ = complex(mp.besselj(L + 0.5, z, derivative=1))
+            recs.append((eval_bessel_j(L + 0.5, z), J, dJ))
+        for res, want, dwant in recs:
+            assert res.method == "continuation", (L, eta, z)
+            assert res.retry_bits == 0
+            assert abs(res.value - want) <= 1e-12 * abs(want), (L, eta, z)
+            assert abs(res.derivative - dwant) <= 1e-12 * abs(dwant), \
+                (L, eta, z)
+        for res, want, _ in recs[:2] + recs[3:]:
+            assert abs(res.value - want) <= res.est_error, (L, eta, z)
+
+
+#: Steed's records at real x, as they were before the continuation:
+#: (L, eta, x, F, F', g, g'), and (nu, x, J, J')
+STEED_RECORDS = [
+    (-0.5, 0.0, 4.5, -0.8522202066443918, 0.5196247944601057,
+     -1.4424412904330464, 0.7192294346700457),
+    (0.0, -1.5, 25.995, 0.6351351266693551, 0.7792013323931576,
+     0.20687739756726695, 0.25380291068417327),
+    (3.7, 2.5, 30.0, -0.725150673517366, 0.6901322824441448,
+     -0.1216089190648464, 0.1307347126444342),
+    (25.0, -3.0, 150.0, 0.7921648333566046, 0.6091093318362498,
+     1.0015525185301551e-23, 6.031857486186791e-24),
+    (7.0, 0.0, 40.0, -0.999224390878146, -0.13674631386200187,
+     -1.2362382940184182e-05, 4.7159452395529895e-07),
+    (0.3, 1.7, 200.0, 0.9178864369836102, 0.4040519615076916,
+     11.630489653258397, 5.102274928499992),
+]
+STEED_J_RECORDS = [
+    (0.0, 4.5, -0.3205425089851215, 0.23106043192337053),
+    (7.5, 40.0, -0.12605877787102174, -0.01567571886519189),
+]
+
+
+def test_real_z_keeps_steeds_method_bit_for_bit():
+    for L, eta, x, *want in STEED_RECORDS:
+        p = CoulombParams(L, eta)
+        rF, rg = eval_F_with_derivative(p, x), eval_g(p, x)
+        assert rF.method == rg.method == "steed"
+        got = [rF.value, rF.derivative, rg.value, rg.derivative]
+        assert list(map(repr, got)) == list(map(repr, want)), (L, eta, x)
+    for nu, x, *want in STEED_J_RECORDS:
+        rJ = eval_bessel_j(nu, x)
+        assert rJ.method == "steed"
+        got = [rJ.value, rJ.derivative]
+        assert list(map(repr, got)) == list(map(repr, want)), (nu, x)
+
+
+@pytest.mark.parametrize("L, eta, z", [
+    (3.0, 1.0, complex(30.0, 18.3)),           # |y| just above 0.6 x
+    (3.0, 1.0, complex(30.0, -18.3)),
+    (3.0, 1.0, complex(4.6055, 0.5)),          # x just below the turning
+    (2.0, 0.0, complex(3.99, 1.0)),            # point, and below 4
+    (0.0, -1.5, complex(25.995, 0.0)),         # real-valued complex z
+    (0.0, -1.5, complex(25.995, -0.0)),
+    (0.0, 1.5, complex(-32.835, 3.295)),       # the left half-plane
+    (0.5 + 0.1j, -1.5, complex(28.0, 1.0)),    # complex L
+])
+def test_outside_the_sector_keeps_the_series(L, eta, z):
+    # every other input keeps its path; Im z = 0 must not divide by y
+    p = CoulombParams(L, eta)
+    for res in (eval_F_with_derivative(p, z), eval_g(p, z)):
+        assert res.method in ("series", "fixed"), (L, eta, z)
+    if eta == 0.0:
+        assert eval_bessel_j(L + 0.5, z).method == "series"
+
+
+@pytest.mark.parametrize("L, eta, z", [
+    (0.0, 0.0, complex(2000.0, 800.0)), (5.0, 0.0, complex(2000.0, 705.0)),
+    (0.0, 0.0, complex(9000.0, -5000.0)),
+])
+def test_continuation_out_of_float_range_raises(L, eta, z):
+    # F ~ e^|y| / 2 leaves the float range past |y| ~ 709
+    for op in (eval_F_with_derivative, eval_g, eval_f_normalized):
+        with pytest.raises(NonConvergence, match="leave the float range"):
+            op(CoulombParams(L, eta), z)
+    with pytest.raises(NonConvergence, match="leave the float range"):
+        eval_bessel_j(L + 0.5, z)
+
+
+def test_continuation_near_the_float_range_matches_sin():
+    # 3005 Taylor terms at |y| = 690, where sin z is 1e299
+    res = eval_F_with_derivative(CoulombParams(0.0, 0.0),
+                                 complex(2000.0, 690.0))
+    with mp.workdps(30):
+        ref = complex(mp.sin(mp.mpc(2000, 690)))
+    assert res.method == "continuation"
+    assert abs(res.value - ref) <= min(1e-12 * abs(ref), res.est_error)
+
+
 def _loggamma_points(rng, n):
     """n points w with Re w > 0 in eight strata: both sides of |w| = 14,
     |Im w| up to 600, Re w near 0, near the roots 1 and 2 of
@@ -818,6 +977,22 @@ def test_log_prefactor_at_huge_order_is_not_an_error():
     # terms are inf there instead, as they were from scipy
     lc, scale = specfun._log_prefactor(1e306, 0.0)
     assert not cmath.isfinite(lc) and scale == math.inf
+
+
+@pytest.mark.parametrize("op, args", [
+    (eval_F_with_derivative, (CoulombParams(1e306, 0.0), 1.0)),
+    (eval_F_with_derivative, (CoulombParams(1e305, 1.0), 1.0)),
+    (eval_F_with_derivative, (CoulombParams(2e305, 1.0), 1.0 + 1j)),
+    (eval_F, (CoulombParams(1e306, 0.0), 0.5)),
+    (eval_bessel_j, (1e306, 1.0)),
+    (eval_bessel_j, (1e306, 1.0 + 1j)),
+])
+def test_a_log_prefactor_that_is_not_finite_raises_gamma_overflow(op, args):
+    # past L ~ 1.3e305 the terms of log C overflow: log C is inf - inf, or
+    # a finite remnant beside a scale of inf, and F came out NaN, or 0.0
+    # with est_error NaN; Bessel J raised a bare OverflowError from lgamma
+    with pytest.raises(GammaOverflow, match="overflows"):
+        op(*args)
 
 
 def test_steed_g_whose_scale_overflows_raises_gamma_overflow():
