@@ -21,7 +21,13 @@ re-exports them all.  ``import coulombstar`` needs only the standard
 library: the oracles (``verify``) and the acceptance criteria
 (``acceptance``), which use numpy, scipy and mpmath, load on first use of
 one of their names, of the module itself, of ``__all__`` or of ``dir()``
-(PEP 562).
+(PEP 562).  The records (``CoulombParams``, ``SeriesEval``,
+``RadiusResult``, ``RadiusQuery``, ``RayleighTable``,
+``EulerRayleighBounds``, ``EpsilonTable``, ``OrderFit``, and in the oracles
+``DiskScanReport`` and ``CriterionResult``) are named tuples, so the import
+loads no ``dataclasses`` (nor the ``inspect`` it pulls in) either: they are
+immutable, equal and hashed by value, and also iterate, unpack and compare
+equal to a plain tuple of their values; ``_replace`` makes a changed copy.
 """
 
 import importlib

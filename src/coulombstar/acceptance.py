@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -34,8 +34,7 @@ __all__ = ["CriterionResult", "run_criterion", "run_all", "format_report",
            "CRITERION_IDS"]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     cid: str
     description: str
     passed: bool

@@ -41,9 +41,8 @@ honestly rather than hiding it.  See the README for the full story.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from .errors import DegenerateFit, GateViolation
 from .exact import EtaPolynomial, Sqrt2Rational, _powers
@@ -67,8 +66,7 @@ _NEG_ETA = -_ETA
 _ZERO = EtaPolynomial([])
 
 
-@dataclass(frozen=True)
-class EpsilonTable:
+class EpsilonTable(NamedTuple):
     """Leading constant c and correction polynomials eps_1..eps_N."""
 
     c: Sqrt2Rational
@@ -278,8 +276,7 @@ def radius_asymptotic(L: float, eta: float, N: int) -> float:
     return float(L) * (float(table.c) + acc)
 
 
-@dataclass(frozen=True)
-class OrderFit:
+class OrderFit(NamedTuple):
     """Log-log slope of scaled errors against L (with fit residual)."""
 
     slope: float

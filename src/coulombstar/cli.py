@@ -21,7 +21,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -44,14 +43,14 @@ _NUMERICAL_ERRORS = (NonConvergence, NoRootInScanRange, GammaOverflow,
                      PoleOnCircle, ZeroEnumerationIncomplete, DegenerateFit)
 
 
-@dataclass
 class OutputRecord:
     """What a subcommand produced: echoed inputs, outputs, diagnostics."""
 
-    command: str
-    inputs: Dict[str, object] = field(default_factory=dict)
-    outputs: Dict[str, object] = field(default_factory=dict)
-    diagnostics: Dict[str, object] = field(default_factory=dict)
+    def __init__(self, command: str) -> None:
+        self.command = command
+        self.inputs: Dict[str, object] = {}
+        self.outputs: Dict[str, object] = {}
+        self.diagnostics: Dict[str, object] = {}
 
     def put(self, section: str, key: str, value) -> None:
         """Store a value, flattening complex numbers to _re/_im pairs."""

@@ -90,9 +90,10 @@ Rounding.  The kernel rounds u to a few eps of the two terms its product
 starts from, scale = d + r |eta|/(L+1); near the root the fraction is of
 that size too.  Where |u| is below 3 eps scale the bracket closes only to
 the band of r in which the sign of u is rounding, and where r u' is lost in
-rounding too the search stops.  ``RadiusResult`` returns the bracket end
-with the smaller |u| as the root, that |u| as ``residual``, the kernel
-evaluations as ``iterations`` and a first-order relative forward error
+rounding too the search stops.  ``RadiusResult``, a named tuple as
+``RadiusQuery`` is, returns the bracket end with the smaller |u| as the
+root, that |u| as ``residual``, the kernel evaluations as ``iterations``
+and a first-order relative forward error
 
     error_bound = (residual + e_u) / |r u'| + eps,    e_u = 10 eps scale,
 
@@ -104,8 +105,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import GateViolation, NonConvergence, NoRootInScanRange
 from .specfun import _EPS, _TINY, _cf1, _turning_point
@@ -128,8 +128,7 @@ class Family(str, enum.Enum):
     BESSEL_GEN = "phi"   # z * jhat^(1/(nu+alpha))
 
 
-@dataclass(frozen=True)
-class RadiusResult:
+class RadiusResult(NamedTuple):
     """First positive root, its final bracket, the residual |u(root)|, the
     number of kernel evaluations and a relative forward-error estimate."""
 
@@ -140,8 +139,7 @@ class RadiusResult:
     error_bound: float
 
 
-@dataclass(frozen=True)
-class RadiusQuery:
+class RadiusQuery(NamedTuple):
     """Radius inputs: the family, beta and the family's two inputs (L and
     eta, or nu and alpha); :meth:`solve` finds the radius."""
 

@@ -62,9 +62,8 @@ bounds for the square of the smallest positive zero of F':
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, NamedTuple, Tuple, Union
 
 from .errors import BoundsInvalid, GateViolation, RegionWarning
 from .exact import EtaPolynomial, _rational_dot
@@ -86,8 +85,7 @@ Number = Union[Fraction, float]
 _K_MAX = 64
 
 
-@dataclass(frozen=True)
-class RayleighTable:
+class RayleighTable(NamedTuple):
     """Zero power sums values[k] for k = 2 .. k_max."""
 
     params: CoulombParams
@@ -99,8 +97,7 @@ class RayleighTable:
         return self.values[k]
 
 
-@dataclass(frozen=True)
-class EulerRayleighBounds:
+class EulerRayleighBounds(NamedTuple):
     """Two-sided bounds for the squared smallest positive zero of F'."""
 
     s: int

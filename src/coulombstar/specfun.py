@@ -50,7 +50,9 @@ along the Coulomb equation by the Taylor series of F about x
 and complex z elsewhere, stay on the series.  ``eval_f_normalized`` reads
 ``eval_g``, so f takes g's path.
 ``SeriesEval.method`` says which path produced a value, and ``retry_bits``
-which pass of the series.
+which pass of the series.  ``CoulombParams`` and ``SeriesEval`` are named
+tuples; ``CoulombParams`` runs its gates in ``__new__``, so that
+``_replace`` keeps them.
 Only float and fixed-point code lives here; the exact a_n are a test
 reference (``tests/oracles.py``).
 """
@@ -59,9 +61,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import GammaOverflow, GateViolation, NonConvergence
 
@@ -88,34 +90,36 @@ _MAX_TERMS = 10000
 _GUARD_BITS = 20
 
 
-@dataclass(frozen=True)
-class CoulombParams:
+class CoulombParams(namedtuple("CoulombParams", "L eta")):
     """Order L and Sommerfeld parameter eta.
 
     L may be real (float/int/Fraction, must be > -1) or genuinely complex;
     eta must be real.  Both must be finite.  A complex L with zero imaginary
     part is demoted to the real value it is.  Raises GateViolation for a
-    non-finite input or a real L <= -1, ValueError for a complex eta.
+    non-finite input or a real L <= -1, ValueError for a complex eta.  The
+    gates also hold for ``_make`` and ``_replace``.
     """
 
-    L: Union[float, complex, Fraction]
-    eta: Union[float, Fraction]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        L, eta = self.L, self.eta
+    def __new__(cls, L: Union[float, complex, Fraction],
+                eta: Union[float, Fraction]):
         if isinstance(eta, complex):
             if eta.imag != 0:
                 raise ValueError("eta must be real")
             eta = eta.real
-            object.__setattr__(self, "eta", eta)
         if isinstance(L, complex) and L.imag == 0:
             L = L.real
-            object.__setattr__(self, "L", L)
         _check_finite("L", L)
         _check_finite("eta", eta)
         if not isinstance(L, complex) and L <= -1:
             raise GateViolation(
                 f"order L = {L} <= -1 makes the series recurrence degenerate")
+        return tuple.__new__(cls, (L, eta))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def is_complex(self) -> bool:
@@ -132,16 +136,22 @@ def _check_finite(name: str, x) -> None:
         raise GateViolation(f"{name} must be finite, got {x!r}")
 
 
-def _check_tol_z(tol: float, z) -> None:
-    """The gates of every evaluator: ValueError unless tol lies in
-    [1e-16, 1e-6], GateViolation unless z is finite."""
+def _check_tol_z(tol: float, z):
+    """The gates of every evaluator, which then reads the z returned:
+    ValueError unless tol lies in [1e-16, 1e-6], GateViolation unless z is
+    finite.  A complex z with Im z = 0 and Re z > 0 comes back as the float
+    Re z, so that it takes the path of that float; at Re z <= 0 it stays
+    complex, as the sign of its zero imaginary part picks the side of the
+    branch cut of log z."""
     if not 1e-16 <= tol <= 1e-6:
         raise ValueError(f"tol must lie in [1e-16, 1e-6], got {tol!r}")
     _check_finite("z", z)
+    if isinstance(z, complex) and z.imag == 0 and z.real > 0:
+        return z.real
+    return z
 
 
-@dataclass(frozen=True)
-class SeriesEval:
+class SeriesEval(NamedTuple):
     """Value/derivative pair with truncation diagnostics.
 
     ``method`` names the path that produced the value: ``"series"`` when
@@ -669,7 +679,7 @@ def eval_g(params: CoulombParams, z: Scalar, tol: float = 1e-12) -> SeriesEval:
     continuation; tol steers neither.  GammaOverflow if 1/(C z^L)
     overflows.
     """
-    _check_tol_z(tol, z)
+    z = _check_tol_z(tol, z)
     if z == 0:
         return SeriesEval(value=0.0, derivative=1.0, terms_used=1,
                           est_error=0.0)
@@ -812,7 +822,7 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
     there (``_outer_method``) from its continuation; tol steers
     neither.
     """
-    _check_tol_z(tol, z)
+    z = _check_tol_z(tol, z)
     L, eta = _plain(params)
     method = _outer_method(L, eta, z)
     if method == "steed":
@@ -878,13 +888,14 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
     takes g's path (Steed's method at real L and z past the turning point,
     the series otherwise), its diagnostics and its GammaOverflow.
     """
+    z = _check_tol_z(tol, z)
     g = eval_g(params, z, tol)
     if z == 0:
         return g
     L = _plain(params)[0]
     root = cmath.exp(cmath.log(g.value / z) / (L + 1))
     deriv = root * (1 + (z * g.derivative / g.value - 1) / (L + 1))
-    return replace(g, value=_demote(z * root), derivative=_demote(deriv))
+    return g._replace(value=_demote(z * root), derivative=_demote(deriv))
 
 
 # ---------------------------------------------------------------------------
@@ -937,7 +948,7 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
         raise ValueError("nu must be real")
     nu = float(nu)
     _check_finite("nu", nu)
-    _check_tol_z(tol, z)
+    z = _check_tol_z(tol, z)
     if nu <= -1:
         raise GateViolation(f"Bessel order nu = {nu} <= -1 not supported")
     method = _outer_method(nu - 0.5, 0.0, z)
@@ -1043,6 +1054,7 @@ def eval_dini(nu: float, H: float, r: Scalar, tol: float = 1e-15) -> SeriesEval:
     [1e-16, 1e-6], as for ``eval_bessel_j``.
     """
     _check_finite("H", H)
+    r = _check_tol_z(tol, r)
     je = eval_bessel_j(nu, r, tol)
     if r == 0:
         k = nu + H

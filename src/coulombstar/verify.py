@@ -26,8 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -56,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiskScanReport:
+class DiskScanReport(NamedTuple):
     """Minimum of the (possibly rotated) starlikeness witness on a circle."""
 
     radius_scanned: float

@@ -863,8 +863,6 @@ def test_real_z_keeps_steeds_method_bit_for_bit():
     (3.0, 1.0, complex(30.0, -18.3)),
     (3.0, 1.0, complex(4.6055, 0.5)),          # x just below the turning
     (2.0, 0.0, complex(3.99, 1.0)),            # point, and below 4
-    (0.0, -1.5, complex(25.995, 0.0)),         # real-valued complex z
-    (0.0, -1.5, complex(25.995, -0.0)),
     (0.0, 1.5, complex(-32.835, 3.295)),       # the left half-plane
     (0.5 + 0.1j, -1.5, complex(28.0, 1.0)),    # complex L
 ])
@@ -875,6 +873,29 @@ def test_outside_the_sector_keeps_the_series(L, eta, z):
         assert res.method in ("series", "fixed"), (L, eta, z)
     if eta == 0.0:
         assert eval_bessel_j(L + 0.5, z).method == "series"
+
+
+@pytest.mark.parametrize("z", [complex(25.995, 0.0), complex(25.995, -0.0)])
+def test_real_valued_complex_z_takes_steeds_method(z):
+    # a complex z with Im z = 0 past the turning point is its real part:
+    # F, g, f and J take Steed's method and return the float call's values,
+    # where the series and its retry were 3.3e-5 off
+    p, x = CoulombParams(0.0, -1.5), z.real
+    refs = _mp_continuation_refs(0.0, -1.5, x)
+    for op, want in ((eval_F_with_derivative, refs[0:2]),
+                     (eval_g, refs[2:4]), (eval_f_normalized, refs[4:6])):
+        res = op(p, z)
+        assert res.method == "steed", op
+        assert repr(res) == repr(op(p, x)), op
+        for got, ref in zip((res.value, res.derivative), want):
+            assert abs(got - ref) <= 1e-12 * abs(ref), (op, got, ref)
+    res = eval_bessel_j(2.5, complex(30.0, z.imag))
+    assert res.method == "steed"
+    assert repr(res) == repr(eval_bessel_j(2.5, 30.0))
+    with mp.workdps(30):
+        want = (mp.besselj(2.5, 30), mp.besselj(2.5, 30, derivative=1))
+    for got, ref in zip((res.value, res.derivative), map(float, want)):
+        assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
 
 
 @pytest.mark.parametrize("L, eta, z", [
