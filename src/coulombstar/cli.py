@@ -11,7 +11,7 @@ record only when they go to a file: with ``--out -`` it refuses
 ``--json``, ``--csv`` and ``--output``, as ``verify-all`` does.
 
 Exit codes: 0 ok, 2 parameter-gate violation (also argparse errors),
-3 IO failure, 4 numerical failure.
+3 IO failure, 4 numerical failure (any other ``CoulombError``).
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from typing import Dict, List, Optional
 
 from .acceptance import CRITERION_IDS, format_report, run_all
 from .asympt import (empirical_order, epsilon_coeffs, radius_asymptotic)
-from .errors import (BoundsInvalid, DegenerateFit, GammaOverflow,
-                     GateViolation, NonConvergence, NoRootInScanRange,
-                     PoleOnCircle, ZeroEnumerationIncomplete)
+from .errors import BoundsInvalid, CoulombError, GateViolation
 from .exact import format_sqrt2
 from .radii import RadiusQuery
 from .rayleigh import rayleigh_Z, rayleigh_Ztilde, zeta_coeffs
@@ -39,8 +37,6 @@ from .verify import boundary_image
 __all__ = ["OutputRecord", "build_parser", "main"]
 
 _GATE_ERRORS = (GateViolation, BoundsInvalid, ValueError)
-_NUMERICAL_ERRORS = (NonConvergence, NoRootInScanRange, GammaOverflow,
-                     PoleOnCircle, ZeroEnumerationIncomplete, DegenerateFit)
 
 
 class OutputRecord:
@@ -373,7 +369,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except _NUMERICAL_ERRORS as exc:
+    except CoulombError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 4

@@ -27,15 +27,15 @@ are taken over the stored terms at the end, correctly rounded by
 ``math.fsum`` in float.  When cancellation eats the working precision the
 float pass's terms are re-summed: the same number of terms is recomputed in
 fixed point on Python integers (``_sum_pair_fixed``), at a precision chosen
-from the size of log10(C_L(eta) z^(L+1)), with one floor division a term
-(by the real C_n itself at real L); its sums are exact in the integers,
-sum n t_n is read off the sum of the partial sums, and both are rounded to
-float once.  The series ``est_error`` of F and Bessel J includes the
-rounding of the log-space prefactor.  The prefactor's log Gamma comes from
-the standard library: ``math.lgamma`` at real arguments, and at complex
-ones ``_loggamma``, Stirling's series (DLMF 5.11.1) at |w| >= 14 and the
-Lanczos sum of CPython's ``math.lgamma`` below; so this module, like the
-package, imports neither numpy, scipy nor mpmath.
+from the size of log10(C_L(eta) z^(L+1)), with one floor division a term;
+its sums are exact in the integers, sum n t_n is read off the sum of the
+partial sums, and both are rounded to float once.  The series
+``est_error`` of F and Bessel J includes the rounding of the log-space
+prefactor.  The prefactor's log Gamma comes from the standard library:
+``math.lgamma`` at real arguments, and at complex ones ``_loggamma``,
+Stirling's series (DLMF 5.11.1) at |w| >= 14 and the Lanczos sum of
+CPython's ``math.lgamma`` below; so this module, like the package, imports
+neither numpy, scipy nor mpmath.
 
 Past the turning point eta + sqrt(eta^2 + L(L+1)) the series cancels
 against its peak partial sum, and no re-sum of its terms recovers F.  At
@@ -261,12 +261,10 @@ def _sum_pair_fixed(L: Scalar, eta: float, z: Scalar, n_terms: int,
     of two 2^k to integers, t_n = N_n / (2^k C_n) with N_n = A t_{n-1} -
     B t_{n-2}, A = 2 eta z 4^k, B = z^2 4^k and C_n = 2^k n(n + 2L + 1)
     all exact integers, so each term carries one floor division and no
-    other rounding.  At real L the divisor 2^k C_n is a real integer, built
-    by two additions a term, and N_n's parts are divided by it directly; at
-    complex L they are divided through the norm, N_n conj(C_n) //
-    (|C_n|^2 2^k).  Either quotient is the floor of the same rational as
-    the loop first written (``tests/oracles.py``), so every term is the
-    same integer.  Each division errs by less than 2^-p absolute, which at
+    other rounding.  N_n's parts are divided through the norm,
+    N_n conj(C_n) // (|C_n|^2 2^k), the floor of the same rational as the
+    loop first written (``tests/oracles.py``), so every term is the same
+    integer.  Each division errs by less than 2^-p absolute, which at
     scale >= 1 is less than a ``dps``-digit float pass commits on the
     largest term.  S = S_{N-1} and the sum P = S_0 + ... + S_{N-2} of the
     partial sums are exact in the integers, and so is
@@ -284,32 +282,18 @@ def _sum_pair_fixed(L: Scalar, eta: float, z: Scalar, n_terms: int,
     one = 1 << p
     tr, ti, qr, qi = one, 0, 0, 0        # t_{n-1}, t_{n-2}; t_{-1} = 0
     Sr, Si, Pr, Pi = one, 0, 0, 0        # S_{n-1} = sum t_m, P = sum S_m
-    if li:
-        for n in range(1, n_terms):
-            nr = ar * tr - ai * ti - br * qr + bi * qi
-            ni = ar * ti + ai * tr - br * qi - bi * qr
-            cr = (n * (n + 1) << k) + 2 * n * lr
-            ci = 2 * n * li
-            d = (cr * cr + ci * ci) << k
-            qr, qi = tr, ti
-            tr, ti = (nr * cr + ni * ci) // d, (ni * cr - nr * ci) // d
-            Pr += Sr
-            Pi += Si
-            Sr += tr
-            Si += ti
-    else:       # C_n real: d = 2^k C_n = d_{n-1} + s_n, s_n = s_{n-1} + c
-        d, s, c = 0, ((1 << k + 1) + 2 * lr) << k, 1 << 2 * k + 1
-        for n in range(1, n_terms):
-            nr = ar * tr - ai * ti - br * qr + bi * qi
-            ni = ar * ti + ai * tr - br * qi - bi * qr
-            d += s
-            s += c
-            qr, qi = tr, ti
-            tr, ti = nr // d, ni // d
-            Pr += Sr
-            Pi += Si
-            Sr += tr
-            Si += ti
+    for n in range(1, n_terms):
+        nr = ar * tr - ai * ti - br * qr + bi * qi
+        ni = ar * ti + ai * tr - br * qi - bi * qr
+        cr = (n * (n + 1) << k) + 2 * n * lr
+        ci = 2 * n * li
+        d = (cr * cr + ci * ci) << k
+        qr, qi = tr, ti
+        tr, ti = (nr * cr + ni * ci) // d, (ni * cr - nr * ci) // d
+        Pr += Sr
+        Pi += Si
+        Sr += tr
+        Si += ti
     # sum n t_n = (N - 1) S_{N-1} - (S_0 + ... + S_{N-2}), exactly
     Tr, Ti = (n_terms - 1) * Sr - Pr, (n_terms - 1) * Si - Pi
     try:

@@ -43,7 +43,7 @@ import scipy  # noqa: F401
 from .errors import GateViolation, PoleOnCircle, ZeroEnumerationIncomplete
 from .radii import Family, _family_map
 from .specfun import (CoulombParams, eval_F_with_derivative, _EPS,
-                      _check_finite, _terms)
+                      _check_finite, _terms, _turning_point)
 
 __all__ = [
     "DiskScanReport",
@@ -257,8 +257,7 @@ def _ode_zeros(params: CoulombParams, which: str, n_zeros: int) -> np.ndarray:
         return y[idx]
 
     event.direction = 0.0
-    turning = eta + math.sqrt(eta * eta + max(L * (L + 1.0), 0.0))
-    z_end = max(turning, z0) + math.pi * (n_zeros + 2) + 10.0
+    z_end = max(_turning_point(L, eta), z0) + math.pi * (n_zeros + 2) + 10.0
     for _ in range(3):
         sol = solve_ivp(rhs, (z0, z_end), y0, method="DOP853",
                         events=event, rtol=1e-10, atol=1e-12, max_step=1.0)

@@ -15,7 +15,8 @@ import pytest
 
 import coulombstar
 from coulombstar.cli import main
-from coulombstar import radii
+from coulombstar import cli, radii
+from coulombstar.errors import CoulombError
 from coulombstar.radii import radius_f, radius_phi
 from coulombstar.specfun import (CoulombParams, eval_F_with_derivative,
                                  eval_g)
@@ -71,6 +72,22 @@ def test_radius_non_finite_input_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "radius", "--family", "phi", "--nu", "1",
                          "--alpha", "inf")
     assert code == 2 and out == "" and "finite" in err
+
+
+def test_any_library_error_exits_4_as_a_numerical_failure(capsys,
+                                                         monkeypatch):
+    # the CLI reads the taxonomy of errors.py, not a list of its own: a
+    # CoulombError outside the gate classes exits 4, not with a traceback
+    class NewFailure(CoulombError):
+        pass
+
+    def fail(_):
+        raise NewFailure("made up")
+
+    monkeypatch.setattr(cli, "_cmd_radius", fail)
+    code, out, err = run(capsys, "radius", "--family", "f", "--L", "1")
+    assert code == 4 and out == ""
+    assert "numerical failure: NewFailure: made up" in err
 
 
 def test_radius_refuses_an_input_of_the_other_family(capsys):

@@ -524,6 +524,22 @@ def test_error_bound_covers_the_oracle_on_a_bench_shaped_sample():
         assert err <= res.error_bound, (family, p1, p2, beta, err)
 
 
+@pytest.mark.parametrize("L, eta, beta", [
+    (7.6369154699946264, 78.29664914202772, 0.9999997095722585),
+    (3.765980911148495, 620.5476168502129, 0.999759431507538),
+    (2.4561606678717682, 119.3260957393461, 0.07510630030453092),
+])
+def test_a_step_out_of_the_bracket_falls_back_to_the_midpoint(L, eta, beta):
+    # on these inputs (from tools/radius_fuzz.py) one step leaves the
+    # bracket and the search takes its midpoint instead; the root it then
+    # finds is within its error_bound of the 40-digit oracle
+    res = radius_f(L, eta, beta)
+    with mp.workdps(50):
+        root = radius_oracle(*_exact_inputs("f", L, eta, beta), res.value)
+        err = float(abs(mp.mpf(res.value) / root - 1))
+    assert err <= res.error_bound, err
+
+
 def test_extreme_attraction_and_beta_one_ulp_below_one():
     # the bound on the first zero of F must not cancel to 0 when
     # (L + 1)^2 << eps eta^2, and u must stay positive near 0 when

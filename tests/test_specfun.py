@@ -310,10 +310,10 @@ def test_fixed_point_sum_out_of_float_range(L, eta, z, n_terms):
 
 
 def test_fixed_point_kernel_is_the_reference_loop_bit_for_bit():
-    # the kernel divides by a real C_n directly and takes sum n t_n from the
-    # sum of the partial sums; (S, z S', p) must stay what the loop as first
-    # written gives, at real and complex L (near -1 too), eta = 0 and not,
-    # real and complex z, from one term up, at 17 to 80 digits
+    # the kernel divides through the norm of C_n and takes sum n t_n from
+    # the sum of the partial sums; (S, z S', p) must stay what the loop as
+    # first written gives, at real and complex L (near -1 too), eta = 0 and
+    # not, real and complex z, from one term up, at 17 to 80 digits
     rng = random.Random(33)
     for i in range(2000):
         L = rng.choice([rng.uniform(-0.999, 60.0),
