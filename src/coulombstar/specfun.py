@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -190,12 +191,15 @@ def _safe_index(L_real: float, eta: float, z_abs: float) -> int:
     return max(2, int(n) + 1)
 
 
-def _fsum(xs: list) -> Scalar:
-    """Correctly rounded sum; real and imaginary parts apart for complex."""
-    if isinstance(xs[0], complex):
-        return complex(math.fsum([x.real for x in xs]),
-                       math.fsum([x.imag for x in xs]))
-    return math.fsum(xs)
+def _fsum_pair(ts: list):
+    """(sum t_n, sum n t_n), each correctly rounded; real and imaginary
+    parts apart for complex terms, split once."""
+    fsum, mul, ns = math.fsum, operator.mul, range(len(ts))
+    if isinstance(ts[0], complex):
+        re, im = [t.real for t in ts], [t.imag for t in ts]
+        return (complex(fsum(re), fsum(im)),
+                complex(fsum(map(mul, ns, re)), fsum(map(mul, ns, im))))
+    return fsum(ts), fsum(map(mul, ns, ts))
 
 
 def _terms(L: Scalar, eta: float, z: Scalar, tol: float):
@@ -218,9 +222,12 @@ def _terms(L: Scalar, eta: float, z: Scalar, tol: float):
     small = tol * scale
     n_safe = _safe_index(L.real, eta, abs(z))
     streak = 0
+    # n as the float x too, so the divisor takes float operations only
+    x, append = 1.0, ts.append
     for n in range(2, _MAX_TERMS + 1):
-        t = (two_eta_z * t1 - z_sq * t2) / (n * (n + two_L + 1))
-        ts.append(t)
+        x += 1.0
+        t = (two_eta_z * t1 - z_sq * t2) / (x * (x + two_L + 1.0))
+        append(t)
         t2, t1 = t1, t
         S += t
         a = abs(S)
@@ -232,7 +239,7 @@ def _terms(L: Scalar, eta: float, z: Scalar, tol: float):
                     f"term {n} (L={L!r}, eta={eta!r}, z={z!r})")
             scale = a
             small = tol * scale
-        if abs(t) <= small and n >= n_safe:
+        if n >= n_safe and abs(t) <= small:
             streak += 1
             if streak >= 3:
                 return ts, scale
@@ -336,9 +343,9 @@ def _series_pair(L: Scalar, eta: float, z: Scalar, tol: float):
     peak partial sum ``scale``, at the unit roundoff of the pass that ran.
     """
     ts, scale = _terms(L, eta, z, tol)
-    tail = max(abs(t) for t in ts[-3:])
+    tail = max(abs(ts[-3]), abs(ts[-2]), abs(ts[-1]))
     try:
-        S, T = _fsum(ts), _fsum([n * t for n, t in enumerate(ts)])
+        S, T = _fsum_pair(ts)
     except (OverflowError, ValueError):  # terms or their sum overflow
         S = T = math.nan                 # and the fixed-point pass retries
     est = tail + 4.0 * _EPS * scale
@@ -391,16 +398,18 @@ def _cf1(L: float, eta: float, d: float, x: float):
     lam = L + 1.0
     nr2 = -x * x
     n = 1000 + 2 * int(x)
-    # locals, and |delta - 1| <= eps as one chained comparison
+    # locals, |delta - 1| <= eps as one chained comparison, and k carried
+    # as the float kf, so the loop takes float adds only
     tiny, lo, hi = _TINY, 1.0 - _EPS, 1.0 + _EPS
     neg = False
     # CF1 converges once m passes the turning point, which lies below ~x
     if eta:
         e2, xe = eta * eta, x * eta
         f = d + xe / lam or tiny
-        C, D = f, 0.0
+        C, D, kf = f, 0.0, -1.0
         for k in range(n):
-            m = lam + k
+            kf += 1.0
+            m = lam + kf
             a = nr2 * (1.0 + e2 / (m * m))
             b = (2.0 * m + 1.0) * (1.0 + xe / (m * (m + 1.0)))
             D = 1.0 / (b + a * D or tiny)
@@ -413,9 +422,10 @@ def _cf1(L: float, eta: float, d: float, x: float):
                 return f, neg, k + 1
     else:
         f = d or tiny
-        C, D = f, 0.0
+        C, D, kf = f, 0.0, -1.0
         for k in range(n):
-            b = 2.0 * (lam + k) + 1.0
+            kf += 1.0
+            b = 2.0 * (lam + kf) + 1.0
             D = 1.0 / (b + nr2 * D or tiny)
             if D < 0.0:
                 neg = not neg

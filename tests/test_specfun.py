@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from coulombstar import specfun
 from coulombstar.errors import GammaOverflow, GateViolation, NonConvergence
-from coulombstar.specfun import (CoulombParams, _fsum, _safe_index,
+from coulombstar.specfun import (CoulombParams, _fsum_pair, _safe_index,
                                  _series_pair, _sum_pair_fixed, _terms,
                                  _working_dps, eval_F,
                                  eval_F_with_derivative, eval_bessel_j,
@@ -211,7 +211,7 @@ def test_float_and_mp_passes_agree(L, eta, z):
     # at benign inner points the float terms, correctly rounded, and the
     # fixed-point pass at 40 digits over the same count give the same sums
     ts = _terms(L, eta, z, 1e-15)[0]
-    S, T = _fsum(ts), _fsum([n * t for n, t in enumerate(ts)])
+    S, T = _fsum_pair(ts)
     S40, T40, _ = _sum_pair_fixed(L, eta, z, len(ts), 40)
     assert type(S40) is type(S) and type(T40) is type(T)
     assert S == pytest.approx(S40, rel=1e-13)
@@ -355,6 +355,29 @@ def test_float_terms_are_the_reference_loop_bit_for_bit():
         for loop in (_terms, terms_reference):
             with pytest.raises(NonConvergence):
                 loop(L, eta, z, 1e-14)
+
+
+def test_fsum_pair_is_the_per_term_sum_bit_for_bit():
+    # _fsum_pair splits complex terms into real and imaginary lists once and
+    # forms n t_n part by part; both sums must stay what fsum gives over the
+    # products n t_n taken term by term, real and imaginary parts apart
+    def parts(xs):
+        if isinstance(xs[0], complex):
+            return complex(math.fsum([x.real for x in xs]),
+                           math.fsum([x.imag for x in xs]))
+        return math.fsum(xs)
+
+    rng = random.Random(39)
+    for _ in range(1000):
+        L = rng.uniform(-0.99, 200.0)
+        if rng.random() < 0.25:
+            L = complex(L, rng.uniform(-2.0, 2.0))
+        eta = rng.choice([0.0, rng.uniform(-2.0, 3.0)])
+        r = rng.uniform(0.01, 35.0)
+        z = rng.choice([r, -r, r * cmath.exp(1j * rng.uniform(-3.2, 3.2))])
+        ts = _terms(L, eta, z, 1e-15)[0]
+        ref = (parts(ts), parts([n * t for n, t in enumerate(ts)]))
+        assert repr(_fsum_pair(ts)) == repr(ref), (L, eta, z)
 
 
 def _exact_stop(L, eta, z, tol):
