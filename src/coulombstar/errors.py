@@ -21,12 +21,14 @@ class GateViolation(CoulombError):
 
 class NonConvergence(CoulombError):
     """A numerical process did not finish within its limits: a series did
-    not meet its truncation rule within the fixed maximum of 10000 terms;
-    CF1 for r F'/F did not converge within its cap of 1000 + 2r terms, or
-    CF2 for H+'/H+ within 10000; the fixed-point re-sum of a series, or
-    the Taylor sums continuing Steed's values to complex z, left the float
-    range; or the root search underflowed, or its arithmetic left the
-    float range, before it found a root."""
+    not meet its truncation rule within the fixed maximum of 10000 terms,
+    or its running float sum overflowed first (the Coulomb series of S and
+    the Bessel series of J alike); CF1 for r F'/F did not converge within
+    its cap of 1000 + 2r terms, or CF2 for H+'/H+ within 10000; the
+    fixed-point re-sum of a series, or the Taylor sums continuing Steed's
+    values to complex z, left the float range; or the root search
+    underflowed, or its arithmetic left the float range, before it found
+    a root."""
 
 
 class GammaOverflow(CoulombError):

@@ -86,7 +86,15 @@ _K_MAX = 64
 
 
 class RayleighTable(NamedTuple):
-    """Zero power sums values[k] for k = 2 .. k_max."""
+    """Zero power sums values[k] for k = 2 .. k_max.
+
+    ``table[k]`` reads ``values[k]``, not the k-th field, so indexing
+    disagrees with the tuple's iteration and ``len`` (four fields):
+    ``table[0]`` raises KeyError and a slice raises TypeError.  The
+    override stays because the benchmark's worker (``perfbench/worker.py``)
+    reads ``table[k]``, and the harness changes only with its workloads
+    (ROADMAP item 11b).
+    """
 
     params: CoulombParams
     kind: str                      # "Z" (function zeros) or "Ztilde" (F' zeros)

@@ -47,8 +47,11 @@ gives H+'/H+, and the Wronskian gives |F|.  At complex z = x + iy with
 x in that range and 0 < |y| <= 0.6 x, Steed's F(x) and F'(x) are continued
 along the Coulomb equation by the Taylor series of F about x
 (``_continuation``), whose terms shrink like (|y|/x)^n.  Complex orders,
-and complex z elsewhere, stay on the series.  ``eval_f_normalized`` reads
-``eval_g``, so f takes g's path.
+and complex z elsewhere, stay on the series.  ``_outer`` makes this route
+decision, and calls the route, for every evaluator: it returns F and
+u = z F'/F, which F, g and Bessel J each read in one branch with their
+own formulas.  ``eval_f_normalized`` reads ``eval_g``, so f takes g's
+path, and ``eval_dini`` reads ``eval_bessel_j``.
 ``SeriesEval.method`` says which path produced a value, and ``retry_bits``
 which pass of the series.  ``CoulombParams`` and ``SeriesEval`` are named
 tuples; ``CoulombParams`` runs its gates in ``__new__``, so that
@@ -477,27 +480,33 @@ def _turning_point(L: float, eta: float) -> float:
     return max(eta + math.sqrt(max(eta * eta + L * (L + 1.0), 0.0)), 0.0)
 
 
-def _outer_method(L: Scalar, eta: float, z: Scalar):
-    """The method that serves F_L(eta, z) past the turning point, or None
-    where the series does: ``"steed"`` at real L and z, with z past the
-    turning point eta + sqrt(eta^2 + L(L+1)) and ``_STEED_MIN_Z``, and at
-    most ``_MAX_TERMS``, about as many terms as CF1 then takes; and
-    ``"continuation"`` at real L and complex z = x + iy with such x and
-    0 < |y| <= ``_CONTINUATION_RHO`` x."""
+def _outer(L: Scalar, eta: float, z: Scalar):
+    """(F, u, est, terms, method): F_L(eta, z), u = z F'/F, an error
+    estimate for F and the terms used, past the turning point, or None
+    where the series serves.  ``"steed"`` (``_steed``) at real L and z,
+    with z past the turning point eta + sqrt(eta^2 + L(L+1)) and
+    ``_STEED_MIN_Z``, and at most ``_MAX_TERMS``, about as many terms as
+    CF1 then takes; ``"continuation"`` (``_continuation``) at real L and
+    complex z = x + iy with such x and 0 < |y| <= ``_CONTINUATION_RHO`` x.
+    The one route decision of F, g, f, Bessel J and Dini."""
     if isinstance(L, complex):
         return None
-    if isinstance(z, complex):
+    cplx = isinstance(z, complex)
+    if cplx:
         x = z.real
         if not 0.0 < abs(z.imag) <= _CONTINUATION_RHO * x:
             return None
-        method = "continuation"
     elif isinstance(z, (int, float)):
-        x, method = z, "steed"
+        x = z
     else:
         return None
-    if max(_turning_point(L, eta), _STEED_MIN_Z) < x <= _MAX_TERMS:
-        return method
-    return None
+    if not max(_turning_point(L, eta), _STEED_MIN_Z) < x <= _MAX_TERMS:
+        return None
+    if cplx:
+        F, dF, est, terms = _continuation(L, eta, z)
+        return F, z * dF / F, est, terms, "continuation"
+    F, u, est, terms, _ = _steed(L, eta, z)
+    return F, u, est, terms, "steed"
 
 
 def _steed(L: float, eta: float, x: float):
@@ -625,12 +634,6 @@ def _plain(params: CoulombParams):
             float(params.eta))
 
 
-def _method(bits: int) -> str:
-    """The ``SeriesEval.method`` of a series value whose retry took
-    ``bits``."""
-    return "fixed" if bits else "series"
-
-
 def _demote(x: Scalar) -> Scalar:
     if isinstance(x, complex) and x.imag == 0.0:
         return x.real
@@ -669,37 +672,28 @@ def eval_g(params: CoulombParams, z: Scalar, tol: float = 1e-12) -> SeriesEval:
     prefactor.  tol is the truncation target for the series tail relative
     to the largest partial sum; it must lie in [1e-16, 1e-6].  At real L
     and z past the turning point, g = F / (C z^L) from Steed's method, and
-    near the real axis there (``_outer_method``) from its
-    continuation; tol steers neither.  GammaOverflow if 1/(C z^L)
-    overflows.
+    near the real axis there from its continuation (``_outer``); tol
+    steers neither.  GammaOverflow if 1/(C z^L) overflows.
     """
     z = _check_tol_z(tol, z)
     if z == 0:
         return SeriesEval(value=0.0, derivative=1.0, terms_used=1,
                           est_error=0.0)
     L, eta = _plain(params)
-    method = _outer_method(L, eta, z)
-    if method == "steed":
+    outer = _outer(L, eta, z)
+    if outer:
         # g = F / (C z^L) and g' = S (z F'/F - L), with S = g/z
-        F, u, est, terms, _ = _steed(L, eta, z)
+        F, u, est, terms, method = outer
         g, k, ex_err = _divide_prefactor(L, eta, z, F)
         return SeriesEval(value=g, derivative=g / z * (u - L),
                           terms_used=terms,
-                          est_error=(est + ex_err * abs(F)) * k,
-                          method="steed")
-    if method:
-        # g = F / (C z^L) and g' = (F' - L F / z) / (C z^L)
-        F, dF, est, terms = _continuation(L, eta, z)
-        g, k, ex_err = _divide_prefactor(L, eta, z, F)
-        return SeriesEval(value=g, derivative=(dF - L * F / z) * k,
-                          terms_used=terms,
                           est_error=(est + ex_err * abs(F)) * abs(k),
-                          method="continuation")
+                          method=method)
     S, T, terms, est, bits = _series_pair(L, eta, z, tol)
     # g = z*S ; g' = S + z S' = S + T
     return SeriesEval(value=_demote(z * S), derivative=_demote(S + T),
                       terms_used=terms, est_error=est * abs(z),
-                      retry_bits=bits, method=_method(bits))
+                      retry_bits=bits, method="fixed" if bits else "series")
 
 
 #: CPython's Lanczos sum for math.lgamma (g, and the numerator and
@@ -813,20 +807,15 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
     rounding of that exponent, 2 eps times the terms of its real part and
     its imaginary part, times |F|.  At real L and z past the turning point
     F and F' come from Steed's method instead, and near the real axis
-    there (``_outer_method``) from its continuation; tol steers
-    neither.
+    there from its continuation (``_outer``); tol steers neither.
     """
     z = _check_tol_z(tol, z)
     L, eta = _plain(params)
-    method = _outer_method(L, eta, z)
-    if method == "steed":
-        F, u, est, terms, _ = _steed(L, eta, z)
+    outer = _outer(L, eta, z)
+    if outer:
+        F, u, est, terms, method = outer
         return SeriesEval(value=F, derivative=F * u / z, terms_used=terms,
-                          est_error=est, method="steed")
-    if method:
-        F, dF, est, terms = _continuation(L, eta, z)
-        return SeriesEval(value=F, derivative=dF, terms_used=terms,
-                          est_error=est, method="continuation")
+                          est_error=est, method=method)
     lc, lc_scale = _log_prefactor(L, eta)
     if z == 0:
         # F ~ C z^(L+1) and F' ~ C (L+1) z^L as z -> 0: each tends to 0 or
@@ -852,18 +841,18 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
             f"combined prefactor exponent {log_total.real:.5g} (terms up to "
             f"{lc_scale:.3g}) overflows double precision")
     S, T, terms, est, bits = _series_pair(L, eta, z, tol)
-    pref = cmath.exp(log_total)          # C z^(L+1)
+    # C z^(L+1), a float at real L and z > 0, so that an F' that overflows
+    # stays the real inf and takes no NaN imaginary part from 0 * inf
+    pref = _demote(cmath.exp(log_total))
     value = pref * S
     deriv = pref / z * ((L + 1) * S + T)
-    if not isinstance(L, complex) and isinstance(z, (int, float)) and z > 0:
-        value, deriv = value.real, deriv.real
     # log_total rounds at the scale of its terms, those of log C and
     # (L + 1) log z, and its imaginary part, the prefactor's phase, at its own
     ex_err = 2.0 * _EPS * (lc_scale + abs(lz.real) + abs(log_total.imag))
     return SeriesEval(value=_demote(value), derivative=_demote(deriv),
                       terms_used=terms,
                       est_error=est * abs(pref) + ex_err * abs(value),
-                      retry_bits=bits, method=_method(bits))
+                      retry_bits=bits, method="fixed" if bits else "series")
 
 
 def eval_F(params: CoulombParams, z: Scalar, tol: float = 1e-14) -> Scalar:
@@ -879,8 +868,8 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
         f = z (g/z)^(1/(L+1)),        f' = (f/z) (1 + (z g'/g - 1)/(L+1)).
 
     Principal branch of the fractional power; f(0) = 0, f'(0) = 1.  f
-    takes g's path (Steed's method at real L and z past the turning point,
-    the series otherwise), its diagnostics and its GammaOverflow.
+    takes g's path (``_outer`` past the turning point, the series
+    otherwise), its diagnostics and its GammaOverflow.
     """
     z = _check_tol_z(tol, z)
     g = eval_g(params, z, tol)
@@ -926,17 +915,18 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     ``_MAX_TERMS``), J_nu(z) = sqrt(2/(pi z)) F_{nu-1/2}(0, z) by Steed's
     method, to about 1e-13 of the envelope sqrt(J^2 + Y^2), and so at
     complex z = x + iy with such x and 0 < |y| <= 0.6 x by its
-    continuation; tol steers neither.  Otherwise the series of
-    J_nu(z) Gamma(nu + 1) / (z/2)^nu starts at 1; the factor
+    continuation (``_outer``); tol steers neither.  Otherwise the series
+    of J_nu(z) Gamma(nu + 1) / (z/2)^nu starts at 1; the factor
     (z/2)^nu / Gamma(nu + 1) is applied in log space, so large orders
-    neither overflow nor lose the result before it underflows.  The terms are summed in float with Kahan compensation and
-    there is no precision retry, so at complex z with |z| well beyond nu,
-    where the terms peak far above |J|, cancellation can leave wrong
-    digits.  The series ``est_error`` adds to the tail and the rounding at
-    the peak partial sum that of the factor's exponent
-    nu log(z/2) - lgamma(nu + 1).  Raises GammaOverflow when that factor,
-    or its counterpart in J', exceeds the float range, or lgamma(nu + 1)
-    does (past nu ~ 2.5e305).
+    neither overflow nor lose the result before it underflows.  The terms
+    are summed in float with Kahan compensation and there is no precision
+    retry, so at complex z with |z| well beyond nu, where the terms peak
+    far above |J|, cancellation can leave wrong digits.  The series
+    ``est_error`` adds to the tail and the rounding at the peak partial
+    sum that of the factor's exponent nu log(z/2) - lgamma(nu + 1).
+    Raises NonConvergence when the series' running sum overflows, and
+    GammaOverflow when that factor, or its counterpart in J', exceeds the
+    float range, or lgamma(nu + 1) does (past nu ~ 2.5e305).
     """
     if isinstance(nu, complex):
         raise ValueError("nu must be real")
@@ -945,21 +935,15 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     z = _check_tol_z(tol, z)
     if nu <= -1:
         raise GateViolation(f"Bessel order nu = {nu} <= -1 not supported")
-    method = _outer_method(nu - 0.5, 0.0, z)
-    if method == "steed":
+    outer = _outer(nu - 0.5, 0.0, z)
+    if outer:
         # J = sqrt(2/(pi z)) F_{nu-1/2}(0, z), J' = J (z F'/F - 1/2) / z
-        F, u, est, terms, _ = _steed(nu - 0.5, 0.0, z)
-        k = math.sqrt(2.0 / (math.pi * z))
+        F, u, est, terms, method = outer
+        k = (cmath.sqrt if isinstance(z, complex) else math.sqrt)(
+            2.0 / (math.pi * z))
         return SeriesEval(value=k * F, derivative=k * F * (u - 0.5) / z,
-                          terms_used=terms, est_error=est * k,
-                          method="steed")
-    if method:
-        # the same at complex z, J' = sqrt(2/(pi z)) (F' - F / (2z))
-        F, dF, est, terms = _continuation(nu - 0.5, 0.0, z)
-        k = cmath.sqrt(2.0 / (math.pi * z))
-        return SeriesEval(value=k * F, derivative=k * (dF - 0.5 * F / z),
                           terms_used=terms, est_error=est * abs(k),
-                          method="continuation")
+                          method=method)
     if z == 0:
         # the limits as z -> 0+ of J ~ (z/2)^nu / Gamma(nu + 1) and of
         # J' ~ nu (z/2)^(nu - 1) / (2 Gamma(nu + 1)), at nu != 0
@@ -992,6 +976,11 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
         V = v_new
         a = abs(U)
         if a > scale:
+            if a == math.inf:            # and inf passes the stopping rule
+                raise NonConvergence(
+                    f"Bessel series did not converge within {_MAX_TERMS} "
+                    f"terms: the float sum overflowed at term {m} "
+                    f"(nu={nu}, z={z!r})")
             scale = a
         last = abs(t)
         if last <= tol * scale and 2 * m >= n_safe:

@@ -590,6 +590,31 @@ def test_overflowing_terms_raise_non_convergence(L, eta, z):
         assert abs(res.value - F / cxl) <= 1e-13 * env / cxl
 
 
+@pytest.mark.parametrize("nu, H, z", [
+    (2.0, None, -800.0), (100.0, None, 2000j), (0.5, None, complex(-750, 0.0)),
+    (3.0, None, complex(-700, 300)), (1.0, 2.0, 900j),
+])
+def test_overflowing_bessel_series_raises_non_convergence(nu, H, z):
+    # J's own series loop stops where its running sum overflows, as
+    # ``_terms`` does: an inf sum passes the stopping rule, so J at -800
+    # returned NaN, and the others ran on to the cap of 10000 terms
+    with pytest.raises(NonConvergence, match="within 10000 terms") as exc:
+        if H is None:
+            eval_bessel_j(nu, z)
+        else:
+            eval_dini(nu, H, z)
+    n = int(re.search(r"overflowed at term (\d+)", str(exc.value)).group(1))
+    assert 2 <= n < 1000
+
+
+def test_F_derivative_that_overflows_stays_a_real_inf():
+    # at real L and z > 0 the prefactor is a float, so F' = C z^L (...)
+    # overflowing at a subnormal z is the real inf, not inf + nan i
+    res = eval_F_with_derivative(CoulombParams(-0.9999, 0.0), 1e-310)
+    assert isinstance(res.value, float) and res.value > 0.0
+    assert res.derivative == math.inf and isinstance(res.derivative, float)
+
+
 def test_F_far_beyond_turning_point_is_sin():
     assert eval_F(CoulombParams(0, 0), 400.0) == pytest.approx(
         math.sin(400.0), rel=1e-10)
@@ -879,6 +904,64 @@ def test_real_z_keeps_steeds_method_bit_for_bit():
         assert rJ.method == "steed"
         got = [rJ.value, rJ.derivative]
         assert list(map(repr, got)) == list(map(repr, want)), (nu, x)
+
+
+#: the continuation's records as it was first written, with F' summed
+#: directly: (L, eta, z, (F, F', est_error, terms_used), (g, g', ...)),
+#: and (nu, z, (J, J', ...)).  The last F record lies on the edge
+#: |y| = 0.6 x of the sector
+CONTINUATION_RECORDS = [
+    (0.0, -1.5, complex(25.995, 0.52),
+     ((0.7333680754162163+0.4257913648543267j),
+      (0.8992675691534193-0.38734875083859305j), 7.334415641186033e-14, 76),
+     ((0.2388740167728189+0.13868955718069542j),
+      (0.2929111091661463-0.12616795727334512j), 2.4467839592274054e-14,
+      76)),
+    (3.7, 2.5, complex(30.0, -9.0),
+     ((-1411.0939510877072-1147.9214102372969j),
+      (1005.6065812561903-1319.7036215590185j), 1.1569440222721245e-10, 101),
+     ((49.25272158709025-255.3943222054908j),
+      (220.01676968370097+64.72466940684703j), 2.008123889222792e-11, 101)),
+    (25.0, -3.0, complex(150.0, 40.0),
+     ((1.1494621891702277e+17+9.535910131275141e+16j),
+      (9.621666233286006e+16-1.1557861438223552e+17j), 26177.226613998995,
+      280),
+     ((7.166874148969404e-07+3.5566675662653666e-07j),
+      (2.3308358799003083e-07-7.466445138719058e-07j),
+      2.889308318091858e-19, 280)),
+    (0.3, 1.7, complex(60.0, 20.0),
+     ((137961395.1418454+29337358.5296926j),
+      (29758492.95749689-134126899.69605073j), 1.2211872250512824e-05, 163),
+     ((2508369933.3716025+284665613.84930325j),
+      (287067696.68996274-2438303760.450195j), 0.00022793612054934517, 163)),
+    (3.0, 1.0, complex(30.0, 18.0),
+     ((-8241922.645563369-15525532.742961945j),
+      (-15257716.633476116+7714351.492589151j), 1.313022138623126e-06, 124),
+     ((-204757.2865542867+122318.7527225109j),
+      (124645.19922821924+183461.5575296713j), 2.070504396469415e-08, 124)),
+]
+CONTINUATION_J_RECORDS = [
+    (7.5, complex(40.0, -12.0),
+     ((-8323.296204122109+393.25659897663627j),
+      (-363.42838722607735-8181.257885162365j), 5.218448042252748e-10, 120)),
+]
+
+
+def test_continuation_keeps_its_records():
+    # values, est_error and terms_used bit for bit; F' is now read off
+    # z F'/F, which moves it by a few eps (at most 4.9 on the eval seeds)
+    recs = []
+    for L, eta, z, wF, wg in CONTINUATION_RECORDS:
+        p = CoulombParams(L, eta)
+        recs += [(eval_F_with_derivative(p, z), wF),
+                 (eval_g(p, z), wg)]
+    for nu, z, wJ in CONTINUATION_J_RECORDS:
+        recs.append((eval_bessel_j(nu, z), wJ))
+    for res, (value, deriv, est, terms) in recs:
+        assert res.method == "continuation"
+        got = (res.value, res.est_error, res.terms_used)
+        assert list(map(repr, got)) == list(map(repr, (value, est, terms)))
+        assert abs(res.derivative - deriv) <= 8 * 2.0 ** -52 * abs(deriv)
 
 
 @pytest.mark.parametrize("L, eta, z", [
