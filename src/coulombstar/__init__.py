@@ -14,14 +14,15 @@ The package computes:
   starlikeness, solved exactly over Q(sqrt 2)[eta], with re-substitution
   checks and empirical order fits;
 * independent verification oracles: disk scans for starlikeness and
-  spirallikeness, ODE-based zero enumeration, and boundary-curve sampling.
+  spirallikeness, zero power sums from the traces of the Jacobi matrix of
+  ``F``, and boundary-curve sampling.
 
 Each module's ``__all__`` is the one list of its public names; the package
 re-exports them all.  ``import coulombstar`` needs only the standard
 library: the oracles (``verify``) and the acceptance criteria
-(``acceptance``), which use numpy, scipy and mpmath, load on first use of
-one of their names, of the module itself, of ``__all__`` or of ``dir()``
-(PEP 562).  The records (``CoulombParams``, ``SeriesEval``,
+(``acceptance``), which use numpy and import scipy and mpmath, load on
+first use of one of their names, of the module itself, of ``__all__`` or
+of ``dir()`` (PEP 562).  The records (``CoulombParams``, ``SeriesEval``,
 ``RadiusResult``, ``RadiusQuery``, ``RayleighTable``,
 ``EulerRayleighBounds``, ``EpsilonTable``, ``OrderFit``, and in the oracles
 ``DiskScanReport`` and ``CriterionResult``) are named tuples, so the import

@@ -75,24 +75,31 @@ def _c3() -> Tuple[bool, str]:
 
 
 def _c4() -> Tuple[bool, str]:
+    # the traces give the true zero sums, rayleigh_Z's at -eta (whose odd k
+    # carry the recurrence's sign), and rayleigh_Ztilde's at eta
     pieces = []
     ok = True
-    for (L, eta) in ((2.0, 0.0), (2.0, -1.0), (5.0, -1.0)):
-        params = CoulombParams(L, eta)
-        rec = float(rayleigh_Z(params, 2)[2])
-        ora = zero_sum_oracle(params, k=2, which="F", n_zeros=200)
-        diff = abs(rec - ora)
-        ok = ok and diff <= 1e-6
-        pieces.append(f"Z2({L:g},{eta:g}): |rec-ode| = {diff:.2e}")
+    for (L, eta, k) in ((2.0, 0.0, 2), (2.0, -1.0, 2), (5.0, -1.0, 2),
+                        (2.0, 1.0, 3), (0.5, 1.3, 5)):
+        rec = float(rayleigh_Z(CoulombParams(L, -eta), k)[k])
+        diff = abs(rec - zero_sum_oracle(CoulombParams(L, eta), k=k))
+        ok = ok and diff <= 1e-9
+        pieces.append(f"Z{k} at ({L:g},{eta:g}): |rec(-eta)-trace| = "
+                      f"{diff:.2e}")
     params = CoulombParams(Fraction(1, 2), Fraction(0))
     exact = rayleigh_Ztilde(params, 2, exact=True)[2]
     ok = ok and exact == Fraction(7, 12)
     pieces.append(f"Zt2(1/2,0) = {exact} (want 7/12)")
-    ora = zero_sum_oracle(CoulombParams(0.5, 0.0), k=2, which="Fprime",
-                          n_zeros=200)
+    ora = zero_sum_oracle(CoulombParams(0.5, 0.0), k=2, which="Fprime")
     diff = abs(float(Fraction(7, 12)) - ora)
-    ok = ok and diff <= 1e-6
-    pieces.append(f"|7/12 - ode| = {diff:.2e}")
+    ok = ok and diff <= 1e-9
+    pieces.append(f"|7/12 - trace| = {diff:.2e}")
+    for (L, eta, k) in ((2.0, -1.0, 3), (0.5, 1.3, 4)):
+        params = CoulombParams(L, eta)
+        rec = float(rayleigh_Ztilde(params, k)[k])
+        diff = abs(rec - zero_sum_oracle(params, k=k, which="Fprime"))
+        ok = ok and diff <= 1e-9
+        pieces.append(f"Zt{k} at ({L:g},{eta:g}): |rec-trace| = {diff:.2e}")
     return ok, "; ".join(pieces)
 
 
@@ -232,7 +239,8 @@ _CRITERIA: Dict[str, Tuple[str, Callable[[], Tuple[bool, str]],
     "2": ("radius_g(0, 0, 0) matches pi/2 to 1e-12", _c2, 1.0),
     "3": ("Bessel reduction F = sqrt(pi z/2) J at half-integer offsets",
           _c3, None),
-    "4": ("Rayleigh sums match ODE zero sums (and exact 7/12)", _c4, 30.0),
+    "4": ("Rayleigh sums match trace zero sums (and exact 7/12)", _c4,
+          30.0),
     "5": ("Euler-Rayleigh sandwich contains the squared radius", _c5, None),
     "6": ("Laurent coefficients exact and Z2(100, 0) to 5e-9", _c6, None),
     "7a": ("first-order correction equals the stated closed form",

@@ -7,8 +7,7 @@ with two ``except`` clauses instead of a dozen.
 
 __all__ = ["CoulombError", "GateViolation", "NonConvergence",
            "GammaOverflow", "BoundsInvalid", "NoRootInScanRange",
-           "PoleOnCircle", "ZeroEnumerationIncomplete", "DegenerateFit",
-           "RingMismatch", "RegionWarning"]
+           "PoleOnCircle", "DegenerateFit", "RingMismatch", "RegionWarning"]
 
 
 class CoulombError(Exception):
@@ -48,10 +47,6 @@ class NoRootInScanRange(CoulombError):
 class PoleOnCircle(CoulombError):
     """A scan hit a grid point where the denominator function vanishes to
     working precision, so the ratio there is meaningless."""
-
-
-class ZeroEnumerationIncomplete(CoulombError):
-    """Consecutive-zero spacing test suggests a zero was skipped."""
 
 
 class DegenerateFit(CoulombError):

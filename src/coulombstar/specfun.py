@@ -802,12 +802,13 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
     log C + (L+1) log z is formed first so huge gamma factors and tiny
     powers cancel before exponentiation.  Principal branch of log z for
     non-integer L+1.  Raises GammaOverflow when even the combined exponent
-    exceeds the float range, or its terms do (past L ~ 1.3e305).  On the
-    series ``est_error`` is the series' bound times |C z^(L+1)| plus the
-    rounding of that exponent, 2 eps times the terms of its real part and
-    its imaginary part, times |F|.  At real L and z past the turning point
-    F and F' come from Steed's method instead, and near the real axis
-    there from its continuation (``_outer``); tol steers neither.
+    of F or of F' exceeds the float range, or its terms do (past
+    L ~ 1.3e305).  On the series ``est_error`` is the series' bound times
+    |C z^(L+1)| plus the rounding of that exponent, 2 eps times the terms
+    of its real part and its imaginary part, times |F|.  At real L and z
+    past the turning point F and F' come from Steed's method instead, and
+    near the real axis there from its continuation (``_outer``); tol
+    steers neither.
     """
     z = _check_tol_z(tol, z)
     L, eta = _plain(params)
@@ -831,14 +832,17 @@ def eval_F_with_derivative(params: CoulombParams, z: Scalar,
             deriv = math.inf if re < 0 else math.nan
         return SeriesEval(value=val, derivative=deriv, terms_used=1,
                           est_error=0.0)
-    lz = (L + 1) * cmath.log(z)
+    log_z = cmath.log(z)
+    lz = (L + 1) * log_z
     log_total = lc + lz
-    # past L ~ 1e305 the terms of log C overflow, and log C is inf - inf or
-    # a finite remnant of them; at a pole of Gamma(L + 1 +- i eta) (complex
-    # L) they are NaN, and so is F
-    if log_total.real > 709.0 or lc_scale == math.inf:
+    # F' = C z^L (...) has the exponent of F less log|z|, the larger of the
+    # two where |z| < 1.  Past L ~ 1e305 the terms of log C overflow, and
+    # log C is inf - inf or a finite remnant of them; at a pole of
+    # Gamma(L + 1 +- i eta) (complex L) they are NaN, and so is F
+    log_max = log_total.real - min(log_z.real, 0.0)
+    if log_max > 709.0 or lc_scale == math.inf:
         raise GammaOverflow(
-            f"combined prefactor exponent {log_total.real:.5g} (terms up to "
+            f"combined prefactor exponent {log_max:.5g} (terms up to "
             f"{lc_scale:.3g}) overflows double precision")
     S, T, terms, est, bits = _series_pair(L, eta, z, tol)
     # C z^(L+1), a float at real L and z > 0, so that an F' that overflows

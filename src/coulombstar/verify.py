@@ -15,10 +15,11 @@ verified; these are the cross-checks:
   gate from the family map of the radii, which takes phi to L = nu - 1/2
   and eta = 0, where S is jhat.  The root search's continued fraction
   plays no part.
-* ``zero_sum_oracle`` -- power sums over zeros located by direct numerical
-  integration of the defining ODE  u'' = (2 eta/z + L(L+1)/z^2 - 1) u,
-  plus an Euler-Maclaurin tail; this never touches the series recurrences,
-  so agreement with ``rayleigh_Z``/``rayleigh_Ztilde`` is meaningful.
+* ``zero_sum_oracle`` -- power sums over the zeros of F and F' from the
+  traces of the Jacobi matrix J_L of F (Stampach and Stovicek, J. Math.
+  Anal. Appl. 419, 2014), whose eigenvalues are the reciprocal zeros; it
+  never touches the series recurrences, so agreement with
+  ``rayleigh_Z``/``rayleigh_Ztilde`` is meaningful.
 """
 
 from __future__ import annotations
@@ -30,20 +31,19 @@ from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
-# Nothing here calls mpmath, and only ``_ode_zeros`` needs scipy, but this
-# module, which the CLI loads, must keep importing both at load: the traced
-# benchmark times ``cli.import_mpmath_ms`` and ``cli.import_scipy_ms`` from
-# the modules a fresh ``python -m coulombstar`` imports, and stops with "no
-# samples" when none imports one of them (CHANGES.md FOUND #29).  Drop
-# these imports with that benchmark change.  A bare ``import scipy`` costs
-# about 13 ms once numpy is loaded.
+# Nothing here calls mpmath or scipy, but this module, which the CLI loads,
+# must keep importing both at load: the traced benchmark times
+# ``cli.import_mpmath_ms`` and ``cli.import_scipy_ms`` from the modules a
+# fresh ``python -m coulombstar`` imports, and stops with "no samples" when
+# none imports one of them (CHANGES.md FOUND #29).  Drop these imports with
+# that benchmark change.  A bare ``import scipy`` costs about 13 ms once
+# numpy is loaded.
 import mpmath  # noqa: F401
 import scipy  # noqa: F401
 
-from .errors import GateViolation, PoleOnCircle, ZeroEnumerationIncomplete
+from .errors import GateViolation, PoleOnCircle
 from .radii import Family, _family_map
-from .specfun import (CoulombParams, eval_F_with_derivative, _EPS,
-                      _check_finite, _terms, _turning_point)
+from .specfun import CoulombParams, _EPS, _check_finite, _terms
 
 __all__ = [
     "DiskScanReport",
@@ -215,101 +215,113 @@ def boundary_image(family: Union[Family, str], r: float, n_points: int, *,
 
 
 # ---------------------------------------------------------------------------
-# ODE zero enumeration and power sums
+# Zero power sums from the traces of the Jacobi matrix
 # ---------------------------------------------------------------------------
 
-def _spacing_guard(zeros: np.ndarray) -> None:
-    d = np.diff(zeros)
-    if np.any(d <= 0):
-        raise ZeroEnumerationIncomplete("zero list is not increasing")
-    for i in range(3, len(d)):
-        window = d[max(0, i - 5):i]
-        med = float(np.median(window))
-        if d[i] > 1.75 * med:
-            raise ZeroEnumerationIncomplete(
-                f"spacing jump at zero #{i + 1}: {d[i]:.3f} vs recent median "
-                f"{med:.3f}; a zero was probably skipped")
+#: the truncation sizes N whose traces are extrapolated to N = inf
+_TRACE_SIZES = (250, 500, 1000, 2000)
 
 
-def _ode_zeros(params: CoulombParams, which: str, n_zeros: int) -> np.ndarray:
-    """First n_zeros positive zeros of F (which='F') or F' (which='Fprime')
-    by integrating the defining ODE outward from z0 = 0.5."""
-    # imported here: scipy.integrate adds a few tenths of a second to
-    # importing the package, and only this oracle needs it
-    from scipy.integrate import solve_ivp
+def _truncated_traces(L: float, eta: float, N: int, k_max: int) -> List[float]:
+    """Tr J^k, k = 0 .. k_max, of the N x N truncation J of J_L.
 
-    L = params.real_L()
-    eta = float(params.eta)
-    z0 = 0.5
-    fe = eval_F_with_derivative(params, z0)
-    y0 = [float(fe.value), float(fe.derivative)]
-    if y0[0 if which == "F" else 1] <= 0.0:
-        raise GateViolation(
-            f"{which} is not positive at z0 = {z0}; a zero below the "
-            "integration start would be missed")
-
-    def rhs(z, y):
-        return [y[1], (2.0 * eta / z + L * (L + 1.0) / (z * z) - 1.0) * y[0]]
-
-    idx = 0 if which == "F" else 1
-
-    def event(z, y):
-        return y[idx]
-
-    event.direction = 0.0
-    z_end = max(_turning_point(L, eta), z0) + math.pi * (n_zeros + 2) + 10.0
-    for _ in range(3):
-        sol = solve_ivp(rhs, (z0, z_end), y0, method="DOP853",
-                        events=event, rtol=1e-10, atol=1e-12, max_step=1.0)
-        if not sol.success:
-            raise ZeroEnumerationIncomplete(
-                f"ODE integration failed: {sol.message}")
-        zs = sol.t_events[0]
-        zs = zs[np.concatenate(([True], np.diff(zs) > 1e-8))]
-        if len(zs) >= n_zeros:
-            zeros = zs[:n_zeros]
-            _spacing_guard(zeros)
-            return zeros
-        z_end *= 1.5
-    raise ZeroEnumerationIncomplete(
-        f"found only {len(zs)} of {n_zeros} requested zeros below z = "
-        f"{z_end / 1.5:.1f}")
+    J_L is symmetric tridiagonal, with d_n = -eta/((m-1) m) on the diagonal
+    and w_n = sqrt((m^2 + eta^2)/(4m^2 - 1))/m beside it, m = n + L + 2
+    (module docstring).  (J^k)_ii = v_a . v_b with v_j = J^j e_i and
+    a + b = k, so each row walks ceil(k_max/2) steps.  The entries are
+    padded with zeros, so a walk never leaves the truncation.
+    """
+    h = (k_max + 1) // 2
+    pad = [0.0] * h
+    ms = [n + L + 2.0 for n in range(N)]
+    d = pad + [-eta / ((m - 1.0) * m) for m in ms] + pad
+    w = pad + [math.sqrt((m * m + eta * eta) / (4.0 * m * m - 1.0)) / m
+               for m in ms[:-1]] + [0.0] + pad
+    width = range(2 * h + 1)
+    tr = [0.0] * (k_max + 1)
+    for i in range(N):
+        v = [0.0] * (2 * h + 1)
+        v[h] = 1.0
+        vs = [v]
+        for _ in range(h):
+            v = [d[i + p] * v[p] + (w[i + p - 1] * v[p - 1] if p else 0.0)
+                 + (w[i + p] * v[p + 1] if p < 2 * h else 0.0) for p in width]
+            vs.append(v)
+        for k in range(1, k_max + 1):
+            tr[k] += sum(x * y for x, y in zip(vs[k // 2], vs[(k + 1) // 2]))
+    return tr
 
 
-def zero_sum_oracle(params: CoulombParams, k: int = 2, which: str = "F",
-                    n_zeros: int = 200) -> float:
-    """Power sum sum_rho rho^(-k) over *all* nontrivial zeros of F or F',
-    located by ODE integration (independent of every series recurrence).
+def _jacobi_traces(L: float, eta: float, k_max: int) -> List[float]:
+    """p_k = Tr J_L^k = sum rho^(-k) over the zeros rho != 0 of F_L(eta, .),
+    k = 0 .. k_max (p_0 is 0), where J_L's eigenvalues are the 1/rho.
 
-    For eta != 0 the negative-axis zeros are the mirrored positive-axis
-    zeros at -eta, so both sign conventions are enumerated; for even k the
-    two half-sums add.  The infinite tail beyond the last enumerated zero
-    is approximated by an Euler-Maclaurin estimate from the local spacing.
+    The trace of the N x N truncation misses a tail that is a series in
+    1/M, M = N + L + 2, from the power M^(-e), e = max(k-1, 1).  Three of
+    its terms cancel in the third divided difference, over the four sizes
+    of ``_TRACE_SIZES``, of M^e Tr J_N^k in x = 1/M; dividing it by that of
+    M^e leaves the limit.
+    """
+    rows = [_truncated_traces(L, eta, N, k_max) for N in _TRACE_SIZES]
+    x = [1.0 / (N + L + 2.0) for N in _TRACE_SIZES]
+    p = [0.0]
+    for k in range(1, k_max + 1):
+        e = max(k - 1, 1)
+        wts = [xj ** -e / math.prod(xj - xi for xi in x if xi != xj)
+               for xj in x]
+        p.append(sum(wj * r[k] for wj, r in zip(wts, rows)) / sum(wts))
+    return p
 
-    Preconditions: real L > -1, eta <= 0, k even in {2, 4},
-    8 <= n_zeros <= 500, which in {'F', 'Fprime'}.
+
+def _coeffs(p: List[float], K: int) -> List[float]:
+    """Taylor coefficients 1, c_1 .. c_K of the function c with c(0) = 1
+    and z c'/c = -sum_k p_k z^k (Newton's identities)."""
+    c = [1.0]
+    for j in range(1, K + 1):
+        c.append(-sum(p[i] * c[j - i] for i in range(1, j + 1)) / j)
+    return c
+
+
+def _power_sums(c: List[float], K: int) -> List[float]:
+    """The inverse of ``_coeffs``: p_0 = 0, p_1 .. p_K = -k [z^k] log c."""
+    p = [0.0]
+    for j in range(1, K + 1):
+        p.append(-j * c[j] - sum(p[i] * c[j - i] for i in range(1, j)))
+    return p
+
+
+def zero_sum_oracle(params: CoulombParams, k: int = 2,
+                    which: str = "F") -> float:
+    """Power sum sum_rho rho^(-k) over the zeros rho != 0 of F or of F',
+    from the traces of the Jacobi matrix J_L of F (``_jacobi_traces``),
+    independent of every series recurrence.
+
+    For F it is Tr J_L^k: the true sum, so it equals ``rayleigh_Z`` at
+    -eta (whose odd k carry the recurrence's sign).  For F' it uses the
+    Coulomb ladder h = S + z S'/(L+1) = S_L (1 + eta z/(L+1)^2)
+    - c z^2 S_(L+1), c = ((L+1)^2 + eta^2)/((L+1)^3 (2L+3)), whose zeros
+    are those of F' other than 0.  S_L and S_(L+1) = det(1 - z J_(L+1))
+    come from their traces, J_(L+1) being J_L without its first row and
+    column; the sum is -k [z^k] log h, as ``rayleigh_Ztilde`` has it.
+
+    Gates: real L (GateViolation); which in {'F', 'Fprime'} and k an
+    integer in [2, 6] (ValueError), the range over which it was measured
+    within 4e-9 relative of the exact tables at -0.9 <= L <= 30,
+    |eta| <= 3.
     """
     if params.is_complex:
         raise GateViolation("the zero-sum oracle needs real L")
     if which not in ("F", "Fprime"):
         raise ValueError(f"which must be 'F' or 'Fprime', got {which!r}")
-    if k not in (2, 4):
-        raise ValueError("k must be 2 or 4 (even sums only)")
-    if not 8 <= n_zeros <= 500:
-        raise ValueError("n_zeros must lie in [8, 500]")
-    if float(params.eta) > 0:
-        raise GateViolation("stated for eta <= 0 (flip eta yourself otherwise)")
-    total = 0.0
-    sides = [params]
-    if float(params.eta) != 0.0:
-        sides.append(CoulombParams(params.L, -float(params.eta)))
-    for side in sides:
-        zeros = _ode_zeros(side, which, n_zeros)
-        s = float(np.sum(zeros ** (-float(k))))
-        B = float(np.mean(np.diff(zeros)[-10:]))
-        A = float(zeros[-1])
-        total += s + (A + B / 2.0) ** (1 - k) / (B * (k - 1))
-    if float(params.eta) == 0.0:
-        total *= 2.0      # negative-axis zeros mirror the positive ones
-    return total
-
+    if not isinstance(k, numbers.Integral) or not 2 <= k <= 6:
+        raise ValueError(f"k must be an integer in [2, 6], got {k!r}")
+    L, eta = params.real_L(), float(params.eta)
+    p = _jacobi_traces(L, eta, k)
+    if which == "F":
+        return p[k]
+    s = _coeffs(p, k)
+    t = [0.0, 0.0] + _coeffs(_jacobi_traces(L + 1.0, eta, k - 2), k - 2)
+    a = eta / (L + 1.0) ** 2
+    c = ((L + 1.0) ** 2 + eta * eta) / ((L + 1.0) ** 3 * (2.0 * L + 3.0))
+    h = [sj + a * sj_1 - c * tj for sj, sj_1, tj in zip(s, [0.0] + s, t)]
+    return _power_sums(h, k)[k]

@@ -552,9 +552,8 @@ def test_public_names_are_pinned():
         "__version__", "CRITERION_IDS",
         # errors
         "CoulombError", "GateViolation", "NonConvergence", "GammaOverflow",
-        "BoundsInvalid", "NoRootInScanRange", "PoleOnCircle",
-        "ZeroEnumerationIncomplete", "DegenerateFit", "RingMismatch",
-        "RegionWarning",
+        "BoundsInvalid", "NoRootInScanRange", "PoleOnCircle", "DegenerateFit",
+        "RingMismatch", "RegionWarning",
         # exact arithmetic
         "Sqrt2Rational", "EtaPolynomial", "format_sqrt2",
         "potential_polynomials",

@@ -607,12 +607,18 @@ def test_overflowing_bessel_series_raises_non_convergence(nu, H, z):
     assert 2 <= n < 1000
 
 
-def test_F_derivative_that_overflows_stays_a_real_inf():
-    # at real L and z > 0 the prefactor is a float, so F' = C z^L (...)
-    # overflowing at a subnormal z is the real inf, not inf + nan i
-    res = eval_F_with_derivative(CoulombParams(-0.9999, 0.0), 1e-310)
-    assert isinstance(res.value, float) and res.value > 0.0
-    assert res.derivative == math.inf and isinstance(res.derivative, float)
+def test_F_derivative_that_overflows_raises_gamma_overflow():
+    # F' = C z^L (...) has the exponent of F less log|z|: at a subnormal z
+    # F is 0.93 but F' leaves the float range, where it came out inf with
+    # an est_error of 8.5e-15
+    for z in (1e-310, complex(1e-310, 1e-310)):
+        with pytest.raises(GammaOverflow, match="overflows"):
+            eval_F_with_derivative(CoulombParams(-0.9999, 0.0), z)
+    # at 1e-300 F' = (L + 1) F/z (1 + O(z)), 9.3e295, still fits
+    res = eval_F_with_derivative(CoulombParams(-0.9999, 0.0), 1e-300)
+    assert isinstance(res.derivative, float)
+    assert res.derivative == pytest.approx(1e-4 * res.value / 1e-300,
+                                           rel=1e-9)
 
 
 def test_F_far_beyond_turning_point_is_sin():

@@ -235,32 +235,39 @@ def test_spirallike_scan_at_real_order_guards_the_first_zero():
 
 
 def test_zero_sum_oracle_matches_exact_tables():
-    got = zero_sum_oracle(CoulombParams(2.0, 0.0), k=2, n_zeros=200)
-    assert got == pytest.approx(1.0 / 7.0, abs=1e-6)
-    got4 = zero_sum_oracle(CoulombParams(2.0, 0.0), k=4, n_zeros=120)
+    got = zero_sum_oracle(CoulombParams(2.0, 0.0), k=2)
+    assert got == pytest.approx(1.0 / 7.0, abs=1e-9)
+    got4 = zero_sum_oracle(CoulombParams(2.0, 0.0), k=4)
     exact4 = rayleigh_Z(CoulombParams(Fr(2), Fr(0)), 4, exact=True)[4]
-    assert got4 == pytest.approx(float(exact4), abs=1e-8)
-    # eta < 0 sums both signed families
-    got_eta = zero_sum_oracle(CoulombParams(2.0, -1.0), k=2, n_zeros=200)
-    assert got_eta == pytest.approx(10.0 / 63.0, abs=1e-6)
+    assert got4 == pytest.approx(float(exact4), abs=1e-12)
+    got_eta = zero_sum_oracle(CoulombParams(2.0, -1.0), k=2)
+    assert got_eta == pytest.approx(10.0 / 63.0, abs=1e-9)
+    # the true zero sums: odd k equal rayleigh_Z's at -eta, not at eta
+    # (-5/378 there, the recurrence's sign)
+    assert zero_sum_oracle(CoulombParams(2.0, -1.0), k=3) == \
+        pytest.approx(5.0 / 378.0, rel=1e-9)
     # derivative zeros
-    gotp = zero_sum_oracle(CoulombParams(0.5, 0.0), k=2, which="Fprime",
-                           n_zeros=200)
-    assert gotp == pytest.approx(7.0 / 12.0, abs=1e-6)
+    gotp = zero_sum_oracle(CoulombParams(0.5, 0.0), k=2, which="Fprime")
+    assert gotp == pytest.approx(7.0 / 12.0, abs=1e-9)
+    exact_t = rayleigh_Ztilde(CoulombParams(Fr(1, 2), Fr(13, 10)), 5,
+                              exact=True)
+    for k in (3, 5):
+        got_t = zero_sum_oracle(CoulombParams(0.5, 1.3), k=k, which="Fprime")
+        assert got_t == pytest.approx(float(exact_t[k]), rel=1e-9)
 
 
 def test_zero_sum_oracle_gates():
     p = CoulombParams(1.0, 0.0)
-    with pytest.raises(ValueError):
-        zero_sum_oracle(p, k=3)
+    for k in (1, 7, 2.0):
+        with pytest.raises(ValueError):
+            zero_sum_oracle(p, k=k)
     with pytest.raises(ValueError):
         zero_sum_oracle(p, which="G")
-    with pytest.raises(ValueError):
-        zero_sum_oracle(p, n_zeros=4)
-    with pytest.raises(GateViolation):
-        zero_sum_oracle(CoulombParams(1.0, 0.5), k=2)
     with pytest.raises(GateViolation):
         zero_sum_oracle(CoulombParams(0.2 + 0.1j, 0.0), k=2)
+    # eta > 0 is served
+    assert zero_sum_oracle(CoulombParams(1.0, 0.5), k=3) == pytest.approx(
+        float(rayleigh_Z(CoulombParams(Fr(1), Fr(-1, 2)), 3)[3]), rel=1e-9)
 
 
 def test_dini_rayleigh_oracle_exact():
@@ -274,9 +281,8 @@ def test_dini_rayleigh_oracle_exact():
 
 
 @settings(deadline=None, max_examples=8)
-@given(st.floats(0.0, 3.0), st.floats(-1.5, 0.0))
+@given(st.floats(-0.9, 30.0), st.floats(-3.0, 3.0))
 def test_zero_sum_oracle_tracks_recurrence(L, eta):
-    p = CoulombParams(L, eta)
-    rec = float(rayleigh_Z(CoulombParams(L, eta), 2, exact=False)[2])
-    ode = zero_sum_oracle(p, k=2, n_zeros=80)
-    assert ode == pytest.approx(rec, abs=5e-5)
+    rec = float(rayleigh_Z(CoulombParams(L, -eta), 2, exact=False)[2])
+    got = zero_sum_oracle(CoulombParams(L, eta), k=2)
+    assert got == pytest.approx(rec, rel=1e-8)
