@@ -24,7 +24,9 @@ class NonConvergence(CoulombError):
     or its running float sum overflowed first (the Coulomb series of S and
     the Bessel series of J alike); CF1 for r F'/F did not converge within
     its cap of 1000 + 2r terms, or CF2 for H+'/H+ within 10000; the
-    fixed-point re-sum of a series, or the Taylor sums continuing Steed's
+    deeper fixed-point pass of a series lost more than its cap of 290
+    digits to cancellation (or its sum rounded to 0 at that depth); the
+    fixed-point sums of a series, or the Taylor sums continuing Steed's
     values to complex z, left the float range; or the root search
     underflowed, or its arithmetic left the float range, before it found
     a root."""

@@ -24,22 +24,24 @@ Numerics: series terms are generated by the same three-term recurrence
 applied to t_n = a_n z^n directly (no separate z**n factor, so nothing
 overflows).  A plain running sum drives the stopping rule; the returned sums
 are taken over the stored terms at the end, correctly rounded by
-``math.fsum`` in float.  When cancellation eats the working precision the
-float pass's terms are re-summed: the same number of terms is recomputed in
-fixed point on Python integers (``_sum_pair_fixed``), at a precision chosen
-from the size of log10(C_L(eta) z^(L+1)), with one floor division a term;
-its sums are exact in the integers, sum n t_n is read off the sum of the
-partial sums, and both are rounded to float once.  The series
-``est_error`` of F and Bessel J includes the rounding of the log-space
-prefactor.  The prefactor's log Gamma comes from the standard library:
-``math.lgamma`` at real arguments, and at complex ones ``_loggamma``,
-Stirling's series (DLMF 5.11.1) at |w| >= 14 and the Lanczos sum of
-CPython's ``math.lgamma`` below; so this module, like the package, imports
-neither numpy, scipy nor mpmath.
+``math.fsum`` in float.  When cancellation eats the working precision a
+deeper pass runs in rounds: each measures the digits h that the last sums
+lost against the peak partial sum, stops the series at tol 10^-h, and sums
+those terms in fixed point on Python integers (``_sum_pair_fixed``) at
+18 + h digits, with one floor division a term; its sums are exact in the
+integers, sum n t_n is read off the sum of the partial sums, and both are
+rounded to float once.  Bessel J keeps its own float loop, and reads the
+deeper pass of S at L = nu - 1/2, eta = 0 where that loop cancels.  The
+series ``est_error`` of F and Bessel J includes the rounding of the
+log-space prefactor.  The prefactor's log Gamma comes from the standard
+library: ``math.lgamma`` at real arguments, and at complex ones
+``_loggamma``, Stirling's series (DLMF 5.11.1) at |w| >= 14 and the
+Lanczos sum of CPython's ``math.lgamma`` below; so this module, like the
+package, imports neither numpy, scipy nor mpmath.
 
 Past the turning point eta + sqrt(eta^2 + L(L+1)) the series cancels
-against its peak partial sum, and no re-sum of its terms recovers F.  At
-real L, eta and z there (z > 4 and z <= ``_MAX_TERMS``), F, g and Bessel J
+against its peak partial sum, by more digits the farther out.  At real L,
+eta and z there (z > 4 and z <= ``_MAX_TERMS``), F, g and Bessel J
 come from Steed's method instead (Barnett, Feng, Steed & Goldfarb, Comput.
 Phys. Commun. 8, 1974): CF1 (``_cf1``, the package's one CF1 kernel,
 which the radii read too) gives F'/F and the sign of F, CF2 (``_cf2``)
@@ -159,12 +161,14 @@ class SeriesEval(NamedTuple):
     """Value/derivative pair with truncation diagnostics.
 
     ``method`` names the path that produced the value: ``"series"`` when
-    the float pass of the series was kept, ``"fixed"`` for its fixed-point
-    retry, whose working precision in bits is ``retry_bits`` (0 on the
-    other paths), ``"steed"`` for Steed's continued fractions, where
-    ``terms_used`` counts the terms of CF1 and CF2, and ``"continuation"``
-    for Steed's values continued to complex z, where it counts the terms
-    of CF1, CF2 and the Taylor series.
+    the float pass of the series was kept, ``"fixed"`` for its deeper
+    fixed-point pass, whose last round's precision in bits is
+    ``retry_bits`` (0 on the other paths), and whose ``terms_used`` counts
+    that round's terms of S (for Bessel J, S at L = nu - 1/2, eta = 0,
+    whose odd terms are 0), ``"steed"`` for Steed's continued fractions,
+    where ``terms_used`` counts the terms of CF1 and CF2, and
+    ``"continuation"`` for Steed's values continued to complex z, where it
+    counts the terms of CF1, CF2 and the Taylor series.
     """
 
     value: Scalar
@@ -318,48 +322,51 @@ def _sum_pair_fixed(L: Scalar, eta: float, z: Scalar, n_terms: int,
     return S, T, p
 
 
-def _working_dps(L: Scalar, eta: float, z_abs: float) -> int:
-    """Decimal digits that keep the dominant cancellation harmless.
-
-    The digits lost in summing S at z comparable to the turning point are
-    close to log10 of C_L(eta) * z^(L+1) (the headroom between the largest
-    term of F's series and F itself), plus a slowly growing |z| term.
-    Needs z_abs > 0: every evaluator answers z = 0 without the series.
-    """
-    lg = (_log_prefactor(L, eta)[0] + (L + 1) * math.log(z_abs)).real
-    lost = max(0.0, lg / math.log(10.0))
-    return 25 + int(lost) + int(0.06 * z_abs)
+#: digits the deeper series pass may lose to cancellation.  Below it tol
+#: 10^-h stays a normal float, and an S under 1e-300 (``_TINY``) of its
+#: scale reads as 300 lost digits, so a sum that rounds to 0 raises too
+_MAX_LOST = 290
 
 
 def _series_pair(L: Scalar, eta: float, z: Scalar, tol: float):
-    """(S, zSp, terms, est_error, retry_bits), retrying in fixed point
-    when cancellation is fatal.
+    """(S, zSp, terms, est_error, retry_bits): the float pass, or where its
+    cancellation is fatal the deeper fixed-point pass.
 
     ``zSp`` is z*S'(z), so the caller never divides by a z that might be
     zero.  The stopping rule of ``_terms`` is the only one the series has.
     The float pass sums its terms, correctly rounded (``math.fsum``), and
     is kept whenever its error estimate is small relative to the result
-    (retry_bits 0).  Otherwise ``_sum_pair_fixed`` re-sums the same number
-    of terms at a precision sized to the expected digit loss, and
-    retry_bits is that pass's precision in bits.  Either way ``est_error``
-    is the largest of the last three terms plus the rounding error on the
-    peak partial sum ``scale``, at the unit roundoff of the pass that ran.
+    (retry_bits 0).  Otherwise the deeper pass runs in rounds.  Each takes
+    h digits, runs ``_terms`` at tol 10^-h and ``_sum_pair_fixed`` over
+    those terms at 18 + h digits, and measures the digits its S lost,
+    lost = ceil(log10(scale / |S|)).  The first round takes h = lost of the
+    float pass, each later one max(lost, 2h), at most ``_MAX_LOST``; the
+    pass ends at the first round with lost <= h, whose tail then lies below
+    tol |S|, and retry_bits is that round's precision in bits.  A round at
+    ``_MAX_LOST`` whose S still loses more raises NonConvergence, so no
+    more than eleven rounds run.  ``est_error`` is the largest of the last
+    three terms plus the rounding error on the peak partial sum ``scale``,
+    at the unit roundoff of the pass that ran, and on the deeper pass plus
+    the final rounding of S and z S' to float.
     """
     ts, scale = _terms(L, eta, z, tol)
-    tail = max(abs(ts[-3]), abs(ts[-2]), abs(ts[-1]))
     try:
         S, T = _fsum_pair(ts)
-    except (OverflowError, ValueError):  # terms or their sum overflow
-        S = T = math.nan                 # and the fixed-point pass retries
-    est = tail + 4.0 * _EPS * scale
-    size = abs(S) + abs(T)
+    except (OverflowError, ValueError):  # terms or their sum overflow,
+        S = T = math.nan                 # and lose every digit
+    est, size = max(map(abs, ts[-3:])) + 4.0 * _EPS * scale, abs(S) + abs(T)
     if size < math.inf and est <= 1e-6 * (size + 1e-300):
         return S, T, len(ts), est, 0
-    dps = _working_dps(L, eta, abs(z))
-    S, T, bits = _sum_pair_fixed(L, eta, z, len(ts), dps)
-    est = (tail + 4.0 * 10.0 ** (1 - dps) * scale
-           + _EPS * (abs(S) + abs(T)))
-    return S, T, len(ts), est, bits
+    h = -1                               # no deeper round has run
+    while (lost := math.ceil(-math.log10(max(_TINY, abs(S) / scale)))) > h:
+        if h == _MAX_LOST:
+            raise NonConvergence(f"series for S(z) lost over {_MAX_LOST} "
+                                 f"digits (L={L!r}, eta={eta!r}, z={z!r})")
+        h = min(max(lost, 2 * h), _MAX_LOST)
+        ts, scale = _terms(L, eta, z, tol * 10.0 ** -h)
+        S, T, bits = _sum_pair_fixed(L, eta, z, len(ts), 18 + h)
+    return S, T, len(ts), (max(map(abs, ts[-3:])) + _EPS * (abs(S) + abs(T))
+                           + 4.0 * 10.0 ** (-17 - h) * scale), bits
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +642,7 @@ def _plain(params: CoulombParams):
 
 
 def _demote(x: Scalar) -> Scalar:
-    if isinstance(x, complex) and x.imag == 0.0:
-        return x.real
-    return x
+    return x.real if isinstance(x, complex) and x.imag == 0.0 else x
 
 
 def _divide_prefactor(L: float, eta: float, z: Scalar, F: Scalar):
@@ -873,39 +878,44 @@ def eval_f_normalized(params: CoulombParams, z: Scalar,
 
     Principal branch of the fractional power; f(0) = 0, f'(0) = 1.  f
     takes g's path (``_outer`` past the turning point, the series
-    otherwise), its diagnostics and its GammaOverflow.
+    otherwise), its diagnostics and its GammaOverflow, except
+    ``est_error``: f's relative error is g's over |L + 1|, plus the
+    rounding of log(g/z), of exp and of z times the root.
     """
     z = _check_tol_z(tol, z)
     g = eval_g(params, z, tol)
     if z == 0:
         return g
     L = _plain(params)[0]
-    root = cmath.exp(cmath.log(g.value / z) / (L + 1))
+    lg = cmath.log(g.value / z)
+    root = cmath.exp(lg / (L + 1))
     deriv = root * (1 + (z * g.derivative / g.value - 1) / (L + 1))
-    return g._replace(value=_demote(z * root), derivative=_demote(deriv))
+    # f's relative error is g's, and the rounding of log(g/z), over |L + 1|,
+    # plus that of exp and of z root
+    rel = (g.est_error / abs(g.value) + 2 * _EPS * (1 + abs(lg))) / abs(L + 1)
+    return g._replace(value=_demote(z * root), derivative=_demote(deriv),
+                      est_error=(rel + 2.0 * _EPS) * abs(z * root))
 
 
 # ---------------------------------------------------------------------------
 # Bessel and Dini evaluations (independent series, used for cross-checks)
 #
 # J_nu(z) Gamma(nu + 1) / (z/2)^nu is S at L = nu - 1/2 and eta = 0, yet J
-# keeps its own loop in w = -z^2/4.  At eta = 0 every odd term of S is
-# zero, so ``_series_pair`` computes and stores twice the terms: over the
-# benchmark's Bessel J points of seeds 1-3 with nu > -1/2 it took 35-37 us
-# a value against 16-24 us for this loop (2-core host, Python 3.11).  The
-# other reason this loop was kept, that ``_series_pair`` mends almost none
-# of J's wrong outer values (145 of 148 stayed wrong), no longer counts at
-# real z: Steed's method serves those from F_{nu-1/2}(0, z), as it does F
-# and g.  With only complex z left for the loop, folding J onto
-# ``_series_pair`` still cost the benchmark's eval workload 8-12 % of its
-# operations per second, and a pair-step eta = 0 loop in ``_terms`` left J
-# at 1.3-1.5 times the cost of this loop.  The loop shares the series' tail
-# bound, ``_safe_index``.  Two different series also keep acceptance
-# criterion 3, the Bessel reduction at complex z, a comparison of two sums,
-# except near the real axis past the turning point, where F and J both come
-# from the continuation of Steed's F_{nu-1/2}(0, x): 6 of its 60 points
-# (z = 7.231 - 2.481i and 4.280 + 1.408i at each order) compare the
-# continuation with itself, and the other 54 still two series.
+# keeps its own loop in w = -z^2/4 as its float pass.  At eta = 0 every odd
+# term of S is zero, so ``_series_pair`` computes and stores twice the
+# terms: over the benchmark's Bessel J points of seeds 1-3 with nu > -1/2 it
+# took 35-37 us a value against 16-24 us for this loop (2-core host,
+# Python 3.11), and folding J onto it cost the benchmark's eval workload
+# 8-12 % of its operations per second; a pair-step eta = 0 loop in
+# ``_terms`` left J at 1.3-1.5 times the cost of this loop.  Only where the
+# series' rule rejects this loop's sums does J read ``_series_pair``, for
+# its deeper pass; the benchmark has no such point.  The loop shares the
+# series' tail bound, ``_safe_index``.  Two different series also keep
+# acceptance criterion 3, the Bessel reduction at complex z, a comparison
+# of two sums, except near the real axis past the turning point, where F
+# and J both come from the continuation of Steed's F_{nu-1/2}(0, x): 6 of
+# its 60 points (z = 7.231 - 2.481i and 4.280 + 1.408i at each order)
+# compare the continuation with itself, and the other 54 still two series.
 # ---------------------------------------------------------------------------
 
 def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
@@ -923,14 +933,20 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     of J_nu(z) Gamma(nu + 1) / (z/2)^nu starts at 1; the factor
     (z/2)^nu / Gamma(nu + 1) is applied in log space, so large orders
     neither overflow nor lose the result before it underflows.  The terms
-    are summed in float with Kahan compensation and there is no precision
-    retry, so at complex z with |z| well beyond nu, where the terms peak
-    far above |J|, cancellation can leave wrong digits.  The series
-    ``est_error`` adds to the tail and the rounding at the peak partial
-    sum that of the factor's exponent nu log(z/2) - lgamma(nu + 1).
-    Raises NonConvergence when the series' running sum overflows, and
-    GammaOverflow when that factor, or its counterpart in J', exceeds the
-    float range, or lgamma(nu + 1) does (past nu ~ 2.5e305).
+    are summed in float with Kahan compensation, and that pass is kept
+    unless the series' rule rejects it: where its last term plus 4 eps of
+    its peak partial sum exceeds 1e-6 of |U| + |V - nu U|, with U and V
+    its sums of t_m and (2m + nu) t_m, J reads the deeper fixed-point pass
+    of S at L = nu - 1/2, eta = 0 (``_series_pair``), since U = S and
+    V = nu S + z S'; not at nu = -1/2, where that pass's kernel would
+    divide by 0.  The float pass's ``est_error`` is the last term plus
+    (4 + m) eps of its peak partial sum, m eps for the rounding each of
+    its m terms carries; the deeper pass's is ``_series_pair``'s.  Either
+    adds the rounding of the factor's exponent nu log(z/2) -
+    lgamma(nu + 1).  Raises NonConvergence when the series' running sum
+    overflows, or the deeper pass loses more than ``_MAX_LOST`` digits,
+    and GammaOverflow when that factor, or its counterpart in J', exceeds
+    the float range, or lgamma(nu + 1) does (past nu ~ 2.5e305).
     """
     if isinstance(nu, complex):
         raise ValueError("nu must be real")
@@ -997,6 +1013,16 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
         raise NonConvergence(
             f"Bessel series did not converge within {_MAX_TERMS} terms "
             f"(nu={nu}, z={z!r})")
+    # t_m carries about m eps of rounding from the recurrence, on top of
+    # the sum's own at the peak partial sum
+    terms, est, bits = m + 1, last + (4.0 + m) * _EPS * scale, 0
+    if (last + 4.0 * _EPS * scale > 1e-6 * (abs(U) + abs(V - nu * U))
+            and nu != -0.5):
+        # the series' rule rejects the float pass: U = S_(nu-1/2)(0, z) and
+        # V = nu S + T take the deeper pass (whose fixed-point kernel
+        # divides by 2 (L + 1), zero at nu = -1/2)
+        U, V, terms, est, bits = _series_pair(nu - 0.5, 0.0, z, tol)
+        V += nu * U
     # half_pow = (z/2)^nu / Gamma(nu + 1), half_pow_m1 = (z/2)^(nu-1) / ...
     try:
         lg = math.lgamma(nu + 1.0)
@@ -1024,10 +1050,10 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     # terms, and its imaginary part, the phase, at its own
     nu_lz = nu * lz
     ex_err = 2.0 * _EPS * (abs(lg) + abs(nu_lz.real) + abs(nu_lz.imag))
-    est = ((last + 4.0 * _EPS * scale) * abs(half_pow)
-           + ex_err * abs(value))
     return SeriesEval(value=_demote(value), derivative=_demote(deriv),
-                      terms_used=m + 1, est_error=est)
+                      terms_used=terms,
+                      est_error=est * abs(half_pow) + ex_err * abs(value),
+                      retry_bits=bits, method="fixed" if bits else "series")
 
 
 def eval_dini(nu: float, H: float, r: Scalar, tol: float = 1e-15) -> SeriesEval:
@@ -1046,11 +1072,8 @@ def eval_dini(nu: float, H: float, r: Scalar, tol: float = 1e-15) -> SeriesEval:
     if r == 0:
         k = nu + H
         value, deriv = (k * je.value, k * je.derivative) if k else (0.0, 0.0)
-        return SeriesEval(value=value, derivative=deriv,
-                          terms_used=je.terms_used, est_error=je.est_error)
+        return je._replace(value=value, derivative=deriv)
     value = r * je.derivative + H * je.value
     deriv = H * je.derivative + (nu * nu / r - r) * je.value
-    return SeriesEval(value=_demote(value), derivative=_demote(deriv),
-                      terms_used=je.terms_used,
-                      est_error=je.est_error * (abs(r) + abs(H)),
-                      method=je.method)
+    return je._replace(value=_demote(value), derivative=_demote(deriv),
+                       est_error=je.est_error * (abs(r) + abs(H)))
