@@ -19,8 +19,8 @@ The package computes:
 
 Each module's ``__all__`` is the one list of its public names; the package
 re-exports them all.  ``import coulombstar`` needs only the standard
-library: the oracles (``verify``) and the acceptance criteria
-(``acceptance``), which use numpy and import scipy and mpmath, load on
+library: the oracles (``verify``), which import scipy and mpmath, and
+the acceptance criteria (``acceptance``), which also use numpy, load on
 first use of one of their names, of the module itself, of ``__all__`` or
 of ``dir()`` (PEP 562).  The records (``CoulombParams``, ``SeriesEval``,
 ``RadiusResult``, ``RadiusQuery``, ``RayleighTable``,

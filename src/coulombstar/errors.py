@@ -47,8 +47,9 @@ class NoRootInScanRange(CoulombError):
 
 
 class PoleOnCircle(CoulombError):
-    """A scan hit a grid point where the denominator function vanishes to
-    working precision, so the ratio there is meaningless."""
+    """A disk scan met a point, on its grid or on the segment [r/64, r],
+    where the entire factor S lies within the series' own error bound of
+    0, so that the witness ratio there, or the sign of S, is unknown."""
 
 
 class DegenerateFit(CoulombError):

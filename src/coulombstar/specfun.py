@@ -301,7 +301,9 @@ def _sum_pair_fixed(L: Scalar, eta: float, z: Scalar, n_terms: int,
         ni = ar * ti + ai * tr - br * qi - bi * qr
         cr = (n * (n + 1) << k) + 2 * n * lr
         ci = 2 * n * li
-        d = (cr * cr + ci * ci) << k
+        # C_1 = 2 (L + 1) is 0 at L = -1, where eta = 0 makes N_1 = 0 and
+        # t_1 = 0, as in ``_terms``
+        d = ((cr * cr + ci * ci) << k) or 1
         qr, qi = tr, ti
         tr, ti = (nr * cr + ni * ci) // d, (ni * cr - nr * ci) // d
         Pr += Sr
@@ -335,19 +337,20 @@ def _series_pair(L: Scalar, eta: float, z: Scalar, tol: float):
     ``zSp`` is z*S'(z), so the caller never divides by a z that might be
     zero.  The stopping rule of ``_terms`` is the only one the series has.
     The float pass sums its terms, correctly rounded (``math.fsum``), and
-    is kept whenever its error estimate is small relative to the result
-    (retry_bits 0).  Otherwise the deeper pass runs in rounds.  Each takes
-    h digits, runs ``_terms`` at tol 10^-h and ``_sum_pair_fixed`` over
-    those terms at 18 + h digits, and measures the digits its S lost,
-    lost = ceil(log10(scale / |S|)).  The first round takes h = lost of the
-    float pass, each later one max(lost, 2h), at most ``_MAX_LOST``; the
-    pass ends at the first round with lost <= h, whose tail then lies below
+    is kept where its last three terms plus 4 eps of its peak partial sum
+    lie within 1e-6 of |S| + |z S'| (retry_bits 0).  Otherwise the deeper
+    pass runs in rounds.  Each takes h digits, runs ``_terms`` at tol
+    10^-h and ``_sum_pair_fixed`` over those terms at 18 + h digits, and
+    measures the digits its S lost, lost = ceil(log10(scale / |S|)).  The
+    first round takes h = lost of the float pass, each later one
+    max(lost, 2h), at most ``_MAX_LOST``; the pass ends at the first round with lost <= h, whose tail then lies below
     tol |S|, and retry_bits is that round's precision in bits.  A round at
     ``_MAX_LOST`` whose S still loses more raises NonConvergence, so no
     more than eleven rounds run.  ``est_error`` is the largest of the last
-    three terms plus the rounding error on the peak partial sum ``scale``,
-    at the unit roundoff of the pass that ran, and on the deeper pass plus
-    the final rounding of S and z S' to float.
+    three terms plus the rounding error on the peak partial sum ``scale``:
+    (4 + n) eps of it on the float pass, n eps for the rounding each of
+    its n terms carries, and on the deeper pass 4 units of its roundoff
+    plus the final rounding of S and z S' to float.
     """
     ts, scale = _terms(L, eta, z, tol)
     try:
@@ -356,7 +359,8 @@ def _series_pair(L: Scalar, eta: float, z: Scalar, tol: float):
         S = T = math.nan                 # and lose every digit
     est, size = max(map(abs, ts[-3:])) + 4.0 * _EPS * scale, abs(S) + abs(T)
     if size < math.inf and est <= 1e-6 * (size + 1e-300):
-        return S, T, len(ts), est, 0
+        # the n terms' own rounding, n eps of scale, is reported, not ruled on
+        return S, T, len(ts), est + len(ts) * _EPS * scale, 0
     h = -1                               # no deeper round has run
     while (lost := math.ceil(-math.log10(max(_TINY, abs(S) / scale)))) > h:
         if h == _MAX_LOST:
@@ -938,8 +942,7 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     its peak partial sum exceeds 1e-6 of |U| + |V - nu U|, with U and V
     its sums of t_m and (2m + nu) t_m, J reads the deeper fixed-point pass
     of S at L = nu - 1/2, eta = 0 (``_series_pair``), since U = S and
-    V = nu S + z S'; not at nu = -1/2, where that pass's kernel would
-    divide by 0.  The float pass's ``est_error`` is the last term plus
+    V = nu S + z S'.  The float pass's ``est_error`` is the last term plus
     (4 + m) eps of its peak partial sum, m eps for the rounding each of
     its m terms carries; the deeper pass's is ``_series_pair``'s.  Either
     adds the rounding of the factor's exponent nu log(z/2) -
@@ -1016,11 +1019,9 @@ def eval_bessel_j(nu: float, z: Scalar, tol: float = 1e-15) -> SeriesEval:
     # t_m carries about m eps of rounding from the recurrence, on top of
     # the sum's own at the peak partial sum
     terms, est, bits = m + 1, last + (4.0 + m) * _EPS * scale, 0
-    if (last + 4.0 * _EPS * scale > 1e-6 * (abs(U) + abs(V - nu * U))
-            and nu != -0.5):
+    if last + 4.0 * _EPS * scale > 1e-6 * (abs(U) + abs(V - nu * U)):
         # the series' rule rejects the float pass: U = S_(nu-1/2)(0, z) and
-        # V = nu S + T take the deeper pass (whose fixed-point kernel
-        # divides by 2 (L + 1), zero at nu = -1/2)
+        # V = nu S + T take the deeper pass
         U, V, terms, est, bits = _series_pair(nu - 0.5, 0.0, z, tol)
         V += nu * U
     # half_pow = (z/2)^nu / Gamma(nu + 1), half_pow_m1 = (z/2)^(nu-1) / ...

@@ -8,13 +8,15 @@ verified; these are the cross-checks:
   circle |z| = r and report the minimum.  A radius is confirmed by a
   positive minimum just below it and a sign change just above it.
 * ``boundary_image`` -- points of the image curve h(r e^(it)) for plotting.
-  Both write h = z B^(1/kappa), with B the Coulomb entire factor S, summed
-  from the float series terms of ``specfun``.  They take the inputs of
-  ``RadiusQuery``: the family with ``L=``/``eta=`` for f and g, or
-  ``nu=``/``alpha=`` for phi.  They read (L, eta, kappa) and every input
-  gate from the family map of the radii, which takes phi to L = nu - 1/2
-  and eta = 0, where S is jhat.  The root search's continued fraction
-  plays no part.
+  Both write h = z S^(1/kappa), with S the Coulomb entire factor, and
+  read S and z S' at each point from the series' own evaluator,
+  ``specfun._series_pair``: its float pass, or where that cancels its
+  deeper fixed-point pass, with its error bound ``est``.  They take the
+  inputs of ``RadiusQuery``: the family with ``L=``/``eta=`` for f and g,
+  or ``nu=``/``alpha=`` for phi.  They read (L, eta, kappa) and every
+  input gate from the family map of the radii, which takes phi to
+  L = nu - 1/2 and eta = 0, where S is jhat.  The root search's continued
+  fraction plays no part.
 * ``zero_sum_oracle`` -- power sums over the zeros of F and F' from the
   traces of the Jacobi matrix J_L of F (Stampach and Stovicek, J. Math.
   Anal. Appl. 419, 2014), whose eigenvalues are the reciprocal zeros; it
@@ -29,21 +31,19 @@ import math
 import numbers
 from typing import List, NamedTuple, Optional, Union
 
-import numpy as np
-from numpy.polynomial import polynomial as npp
 # Nothing here calls mpmath or scipy, but this module, which the CLI loads,
 # must keep importing both at load: the traced benchmark times
 # ``cli.import_mpmath_ms`` and ``cli.import_scipy_ms`` from the modules a
 # fresh ``python -m coulombstar`` imports, and stops with "no samples" when
 # none imports one of them (CHANGES.md FOUND #29).  Drop these imports with
-# that benchmark change.  A bare ``import scipy`` costs about 13 ms once
-# numpy is loaded.
+# that benchmark change.  A bare ``import scipy`` costs about 13 ms beyond
+# the array package it loads.
 import mpmath  # noqa: F401
 import scipy  # noqa: F401
 
 from .errors import GateViolation, PoleOnCircle
 from .radii import Family, _family_map
-from .specfun import CoulombParams, _EPS, _check_finite, _terms
+from .specfun import CoulombParams, _check_finite, _series_pair
 
 __all__ = [
     "DiskScanReport",
@@ -65,70 +65,54 @@ class DiskScanReport(NamedTuple):
     witness_rotation: float = 0.0
 
 
-def _factor_on_circle(r, n, L, eta):
-    """The entire factor B of h = z B^(1/kappa) at z = r e^(2 pi i k/n).
-
-    B is the Coulomb factor S at (L, eta); for phi the family map puts
-    L = nu - 1/2 and eta = 0, where S is jhat.  Its terms b_k = a_k r^k at
-    z = r, from the float series of ``specfun``, are the coefficients of B
-    in w = z/r: they are the term sizes on |z| = r, so none that matters
-    underflows.  Returns (z, B, z B', segment); segment is None for complex
-    order and otherwise holds B on [r/64, r] and the a priori bound
-    2 n eps sum |b_k| (x/r)^k on the rounding of Horner's rule for those
-    values (Higham, Accuracy and Stability of Numerical Algorithms, 5.1),
-    with n the number of terms.
-    Gates: finite r > 0.
-    Raises NonConvergence when the terms at z = r leave the float range.
-    """
+def _circle(r, n):
+    """The n points z = r e^(2 pi i k/n), k = 0 .. n - 1.
+    Gates: finite r > 0."""
     _check_finite("r", r)
     if r <= 0:
         raise ValueError("r must be positive")
-    b = np.asarray(_terms(L, eta, r, 1e-15)[0])
-    w = np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
-    return (r * w, npp.polyval(w, b), npp.polyval(w, b * np.arange(len(b))),
-            None if isinstance(L, complex)
-            else _horner(np.linspace(1.0 / 64.0, 1.0, 64), b))
+    return [cmath.rect(r, 2.0 * math.pi * k / n) for k in range(n)]
 
 
-def _horner(x: np.ndarray, b: np.ndarray):
-    """Values of sum b_k x^k at x >= 0 and a bound on their rounding."""
-    return (npp.polyval(x, b),
-            2.0 * len(b) * _EPS * npp.polyval(x, np.abs(b)))
+def _witness(r, n, L, eta, kappa) -> List[complex]:
+    """1 + (z S'/S)/kappa on the circle, whose real part is Re(z h'/h).
 
-
-def _witness(r, n, L, eta, kappa) -> np.ndarray:
-    """1 + (z B'/B)/kappa on the circle, whose real part is Re(z h'/h).
-
-    Gates: the grid size n an integer >= 16 (ValueError).  Raises
-    GateViolation where B on [r/64, r] is negative beyond its rounding
-    bound (a zero of B lies inside), PoleOnCircle where it is within that
-    bound of 0, so that its sign is unknown, and PoleOnCircle where B
-    vanishes on the circle (to working precision).
+    S and z S' at each point, and est, the bound on the error of S, come
+    from the series' own evaluator, ``_series_pair``; for phi the family
+    map puts L = nu - 1/2 and eta = 0, where S is jhat.  Gates: the grid
+    size n an integer >= 16 (ValueError).  At real L it first checks S at
+    the 64 points x = r k/64 of [r/64, r], from r down, so that a series
+    that leaves the float range at |z| = r raises NonConvergence first:
+    GateViolation where S < -est there (a zero of S lies inside),
+    PoleOnCircle where S <= est, so that its sign is unknown.  Then
+    PoleOnCircle where |S| <= est on the circle.
     """
     if not isinstance(n, numbers.Integral) or n < 16:
         raise ValueError(f"grid_size must be an integer >= 16, got {n!r}")
-    _, B, zdB, segment = _factor_on_circle(r, n, L, eta)
-    if segment is not None:
-        vals, bound = segment
-        if np.any(vals < -bound):
+    zs = _circle(r, n)
+    if not isinstance(L, complex):
+        segment = [_series_pair(L, eta, r * k / 64.0, 1e-15)
+                   for k in range(64, 0, -1)]
+        if any(S < -est for S, _, _, est, _ in segment):
             raise GateViolation(
                 "the scan radius lies beyond the first positive zero of the "
                 "normalized function; the witness ratio is undefined there")
-        if np.any(vals <= bound):
+        if any(S <= est for S, _, _, est, _ in segment):
             raise PoleOnCircle(
-                f"the entire factor lies below its rounding bound on "
+                f"the entire factor lies within its error bound of 0 on "
                 f"[{r / 64.0}, {r}], so its sign there is unknown")
-    if np.min(np.abs(B)) < 1e-12 * max(1.0, float(np.max(np.abs(B)))):
+    circle = [_series_pair(L, eta, z, 1e-15) for z in zs]
+    if any(abs(S) <= est for S, _, _, est, _ in circle):
         raise PoleOnCircle(
-            f"the entire factor vanishes on |z| = {r} to working precision")
-    return 1.0 + (zdB / B) / kappa
+            f"the entire factor lies within its error bound of 0 on |z| = {r}")
+    return [1.0 + (T / S) / kappa for S, T, _, _, _ in circle]
 
 
-def _scan_report(r: float, vals: np.ndarray,
+def _scan_report(r: float, vals: List[float],
                  rotation: float = 0.0) -> DiskScanReport:
-    k = int(np.argmin(vals))
+    k = min(range(len(vals)), key=vals.__getitem__)
     return DiskScanReport(radius_scanned=float(r), grid_size=len(vals),
-                          min_real_part=float(vals[k]),
+                          min_real_part=vals[k],
                           argmin_angle=2.0 * math.pi * k / len(vals),
                           witness_rotation=rotation)
 
@@ -146,13 +130,13 @@ def starlike_scan(family: Union[Family, str], r: float, *,
     compare the minimum against beta).  Preconditions: r > 0, grid_size an
     integer >= 16, the gates of the radii (real inputs, so complex order
     goes to ``spirallike_scan``), r at most the first positive zero of the
-    normalized function (checked on the real axis).  Raises PoleOnCircle
-    when the denominator vanishes on the grid to working precision, or when
-    its float sum on the real axis is within its rounding bound of 0, so
-    that the check cannot be made.
+    normalized function (checked on [r/64, r]).  Raises PoleOnCircle where
+    S lies within the series' own error bound of 0 on the grid or on
+    [r/64, r], so that the ratio or the check cannot be made, and
+    NonConvergence where the series cannot sum S.
     """
     w = _witness(r, grid_size, *_family_map(Family(family), L, eta, nu, alpha))
-    return _scan_report(r, np.real(w))
+    return _scan_report(r, [v.real for v in w])
 
 
 def companion_order(L: complex) -> float:
@@ -188,7 +172,8 @@ def spirallike_scan(L: complex, eta: float, r: float, *,
         raise GateViolation(f"|arg(L+1)| = {abs(th):.3f} >= pi/4")
     p = CoulombParams(Lc, eta)        # gates finiteness, demotes a real Lc
     w = _witness(r, grid_size, p.L, float(p.eta), p.L + 1.0)
-    return _scan_report(r, np.real(np.exp(1j * th) * w), th)
+    rot = cmath.exp(1j * th)
+    return _scan_report(r, [(rot * v).real for v in w], th)
 
 
 def boundary_image(family: Union[Family, str], r: float, n_points: int, *,
@@ -206,12 +191,12 @@ def boundary_image(family: Union[Family, str], r: float, n_points: int, *,
     if not isinstance(n_points, numbers.Integral) or n_points < 8:
         raise ValueError(f"n_points must be an integer >= 8, got {n_points!r}")
     L, eta, kappa = _family_map(Family(family), L, eta, nu, alpha)
-    z, B, _, _ = _factor_on_circle(r, n_points, L, eta)
-    if Family(family) is Family.F_SHIFT:
-        vals = z * B
-    else:
-        vals = z * np.exp(np.log(B) / kappa)
-    return [complex(v) for v in vals]
+    shift = Family(family) is Family.F_SHIFT
+    pts = []
+    for z in _circle(r, n_points):
+        S = _series_pair(L, eta, z, 1e-15)[0]
+        pts.append(z * S if shift else z * cmath.exp(cmath.log(S) / kappa))
+    return pts
 
 
 # ---------------------------------------------------------------------------

@@ -165,17 +165,20 @@ def test_deeper_pass_raises_past_its_digit_cap():
             call()
 
 
-def test_bessel_j_at_order_minus_half_keeps_its_float_pass():
-    # S at L = nu - 1/2 = -1 divides by 2 (L + 1) = 0 in the fixed-point
-    # kernel, so there J keeps the float pass that the series' rule
-    # rejects; its est_error flags it, and no ZeroDivisionError escapes
+def test_bessel_j_at_order_minus_half_takes_the_deeper_pass():
+    # S at L = nu - 1/2 = -1 is cos z; the fixed-point kernel's C_1 =
+    # 2 (L + 1) is 0 there, and it takes t_1 = 0, as the float terms do.
+    # J kept the float pass that the series' rule rejects, 5.6e-5 off, and
+    # the deeper pass of S raised ZeroDivisionError
     z = -30.0 + 1.0j
+    S, zSp = _series_pair(-1.0, 0.0, z, 1e-14)[:2]
+    assert abs(S - cmath.cos(z)) <= 1e-13 * abs(cmath.cos(z))
+    assert abs(zSp + z * cmath.sin(z)) <= 1e-13 * abs(z * cmath.sin(z))
     res = eval_bessel_j(-0.5, z)
     with mp.workdps(30):
         want = complex(mp.besselj(-0.5, z))
-    assert (res.method, res.retry_bits) == ("series", 0)
-    assert abs(res.value - want) <= res.est_error
-    assert res.est_error > 1e-6 * abs(want)
+    assert res.method == "fixed" and res.retry_bits > 0
+    assert abs(res.value - want) <= min(res.est_error, 1e-11 * abs(want))
 
 
 @pytest.mark.parametrize("nu, H, value, deriv", [
@@ -426,11 +429,6 @@ FLOAT_KEPT_PAST_1E_11 = {
     ("J", 200.0, 0.0, 0.5, 0.3),
 }
 
-#: grid values on the float pass outside their est_error: the float terms'
-#: own rounding is not counted in F and g's series est_error (CHANGES)
-FLOAT_EST_MISSES = {("g", 50.0, 50.0, 0.5, 0.0)}
-
-
 @functools.lru_cache(maxsize=None)
 def _inner_refs(L, eta, frac, arg):
     """z and mpmath's F, g and f (or J at eta = 0 with J's own z) at a grid
@@ -452,9 +450,6 @@ def _inner_cases():
             if key in FLOAT_KEPT_PAST_1E_11:
                 marks = pytest.mark.xfail(strict=True, reason=(
                     "float pass kept by est <= 1e-6 (|S| + |T|) (item 4)"))
-            elif key in FLOAT_EST_MISSES:
-                marks = pytest.mark.xfail(strict=True, reason=(
-                    "float terms' rounding not in the series est_error"))
             yield pytest.param(*key, marks=marks)
 
 
